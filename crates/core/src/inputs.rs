@@ -13,7 +13,7 @@
 //!   "Some Elements Identical" behaviour for reallocated arrays without
 //!   accidentally merging unrelated arrays that happen to share values.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use algoprof_vm::bytecode::ElemKind;
@@ -23,7 +23,8 @@ use algoprof_vm::{Heap, Value};
 
 use crate::snapshot::{
     measure_value, try_partial_array, try_partial_structure, ArraySizeStrategy, ElemKey,
-    EquivalenceCriterion, IncrementalMode, Measurement, Snapshot, SnapshotKind, SnapshotStats,
+    ElemKeyMap, EquivalenceCriterion, IncrementalMode, Measurement, Snapshot, SnapshotKind,
+    SnapshotStats, VisitMarks,
 };
 
 /// Identifies one input of one or more algorithms.
@@ -123,11 +124,13 @@ impl InputInfo {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InputRegistry {
     inputs: Vec<InputInfo>,
-    ref_map: HashMap<ElemKey, InputId>,
+    ref_map: ElemKeyMap<InputId>,
     criterion: EquivalenceCriterion,
     array_strategy: ArraySizeStrategy,
     incremental: IncrementalMode,
     stats: SnapshotStats,
+    /// Scratch marks shared by every structure walk this registry makes.
+    marks: VisitMarks,
 }
 
 impl InputRegistry {
@@ -145,11 +148,12 @@ impl InputRegistry {
     ) -> Self {
         InputRegistry {
             inputs: Vec::new(),
-            ref_map: HashMap::new(),
+            ref_map: ElemKeyMap::default(),
             criterion,
             array_strategy,
             incremental,
             stats: SnapshotStats::default(),
+            marks: VisitMarks::default(),
         }
     }
 
@@ -335,7 +339,7 @@ impl InputRegistry {
         heap: &Heap,
         r: Value,
     ) -> Option<Measurement> {
-        measure_value(program, heap, r, &mut self.stats)
+        measure_value(program, heap, r, &mut self.marks, &mut self.stats)
     }
 
     /// Re-measures input `id`, currently rooted at `r`, reusing the
@@ -366,7 +370,7 @@ impl InputRegistry {
         r: Value,
     ) -> Option<usize> {
         if self.incremental == IncrementalMode::Disabled {
-            let m = measure_value(program, heap, r, &mut self.stats)?;
+            let m = measure_value(program, heap, r, &mut self.marks, &mut self.stats)?;
             self.record_measurement(id, m);
             return Some(self.inputs[id.index()].last_size);
         }
@@ -375,7 +379,7 @@ impl InputRegistry {
             Value::Obj(o) => ElemKey::Obj(o),
             Value::Arr(a) => ElemKey::Arr(a),
             Value::Int(_) | Value::Bool(_) | Value::Null => {
-                let m = measure_value(program, heap, r, &mut self.stats)?;
+                let m = measure_value(program, heap, r, &mut self.marks, &mut self.stats)?;
                 self.record_measurement(id, m);
                 return Some(self.inputs[id.index()].last_size);
             }
@@ -460,7 +464,7 @@ impl InputRegistry {
         }
 
         // Layer 4: full walk.
-        let m = measure_value(program, heap, r, &mut self.stats)?;
+        let m = measure_value(program, heap, r, &mut self.marks, &mut self.stats)?;
         self.record_measurement(id, m);
         Some(self.inputs[id.index()].last_size)
     }
@@ -468,9 +472,9 @@ impl InputRegistry {
     /// Differential-mode check: the cached snapshot for `id` must equal a
     /// from-scratch traversal of `r`. The verification traversal uses a
     /// scratch stats block so it does not pollute the reuse counters.
-    fn verify_cached(&self, program: &CompiledProgram, heap: &Heap, id: InputId, r: Value) {
+    fn verify_cached(&mut self, program: &CompiledProgram, heap: &Heap, id: InputId, r: Value) {
         let mut scratch = SnapshotStats::default();
-        let fresh = measure_value(program, heap, r, &mut scratch)
+        let fresh = measure_value(program, heap, r, &mut self.marks, &mut scratch)
             .expect("differential check: root became unmeasurable");
         let cached = self.inputs[id.index()]
             .last_measurement

@@ -45,8 +45,6 @@
 pub mod attribution;
 pub mod repetition;
 
-use std::collections::HashMap;
-
 use algoprof_vm::{CompiledProgram, Event, EventCx, EventSink, ThreadId, Value};
 
 use crate::cost::{AccessOp, CostKey};
@@ -54,7 +52,7 @@ use crate::inputs::InputRegistry;
 use crate::profile::{AlgorithmicProfile, ProfileSet};
 use crate::reptree::RepTree;
 use crate::snapshot::{
-    ArraySizeStrategy, ElemKey, EquivalenceCriterion, IncrementalMode, SnapshotStats,
+    ArraySizeStrategy, ElemKey, ElemKeyMap, EquivalenceCriterion, IncrementalMode, SnapshotStats,
 };
 
 pub use attribution::{AccessTarget, AttributionStage};
@@ -131,7 +129,7 @@ pub struct AlgoProf {
     cur: usize,
     /// Last thread to write each heap location (allocation counts as a
     /// write). Drives the cross-thread read rule.
-    last_writer: HashMap<ElemKey, usize>,
+    last_writer: ElemKeyMap<usize>,
 }
 
 impl AlgoProf {
@@ -147,7 +145,7 @@ impl AlgoProf {
             opts,
             threads: vec![(RepetitionStage::new(), AttributionStage::new(&opts))],
             cur: 0,
-            last_writer: HashMap::new(),
+            last_writer: ElemKeyMap::default(),
         }
     }
 
@@ -213,13 +211,7 @@ impl AlgoProf {
     pub fn snapshot_stats(&self) -> SnapshotStats {
         let mut total = SnapshotStats::default();
         for (_, attr) in &self.threads {
-            let s = attr.snapshot_stats();
-            total.full_walks += s.full_walks;
-            total.cache_hits += s.cache_hits;
-            total.partial_redos += s.partial_redos;
-            total.objects_traversed += s.objects_traversed;
-            total.arrays_traversed += s.arrays_traversed;
-            total.elements_scanned += s.elements_scanned;
+            total += attr.snapshot_stats();
         }
         total
     }

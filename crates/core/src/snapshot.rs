@@ -7,7 +7,9 @@
 //! and *size* (object counts for recursive structures, capacity or
 //! unique-element counts for arrays).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::{AddAssign, Range};
 
 use algoprof_vm::bytecode::ElemKind;
 use algoprof_vm::{ArrRef, ClassId, CompiledProgram, Heap, ObjRef, Value};
@@ -26,6 +28,98 @@ pub enum ElemKey {
     Arr(ArrRef),
     /// A primitive element value.
     Int(i64),
+}
+
+/// A multiply-rotate hasher (FxHash's mixing step) for [`ElemKey`]
+/// maps, which the profiler probes on every field and array access.
+/// Reference keys are heap indices the VM hands out in sequence, so a
+/// keyed, collision-resistant hash buys nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ElemKeyHasher(u64);
+
+impl ElemKeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for ElemKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
+/// A hash map keyed by [`ElemKey`] under [`ElemKeyHasher`].
+pub type ElemKeyMap<V> = HashMap<ElemKey, V, BuildHasherDefault<ElemKeyHasher>>;
+
+/// Visit marks for structure walks, one generation stamp per heap
+/// object and array, indexed by [`ObjRef`] / [`ArrRef`]. A walk starts
+/// a new generation instead of clearing, so marking costs one store and
+/// membership one load. The tables grow to the heap's size when a walk
+/// starts, and are meant to be owned by whoever walks repeatedly (the
+/// input registry) so their allocation is reused across walks.
+#[derive(Debug, Default, Clone)]
+pub struct VisitMarks {
+    generation: u32,
+    objects: Vec<u32>,
+    arrays: Vec<u32>,
+}
+
+impl VisitMarks {
+    /// Starts a walk over `heap`: nothing is marked afterwards.
+    fn begin(&mut self, heap: &Heap) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: stamps from 2^32 walks ago would read as marked.
+            self.objects.fill(0);
+            self.arrays.fill(0);
+            self.generation = 1;
+        }
+        if self.objects.len() < heap.object_count() {
+            self.objects.resize(heap.object_count(), 0);
+        }
+        if self.arrays.len() < heap.array_count() {
+            self.arrays.resize(heap.array_count(), 0);
+        }
+    }
+
+    /// Marks `key`; true when it was not yet marked in this walk.
+    fn mark(&mut self, key: ElemKey) -> bool {
+        let slot = match key {
+            ElemKey::Obj(o) => &mut self.objects[o.0 as usize],
+            ElemKey::Arr(a) => &mut self.arrays[a.0 as usize],
+            ElemKey::Int(_) => return false,
+        };
+        let fresh = *slot != self.generation;
+        *slot = self.generation;
+        fresh
+    }
+}
+
+/// Marks are scratch state between walks, not part of any result, so
+/// two mark sets always compare equal.
+impl PartialEq for VisitMarks {
+    fn eq(&self, _: &VisitMarks) -> bool {
+        true
+    }
 }
 
 /// How the size of an array input is quantified (paper §3.4).
@@ -192,16 +286,37 @@ impl SnapshotStats {
     }
 }
 
+impl AddAssign for SnapshotStats {
+    fn add_assign(&mut self, other: SnapshotStats) {
+        // Destructured so a new counter cannot be left out of the sum.
+        let SnapshotStats {
+            full_walks,
+            cache_hits,
+            partial_redos,
+            objects_traversed,
+            arrays_traversed,
+            elements_scanned,
+        } = other;
+        self.full_walks += full_walks;
+        self.cache_hits += cache_hits;
+        self.partial_redos += partial_redos;
+        self.objects_traversed += objects_traversed;
+        self.arrays_traversed += arrays_traversed;
+        self.elements_scanned += elements_scanned;
+    }
+}
+
 /// One container (object or array) visited by a traversal, with the
-/// outgoing references the traversal followed out of it. Stored sorted
-/// so a later re-scan can diff the edge multiset.
+/// outgoing references the traversal followed out of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ContainerRecord {
     /// The container itself.
     pub key: ElemKey,
-    /// Non-null references the traversal followed out of this container
-    /// (recursive fields for objects, elements for ref arrays), sorted.
-    pub children: Vec<ElemKey>,
+    /// Where, in [`Measurement::edges`], the non-null references the
+    /// traversal followed out of this container (recursive fields for
+    /// objects, elements for ref arrays) are stored, sorted so a later
+    /// re-scan can diff the edge multiset.
+    pub edges: Range<u32>,
     /// Non-null references counted inside this container when it is an
     /// array (contributes to [`Snapshot::refs_traversed`]).
     pub array_refs: usize,
@@ -224,6 +339,10 @@ pub struct Measurement {
     /// arrays (primitive arrays contribute only their identity, which
     /// element stores cannot change); for arrays, every visited array.
     pub containers: Vec<ContainerRecord>,
+    /// The containers' outgoing edges, one range per container (see
+    /// [`ContainerRecord::edges`]). A partial redo may leave ranges no
+    /// container points at any more.
+    pub edges: Vec<ElemKey>,
     /// Position in the heap's array write log when this measurement was
     /// taken (see `Heap::log_pos`). [`try_partial_array`] replays the
     /// entries journalled since then instead of re-scanning elements.
@@ -247,7 +366,7 @@ impl Measurement {
             .ref_keys()
             .map(|key| ContainerRecord {
                 key,
-                children: Vec::new(),
+                edges: 0..0,
                 array_refs: 0,
             })
             .collect();
@@ -256,6 +375,7 @@ impl Measurement {
             root,
             epoch: 0,
             containers,
+            edges: Vec::new(),
             log_pos: u64::MAX,
             elem_counts: BTreeMap::new(),
         }
@@ -281,112 +401,161 @@ impl Measurement {
     }
 }
 
-/// The sorted outgoing-edge multiset of one container, as the structure
-/// traversal sees it: recursive-field references for objects, elements
-/// for ref arrays (with the non-null count), nothing for primitive
-/// arrays.
-fn scan_container(program: &CompiledProgram, heap: &Heap, key: ElemKey) -> (Vec<ElemKey>, usize) {
-    let mut children = Vec::new();
-    let mut array_refs = 0usize;
-    match key {
+/// Appends the sorted outgoing-edge multiset of one container to
+/// `edges`, as the structure traversal sees it: recursive-field
+/// references for objects, elements for ref arrays. Returns the number
+/// of references counted inside an array (0 for objects), or `None`
+/// for a primitive array: it is a member of a structure but not a
+/// container of it, since its element stores cannot change a structure
+/// snapshot.
+fn scan_container(
+    program: &CompiledProgram,
+    heap: &Heap,
+    key: ElemKey,
+    edges: &mut Vec<ElemKey>,
+) -> Option<usize> {
+    let from = edges.len();
+    let refs = |v: &Value| match *v {
+        Value::Obj(c) => Some(ElemKey::Obj(c)),
+        Value::Arr(c) => Some(ElemKey::Arr(c)),
+        _ => None,
+    };
+    let array_refs = match key {
         ElemKey::Obj(o) => {
-            let obj = heap.object(o);
-            let fields = heap.fields(o);
-            for (slot, &fid) in program.class(obj.class).field_layout.iter().enumerate() {
+            let layout = &program.class(heap.object(o).class).field_layout;
+            for (v, &fid) in heap.fields(o).iter().zip(layout) {
                 if program.field(fid).is_recursive {
-                    match fields[slot] {
-                        Value::Obj(c) => children.push(ElemKey::Obj(c)),
-                        Value::Arr(c) => children.push(ElemKey::Arr(c)),
-                        _ => {}
-                    }
+                    edges.extend(refs(v));
                 }
             }
+            0
         }
         ElemKey::Arr(a) => {
             let arr = heap.array(a);
-            if arr.elem == ElemKind::Ref {
-                for &e in &arr.elems {
-                    match e {
-                        Value::Obj(c) => {
-                            children.push(ElemKey::Obj(c));
-                            array_refs += 1;
-                        }
-                        Value::Arr(c) => {
-                            children.push(ElemKey::Arr(c));
-                            array_refs += 1;
-                        }
-                        _ => {}
-                    }
-                }
+            if arr.elem != ElemKind::Ref {
+                return None;
             }
+            edges.extend(arr.elems.iter().filter_map(refs));
+            edges.len() - from
+        }
+        ElemKey::Int(_) => return None,
+    };
+    edges[from..].sort_unstable();
+    Some(array_refs)
+}
+
+/// Counts one container visited by a structure traversal into `stats`.
+fn count_visit(heap: &Heap, key: ElemKey, stats: &mut SnapshotStats) {
+    match key {
+        ElemKey::Obj(_) => stats.objects_traversed += 1,
+        ElemKey::Arr(a) => {
+            stats.arrays_traversed += 1;
+            stats.elements_scanned += heap.array(a).elems.len() as u64;
         }
         ElemKey::Int(_) => {}
     }
-    children.sort_unstable();
-    (children, array_refs)
+}
+
+/// Whether `key` can be a member of a structure: objects of recursive
+/// classes and arrays (the structure membership rule of paper §3.4).
+fn joins_structure(program: &CompiledProgram, heap: &Heap, key: ElemKey) -> bool {
+    match key {
+        ElemKey::Obj(o) => program.class(heap.object(o).class).is_recursive,
+        ElemKey::Arr(_) => true,
+        ElemKey::Int(_) => false,
+    }
 }
 
 /// Takes a snapshot of the recursive structure reachable from `start`
 /// (an object of a recursive class), following recursive fields and the
 /// arrays they hold.
 pub fn snapshot_structure(program: &CompiledProgram, heap: &Heap, start: ObjRef) -> Snapshot {
-    measure_structure(program, heap, start, &mut SnapshotStats::default()).snapshot
+    let mut marks = VisitMarks::default();
+    measure_structure(
+        program,
+        heap,
+        start,
+        &mut marks,
+        &mut SnapshotStats::default(),
+    )
+    .snapshot
 }
 
 /// Like [`snapshot_structure`], but also records the traversal's
 /// containers and epoch for later incremental reuse, and counts the
-/// work into `stats`.
+/// work into `stats`. `marks` is scratch space, reused across calls.
+///
+/// One breadth-first pass: each member is marked when first reached,
+/// so the member list doubles as the queue, and each container's
+/// references are read once into [`Measurement::edges`].
 pub fn measure_structure(
     program: &CompiledProgram,
     heap: &Heap,
     start: ObjRef,
+    marks: &mut VisitMarks,
     stats: &mut SnapshotStats,
 ) -> Measurement {
-    let t = heap.traverse_structure(program, Value::Obj(start));
-    let mut keys = BTreeSet::new();
-    let mut classes: BTreeMap<ClassId, usize> = BTreeMap::new();
-    let mut containers = Vec::with_capacity(t.objects.len() + t.arrays.len());
-    for &o in &t.objects {
-        keys.insert(ElemKey::Obj(o));
-        *classes.entry(heap.object(o).class).or_insert(0) += 1;
-        let (children, _) = scan_container(program, heap, ElemKey::Obj(o));
+    marks.begin(heap);
+    let mut members = Vec::new();
+    let root = ElemKey::Obj(start);
+    if marks.mark(root) && joins_structure(program, heap, root) {
+        members.push(root);
+    }
+    let mut containers = Vec::new();
+    let mut edges = Vec::new();
+    let mut class_counts: Vec<(ClassId, usize)> = Vec::new();
+    let mut refs_traversed = 0;
+    let mut next = 0;
+    while let Some(&key) = members.get(next) {
+        next += 1;
+        count_visit(heap, key, stats);
+        if let ElemKey::Obj(o) = key {
+            let class = heap.object(o).class;
+            match class_counts.iter_mut().find(|(c, _)| *c == class) {
+                Some((_, n)) => *n += 1,
+                None => class_counts.push((class, 1)),
+            }
+        }
+        let from = edges.len();
+        let Some(array_refs) = scan_container(program, heap, key, &mut edges) else {
+            continue;
+        };
+        for &child in &edges[from..] {
+            if marks.mark(child) && joins_structure(program, heap, child) {
+                members.push(child);
+            }
+        }
+        refs_traversed += array_refs;
         containers.push(ContainerRecord {
-            key: ElemKey::Obj(o),
-            children,
-            array_refs: 0,
+            key,
+            edges: from as u32..edges.len() as u32,
+            array_refs,
         });
     }
-    for &a in &t.arrays {
-        keys.insert(ElemKey::Arr(a));
-        stats.elements_scanned += heap.array(a).elems.len() as u64;
-        // Primitive arrays contribute only their identity key: element
-        // stores cannot change a structure snapshot, so they are not
-        // invalidating containers.
-        if heap.array(a).elem == ElemKind::Ref {
-            let (children, array_refs) = scan_container(program, heap, ElemKey::Arr(a));
-            containers.push(ContainerRecord {
-                key: ElemKey::Arr(a),
-                children,
-                array_refs,
-            });
-        }
-    }
     containers.sort_unstable_by_key(|c| c.key);
+    // Members are the containers plus any primitive arrays; without
+    // the latter, the sorted containers already give the sorted keys.
+    let keys = if members.len() == containers.len() {
+        containers.iter().map(|c| c.key).collect()
+    } else {
+        members.into_iter().collect()
+    };
     stats.full_walks += 1;
-    stats.objects_traversed += t.objects.len() as u64;
-    stats.arrays_traversed += t.arrays.len() as u64;
-    let size = t.objects.len();
+    let size = class_counts.iter().map(|&(_, n)| n).sum();
     Measurement {
         snapshot: Snapshot {
             keys,
-            kind: SnapshotKind::Structure { classes },
+            kind: SnapshotKind::Structure {
+                classes: class_counts.into_iter().collect(),
+            },
             size,
             unique_size: size,
-            refs_traversed: t.refs_traversed,
+            refs_traversed,
         },
-        root: ElemKey::Obj(start),
+        root,
         epoch: heap.epoch(),
         containers,
+        edges,
         log_pos: heap.log_pos(),
         elem_counts: BTreeMap::new(),
     }
@@ -410,6 +579,7 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
     let mut refs_traversed = 0usize;
     let root_elem = heap.array(arr).elem;
     let mut containers = Vec::new();
+    let mut edges = Vec::new();
     let mut elem_counts: BTreeMap<ElemKey, usize> = BTreeMap::new();
 
     let mut queue = vec![arr];
@@ -422,7 +592,7 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
         let array = heap.array(a);
         capacity += array.elems.len();
         stats.elements_scanned += array.elems.len() as u64;
-        let mut children = Vec::new();
+        let from = edges.len();
         let mut array_refs = 0usize;
         match array.elem {
             ElemKind::Int | ElemKind::Bool => {
@@ -446,13 +616,13 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
                             *elem_counts.entry(ElemKey::Obj(o)).or_insert(0) += 1;
                             refs_traversed += 1;
                             stats.objects_traversed += 1;
-                            children.push(ElemKey::Obj(o));
+                            edges.push(ElemKey::Obj(o));
                             array_refs += 1;
                         }
                         Value::Arr(child) => {
                             unique.insert(ElemKey::Arr(child));
                             refs_traversed += 1;
-                            children.push(ElemKey::Arr(child));
+                            edges.push(ElemKey::Arr(child));
                             array_refs += 1;
                             queue.push(child);
                         }
@@ -461,10 +631,10 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
                 }
             }
         }
-        children.sort_unstable();
+        edges[from..].sort_unstable();
         containers.push(ContainerRecord {
             key: ElemKey::Arr(a),
-            children,
+            edges: from as u32..edges.len() as u32,
             array_refs,
         });
     }
@@ -483,16 +653,17 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
         root: ElemKey::Arr(arr),
         epoch: heap.epoch(),
         containers,
+        edges,
         log_pos: heap.log_pos(),
         elem_counts,
     }
 }
 
-/// Multiset difference of two sorted child lists: `Some(additions)`
-/// when `new` is a superset of `old`, `None` when any old child was
-/// removed (the cached reachable set may have shrunk).
-fn added_children(old: &[ElemKey], new: &[ElemKey]) -> Option<Vec<ElemKey>> {
-    let mut additions = Vec::new();
+/// Multiset difference of two sorted child lists: appends to
+/// `additions` what `new` has beyond `old` and returns `Some` when `new`
+/// is a superset of `old`, `None` when any old child was removed (the
+/// cached reachable set may have shrunk).
+fn added_children(old: &[ElemKey], new: &[ElemKey], additions: &mut Vec<ElemKey>) -> Option<()> {
     let (mut i, mut j) = (0, 0);
     while i < old.len() && j < new.len() {
         match old[i].cmp(&new[j]) {
@@ -511,7 +682,7 @@ fn added_children(old: &[ElemKey], new: &[ElemKey]) -> Option<Vec<ElemKey>> {
         return None;
     }
     additions.extend_from_slice(&new[j..]);
-    Some(additions)
+    Some(())
 }
 
 /// Attempts to bring a stale *structure* measurement up to date by
@@ -535,7 +706,9 @@ pub fn try_partial_structure(
         return None;
     }
 
-    // Re-scan every modified container, diffing its edge multiset.
+    // Re-scan every modified container onto the end of the edge list,
+    // diffing its edge multiset. An edge list that fits its old range
+    // is moved there; a grown one keeps its new range.
     let mut frontier: Vec<ElemKey> = Vec::new();
     let mut refs_delta = 0isize;
     for c in &mut m.containers {
@@ -547,71 +720,67 @@ pub fn try_partial_structure(
         if !modified {
             continue;
         }
-        let (new_children, new_refs) = scan_container(program, heap, c.key);
-        frontier.extend(added_children(&c.children, &new_children)?);
-        match c.key {
-            ElemKey::Obj(_) => stats.objects_traversed += 1,
-            ElemKey::Arr(a) => {
-                stats.arrays_traversed += 1;
-                stats.elements_scanned += heap.array(a).elems.len() as u64;
-            }
-            ElemKey::Int(_) => {}
-        }
+        let from = m.edges.len();
+        let new_refs = scan_container(program, heap, c.key, &mut m.edges)?;
+        let old = c.edges.start as usize..c.edges.end as usize;
+        added_children(&m.edges[old.clone()], &m.edges[from..], &mut frontier)?;
+        count_visit(heap, c.key, stats);
         refs_delta += new_refs as isize - c.array_refs as isize;
-        c.children = new_children;
         c.array_refs = new_refs;
+        let len = m.edges.len() - from;
+        if len <= old.len() {
+            m.edges.copy_within(from.., old.start);
+            m.edges.truncate(from);
+            c.edges = c.edges.start..c.edges.start + len as u32;
+        } else {
+            c.edges = from as u32..m.edges.len() as u32;
+        }
     }
 
-    // Traverse the newly linked region, mirroring the membership rules
-    // of `Heap::traverse_structure` exactly.
+    // Traverse the newly linked region under the membership rules of
+    // `measure_structure`.
     let mut added_keys = Vec::new();
     let mut new_containers = Vec::new();
     while let Some(key) = frontier.pop() {
-        if m.snapshot.keys.contains(&key) {
+        if m.snapshot.keys.contains(&key) || !joins_structure(program, heap, key) {
             continue;
         }
-        match key {
-            ElemKey::Obj(o) => {
-                if !program.class(heap.object(o).class).is_recursive {
-                    continue;
-                }
-                m.snapshot.keys.insert(key);
-                m.snapshot.size += 1;
-                if let SnapshotKind::Structure { classes } = &mut m.snapshot.kind {
-                    *classes.entry(heap.object(o).class).or_insert(0) += 1;
-                }
-                stats.objects_traversed += 1;
-                let (children, _) = scan_container(program, heap, key);
-                frontier.extend_from_slice(&children);
-                new_containers.push(ContainerRecord {
-                    key,
-                    children,
-                    array_refs: 0,
-                });
-                added_keys.push(key);
+        m.snapshot.keys.insert(key);
+        if let ElemKey::Obj(o) = key {
+            m.snapshot.size += 1;
+            if let SnapshotKind::Structure { classes } = &mut m.snapshot.kind {
+                *classes.entry(heap.object(o).class).or_insert(0) += 1;
             }
-            ElemKey::Arr(a) => {
-                m.snapshot.keys.insert(key);
-                stats.arrays_traversed += 1;
-                stats.elements_scanned += heap.array(a).elems.len() as u64;
-                if heap.array(a).elem == ElemKind::Ref {
-                    let (children, array_refs) = scan_container(program, heap, key);
-                    refs_delta += array_refs as isize;
-                    frontier.extend_from_slice(&children);
-                    new_containers.push(ContainerRecord {
-                        key,
-                        children,
-                        array_refs,
-                    });
-                }
-                added_keys.push(key);
-            }
-            ElemKey::Int(_) => {}
+        }
+        count_visit(heap, key, stats);
+        added_keys.push(key);
+        let from = m.edges.len();
+        if let Some(array_refs) = scan_container(program, heap, key, &mut m.edges) {
+            refs_delta += array_refs as isize;
+            frontier.extend_from_slice(&m.edges[from..]);
+            new_containers.push(ContainerRecord {
+                key,
+                edges: from as u32..m.edges.len() as u32,
+                array_refs,
+            });
         }
     }
 
     m.containers.extend(new_containers);
     m.containers.sort_unstable_by_key(|c| c.key);
+    // Ranges left behind by grown edge lists are garbage; once they
+    // outweigh the live edges, copy the live ones into a fresh list so a
+    // structure grown one edge per redo stays linear in memory.
+    let live: usize = m.containers.iter().map(|c| c.edges.len()).sum();
+    if m.edges.len() > 2 * live {
+        let mut edges = Vec::with_capacity(live);
+        for c in &mut m.containers {
+            let from = edges.len() as u32;
+            edges.extend_from_slice(&m.edges[c.edges.start as usize..c.edges.end as usize]);
+            c.edges = from..edges.len() as u32;
+        }
+        m.edges = edges;
+    }
     m.snapshot.refs_traversed = (m.snapshot.refs_traversed as isize + refs_delta) as usize;
     m.snapshot.unique_size = m.snapshot.size;
     m.epoch = heap.epoch();
@@ -702,14 +871,16 @@ pub fn try_partial_array(
 }
 
 /// Measures the structure or array behind reference `r` from scratch.
+/// `marks` is scratch space for structure walks, reused across calls.
 pub fn measure_value(
     program: &CompiledProgram,
     heap: &Heap,
     r: Value,
+    marks: &mut VisitMarks,
     stats: &mut SnapshotStats,
 ) -> Option<Measurement> {
     match r {
-        Value::Obj(o) => Some(measure_structure(program, heap, o, stats)),
+        Value::Obj(o) => Some(measure_structure(program, heap, o, marks, stats)),
         Value::Arr(a) => Some(measure_array(heap, a, stats)),
         _ => None,
     }
@@ -909,6 +1080,106 @@ mod tests {
         assert!(try_partial_array(&heap, &mut m, &mut stats).is_none());
         let fresh = measure_array(&heap, a, &mut stats);
         assert!(fresh.snapshot.keys.contains(&ElemKey::Int(8)));
+    }
+
+    #[test]
+    fn visit_marks_survive_generation_wrap() {
+        let (p, heap) = run(r#"class Main { static int main() {
+                Node head = null;
+                for (int i = 0; i < 4; i = i + 1) {
+                    Node n = new Node();
+                    n.next = head;
+                    head = n;
+                }
+                return 0;
+            } }
+            class Node { Node next; }"#);
+        let want = snapshot_structure(&p, &heap, ObjRef(3));
+        // Stamps of generation 1 left from 2^32 walks ago must not read
+        // as marked once the generation wraps back to 1.
+        let mut marks = VisitMarks {
+            generation: u32::MAX,
+            objects: vec![1; heap.object_count()],
+            arrays: Vec::new(),
+        };
+        for _ in 0..2 {
+            let m = measure_structure(
+                &p,
+                &heap,
+                ObjRef(3),
+                &mut marks,
+                &mut SnapshotStats::default(),
+            );
+            assert_eq!(m.snapshot, want);
+        }
+        assert_eq!(marks.generation, 2, "wrapped past zero");
+    }
+
+    #[test]
+    fn partial_structure_reuses_edge_ranges_that_fit() {
+        let (p, mut heap) = run(r#"class Main { static int main() {
+                Node a = new Node();
+                Node b = new Node();
+                Node c = new Node();
+                a.next = b;
+                return 0;
+            } }
+            class Node { Node next; }"#);
+        let (a, b, c) = (ObjRef(0), ObjRef(1), ObjRef(2));
+        let mut stats = SnapshotStats::default();
+        let mut marks = VisitMarks::default();
+        let mut m = measure_structure(&p, &heap, a, &mut marks, &mut stats);
+        assert_eq!(m.snapshot.size, 2);
+
+        // Re-linking `a` to `c` and back stamps it without changing its
+        // edges: the re-scan lands in the old range.
+        heap.set_field(a, 0, Value::Obj(c));
+        heap.set_field(a, 0, Value::Obj(b));
+        let edges_before = m.edges.len();
+        assert_eq!(
+            try_partial_structure(&p, &heap, &mut m, &mut stats),
+            Some(vec![])
+        );
+        assert_eq!(m.edges.len(), edges_before);
+
+        // Growing `b` by an edge appends a new range and pulls `c` in.
+        heap.set_field(b, 0, Value::Obj(c));
+        let added = try_partial_structure(&p, &heap, &mut m, &mut stats);
+        assert_eq!(added, Some(vec![ElemKey::Obj(c)]));
+        let rec = m.container(ElemKey::Obj(b)).expect("b is a container");
+        let range = rec.edges.start as usize..rec.edges.end as usize;
+        assert_eq!(m.edges[range], [ElemKey::Obj(c)]);
+        assert_eq!(m.snapshot, snapshot_structure(&p, &heap, a));
+    }
+
+    #[test]
+    fn partial_structure_edge_list_stays_linear() {
+        let (p, mut heap) = run(r#"class Main { static int main() {
+                Node root = new Node(200);
+                return 0;
+            } }
+            class Node {
+                Node[] children;
+                Node(int n) { children = new Node[n]; }
+            }"#);
+        let (root, kids) = (ObjRef(0), ArrRef(0));
+        let node = heap.object(root).class;
+        let mut stats = SnapshotStats::default();
+        let mut m = measure_structure(&p, &heap, root, &mut VisitMarks::default(), &mut stats);
+        // Each store grows the child array's edge list by one, which
+        // never fits its old range.
+        for i in 0..200 {
+            let kid = heap.alloc_object(node, 1);
+            heap.set_elem(kids, i, Value::Obj(kid));
+            assert!(try_partial_structure(&p, &heap, &mut m, &mut stats).is_some());
+            let live: usize = m.containers.iter().map(|c| c.edges.len()).sum();
+            assert!(
+                m.edges.len() <= 2 * live,
+                "{} edges for {live} live",
+                m.edges.len()
+            );
+        }
+        assert_eq!(m.snapshot, snapshot_structure(&p, &heap, root));
     }
 
     #[test]

@@ -361,76 +361,6 @@ impl Heap {
         });
         self.arrays[r.0 as usize].elems[idx] = value;
     }
-
-    /// Traverses the recursive data structure reachable from `start`,
-    /// following only fields marked recursive in `program` (and the
-    /// contents of arrays held in such fields, as the paper prescribes for
-    /// structures like n-ary tree nodes with `Node[] children`).
-    ///
-    /// Returns the visit in discovery (BFS) order. `start` itself is
-    /// included when it is an object of a recursive class or an array.
-    pub fn traverse_structure(&self, program: &CompiledProgram, start: Value) -> Traversal {
-        let mut t = Traversal::default();
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            match v {
-                Value::Obj(o) => {
-                    if t.objects.contains(&o) {
-                        continue;
-                    }
-                    let obj = self.object(o);
-                    if !program.class(obj.class).is_recursive {
-                        continue;
-                    }
-                    t.objects.push(o);
-                    // Follow recursive fields only (by layout slot).
-                    let fields = self.fields(o);
-                    for (slot, &fid) in program.class(obj.class).field_layout.iter().enumerate() {
-                        if program.field(fid).is_recursive {
-                            queue.push_back(fields[slot]);
-                        }
-                    }
-                }
-                Value::Arr(a) => {
-                    if t.arrays.contains(&a) {
-                        continue;
-                    }
-                    t.arrays.push(a);
-                    let arr = self.array(a);
-                    if arr.elem == ElemKind::Ref {
-                        for &e in &arr.elems {
-                            if !matches!(e, Value::Null) {
-                                t.refs_traversed += 1;
-                            }
-                            queue.push_back(e);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        t
-    }
-}
-
-/// The result of a recursive-structure traversal.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct Traversal {
-    /// Objects visited, in BFS order.
-    pub objects: Vec<ObjRef>,
-    /// Arrays visited (arrays referenced from recursive fields), in BFS
-    /// order.
-    pub arrays: Vec<ArrRef>,
-    /// Count of non-null references traversed inside arrays.
-    pub refs_traversed: usize,
-}
-
-impl Traversal {
-    /// Total number of objects in the structure.
-    pub fn object_count(&self) -> usize {
-        self.objects.len()
-    }
 }
 
 /// Convenience: reads the field `fid` of `obj` given the program's layout.

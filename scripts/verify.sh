@@ -16,6 +16,9 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> benchmark self-tests (perfbench is its own workspace; --workspace misses it)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> trace differential corpus (record/replay fidelity, release)"
 cargo test --release -q --test trace_roundtrip
 cargo test --release -q -p algoprof-trace

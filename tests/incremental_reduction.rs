@@ -6,9 +6,16 @@
 //! (`crates/bench/benches/incremental.rs`) measures the full 10^4-element
 //! configuration; this test asserts the required ≥ 5× reduction in
 //! objects traversed at a size small enough for the debug-build suite.
+//!
+//! It also pins the exact snapshot counters of the two sized sorts the
+//! benchmark profiles, so a change to how a walk is done cannot change
+//! how many walks happen or what they visit unnoticed.
 
 use algoprof::{AlgoProf, AlgoProfOptions, IncrementalMode, SnapshotStats};
-use algoprof_programs::{array_list_program, GrowthPolicy};
+use algoprof_programs::{
+    array_list_program, sized_insertion_sort_array_program, sized_insertion_sort_program,
+    GrowthPolicy, SortWorkload,
+};
 use algoprof_vm::instrument::MethodInstrumentation;
 use algoprof_vm::{compile, InstrumentOptions, Interp};
 
@@ -46,5 +53,63 @@ fn arraylist_growth_objects_traversed_shrink_at_least_5x() {
         "full walks {} -> {}: cache barely engaged",
         full.full_walks,
         inc.full_walks
+    );
+}
+
+/// Snapshot counters of one profiled run of a sized sort, compiled the
+/// way every user path compiles (instrumented with default options, then
+/// fused) and profiled with default options.
+fn sort_stats(src: &str, n: i64) -> SnapshotStats {
+    let program = compile(src)
+        .expect("compiles")
+        .instrument(&InstrumentOptions::default())
+        .fuse_default();
+    let mut profiler = AlgoProf::new();
+    Interp::new(&program)
+        .with_input(vec![n])
+        .run(&mut profiler)
+        .expect("runs");
+    profiler.snapshot_stats()
+}
+
+/// Pins how many walks the profiler makes and what they visit. The
+/// first-access/exit policy fixes the number of walks; a change to how
+/// a walk is done must leave every counter here unchanged.
+#[test]
+fn sort_walk_counters_are_pinned() {
+    let list = sized_insertion_sort_program(SortWorkload::Random);
+    assert_eq!(
+        sort_stats(&list, 100),
+        SnapshotStats {
+            full_walks: 197,
+            cache_hits: 7,
+            partial_redos: 0,
+            objects_traversed: 20_313,
+            arrays_traversed: 0,
+            elements_scanned: 0,
+        }
+    );
+    assert_eq!(
+        sort_stats(&list, 163),
+        SnapshotStats {
+            full_walks: 324,
+            cache_hits: 6,
+            partial_redos: 0,
+            objects_traversed: 53_439,
+            arrays_traversed: 0,
+            elements_scanned: 0,
+        }
+    );
+    let array = sized_insertion_sort_array_program(SortWorkload::Reversed);
+    assert_eq!(
+        sort_stats(&array, 160),
+        SnapshotStats {
+            full_walks: 1,
+            cache_hits: 2,
+            partial_redos: 319,
+            objects_traversed: 0,
+            arrays_traversed: 1,
+            elements_scanned: 13_198,
+        }
     );
 }
