@@ -6,7 +6,9 @@
 //! Two questions, one workload (the fig5 ArrayList-growth program):
 //! 1. per-event overhead — the same instrumented execution driving a
 //!    `NoopSink`, one live `AlgoProf`, and a `Fanout` of 4 `AlgoProf`s
-//!    (one per equivalence criterion);
+//!    (one per equivalence criterion). The profiled runs are timed on
+//!    the fused program, which is what every user path runs; the
+//!    unfused figures are kept beside them;
 //! 2. single-pass payoff — `Tee(recorder, Fanout×4)` in one execution
 //!    vs the old pipeline of one recording plus 4 replays.
 //!
@@ -91,19 +93,23 @@ fn main() {
     //    (same logical event stream, fewer dispatch-loop iterations).
     let (t_noop, _) = min_of(noop_reps, || run_events(&program));
     let (t_noop_fused, _) = min_of(noop_reps, || run_events(&fused));
-    let (t_one, algos_one) = min_of(reps, || {
+    let live = |program: &CompiledProgram| {
         let mut prof = AlgoProf::new();
-        Interp::new(&program).run(&mut prof).expect("runs");
-        prof.finish(&program).algorithms().len()
-    });
-    let (t_fan4, algos_fan) = min_of(reps, || {
+        Interp::new(program).run(&mut prof).expect("runs");
+        prof.finish(program).algorithms().len()
+    };
+    let fanout = |program: &CompiledProgram| {
         let mut fan = Fanout::new(ablation_profilers());
-        Interp::new(&program).run(&mut fan).expect("runs");
+        Interp::new(program).run(&mut fan).expect("runs");
         fan.into_sinks()
             .into_iter()
-            .map(|p| p.finish(&program).algorithms().len())
+            .map(|p| p.finish(program).algorithms().len())
             .sum::<usize>()
-    });
+    };
+    let (t_one, algos_one) = min_of(reps, || live(&fused));
+    let (t_fan4, algos_fan) = min_of(reps, || fanout(&fused));
+    let (t_one_unfused, _) = min_of(reps, || live(&program));
+    let (t_fan4_unfused, _) = min_of(reps, || fanout(&program));
     assert!(algos_one > 0 && algos_fan >= 4 * algos_one);
     let per_event = |t: Duration| t.as_secs_f64() * 1e9 / instructions as f64;
     println!(
@@ -119,12 +125,14 @@ fn main() {
         t_noop.as_secs_f64() / t_noop_fused.as_secs_f64().max(1e-9)
     );
     println!(
-        "  events/algoprof_live    min {t_one:>12.3?}   ({:.1} ns/instr)",
-        per_event(t_one)
+        "  events/algoprof_live    min {t_one:>12.3?}   ({:.1} ns/instr; unfused {:.1})",
+        per_event(t_one),
+        per_event(t_one_unfused)
     );
     println!(
-        "  events/fanout_4x        min {t_fan4:>12.3?}   ({:.1} ns/instr)",
-        per_event(t_fan4)
+        "  events/fanout_4x        min {t_fan4:>12.3?}   ({:.1} ns/instr; unfused {:.1})",
+        per_event(t_fan4),
+        per_event(t_fan4_unfused)
     );
 
     // 2. Single pass (Tee + Fanout×4) vs record once + replay 4 times.
@@ -175,11 +183,12 @@ fn main() {
         "{{\n  \"bench\": \"events\",\n  \"workload\": \"fig5 arraylist doubling n={n}\",\n  \
          \"quick\": {},\n  \"instructions\": {instructions},\n  \
          \"ns_per_instr\": {{\n    \"noop_sink\": {:.3},\n    \"noop_sink_fused\": {:.3},\n    \
-         \"algoprof_live\": {:.3},\n    \
-         \"fanout_4x\": {:.3}\n  }},\n  \
+         \"algoprof_live\": {:.3},\n    \"algoprof_live_unfused\": {:.3},\n    \
+         \"fanout_4x\": {:.3},\n    \"fanout_4x_unfused\": {:.3}\n  }},\n  \
          \"wall_ms\": {{\n    \"noop_sink\": {:.3},\n    \"noop_sink_fused\": {:.3},\n    \
-         \"algoprof_live\": {:.3},\n    \
-         \"fanout_4x\": {:.3},\n    \"single_pass_4x\": {:.3},\n    \
+         \"algoprof_live\": {:.3},\n    \"algoprof_live_unfused\": {:.3},\n    \
+         \"fanout_4x\": {:.3},\n    \"fanout_4x_unfused\": {:.3},\n    \
+         \"single_pass_4x\": {:.3},\n    \
          \"record_4replays\": {:.3}\n  }},\n  \
          \"fused_dispatch_speedup\": {:.3},\n  \
          \"single_pass_speedup\": {speedup:.3}\n}}\n",
@@ -187,11 +196,15 @@ fn main() {
         per_event(t_noop),
         per_event(t_noop_fused),
         per_event(t_one),
+        per_event(t_one_unfused),
         per_event(t_fan4),
+        per_event(t_fan4_unfused),
         t_noop.as_secs_f64() * 1e3,
         t_noop_fused.as_secs_f64() * 1e3,
         t_one.as_secs_f64() * 1e3,
+        t_one_unfused.as_secs_f64() * 1e3,
         t_fan4.as_secs_f64() * 1e3,
+        t_fan4_unfused.as_secs_f64() * 1e3,
         t_single.as_secs_f64() * 1e3,
         t_replay.as_secs_f64() * 1e3,
         t_noop.as_secs_f64() / t_noop_fused.as_secs_f64().max(1e-9),

@@ -296,6 +296,14 @@ impl InputRegistry {
             }
             self.claim_key(key, id);
         }
+        self.store_measurement(id, m);
+        self.inputs[id.index()].shared = false;
+    }
+
+    /// Makes `m` the current measurement of input `id`: folds its
+    /// classes and size into the input's, and marks the input clean as
+    /// of `m.epoch`.
+    fn store_measurement(&mut self, id: InputId, m: Measurement) {
         let size = m.snapshot.size_under(self.array_strategy);
         let info = &mut self.inputs[id.index()];
         if let SnapshotKind::Structure { classes } = &m.snapshot.kind {
@@ -307,7 +315,6 @@ impl InputRegistry {
         info.last_size = size;
         info.max_size = info.max_size.max(size);
         info.dirty_epoch = m.epoch;
-        info.shared = false;
         info.last_measurement = Some(m);
     }
 
@@ -347,9 +354,13 @@ impl InputRegistry {
     /// exact. Returns the input's size under the configured array
     /// strategy, or `None` if `r` is not measurable (null / int).
     ///
-    /// Validation is layered, cheapest first:
+    /// The cached measurement applies when a walk from `r` would find
+    /// the same members as the cached walk: `r` is its root, or any
+    /// object container of a strongly connected structure
+    /// ([`Measurement::walks_alike_from`]). Validation is layered,
+    /// cheapest first:
     ///
-    /// 1. *O(1) dirty check* — same root, input not `shared`, and no
+    /// 1. *O(1) dirty check* — cached root, input not `shared`, and no
     ///    write observed through its references since the cached epoch.
     /// 2. *Stamp scan* — every container recorded by the cached
     ///    traversal is unmodified since the cached epoch (heals
@@ -388,7 +399,9 @@ impl InputRegistry {
         let differential = self.incremental == IncrementalMode::Differential;
         let info = &self.inputs[id.index()];
         let (cached_root, fast_clean) = match &info.last_measurement {
-            Some(m) if m.root == root => (true, !info.shared && info.dirty_epoch <= m.epoch),
+            Some(m) if m.walks_alike_from(root) => {
+                (true, !info.shared && info.dirty_epoch <= m.epoch)
+            }
             _ => (false, false),
         };
 
@@ -439,18 +452,7 @@ impl InputRegistry {
             });
             match (added, taken) {
                 (Some(added), Some(m)) => {
-                    let size = m.snapshot.size_under(self.array_strategy);
-                    let info = &mut self.inputs[id.index()];
-                    if let SnapshotKind::Structure { classes } = &m.snapshot.kind {
-                        for (&c, &n) in classes {
-                            let e = info.classes.entry(c).or_insert(0);
-                            *e = (*e).max(n);
-                        }
-                    }
-                    info.last_size = size;
-                    info.max_size = info.max_size.max(size);
-                    info.dirty_epoch = m.epoch;
-                    info.last_measurement = Some(m);
+                    self.store_measurement(id, m);
                     for key in added {
                         self.claim_key(key, id);
                     }

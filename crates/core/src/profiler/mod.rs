@@ -253,6 +253,8 @@ impl Default for AlgoProf {
 }
 
 impl EventSink for AlgoProf {
+    const READS_INSTRUCTIONS: bool = false;
+
     fn event(&mut self, ev: &Event, cx: &EventCx<'_>) {
         let (program, heap) = (cx.program, cx.heap);
         match *ev {

@@ -323,8 +323,9 @@ pub struct ContainerRecord {
 }
 
 /// A [`Snapshot`] plus everything needed to decide later whether a
-/// traversal from the same root can reuse it: the root, the heap epoch
-/// it reflects, and the containers whose mutation would invalidate it.
+/// traversal can reuse it: the root, the heap epoch it reflects, the
+/// containers whose mutation would invalidate it, and whether a walk
+/// from any other member would find the same members.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Measurement {
     /// The snapshot taken.
@@ -353,6 +354,11 @@ pub struct Measurement {
     /// drop a key exactly when its last occurrence is overwritten.
     /// Empty for structure measurements.
     pub elem_counts: BTreeMap<ElemKey, usize>,
+    /// Set by a structure walk when every member reaches the root, so
+    /// that, while the measurement is exact, a walk from any of its
+    /// objects finds the same members and hence the same snapshot (see
+    /// [`Measurement::walks_alike_from`]). Never set for arrays.
+    pub strongly_connected: bool,
 }
 
 impl Measurement {
@@ -378,6 +384,7 @@ impl Measurement {
             edges: Vec::new(),
             log_pos: u64::MAX,
             elem_counts: BTreeMap::new(),
+            strongly_connected: false,
         }
     }
 
@@ -387,6 +394,19 @@ impl Measurement {
             .binary_search_by(|c| c.key.cmp(&key))
             .ok()
             .map(|i| &self.containers[i])
+    }
+
+    /// Whether a walk from `root` finds the members a walk from
+    /// `self.root` found: `root` is the same reference, or an object
+    /// container of a strongly connected structure. Every member of such
+    /// a structure reaches `self.root`, and `self.root` reaches it, so
+    /// the walks from either one reach the same set, and every
+    /// [`Snapshot`] field is a function of that set.
+    pub fn walks_alike_from(&self, root: ElemKey) -> bool {
+        self.root == root
+            || (self.strongly_connected
+                && matches!(root, ElemKey::Obj(_))
+                && self.container(root).is_some())
     }
 
     /// Whether every container is unmodified since `self.epoch` — i.e.
@@ -488,6 +508,12 @@ pub fn snapshot_structure(program: &CompiledProgram, heap: &Heap, start: ObjRef)
 /// One breadth-first pass: each member is marked when first reached,
 /// so the member list doubles as the queue, and each container's
 /// references are read once into [`Measurement::edges`].
+///
+/// The walk also checks that every non-root member has an edge back to
+/// the member that discovered it. Following those edges leads from any
+/// member to the root, so the structure is then strongly connected
+/// ([`Measurement::strongly_connected`]). A primitive array member has
+/// no edges, so any structure holding one fails the check.
 pub fn measure_structure(
     program: &CompiledProgram,
     heap: &Heap,
@@ -497,10 +523,15 @@ pub fn measure_structure(
 ) -> Measurement {
     marks.begin(heap);
     let mut members = Vec::new();
+    // `discoverer[i]` is the member whose edge first reached `members[i]`
+    // (the root discovers itself).
+    let mut discoverer = Vec::new();
     let root = ElemKey::Obj(start);
     if marks.mark(root) && joins_structure(program, heap, root) {
         members.push(root);
+        discoverer.push(root);
     }
+    let mut strongly_connected = true;
     let mut containers = Vec::new();
     let mut edges = Vec::new();
     let mut class_counts: Vec<(ClassId, usize)> = Vec::new();
@@ -518,11 +549,16 @@ pub fn measure_structure(
         }
         let from = edges.len();
         let Some(array_refs) = scan_container(program, heap, key, &mut edges) else {
+            strongly_connected = false;
             continue;
         };
+        if strongly_connected && next > 1 {
+            strongly_connected = edges[from..].binary_search(&discoverer[next - 1]).is_ok();
+        }
         for &child in &edges[from..] {
             if marks.mark(child) && joins_structure(program, heap, child) {
                 members.push(child);
+                discoverer.push(key);
             }
         }
         refs_traversed += array_refs;
@@ -558,6 +594,7 @@ pub fn measure_structure(
         edges,
         log_pos: heap.log_pos(),
         elem_counts: BTreeMap::new(),
+        strongly_connected,
     }
 }
 
@@ -656,6 +693,7 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
         edges,
         log_pos: heap.log_pos(),
         elem_counts,
+        strongly_connected: false,
     }
 }
 
@@ -784,6 +822,11 @@ pub fn try_partial_structure(
     m.snapshot.refs_traversed = (m.snapshot.refs_traversed as isize + refs_delta) as usize;
     m.snapshot.unique_size = m.snapshot.size;
     m.epoch = heap.epoch();
+    // Kept edges keep every old member reaching the root, but a new
+    // member need not reach it.
+    if !added_keys.is_empty() {
+        m.strongly_connected = false;
+    }
     stats.partial_redos += 1;
     Some(added_keys)
 }
@@ -813,9 +856,9 @@ fn elem_key_of(v: Value) -> Option<ElemKey> {
 /// write on a traversed container stores or removes a nested array
 /// (that changes which containers the traversal must visit).
 ///
-/// Container `children`/`array_refs` records are *not* maintained
-/// here: the array path never consults them (replay revalidates via
-/// the log and the stamps alone).
+/// Container `edges`/`array_refs` records are *not* maintained here:
+/// the array path never consults them (replay revalidates via the log
+/// and the stamps alone).
 pub fn try_partial_array(
     heap: &Heap,
     m: &mut Measurement,

@@ -178,6 +178,8 @@ impl<W: Write> TraceRecorder<W> {
 }
 
 impl<W: Write> EventSink for TraceRecorder<W> {
+    const READS_INSTRUCTIONS: bool = false;
+
     fn event(&mut self, ev: &Event, _cx: &EventCx<'_>) {
         match *ev {
             Event::MethodEntry { func } => self.put_id(TAG_METHOD_ENTRY, func.0),

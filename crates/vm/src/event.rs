@@ -225,6 +225,12 @@ pub struct EventCx<'a> {
 ///
 /// Static dispatch: an uninstrumented run with [`NoopSink`] pays nothing.
 pub trait EventSink {
+    /// Whether this sink reads [`Event::Instruction`]. A sink that sets
+    /// it to `false` promises to ignore instruction events, so a driver
+    /// may skip delivering them to it; every other event is still
+    /// delivered. The check is a constant, so it folds at compile time.
+    const READS_INSTRUCTIONS: bool = true;
+
     /// Observe one event. `cx.heap` already reflects the event's effect.
     fn event(&mut self, ev: &Event, cx: &EventCx<'_>);
 }
@@ -237,11 +243,15 @@ pub trait EventSink {
 pub struct NoopSink;
 
 impl EventSink for NoopSink {
+    const READS_INSTRUCTIONS: bool = false;
+
     #[inline]
     fn event(&mut self, _ev: &Event, _cx: &EventCx<'_>) {}
 }
 
 impl<S: EventSink + ?Sized> EventSink for &mut S {
+    const READS_INSTRUCTIONS: bool = S::READS_INSTRUCTIONS;
+
     #[inline]
     fn event(&mut self, ev: &Event, cx: &EventCx<'_>) {
         (**self).event(ev, cx);
@@ -270,6 +280,8 @@ impl<A, B> Tee<A, B> {
 }
 
 impl<A: EventSink, B: EventSink> EventSink for Tee<A, B> {
+    const READS_INSTRUCTIONS: bool = A::READS_INSTRUCTIONS || B::READS_INSTRUCTIONS;
+
     #[inline]
     fn event(&mut self, ev: &Event, cx: &EventCx<'_>) {
         self.a.event(ev, cx);
@@ -301,6 +313,8 @@ impl<S> Fanout<S> {
 }
 
 impl<S: EventSink> EventSink for Fanout<S> {
+    const READS_INSTRUCTIONS: bool = S::READS_INSTRUCTIONS;
+
     #[inline]
     fn event(&mut self, ev: &Event, cx: &EventCx<'_>) {
         for sink in &mut self.sinks {
@@ -676,6 +690,77 @@ mod tests {
             log.into_inner(),
             vec!["x:input_read", "y:input_read", "z:input_read"]
         );
+    }
+
+    fn reads<S: EventSink>() -> bool {
+        S::READS_INSTRUCTIONS
+    }
+
+    #[test]
+    fn reads_instructions_composes() {
+        type Reader = Recording<'static>;
+        assert!(reads::<Reader>(), "the default is to read");
+        assert!(!reads::<NoopSink>());
+        assert!(!reads::<Tee<NoopSink, NoopSink>>());
+        assert!(reads::<Tee<NoopSink, Reader>>());
+        assert!(reads::<Tee<Reader, NoopSink>>());
+        assert!(!reads::<Fanout<NoopSink>>());
+        assert!(reads::<Fanout<Reader>>());
+        assert!(!reads::<&'static mut NoopSink>());
+        assert!(reads::<&'static mut Reader>());
+        assert!(!reads::<Tee<&'static mut NoopSink, Fanout<NoopSink>>>());
+        assert!(reads::<Tee<Fanout<NoopSink>, &'static mut Fanout<Reader>>>());
+    }
+
+    /// Counts what it is handed, split into instruction ticks and the
+    /// rest. `READS` says whether it declares that it reads the ticks.
+    #[derive(Default)]
+    struct Tally<const READS: bool> {
+        instructions: u64,
+        others: u64,
+    }
+
+    impl<const READS: bool> EventSink for Tally<READS> {
+        const READS_INSTRUCTIONS: bool = READS;
+
+        fn event(&mut self, ev: &Event, _cx: &EventCx<'_>) {
+            match ev {
+                Event::Instruction { .. } => self.instructions += 1,
+                _ => self.others += 1,
+            }
+        }
+    }
+
+    #[test]
+    fn interpreter_skips_instruction_ticks_only_for_sinks_that_ignore_them() {
+        let program = compile(
+            "class Main { static int main() {
+                Node n = null;
+                for (int i = 0; i < 5; i = i + 1) { Node m = new Node(); m.next = n; n = m; }
+                return 0;
+            } }
+            class Node { Node next; }",
+        )
+        .expect("compiles")
+        .instrument(&crate::instrument::InstrumentOptions::default())
+        .fuse();
+
+        let mut blind = Tally::<false>::default();
+        let alone = crate::interp::Interp::new(&program)
+            .run(&mut blind)
+            .expect("runs");
+        assert_eq!(blind.instructions, 0);
+        assert!(blind.others > 0 && alone.instructions > 0);
+
+        let mut both = Tee::new(Tally::<false>::default(), Tally::<true>::default());
+        let teed = crate::interp::Interp::new(&program)
+            .run(&mut both)
+            .expect("runs");
+        assert_eq!(teed.instructions, alone.instructions);
+        assert_eq!(teed.dispatches, alone.dispatches);
+        assert_eq!(both.b.instructions, alone.instructions);
+        assert_eq!(both.b.others, blind.others);
+        assert_eq!(both.a.others, blind.others);
     }
 
     #[test]

@@ -240,8 +240,13 @@ impl<'p> Interp<'p> {
     }
 
     /// Delivers one event to `sink` with the current heap as context.
+    /// Instruction events are dropped for sinks that do not read them
+    /// ([`EventSink::READS_INSTRUCTIONS`]).
     #[inline]
     fn emit<S: EventSink>(&self, sink: &mut S, ev: Event) {
+        if !S::READS_INSTRUCTIONS && matches!(ev, Event::Instruction { .. }) {
+            return;
+        }
         sink.event(
             &ev,
             &EventCx {

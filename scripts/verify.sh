@@ -32,6 +32,13 @@ trap 'rm -rf "$sweep_out"' EXIT
     --sizes 8,16,32,64 -j 2 --quiet --json "$sweep_out/j2.json" > "$sweep_out/j2.txt"
 cmp "$sweep_out/j1.json" "$sweep_out/j2.json"
 cmp "$sweep_out/j1.txt" "$sweep_out/j2.txt"
+# The doubly linked list sort: its structure walks are reused from other members.
+./target/release/algoprof sweep examples/sized_insertion_sort.jay \
+    --sizes 8,16,32,64 -j 1 --quiet --json "$sweep_out/sort1.json" > "$sweep_out/sort1.txt"
+./target/release/algoprof sweep examples/sized_insertion_sort.jay \
+    --sizes 8,16,32,64 -j 2 --quiet --json "$sweep_out/sort2.json" > "$sweep_out/sort2.txt"
+cmp "$sweep_out/sort1.json" "$sweep_out/sort2.json"
+cmp "$sweep_out/sort1.txt" "$sweep_out/sort2.txt"
 
 echo "==> opstats smoke (dynamic opcode statistics, text and JSON)"
 ./target/release/algoprof opstats examples/sized_arraylist.jay --input 16 \
@@ -44,6 +51,10 @@ ALGOPROF_NO_FUSE=1 ./target/release/algoprof sweep examples/sized_arraylist.jay 
     --sizes 8,16,32,64 -j 1 --quiet --json "$sweep_out/nofuse.json" > "$sweep_out/nofuse.txt"
 cmp "$sweep_out/j1.json" "$sweep_out/nofuse.json"
 cmp "$sweep_out/j1.txt" "$sweep_out/nofuse.txt"
+ALGOPROF_NO_FUSE=1 ./target/release/algoprof sweep examples/sized_insertion_sort.jay \
+    --sizes 8,16,32,64 -j 1 --quiet --json "$sweep_out/sortnf.json" > "$sweep_out/sortnf.txt"
+cmp "$sweep_out/sort1.json" "$sweep_out/sortnf.json"
+cmp "$sweep_out/sort1.txt" "$sweep_out/sortnf.txt"
 
 echo "==> events smoke (record -> dump, text and JSON)"
 ./target/release/algoprof record examples/sized_arraylist.jay \

@@ -6,8 +6,8 @@
 //! and teeing a recorder in must not perturb any of them.
 
 use algoprof::{
-    profile_source_with, record_source_with, AlgoProf, AlgoProfOptions, AlgorithmicProfile,
-    EquivalenceCriterion,
+    profile_source_with, record_source_with, render_set, AlgoProf, AlgoProfOptions,
+    AlgorithmicProfile, EquivalenceCriterion,
 };
 use algoprof_programs::{
     array_list_program, functional_sort_program, insertion_sort_program, GrowthPolicy,
@@ -16,7 +16,9 @@ use algoprof_programs::{
 use algoprof_suite::genprog::random_program;
 use algoprof_suite::testutil::TestRng;
 use algoprof_trace::{TraceHeader, TraceRecorder};
-use algoprof_vm::{compile, Fanout, InstrumentOptions, Interp, Tee};
+use algoprof_vm::{
+    compile, Fanout, InstrumentOptions, Interp, NoopSink, OpStats, RuntimeError, Tee,
+};
 
 const CRITERIA: [EquivalenceCriterion; 4] = [
     EquivalenceCriterion::SomeElements,
@@ -90,9 +92,9 @@ fn assert_fanout_equals_separate_runs(name: &str, src: &str) {
     }
 }
 
-#[test]
-fn listings_corpus_fanout_equals_separate_runs() {
-    let corpus: Vec<(&str, String)> = vec![
+/// The paper's listings and the small sort and ArrayList studies.
+fn listings_corpus() -> Vec<(&'static str, String)> {
+    vec![
         ("listing3", LISTING3.to_string()),
         ("listing4", LISTING4.to_string()),
         ("listing5", LISTING5.to_string()),
@@ -116,9 +118,76 @@ fn listings_corpus_fanout_equals_separate_runs() {
             "array_list_doubling",
             array_list_program(GrowthPolicy::Doubling, 60, 10, 2),
         ),
-    ];
-    for (name, src) in &corpus {
+    ]
+}
+
+#[test]
+fn listings_corpus_fanout_equals_separate_runs() {
+    for (name, src) in &listings_corpus() {
         assert_fanout_equals_separate_runs(name, src);
+    }
+}
+
+/// `AlgoProf` declares that it ignores instruction ticks, so the
+/// interpreter does not deliver them to it alone, but does when it is
+/// teed with `OpStats`, which reads them. Neither sink may notice the
+/// difference, and neither may the run's instruction count or fuel.
+#[test]
+fn instruction_elision_is_invisible() {
+    for (name, src) in &listings_corpus() {
+        let program = compile(src)
+            .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"))
+            .instrument(&InstrumentOptions::default())
+            .fuse_default();
+
+        let mut alone = AlgoProf::new();
+        let run = Interp::new(&program).run(&mut alone).expect("runs");
+        let mut ops = OpStats::new();
+        let ops_run = Interp::new(&program).run(&mut ops).expect("runs");
+        let mut teed = Tee::new(OpStats::new(), AlgoProf::new());
+        let teed_run = Interp::new(&program).run(&mut teed).expect("runs");
+        let noop_run = Interp::new(&program).run(&mut NoopSink).expect("runs");
+
+        assert_eq!(
+            render_set(&teed.b.finish_set(&program)),
+            render_set(&alone.finish_set(&program)),
+            "{name}: teeing OpStats in changed the report"
+        );
+        let all = usize::MAX;
+        assert_eq!(
+            teed.a.render_json(all),
+            ops.render_json(all),
+            "{name}: teeing AlgoProf in changed the opcode counts"
+        );
+        assert_eq!(ops.total(), ops_run.instructions, "{name}");
+        for r in [&run, &teed_run, &noop_run] {
+            assert_eq!(r.instructions, ops_run.instructions, "{name}");
+            assert_eq!(r.dispatches, ops_run.dispatches, "{name}");
+        }
+
+        // Fuel runs out at the same instruction whether or not the
+        // ticks are delivered.
+        let fuel = run.instructions;
+        assert!(Interp::new(&program)
+            .with_fuel(fuel)
+            .run(&mut AlgoProf::new())
+            .is_ok());
+        assert!(Interp::new(&program)
+            .with_fuel(fuel)
+            .run(&mut NoopSink)
+            .is_ok());
+        for out_of_fuel in [
+            Interp::new(&program)
+                .with_fuel(fuel - 1)
+                .run(&mut AlgoProf::new()),
+            Interp::new(&program).with_fuel(fuel - 1).run(&mut NoopSink),
+            Interp::new(&program).with_fuel(fuel - 1).run(&mut ops),
+        ] {
+            assert!(
+                matches!(out_of_fuel, Err(RuntimeError::OutOfFuel)),
+                "{name}: {out_of_fuel:?}"
+            );
+        }
     }
 }
 

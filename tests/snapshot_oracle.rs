@@ -20,13 +20,23 @@
 //! values their declared types would forbid (an `Item` in `Node.next`,
 //! an `int[]` in `Tree.children`): the walk must follow the value, not
 //! the type.
+//!
+//! The last tests cover reuse of a cached walk from a root other than
+//! the one it was taken from. It is allowed only for a strongly
+//! connected structure: a doubly linked list is re-measured from random
+//! members under `IncrementalMode::Differential`, which checks every
+//! reuse against a fresh walk, and each structure that is not strongly
+//! connected must be walked again.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use algoprof::snapshot::{
     measure_structure, snapshot_array, snapshot_structure, SnapshotKind, SnapshotStats, VisitMarks,
 };
-use algoprof::{ElemKey, Snapshot};
+use algoprof::{
+    ArraySizeStrategy, ElemKey, EquivalenceCriterion, IncrementalMode, InputId, InputRegistry,
+    Snapshot,
+};
 use algoprof_suite::testutil::TestRng;
 use algoprof_vm::bytecode::ElemKind;
 use algoprof_vm::{
@@ -441,4 +451,254 @@ fn non_recursive_objects_are_skipped_but_counted_as_refs() {
         let snap = snapshot_structure(&d.program, &heap, item);
         assert!(snap.keys.is_empty() && snap.size == 0, "{snap:?}");
     }
+}
+
+/// Links `order` into a list through `Node.next`, and through
+/// `Node.prev` too when `doubly`. Every node's links are written, so
+/// every node counts as modified afterwards.
+fn link(d: &Decls, heap: &mut Heap, order: &[ObjRef], doubly: bool) {
+    let (next, prev) = (d.slot(d.node, "next"), d.slot(d.node, "prev"));
+    for (i, &n) in order.iter().enumerate() {
+        let after = order.get(i + 1).map_or(Value::Null, |&m| Value::Obj(m));
+        heap.set_field(n, next, after);
+        let before = match i {
+            0 => Value::Null,
+            _ if doubly => Value::Obj(order[i - 1]),
+            _ => Value::Null,
+        };
+        heap.set_field(n, prev, before);
+    }
+}
+
+/// A registry that checks every cached answer against a fresh walk.
+fn differential_registry() -> InputRegistry {
+    InputRegistry::with_incremental(
+        EquivalenceCriterion::SomeElements,
+        ArraySizeStrategy::Capacity,
+        IncrementalMode::Differential,
+    )
+}
+
+/// Registers the structure reachable from `root` as a new input.
+fn register(d: &Decls, heap: &Heap, reg: &mut InputRegistry, root: Value) -> InputId {
+    let m = reg
+        .measure_unidentified(&d.program, heap, root)
+        .expect("measurable");
+    reg.identify(m, &[])
+}
+
+/// Re-measures input `id` from `root`, as the profiler does after a
+/// write it observed, and returns the size and the counters it moved.
+fn remeasure(
+    d: &Decls,
+    heap: &Heap,
+    reg: &mut InputRegistry,
+    id: InputId,
+    root: Value,
+) -> (usize, SnapshotStats) {
+    let before = reg.snapshot_stats();
+    let size = reg
+        .remeasure(&d.program, heap, id, root)
+        .expect("measurable");
+    let after = reg.snapshot_stats();
+    let delta = SnapshotStats {
+        full_walks: after.full_walks - before.full_walks,
+        cache_hits: after.cache_hits - before.cache_hits,
+        partial_redos: after.partial_redos - before.partial_redos,
+        objects_traversed: after.objects_traversed - before.objects_traversed,
+        arrays_traversed: after.arrays_traversed - before.arrays_traversed,
+        elements_scanned: after.elements_scanned - before.elements_scanned,
+    };
+    (size, delta)
+}
+
+fn is_full_walk(delta: SnapshotStats) -> bool {
+    delta.full_walks == 1 && delta.cache_hits == 0 && delta.partial_redos == 0
+}
+
+fn is_cache_hit(delta: SnapshotStats) -> bool {
+    delta
+        == SnapshotStats {
+            cache_hits: 1,
+            ..SnapshotStats::default()
+        }
+}
+
+#[test]
+fn doubly_linked_lists_reuse_walks_from_any_member() {
+    let d = Decls::new();
+    let val = d.slot(d.node, "val");
+    let mut reused_elsewhere = 0;
+    for seed in 0..8 {
+        let mut rng = TestRng::new(500 + seed);
+        let mut heap = Heap::new();
+        let mut order: Vec<ObjRef> = (0..rng.range(2, 40))
+            .map(|_| d.alloc(&mut heap, d.node))
+            .collect();
+        link(&d, &mut heap, &order, true);
+        let mut reg = differential_registry();
+        let id = register(&d, &heap, &mut reg, Value::Obj(order[0]));
+        for _ in 0..40 {
+            // Swap two nodes' positions (relinking removes edges, so the
+            // next measurement walks) or their values (edges kept, so it
+            // is a partial redo that keeps the reuse).
+            let (i, j) = (rng.range(0, order.len()), rng.range(0, order.len()));
+            if rng.chance(1, 2) {
+                order.swap(i, j);
+                link(&d, &mut heap, &order, true);
+            } else {
+                let (a, b) = (heap.field(order[i], val), heap.field(order[j], val));
+                heap.set_field(order[i], val, b);
+                heap.set_field(order[j], val, a);
+            }
+            reg.mark_dirty(id, heap.epoch());
+            let r = Value::Obj(*rng.pick(&order));
+            let (size, _) = remeasure(&d, &heap, &mut reg, id, r);
+            assert_eq!(size, order.len());
+
+            // Unchanged since: any other member is answered from cache.
+            let cached_root = reg
+                .input(id)
+                .last_measurement
+                .as_ref()
+                .expect("cached")
+                .root;
+            let other = *rng.pick(&order);
+            reused_elsewhere += usize::from(ElemKey::Obj(other) != cached_root);
+            let (size, delta) = remeasure(&d, &heap, &mut reg, id, Value::Obj(other));
+            assert_eq!(size, order.len());
+            assert!(is_cache_hit(delta), "seed {seed}: {delta:?}");
+        }
+    }
+    assert!(reused_elsewhere > 100, "only {reused_elsewhere} reuses");
+}
+
+#[test]
+fn singly_linked_list_walks_again_from_a_non_root_member() {
+    let d = Decls::new();
+    for seed in 0..8 {
+        let mut rng = TestRng::new(600 + seed);
+        let mut heap = Heap::new();
+        let order: Vec<ObjRef> = (0..rng.range(2, 40))
+            .map(|_| d.alloc(&mut heap, d.node))
+            .collect();
+        link(&d, &mut heap, &order, false);
+        let mut reg = differential_registry();
+        let id = register(&d, &heap, &mut reg, Value::Obj(order[0]));
+        let k = rng.range(1, order.len());
+        let (size, delta) = remeasure(&d, &heap, &mut reg, id, Value::Obj(order[k]));
+        assert!(is_full_walk(delta), "seed {seed}: {delta:?}");
+        assert_eq!(size, order.len() - k, "the suffix from {k}");
+    }
+}
+
+#[test]
+fn one_cut_back_link_walks_again() {
+    let d = Decls::new();
+    let prev = d.slot(d.node, "prev");
+    for seed in 0..8 {
+        let mut rng = TestRng::new(700 + seed);
+        let mut heap = Heap::new();
+        let order: Vec<ObjRef> = (0..rng.range(3, 40))
+            .map(|_| d.alloc(&mut heap, d.node))
+            .collect();
+        link(&d, &mut heap, &order, true);
+        let cut = rng.range(1, order.len());
+        heap.set_field(order[cut], prev, Value::Null);
+        let mut reg = differential_registry();
+        let id = register(&d, &heap, &mut reg, Value::Obj(order[0]));
+        let k = rng.range(1, order.len());
+        let (size, delta) = remeasure(&d, &heap, &mut reg, id, Value::Obj(order[k]));
+        assert!(is_full_walk(delta), "seed {seed}: {delta:?}");
+        let want = if k < cut {
+            order.len()
+        } else {
+            order.len() - cut
+        };
+        assert_eq!(size, want, "from {k} with the back link of {cut} cut");
+    }
+}
+
+#[test]
+fn node_holding_a_primitive_array_walks_again() {
+    let d = Decls::new();
+    let prev = d.slot(d.node, "prev");
+    for seed in 0..8 {
+        let mut rng = TestRng::new(800 + seed);
+        let mut heap = Heap::new();
+        let order: Vec<ObjRef> = (0..rng.range(2, 40))
+            .map(|_| d.alloc(&mut heap, d.node))
+            .collect();
+        link(&d, &mut heap, &order, true);
+        // The head's free back link holds an int[]: a member without
+        // edges, so it cannot reach the root.
+        let ints = heap.alloc_array(ElemKind::Int, 3);
+        heap.set_field(order[0], prev, Value::Arr(ints));
+        let mut reg = differential_registry();
+        let id = register(&d, &heap, &mut reg, Value::Obj(order[0]));
+        let k = rng.range(1, order.len());
+        let (size, delta) = remeasure(&d, &heap, &mut reg, id, Value::Obj(order[k]));
+        assert!(is_full_walk(delta), "seed {seed}: {delta:?}");
+        assert_eq!(size, order.len());
+    }
+}
+
+#[test]
+fn partial_redo_that_adds_members_walks_again_from_another_member() {
+    let d = Decls::new();
+    for seed in 0..8 {
+        let mut rng = TestRng::new(900 + seed);
+        let mut heap = Heap::new();
+        let mut order: Vec<ObjRef> = (0..rng.range(2, 40))
+            .map(|_| d.alloc(&mut heap, d.node))
+            .collect();
+        link(&d, &mut heap, &order, true);
+        let mut reg = differential_registry();
+        let head = Value::Obj(order[0]);
+        let id = register(&d, &heap, &mut reg, head);
+
+        // Append a node: the tail gains an edge, so the redo from the
+        // cached root adds the new member without walking.
+        let tail = *order.last().expect("non-empty");
+        let fresh = d.alloc(&mut heap, d.node);
+        heap.set_field(tail, d.slot(d.node, "next"), Value::Obj(fresh));
+        heap.set_field(fresh, d.slot(d.node, "prev"), Value::Obj(tail));
+        order.push(fresh);
+        reg.mark_dirty(id, heap.epoch());
+        let (size, delta) = remeasure(&d, &heap, &mut reg, id, head);
+        assert_eq!(delta.partial_redos, 1, "seed {seed}: {delta:?}");
+        assert_eq!(delta.full_walks, 0, "seed {seed}: {delta:?}");
+        assert_eq!(size, order.len());
+
+        let k = rng.range(1, order.len());
+        let (size, delta) = remeasure(&d, &heap, &mut reg, id, Value::Obj(order[k]));
+        assert!(is_full_walk(delta), "seed {seed}: {delta:?}");
+        assert_eq!(size, order.len());
+    }
+}
+
+/// A strongly connected structure may hold a reference array, but a
+/// walk from that array is an array walk, with a different snapshot:
+/// only object members may reuse the structure walk.
+#[test]
+fn array_member_of_a_strongly_connected_structure_walks_again() {
+    let d = Decls::new();
+    let children = d.slot(d.tree, "children");
+    let mut heap = Heap::new();
+    // Both trees hold one array that holds both trees.
+    let (parent, kid) = (d.alloc(&mut heap, d.tree), d.alloc(&mut heap, d.tree));
+    let both = heap.alloc_array(ElemKind::Ref, 2);
+    heap.set_elem(both, 0, Value::Obj(parent));
+    heap.set_elem(both, 1, Value::Obj(kid));
+    heap.set_field(parent, children, Value::Arr(both));
+    heap.set_field(kid, children, Value::Arr(both));
+    let mut reg = differential_registry();
+    let id = register(&d, &heap, &mut reg, Value::Obj(parent));
+
+    let (size, delta) = remeasure(&d, &heap, &mut reg, id, Value::Obj(kid));
+    assert!(is_cache_hit(delta), "{delta:?}");
+    assert_eq!(size, 2);
+    let (size, delta) = remeasure(&d, &heap, &mut reg, id, Value::Arr(both));
+    assert!(is_full_walk(delta), "{delta:?}");
+    assert_eq!(size, 2, "the array's capacity");
 }
