@@ -127,6 +127,26 @@ impl CostMap {
         }
     }
 
+    /// Adds every [`CostKey::StructAccessByType`] count to the
+    /// [`CostKey::StructAccess`] total of its input and direction. The
+    /// profiler counts a field access of known class only by type while
+    /// an invocation runs, and folds once when it finishes.
+    pub fn fold_by_type(&mut self) {
+        let totals: Vec<(CostKey, u64)> = self
+            .counts
+            .iter()
+            .filter_map(|(&key, &n)| match key {
+                CostKey::StructAccessByType { input, op, .. } => {
+                    Some((CostKey::StructAccess { input, op }, n))
+                }
+                _ => None,
+            })
+            .collect();
+        for (key, n) in totals {
+            self.add(key, n);
+        }
+    }
+
     /// Iterates over `(key, count)` pairs in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (CostKey, u64)> + '_ {
         self.counts.iter().map(|(&k, &v)| (k, v))
@@ -286,6 +306,34 @@ mod tests {
         assert_eq!(c.creations(), 5);
         assert_eq!(c.creations_of(ClassId(3)), 4);
         assert_eq!(c.created_classes(), vec![ClassId(3), ClassId(5)]);
+    }
+
+    #[test]
+    fn fold_by_type_adds_per_class_counts_to_their_totals() {
+        let by_type = |input, class, op| CostKey::StructAccessByType {
+            input,
+            class: ClassId(class),
+            op,
+        };
+        let total = |input, op| CostKey::StructAccess { input, op };
+        let mut c = CostMap::new();
+        c.add(by_type(IN0, 3, AccessOp::Read), 4);
+        c.add(by_type(IN0, 5, AccessOp::Read), 2);
+        c.add(by_type(IN0, 3, AccessOp::Write), 1);
+        c.add(by_type(IN1, 3, AccessOp::Read), 7);
+        // A class-less access was counted as a total directly.
+        c.add(total(IN1, AccessOp::Read), 1);
+        c.add(CostKey::Step, 9);
+        c.fold_by_type();
+        assert_eq!(c.get(total(IN0, AccessOp::Read)), 6);
+        assert_eq!(c.get(total(IN0, AccessOp::Write)), 1);
+        assert_eq!(c.get(total(IN1, AccessOp::Read)), 8);
+        assert_eq!(c.get(total(IN1, AccessOp::Write)), 0);
+        // The per-type counts and everything else are left as they were.
+        assert_eq!(c.get(by_type(IN0, 5, AccessOp::Read)), 2);
+        assert_eq!(c.steps(), 9);
+        assert_eq!(c.iter().count(), 8);
+        assert_eq!(c.reads_of(IN0), 6);
     }
 
     #[test]

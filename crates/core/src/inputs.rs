@@ -23,7 +23,7 @@ use algoprof_vm::{Heap, Value};
 
 use crate::snapshot::{
     measure_value, try_partial_array, try_partial_structure, ArraySizeStrategy, ElemKey,
-    ElemKeyMap, EquivalenceCriterion, IncrementalMode, Measurement, Snapshot, SnapshotKind,
+    ElemKeyMap, EquivalenceCriterion, IncrementalMode, Measurement, Redo, Snapshot, SnapshotKind,
     SnapshotStats, VisitMarks,
 };
 
@@ -366,9 +366,12 @@ impl InputRegistry {
     ///    traversal is unmodified since the cached epoch (heals
     ///    false-dirties from writes that resolved here but hit another
     ///    overlapping structure).
-    /// 3. *Partial redo* — re-scan only the modified containers and
-    ///    grow the snapshot by the newly reachable region (growth-only;
-    ///    any removed edge falls through).
+    /// 3. *Partial redo* — re-scan only the modified containers, then
+    ///    either grow the snapshot by the newly reachable region (no
+    ///    edge removed) or, when edges were only rewired among the
+    ///    members, re-walk from `r` over the cached edge lists (see
+    ///    [`try_partial_structure`]). A structure that may have shrunk
+    ///    or gained members behind a removal falls through.
     /// 4. *Full walk* — traverse from scratch and re-record.
     ///
     /// Under [`IncrementalMode::Differential`] every reuse is checked
@@ -439,22 +442,35 @@ impl InputRegistry {
                 return Some(self.inputs[id.index()].last_size);
             }
             // Layer 3: partial redo — structures re-scan modified
-            // containers and traverse the newly linked region; arrays
-            // replay the heap's element-store journal.
+            // containers and then traverse the newly linked region or
+            // re-walk their own edge lists; arrays replay the heap's
+            // element-store journal.
             let mut taken = self.inputs[id.index()].last_measurement.take();
-            let added = taken.as_mut().and_then(|m| match m.snapshot.kind {
+            let redo = taken.as_mut().and_then(|m| match m.snapshot.kind {
                 SnapshotKind::Structure { .. } => {
-                    try_partial_structure(program, heap, m, &mut self.stats)
+                    try_partial_structure(program, heap, m, root, &mut self.marks, &mut self.stats)
                 }
                 SnapshotKind::Array { .. } => {
-                    try_partial_array(heap, m, &mut self.stats).map(|_| Vec::new())
+                    try_partial_array(heap, m, &mut self.stats).map(|_| Redo::Grown(Vec::new()))
                 }
             });
-            match (added, taken) {
-                (Some(added), Some(m)) => {
-                    self.store_measurement(id, m);
-                    for key in added {
-                        self.claim_key(key, id);
+            match (redo, taken) {
+                (Some(redo), Some(m)) => {
+                    match redo {
+                        Redo::Grown(added) => {
+                            self.store_measurement(id, m);
+                            for key in added {
+                                self.claim_key(key, id);
+                            }
+                        }
+                        // Same members as a full walk from `r`, so leave
+                        // the reverse map as that walk's record would:
+                        // unless another input claimed some of them, every
+                        // key already maps here.
+                        Redo::Rewired if self.inputs[id.index()].shared => {
+                            self.record_measurement(id, m)
+                        }
+                        Redo::Rewired => self.store_measurement(id, m),
                     }
                     if differential {
                         self.verify_cached(program, heap, id, r);

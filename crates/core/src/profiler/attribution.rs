@@ -195,15 +195,14 @@ impl AttributionStage {
         if op == AccessOp::Write {
             self.registry.mark_dirty(input, heap.epoch());
         }
-        match target {
-            AccessTarget::Array => rep.bump(CostKey::ArrayAccess { input, op }),
-            AccessTarget::Field(class) => {
-                rep.bump(CostKey::StructAccess { input, op });
-                if let Some(class) = class {
-                    rep.bump(CostKey::StructAccessByType { input, class, op });
-                }
-            }
-        }
+        // One count per access: a field access of known class counts
+        // only by type, and finalizing the invocation folds those counts
+        // into its `StructAccess` totals (`CostMap::fold_by_type`).
+        rep.bump(match target {
+            AccessTarget::Array => CostKey::ArrayAccess { input, op },
+            AccessTarget::Field(Some(class)) => CostKey::StructAccessByType { input, class, op },
+            AccessTarget::Field(None) => CostKey::StructAccess { input, op },
+        });
         self.observe(rep, program, heap, input, r, measured);
     }
 

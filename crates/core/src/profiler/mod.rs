@@ -540,6 +540,47 @@ mod tests {
         );
     }
 
+    /// A trace may carry a `FieldRead` on a non-object value (the wire
+    /// format keeps it a `Value`). It has no class, so it is counted as
+    /// a `StructAccess` directly, once, with no per-type count to fold.
+    #[test]
+    fn class_less_field_read_counts_one_struct_access() {
+        let program =
+            compile("class Main { static int main() { return 0; } } class Node { Node next; }")
+                .expect("compiles")
+                .instrument(&InstrumentOptions::default());
+        let node = program.class_by_name("Node").expect("declared");
+        let field = program.class(node).field_layout[0];
+        let mut heap = algoprof_vm::Heap::new();
+        let arr = heap.alloc_array(algoprof_vm::bytecode::ElemKind::Int, 3);
+        let mut prof = AlgoProf::new();
+        let cx = EventCx {
+            program: &program,
+            heap: &heap,
+        };
+        prof.event(
+            &Event::FieldRead {
+                obj: Value::Arr(arr),
+                field,
+            },
+            &cx,
+        );
+        let profile = prof.finish(&program);
+        let tree = profile.tree();
+        let costs = &tree.node(tree.root()).invocations[0].costs;
+        let counts: Vec<(CostKey, u64)> = costs.iter().collect();
+        assert_eq!(
+            counts,
+            [(
+                CostKey::StructAccess {
+                    input: crate::inputs::InputId(0),
+                    op: AccessOp::Read,
+                },
+                1
+            )]
+        );
+    }
+
     #[test]
     fn threaded_render_set_has_thread_sections_and_merged_view() {
         let set = run_set(CONTENDED_SRC);

@@ -79,7 +79,11 @@ pub struct Invocation {
 pub struct ActiveInvocation {
     /// The pre-assigned index in [`RepNode::invocations`].
     pub ordinal: usize,
-    /// Costs so far.
+    /// Costs so far. A field access of known class is counted only as
+    /// [`CostKey::StructAccessByType`](crate::cost::CostKey); its
+    /// `StructAccess` total appears when
+    /// [`RepTree::finalize_invocation`] folds the per-type counts in, so
+    /// in-flight `StructAccess` counts hold class-less accesses only.
     pub costs: CostMap,
     /// Observations so far.
     pub inputs: BTreeMap<InputId, ActiveObservation>,
@@ -280,7 +284,9 @@ impl RepTree {
     }
 
     /// Finalizes the innermost activation of `node`, writing it into the
-    /// history slot reserved at start. Returns its ordinal.
+    /// history slot reserved at start, with its per-type structure
+    /// access counts folded into their totals
+    /// ([`CostMap::fold_by_type`]). Returns its ordinal.
     ///
     /// # Panics
     ///
@@ -291,6 +297,7 @@ impl RepTree {
         let active = n.active.pop().expect("an invocation is active");
         let slot = &mut n.invocations[active.ordinal];
         slot.costs = active.costs;
+        slot.costs.fold_by_type();
         slot.inputs = active
             .inputs
             .into_iter()

@@ -76,11 +76,17 @@ pub type ElemKeyMap<V> = HashMap<ElemKey, V, BuildHasherDefault<ElemKeyHasher>>;
 /// membership one load. The tables grow to the heap's size when a walk
 /// starts, and are meant to be owned by whoever walks repeatedly (the
 /// input registry) so their allocation is reused across walks.
+///
+/// The same stamps can instead index one measurement's containers
+/// ([`VisitMarks::index`]): a marked key then maps to its position in
+/// [`Measurement::containers`], kept in a second pair of tables.
 #[derive(Debug, Default, Clone)]
 pub struct VisitMarks {
     generation: u32,
     objects: Vec<u32>,
     arrays: Vec<u32>,
+    object_slots: Vec<u32>,
+    array_slots: Vec<u32>,
 }
 
 impl VisitMarks {
@@ -111,6 +117,40 @@ impl VisitMarks {
         let fresh = *slot != self.generation;
         *slot = self.generation;
         fresh
+    }
+
+    /// Starts a generation in which exactly the keys of `containers`
+    /// are marked, each mapping to its position in the slice.
+    fn index(&mut self, heap: &Heap, containers: &[ContainerRecord]) {
+        self.begin(heap);
+        self.object_slots.resize(self.objects.len(), 0);
+        self.array_slots.resize(self.arrays.len(), 0);
+        for (i, c) in containers.iter().enumerate() {
+            let (stamp, slot) = match c.key {
+                ElemKey::Obj(o) => (
+                    &mut self.objects[o.0 as usize],
+                    &mut self.object_slots[o.0 as usize],
+                ),
+                ElemKey::Arr(a) => (
+                    &mut self.arrays[a.0 as usize],
+                    &mut self.array_slots[a.0 as usize],
+                ),
+                ElemKey::Int(_) => continue,
+            };
+            *stamp = self.generation;
+            *slot = i as u32;
+        }
+    }
+
+    /// The position of `key` in the containers last passed to
+    /// [`VisitMarks::index`], if it is one of them.
+    fn slot(&self, key: ElemKey) -> Option<usize> {
+        let (stamp, slot) = match key {
+            ElemKey::Obj(o) => (self.objects[o.0 as usize], self.object_slots[o.0 as usize]),
+            ElemKey::Arr(a) => (self.arrays[a.0 as usize], self.array_slots[a.0 as usize]),
+            ElemKey::Int(_) => return None,
+        };
+        (stamp == self.generation).then_some(slot as usize)
     }
 }
 
@@ -697,12 +737,12 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
     }
 }
 
-/// Multiset difference of two sorted child lists: appends to
-/// `additions` what `new` has beyond `old` and returns `Some` when `new`
-/// is a superset of `old`, `None` when any old child was removed (the
-/// cached reachable set may have shrunk).
-fn added_children(old: &[ElemKey], new: &[ElemKey], additions: &mut Vec<ElemKey>) -> Option<()> {
+/// Multiset difference of two sorted edge lists: appends to `additions`
+/// what `new` has beyond `old`, and returns whether `old` has an edge
+/// `new` lacks (a removal, so the cached reachable set may have shrunk).
+fn diff_edges(old: &[ElemKey], new: &[ElemKey], additions: &mut Vec<ElemKey>) -> bool {
     let (mut i, mut j) = (0, 0);
+    let mut removed = false;
     while i < old.len() && j < new.len() {
         match old[i].cmp(&new[j]) {
             std::cmp::Ordering::Equal => {
@@ -713,33 +753,65 @@ fn added_children(old: &[ElemKey], new: &[ElemKey], additions: &mut Vec<ElemKey>
                 additions.push(new[j]);
                 j += 1;
             }
-            std::cmp::Ordering::Less => return None,
+            std::cmp::Ordering::Less => {
+                removed = true;
+                i += 1;
+            }
         }
     }
-    if i < old.len() {
-        return None;
-    }
     additions.extend_from_slice(&new[j..]);
-    Some(())
+    removed || i < old.len()
+}
+
+/// How [`try_partial_structure`] brought a measurement up to date.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Redo {
+    /// No edge was removed: the snapshot grew by the newly linked
+    /// region, whose reference keys are listed (for reverse-map
+    /// maintenance). The measurement keeps its root.
+    Grown(Vec<ElemKey>),
+    /// Edges were removed, but the members are unchanged: a walk from
+    /// the requested root over the current edge lists reached every one
+    /// of them. The measurement is now rooted there.
+    Rewired,
 }
 
 /// Attempts to bring a stale *structure* measurement up to date by
-/// re-scanning only the containers stamped after `m.epoch` and
-/// traversing just the newly linked region.
+/// re-scanning only the containers stamped after `m.epoch`, instead of
+/// walking the heap again. `root` is the reference the caller would
+/// walk from; `marks` is scratch space, as for [`measure_structure`].
 ///
-/// Sound only when modified containers gained edges without losing any:
-/// unmodified containers keep their edge sets, so nothing can have
-/// fallen out of the reachable set, and everything newly reachable is
-/// behind an added edge. Returns the ref keys that joined the snapshot
-/// (for reverse-map maintenance), or `None` when an edge was removed or
-/// the measurement is not a structure — callers must then fall back to
-/// a full walk.
+/// When modified containers gained edges without losing any, unmodified
+/// containers keep their edge sets, so nothing can have fallen out of
+/// the reachable set, and everything newly reachable is behind an added
+/// edge: the newly linked region is traversed ([`Redo::Grown`]). This
+/// answers for a walk from `m.root`.
+///
+/// When an edge was removed, the redo answers for a walk from `root`
+/// ([`Redo::Rewired`]), and only if every member is a container (no
+/// primitive array), every added edge to a key that can join a
+/// structure points at a member, and `root` is an object container.
+/// Then the members are closed under the current edges: old edges of
+/// unmodified containers, kept edges of modified ones, and the added
+/// ones all lead to members or to keys that cannot join. A walk from
+/// `root` over the measurement's own edge lists, which the re-scan made
+/// current, therefore reaches exactly what a heap walk from `root`
+/// reaches. If that is every member, the member set, and with it every
+/// [`Snapshot`] field, equals a full walk's; the walk visits in
+/// [`measure_structure`]'s order, so its discoverer back-edge rule
+/// gives the same [`Measurement::strongly_connected`]. If it reaches
+/// fewer, the structure shrank and the caller must walk.
+///
+/// Returns `None` when the measurement is not a structure or neither
+/// case applies — callers must then fall back to a full walk.
 pub fn try_partial_structure(
     program: &CompiledProgram,
     heap: &Heap,
     m: &mut Measurement,
+    root: ElemKey,
+    marks: &mut VisitMarks,
     stats: &mut SnapshotStats,
-) -> Option<Vec<ElemKey>> {
+) -> Option<Redo> {
     if !matches!(m.snapshot.kind, SnapshotKind::Structure { .. }) {
         return None;
     }
@@ -747,7 +819,8 @@ pub fn try_partial_structure(
     // Re-scan every modified container onto the end of the edge list,
     // diffing its edge multiset. An edge list that fits its old range
     // is moved there; a grown one keeps its new range.
-    let mut frontier: Vec<ElemKey> = Vec::new();
+    let mut additions: Vec<ElemKey> = Vec::new();
+    let mut removed = false;
     let mut refs_delta = 0isize;
     for c in &mut m.containers {
         let modified = match c.key {
@@ -761,7 +834,7 @@ pub fn try_partial_structure(
         let from = m.edges.len();
         let new_refs = scan_container(program, heap, c.key, &mut m.edges)?;
         let old = c.edges.start as usize..c.edges.end as usize;
-        added_children(&m.edges[old.clone()], &m.edges[from..], &mut frontier)?;
+        removed |= diff_edges(&m.edges[old.clone()], &m.edges[from..], &mut additions);
         count_visit(heap, c.key, stats);
         refs_delta += new_refs as isize - c.array_refs as isize;
         c.array_refs = new_refs;
@@ -775,8 +848,45 @@ pub fn try_partial_structure(
         }
     }
 
-    // Traverse the newly linked region under the membership rules of
-    // `measure_structure`.
+    let redo = if removed {
+        m.strongly_connected = walk_rewired(program, heap, m, root, &additions, marks)?;
+        m.root = root;
+        Redo::Rewired
+    } else {
+        Redo::Grown(grow(program, heap, m, additions, &mut refs_delta, stats))
+    };
+
+    // Ranges left behind by grown edge lists are garbage; once they
+    // outweigh the live edges, copy the live ones into a fresh list so a
+    // structure grown one edge per redo stays linear in memory.
+    let live: usize = m.containers.iter().map(|c| c.edges.len()).sum();
+    if m.edges.len() > 2 * live {
+        let mut edges = Vec::with_capacity(live);
+        for c in &mut m.containers {
+            let from = edges.len() as u32;
+            edges.extend_from_slice(&m.edges[c.edges.start as usize..c.edges.end as usize]);
+            c.edges = from..edges.len() as u32;
+        }
+        m.edges = edges;
+    }
+    m.snapshot.refs_traversed = (m.snapshot.refs_traversed as isize + refs_delta) as usize;
+    m.snapshot.unique_size = m.snapshot.size;
+    m.epoch = heap.epoch();
+    stats.partial_redos += 1;
+    Some(redo)
+}
+
+/// The growth case of [`try_partial_structure`]: traverses from the
+/// added edges under the membership rules of [`measure_structure`],
+/// adding what joins to the snapshot. Returns the keys that joined.
+fn grow(
+    program: &CompiledProgram,
+    heap: &Heap,
+    m: &mut Measurement,
+    mut frontier: Vec<ElemKey>,
+    refs_delta: &mut isize,
+    stats: &mut SnapshotStats,
+) -> Vec<ElemKey> {
     let mut added_keys = Vec::new();
     let mut new_containers = Vec::new();
     while let Some(key) = frontier.pop() {
@@ -794,7 +904,7 @@ pub fn try_partial_structure(
         added_keys.push(key);
         let from = m.edges.len();
         if let Some(array_refs) = scan_container(program, heap, key, &mut m.edges) {
-            refs_delta += array_refs as isize;
+            *refs_delta += array_refs as isize;
             frontier.extend_from_slice(&m.edges[from..]);
             new_containers.push(ContainerRecord {
                 key,
@@ -803,32 +913,70 @@ pub fn try_partial_structure(
             });
         }
     }
-
-    m.containers.extend(new_containers);
-    m.containers.sort_unstable_by_key(|c| c.key);
-    // Ranges left behind by grown edge lists are garbage; once they
-    // outweigh the live edges, copy the live ones into a fresh list so a
-    // structure grown one edge per redo stays linear in memory.
-    let live: usize = m.containers.iter().map(|c| c.edges.len()).sum();
-    if m.edges.len() > 2 * live {
-        let mut edges = Vec::with_capacity(live);
-        for c in &mut m.containers {
-            let from = edges.len() as u32;
-            edges.extend_from_slice(&m.edges[c.edges.start as usize..c.edges.end as usize]);
-            c.edges = from..edges.len() as u32;
-        }
-        m.edges = edges;
+    if !new_containers.is_empty() {
+        m.containers.extend(new_containers);
+        m.containers.sort_unstable_by_key(|c| c.key);
     }
-    m.snapshot.refs_traversed = (m.snapshot.refs_traversed as isize + refs_delta) as usize;
-    m.snapshot.unique_size = m.snapshot.size;
-    m.epoch = heap.epoch();
     // Kept edges keep every old member reaching the root, but a new
     // member need not reach it.
     if !added_keys.is_empty() {
         m.strongly_connected = false;
     }
-    stats.partial_redos += 1;
-    Some(added_keys)
+    added_keys
+}
+
+/// The rewire case of [`try_partial_structure`]: checks its three
+/// preconditions, then walks from `root` over `m`'s current edge lists
+/// in [`measure_structure`]'s order, finding each target's container
+/// through `marks`. Returns the strongly connected flag of that walk
+/// when it reaches every member, and `None` otherwise.
+fn walk_rewired(
+    program: &CompiledProgram,
+    heap: &Heap,
+    m: &Measurement,
+    root: ElemKey,
+    additions: &[ElemKey],
+    marks: &mut VisitMarks,
+) -> Option<bool> {
+    let n = m.containers.len();
+    if m.snapshot.keys.len() != n || !matches!(root, ElemKey::Obj(_)) {
+        return None;
+    }
+    marks.index(heap, &m.containers);
+    let start = marks.slot(root)?;
+    if !additions
+        .iter()
+        .all(|&t| marks.slot(t).is_some() || !joins_structure(program, heap, t))
+    {
+        return None;
+    }
+    // `discoverer[i]` is the position of the container whose edge first
+    // reached container `i` (the root discovers itself); `order` is the
+    // queue.
+    let mut discoverer = vec![u32::MAX; n];
+    discoverer[start] = start as u32;
+    let mut order = Vec::with_capacity(n);
+    order.push(start);
+    let mut strongly_connected = true;
+    let mut next = 0;
+    while let Some(&i) = order.get(next) {
+        next += 1;
+        let edges =
+            &m.edges[m.containers[i].edges.start as usize..m.containers[i].edges.end as usize];
+        if strongly_connected && next > 1 {
+            let back = m.containers[discoverer[i] as usize].key;
+            strongly_connected = edges.binary_search(&back).is_ok();
+        }
+        for &child in edges {
+            if let Some(j) = marks.slot(child) {
+                if discoverer[j] == u32::MAX {
+                    discoverer[j] = i as u32;
+                    order.push(j);
+                }
+            }
+        }
+    }
+    (order.len() == n).then_some(strongly_connected)
 }
 
 /// The snapshot key an array element contributes, if any. `Arr` values
@@ -1143,7 +1291,7 @@ mod tests {
         let mut marks = VisitMarks {
             generation: u32::MAX,
             objects: vec![1; heap.object_count()],
-            arrays: Vec::new(),
+            ..VisitMarks::default()
         };
         for _ in 0..2 {
             let m = measure_structure(
@@ -1179,16 +1327,17 @@ mod tests {
         heap.set_field(a, 0, Value::Obj(c));
         heap.set_field(a, 0, Value::Obj(b));
         let edges_before = m.edges.len();
+        let root = ElemKey::Obj(a);
         assert_eq!(
-            try_partial_structure(&p, &heap, &mut m, &mut stats),
-            Some(vec![])
+            try_partial_structure(&p, &heap, &mut m, root, &mut marks, &mut stats),
+            Some(Redo::Grown(vec![]))
         );
         assert_eq!(m.edges.len(), edges_before);
 
         // Growing `b` by an edge appends a new range and pulls `c` in.
         heap.set_field(b, 0, Value::Obj(c));
-        let added = try_partial_structure(&p, &heap, &mut m, &mut stats);
-        assert_eq!(added, Some(vec![ElemKey::Obj(c)]));
+        let added = try_partial_structure(&p, &heap, &mut m, root, &mut marks, &mut stats);
+        assert_eq!(added, Some(Redo::Grown(vec![ElemKey::Obj(c)])));
         let rec = m.container(ElemKey::Obj(b)).expect("b is a container");
         let range = rec.edges.start as usize..rec.edges.end as usize;
         assert_eq!(m.edges[range], [ElemKey::Obj(c)]);
@@ -1208,13 +1357,22 @@ mod tests {
         let (root, kids) = (ObjRef(0), ArrRef(0));
         let node = heap.object(root).class;
         let mut stats = SnapshotStats::default();
-        let mut m = measure_structure(&p, &heap, root, &mut VisitMarks::default(), &mut stats);
+        let mut marks = VisitMarks::default();
+        let mut m = measure_structure(&p, &heap, root, &mut marks, &mut stats);
         // Each store grows the child array's edge list by one, which
         // never fits its old range.
         for i in 0..200 {
             let kid = heap.alloc_object(node, 1);
             heap.set_elem(kids, i, Value::Obj(kid));
-            assert!(try_partial_structure(&p, &heap, &mut m, &mut stats).is_some());
+            let redo = try_partial_structure(
+                &p,
+                &heap,
+                &mut m,
+                ElemKey::Obj(root),
+                &mut marks,
+                &mut stats,
+            );
+            assert!(redo.is_some());
             let live: usize = m.containers.iter().map(|c| c.edges.len()).sum();
             assert!(
                 m.edges.len() <= 2 * live,

@@ -64,6 +64,23 @@ echo "==> events smoke (record -> dump, text and JSON)"
 ./target/release/algoprof events "$sweep_out/run.aptr" --json --limit 10 \
     | grep -Eq '^\{"thread": [0-9]+, "event": "'
 
+echo "==> live vs replay (list sort: analyze <trace> and analyze - match the live report)"
+./target/release/algoprof record examples/sized_insertion_sort.jay \
+    --input 48 -o "$sweep_out/sort.aptr" > /dev/null
+for criterion in some all array type; do
+    for snapshots in firstlast every; do
+        opts=(--criterion "$criterion" --snapshots "$snapshots")
+        ./target/release/algoprof "${opts[@]}" --input 48 \
+            examples/sized_insertion_sort.jay > "$sweep_out/live.txt"
+        ./target/release/algoprof analyze "$sweep_out/sort.aptr" "${opts[@]}" \
+            > "$sweep_out/replayed.txt"
+        ./target/release/algoprof analyze - "${opts[@]}" \
+            < "$sweep_out/sort.aptr" > "$sweep_out/stdin.txt"
+        cmp "$sweep_out/live.txt" "$sweep_out/replayed.txt"
+        cmp "$sweep_out/live.txt" "$sweep_out/stdin.txt"
+    done
+done
+
 echo "==> serve smoke (daemon round-trip, byte parity with one-shot, warm cache hit)"
 ./target/release/algoprof serve --addr 127.0.0.1:0 --workers 2 \
     --cache-dir "$sweep_out/cache" > "$sweep_out/serve.out" &

@@ -5,9 +5,11 @@
 //! (this is what lets `sweep` profile every ablation in a single pass),
 //! and teeing a recorder in must not perturb any of them.
 
+use std::collections::BTreeMap;
+
 use algoprof::{
     profile_source_with, record_source_with, render_set, AlgoProf, AlgoProfOptions,
-    AlgorithmicProfile, EquivalenceCriterion,
+    AlgorithmicProfile, CostKey, EquivalenceCriterion,
 };
 use algoprof_programs::{
     array_list_program, functional_sort_program, insertion_sort_program, GrowthPolicy,
@@ -189,6 +191,51 @@ fn instruction_elision_is_invisible() {
             );
         }
     }
+}
+
+/// The profiler counts a field access of known class only by type and
+/// folds the per-type counts into the `StructAccess` totals when an
+/// invocation finishes. Live runs only read fields of objects, so in
+/// every finalized invocation each total must equal the sum of its
+/// per-type counts.
+#[test]
+fn struct_access_totals_equal_their_per_type_sums() {
+    let mut by_type_seen = 0;
+    for (name, src) in &listings_corpus() {
+        let program = compile(src)
+            .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"))
+            .instrument(&InstrumentOptions::default())
+            .fuse_default();
+        let mut prof = AlgoProf::new();
+        Interp::new(&program).run(&mut prof).expect("runs");
+        let profile = prof.finish(&program);
+        for node in profile.tree().nodes() {
+            for inv in &node.invocations {
+                let mut sums: BTreeMap<CostKey, u64> = BTreeMap::new();
+                for (key, n) in inv.costs.iter() {
+                    match key {
+                        CostKey::StructAccess { .. } => {
+                            sums.entry(key).or_insert(0);
+                        }
+                        CostKey::StructAccessByType { input, op, .. } => {
+                            *sums.entry(CostKey::StructAccess { input, op }).or_insert(0) += n;
+                            by_type_seen += 1;
+                        }
+                        _ => {}
+                    }
+                }
+                for (total, sum) in sums {
+                    assert_eq!(
+                        inv.costs.get(total),
+                        sum,
+                        "{name}: {total:?} in {}",
+                        node.id
+                    );
+                }
+            }
+        }
+    }
+    assert!(by_type_seen > 0, "the corpus reads no fields");
 }
 
 #[test]

@@ -27,11 +27,21 @@
 //! members under `IncrementalMode::Differential`, which checks every
 //! reuse against a fresh walk, and each structure that is not strongly
 //! connected must be walked again.
+//!
+//! The rewire tests cover the partial redo after relinks that remove
+//! edges but keep the members: seeded relinks within the member set of
+//! singly and doubly linked lists, rings and trees with `Tree[]`
+//! children, re-measured from random members, where every redo must
+//! equal a fresh walk from the same root, and every refusal must be a
+//! structure that really lost members. Four negative controls (a
+//! detached segment, a removal plus a new node, an `int[]` member, and
+//! a root outside the measurement) must each be walked again.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use algoprof::snapshot::{
-    measure_structure, snapshot_array, snapshot_structure, SnapshotKind, SnapshotStats, VisitMarks,
+    measure_structure, snapshot_array, snapshot_structure, try_partial_structure, Measurement,
+    Redo, SnapshotKind, SnapshotStats, VisitMarks,
 };
 use algoprof::{
     ArraySizeStrategy, ElemKey, EquivalenceCriterion, IncrementalMode, InputId, InputRegistry,
@@ -701,4 +711,502 @@ fn array_member_of_a_strongly_connected_structure_walks_again() {
     let (size, delta) = remeasure(&d, &heap, &mut reg, id, Value::Arr(both));
     assert!(is_full_walk(delta), "{delta:?}");
     assert_eq!(size, 2, "the array's capacity");
+}
+
+/// Each container's key and sorted outgoing edges.
+fn edge_lists(m: &Measurement) -> Vec<(ElemKey, Vec<ElemKey>)> {
+    m.containers
+        .iter()
+        .map(|c| {
+            let mut edges = m.edges[c.edges.start as usize..c.edges.end as usize].to_vec();
+            edges.sort_unstable();
+            (c.key, edges)
+        })
+        .collect()
+}
+
+/// How a stale measurement was brought up to date.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Outcome {
+    Rewired,
+    Grown,
+    Walked,
+}
+
+/// Brings `m` up to date for a walk from `root` after relinks within
+/// its members, and checks the answer. A rewire redo must equal a fresh
+/// walk from `root` in every respect that a later reuse depends on; a
+/// growth redo must equal a fresh walk from the measurement's own root;
+/// and a refusal is allowed only when the structure reachable from
+/// `root` really lost members, in which case `m` is replaced by that
+/// fresh walk, as the registry would.
+fn redo_or_walk(d: &Decls, heap: &Heap, m: &mut Measurement, root: ObjRef) -> Outcome {
+    let mut marks = VisitMarks::default();
+    let fresh = measure_structure(
+        &d.program,
+        heap,
+        root,
+        &mut marks,
+        &mut SnapshotStats::default(),
+    );
+    let members = m.snapshot.keys.clone();
+    let mut stats = SnapshotStats::default();
+    let redo = try_partial_structure(
+        &d.program,
+        heap,
+        m,
+        ElemKey::Obj(root),
+        &mut marks,
+        &mut stats,
+    );
+    match redo {
+        Some(Redo::Rewired) => {
+            assert_eq!(m.snapshot, fresh.snapshot, "rewired snapshot from {root:?}");
+            assert_eq!(m.root, fresh.root);
+            assert_eq!(
+                m.strongly_connected, fresh.strongly_connected,
+                "strongly connected flag from {root:?}"
+            );
+            assert_eq!(edge_lists(m), edge_lists(&fresh), "edges from {root:?}");
+            assert_eq!((stats.full_walks, stats.partial_redos), (0, 1));
+            Outcome::Rewired
+        }
+        Some(Redo::Grown(added)) => {
+            // Nothing was removed, and every relink target is a member.
+            assert!(added.is_empty(), "{added:?}");
+            let ElemKey::Obj(own) = m.root else {
+                unreachable!("structure walks start at objects")
+            };
+            let from_own = measure_structure(
+                &d.program,
+                heap,
+                own,
+                &mut marks,
+                &mut SnapshotStats::default(),
+            );
+            assert_eq!(m.snapshot, from_own.snapshot, "grown snapshot");
+            assert_eq!(edge_lists(m), edge_lists(&from_own), "grown edges");
+            Outcome::Grown
+        }
+        None => {
+            assert_ne!(
+                fresh.snapshot.keys, members,
+                "a redo was refused though {root:?} still reaches every member"
+            );
+            *m = fresh;
+            Outcome::Walked
+        }
+    }
+}
+
+/// How a test links its nodes: through `Node.next`, and `Node.prev`
+/// too when `doubly`; the last node back to the first when `ring`.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    doubly: bool,
+    ring: bool,
+}
+
+/// Rewrites the links of the nodes at `positions` of `order`, as
+/// `shape` says.
+fn relink_at(d: &Decls, heap: &mut Heap, order: &[ObjRef], positions: &[usize], shape: Shape) {
+    let (next, prev) = (d.slot(d.node, "next"), d.slot(d.node, "prev"));
+    let n = order.len();
+    for &p in positions {
+        let after = if p + 1 < n {
+            Value::Obj(order[p + 1])
+        } else if shape.ring {
+            Value::Obj(order[0])
+        } else {
+            Value::Null
+        };
+        heap.set_field(order[p], next, after);
+        if shape.doubly {
+            let before = if p > 0 {
+                Value::Obj(order[p - 1])
+            } else if shape.ring {
+                Value::Obj(order[n - 1])
+            } else {
+                Value::Null
+            };
+            heap.set_field(order[p], prev, before);
+        }
+    }
+}
+
+/// The object members of `m`.
+fn object_members(m: &Measurement) -> Vec<ObjRef> {
+    m.snapshot
+        .keys
+        .iter()
+        .filter_map(|k| match k {
+            ElemKey::Obj(o) => Some(*o),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn rewire_redo_equals_a_fresh_walk_on_lists_and_rings() {
+    let d = Decls::new();
+    let (next, prev) = (d.slot(d.node, "next"), d.slot(d.node, "prev"));
+    let mut seen = BTreeMap::new();
+    for seed in 0..16 {
+        let mut rng = TestRng::new(1000 + seed);
+        let shape = Shape {
+            doubly: seed % 2 == 1,
+            ring: seed % 4 >= 2,
+        };
+        let mut heap = Heap::new();
+        let mut order: Vec<ObjRef> = (0..rng.range(3, 40))
+            .map(|_| d.alloc(&mut heap, d.node))
+            .collect();
+        let n = order.len();
+        let mut m = None;
+        let mut intact = false;
+        for round in 0..80 {
+            if round % 20 == 0 {
+                // Start over from a freshly linked shuffle of every node.
+                for i in (1..n).rev() {
+                    order.swap(i, rng.range(0, i + 1));
+                }
+                relink_at(&d, &mut heap, &order, &(0..n).collect::<Vec<_>>(), shape);
+                let mut marks = VisitMarks::default();
+                let fresh = measure_structure(
+                    &d.program,
+                    &heap,
+                    order[0],
+                    &mut marks,
+                    &mut SnapshotStats::default(),
+                );
+                assert_eq!(fresh.snapshot.size, n);
+                m = Some(fresh);
+                intact = true;
+            }
+            let m = m.as_mut().expect("measured");
+            let members = object_members(m);
+            intact &= members.len() == n;
+            if intact && rng.chance(2, 3) {
+                // Swap two neighbours as an insertion sort does, writing
+                // only the links that change.
+                let i = rng.range(0, if shape.ring { n } else { n - 1 });
+                let j = (i + 1) % n;
+                order.swap(i, j);
+                let around: Vec<usize> = if shape.ring {
+                    vec![(i + n - 1) % n, i, j, (j + 1) % n]
+                } else {
+                    (i.saturating_sub(1)..(j + 2).min(n)).collect()
+                };
+                relink_at(&d, &mut heap, &order, &around, shape);
+            } else {
+                // Point one link of a member at another member, or at
+                // nothing.
+                let o = *rng.pick(&members);
+                let slot = if !shape.doubly || rng.chance(1, 2) {
+                    next
+                } else {
+                    prev
+                };
+                let target = if rng.chance(1, 5) {
+                    Value::Null
+                } else {
+                    Value::Obj(*rng.pick(&members))
+                };
+                heap.set_field(o, slot, target);
+                intact = false;
+            }
+            let root = if rng.chance(1, 2) && members.contains(&order[0]) {
+                order[0]
+            } else {
+                *rng.pick(&members)
+            };
+            *seen.entry(redo_or_walk(&d, &heap, m, root)).or_insert(0) += 1;
+        }
+    }
+    assert_outcomes(&seen, 300, 50);
+}
+
+/// Insists the seeded relinks produced enough rewire redos and enough
+/// refusals for the checks to mean something.
+fn assert_outcomes(seen: &BTreeMap<Outcome, usize>, rewired: usize, walked: usize) {
+    let count = |o| seen.get(&o).copied().unwrap_or(0);
+    assert!(count(Outcome::Rewired) >= rewired, "{seen:?}");
+    assert!(count(Outcome::Walked) >= walked, "{seen:?}");
+}
+
+#[test]
+fn rewire_redo_equals_a_fresh_walk_on_trees_with_child_arrays() {
+    let d = Decls::new();
+    let children = d.slot(d.tree, "children");
+    let mut seen = BTreeMap::new();
+    for seed in 0..16 {
+        let mut rng = TestRng::new(1100 + seed);
+        let mut heap = Heap::new();
+        let mut m = None;
+        let mut top = ObjRef(0);
+        for _ in 0..60 {
+            if m.as_ref().is_none_or(|m: &Measurement| m.snapshot.size < 8) {
+                // A fresh tree: child arrays with some empty slots.
+                let mut trees = vec![d.alloc(&mut heap, d.tree)];
+                let mut next = 0;
+                while next < trees.len() && trees.len() < 30 {
+                    let parent = trees[next];
+                    next += 1;
+                    let fan = rng.range(0, 5);
+                    let arr = heap.alloc_array(ElemKind::Ref, fan);
+                    heap.set_field(parent, children, Value::Arr(arr));
+                    for i in 0..fan {
+                        if rng.chance(1, 4) {
+                            continue;
+                        }
+                        let kid = d.alloc(&mut heap, d.tree);
+                        heap.set_elem(arr, i, Value::Obj(kid));
+                        trees.push(kid);
+                    }
+                }
+                top = trees[0];
+                let mut marks = VisitMarks::default();
+                m = Some(measure_structure(
+                    &d.program,
+                    &heap,
+                    top,
+                    &mut marks,
+                    &mut SnapshotStats::default(),
+                ));
+            }
+            let m = m.as_mut().expect("measured");
+            let trees = object_members(m);
+            // Non-empty child slots of member arrays.
+            let slots: Vec<(ArrRef, usize)> = m
+                .snapshot
+                .keys
+                .iter()
+                .filter_map(|k| match k {
+                    ElemKey::Arr(a) => Some(*a),
+                    _ => None,
+                })
+                .flat_map(|a| (0..heap.array(a).elems.len()).map(move |i| (a, i)))
+                .collect();
+            let full: Vec<(ArrRef, usize)> = slots
+                .iter()
+                .copied()
+                .filter(|&(a, i)| heap.array(a).elems[i] != Value::Null)
+                .collect();
+            if full.is_empty() {
+                continue;
+            }
+            let (a, i) = *rng.pick(&full);
+            match rng.below(3) {
+                // Swap a child into another slot: moves a subtree, or
+                // exchanges two.
+                0 => {
+                    let (b, j) = *rng.pick(&slots);
+                    let (x, y) = (heap.array(a).elems[i], heap.array(b).elems[j]);
+                    heap.set_elem(a, i, y);
+                    heap.set_elem(b, j, x);
+                }
+                // Hand a node the child array of another.
+                1 => {
+                    let t = *rng.pick(&trees);
+                    heap.set_field(t, children, Value::Arr(a));
+                }
+                // Replace a child by another member (maybe a link back
+                // up), or clear the slot.
+                _ => {
+                    let v = if rng.chance(1, 4) {
+                        Value::Null
+                    } else {
+                        Value::Obj(*rng.pick(&trees))
+                    };
+                    heap.set_elem(a, i, v);
+                }
+            }
+            let root = if rng.chance(3, 4) && trees.contains(&top) {
+                top
+            } else {
+                *rng.pick(&trees)
+            };
+            *seen.entry(redo_or_walk(&d, &heap, m, root)).or_insert(0) += 1;
+        }
+    }
+    assert_outcomes(&seen, 100, 50);
+}
+
+/// Checks one negative control: `m`, measured from `root` before the
+/// heap changed, must not be redone, and the registry must answer the
+/// re-measurement with a full walk of the right size.
+fn assert_walks_again(
+    d: &Decls,
+    heap: &Heap,
+    reg: &mut InputRegistry,
+    id: InputId,
+    mut m: Measurement,
+    root: ObjRef,
+    want: usize,
+) {
+    let redo = try_partial_structure(
+        &d.program,
+        heap,
+        &mut m,
+        ElemKey::Obj(root),
+        &mut VisitMarks::default(),
+        &mut SnapshotStats::default(),
+    );
+    assert_eq!(redo, None, "redone from {root:?}");
+    reg.mark_dirty(id, heap.epoch());
+    let (size, delta) = remeasure(d, heap, reg, id, Value::Obj(root));
+    assert!(is_full_walk(delta), "{delta:?}");
+    assert_eq!(size, want);
+}
+
+/// A doubly linked list registered from its head, with the measurement
+/// the registry cached.
+fn registered_list(
+    d: &Decls,
+    heap: &mut Heap,
+    len: usize,
+) -> (Vec<ObjRef>, InputRegistry, InputId, Measurement) {
+    let order: Vec<ObjRef> = (0..len).map(|_| d.alloc(heap, d.node)).collect();
+    link(d, heap, &order, true);
+    let mut reg = differential_registry();
+    let id = register(d, heap, &mut reg, Value::Obj(order[0]));
+    let m = reg.input(id).last_measurement.clone().expect("measured");
+    (order, reg, id, m)
+}
+
+#[test]
+fn rewire_negative_controls_walk_again() {
+    let d = Decls::new();
+    let (next, prev) = (d.slot(d.node, "next"), d.slot(d.node, "prev"));
+    for seed in 0..8 {
+        let mut rng = TestRng::new(1200 + seed);
+        let len = rng.range(4, 40);
+        let k = rng.range(1, len - 1);
+
+        // A detached segment: the list is cut after node k.
+        let mut heap = Heap::new();
+        let (order, mut reg, id, m) = registered_list(&d, &mut heap, len);
+        heap.set_field(order[k], next, Value::Null);
+        heap.set_field(order[k + 1], prev, Value::Null);
+        assert_walks_again(&d, &heap, &mut reg, id, m, order[0], k + 1);
+
+        // A removal plus a new node: node k's back link now leads to a
+        // fresh node, while the forward links still reach every member.
+        let mut heap = Heap::new();
+        let (order, mut reg, id, m) = registered_list(&d, &mut heap, len);
+        let fresh = d.alloc(&mut heap, d.node);
+        heap.set_field(order[k], prev, Value::Obj(fresh));
+        assert_walks_again(&d, &heap, &mut reg, id, m, order[0], len + 1);
+
+        // An int[] member: the head's free back link holds one, and two
+        // neighbours further on swap places.
+        let mut heap = Heap::new();
+        let mut order: Vec<ObjRef> = (0..len).map(|_| d.alloc(&mut heap, d.node)).collect();
+        link(&d, &mut heap, &order, true);
+        let ints = heap.alloc_array(ElemKind::Int, 2);
+        heap.set_field(order[0], prev, Value::Arr(ints));
+        let mut reg = differential_registry();
+        let id = register(&d, &heap, &mut reg, Value::Obj(order[0]));
+        let m = reg.input(id).last_measurement.clone().expect("measured");
+        order.swap(k, k + 1);
+        let shape = Shape {
+            doubly: true,
+            ring: false,
+        };
+        relink_at(&d, &mut heap, &order, &[k - 1, k, k + 1], shape);
+        if k + 2 < len {
+            relink_at(&d, &mut heap, &order, &[k + 2], shape);
+        }
+        heap.set_field(order[0], prev, Value::Arr(ints));
+        assert_walks_again(&d, &heap, &mut reg, id, m, order[0], len);
+
+        // A root outside the measurement: a new node links to the head
+        // of a list whose node j now skips to the tail.
+        let mut heap = Heap::new();
+        let (order, mut reg, id, m) = registered_list(&d, &mut heap, len);
+        let j = k.min(len - 3);
+        heap.set_field(order[j], next, Value::Obj(order[len - 1]));
+        let outside = d.alloc(&mut heap, d.node);
+        heap.set_field(outside, next, Value::Obj(order[0]));
+        let want = snapshot_structure(&d.program, &heap, outside).size;
+        assert_walks_again(&d, &heap, &mut reg, id, m, outside, want);
+    }
+
+    // An array root, though a container of the measurement that
+    // reaches every member: a walk from it would be an array walk.
+    let children = d.slot(d.tree, "children");
+    let mut heap = Heap::new();
+    let (parent, kid) = (d.alloc(&mut heap, d.tree), d.alloc(&mut heap, d.tree));
+    let both = heap.alloc_array(ElemKind::Ref, 2);
+    heap.set_elem(both, 0, Value::Obj(parent));
+    heap.set_elem(both, 1, Value::Obj(kid));
+    heap.set_field(parent, children, Value::Arr(both));
+    heap.set_field(kid, children, Value::Arr(both));
+    let mut marks = VisitMarks::default();
+    let mut stats = SnapshotStats::default();
+    let mut m = measure_structure(&d.program, &heap, parent, &mut marks, &mut stats);
+    // The kid drops its link; the array still reaches every member.
+    heap.set_field(kid, children, Value::Null);
+    let redo = try_partial_structure(
+        &d.program,
+        &heap,
+        &mut m,
+        ElemKey::Arr(both),
+        &mut marks,
+        &mut stats,
+    );
+    assert_eq!(redo, None);
+}
+
+/// A rewire redo of an input another input has claimed keys from must
+/// leave the reverse map and the `shared` flags as the full walk it
+/// replaces would, so later accesses resolve to the same inputs.
+#[test]
+fn rewire_redo_of_a_shared_input_reclaims_its_keys() {
+    let d = Decls::new();
+    let mut runs = Vec::new();
+    for incremental in [IncrementalMode::Enabled, IncrementalMode::Disabled] {
+        let mut heap = Heap::new();
+        let mut order: Vec<ObjRef> = (0..6).map(|_| d.alloc(&mut heap, d.node)).collect();
+        link(&d, &mut heap, &order, true);
+        // Under AllElements, a snapshot of a sublist is another input,
+        // and it claims the keys it shares with the whole list.
+        let mut reg = InputRegistry::with_incremental(
+            EquivalenceCriterion::AllElements,
+            ArraySizeStrategy::Capacity,
+            incremental,
+        );
+        let whole = register(&d, &heap, &mut reg, Value::Obj(order[0]));
+        heap.set_field(order[2], d.slot(d.node, "prev"), Value::Null);
+        let part = register(&d, &heap, &mut reg, Value::Obj(order[2]));
+        assert_ne!(whole, part);
+        assert!(reg.input(whole).shared);
+
+        // Restore the back link and swap two neighbours.
+        order.swap(3, 4);
+        relink_at(
+            &d,
+            &mut heap,
+            &order,
+            &[1, 2, 3, 4, 5],
+            Shape {
+                doubly: true,
+                ring: false,
+            },
+        );
+        reg.mark_dirty(whole, heap.epoch());
+        let (size, delta) = remeasure(&d, &heap, &mut reg, whole, Value::Obj(order[1]));
+        assert_eq!(size, 6);
+        match incremental {
+            IncrementalMode::Enabled => assert_eq!(delta.partial_redos, 1, "{delta:?}"),
+            _ => assert!(is_full_walk(delta), "{delta:?}"),
+        }
+        let owners: Vec<Option<InputId>> = order
+            .iter()
+            .map(|&o| reg.resolve_ref(ElemKey::Obj(o)))
+            .collect();
+        runs.push((owners, reg.input(whole).shared, reg.input(part).shared));
+    }
+    assert_eq!(runs[0], runs[1]);
+    assert_eq!(runs[0].0, vec![Some(InputId(0)); 6]);
 }
