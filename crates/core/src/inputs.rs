@@ -22,9 +22,9 @@ use algoprof_vm::{ClassId, CompiledProgram};
 use algoprof_vm::{Heap, Value};
 
 use crate::snapshot::{
-    measure_value, try_partial_array, try_partial_structure, ArraySizeStrategy, ElemKey,
-    ElemKeyMap, EquivalenceCriterion, IncrementalMode, Measurement, Redo, Snapshot, SnapshotKind,
-    SnapshotStats, VisitMarks,
+    measure_value, remeasure_structure, try_partial_array, ArraySizeStrategy, ElemKey, ElemKeyMap,
+    EquivalenceCriterion, IncrementalMode, Measurement, Snapshot, SnapshotKind, SnapshotStats,
+    VisitMarks,
 };
 
 /// Identifies one input of one or more algorithms.
@@ -175,6 +175,12 @@ impl InputRegistry {
     /// The info for `id`.
     pub fn input(&self, id: InputId) -> &InputInfo {
         &self.inputs[id.index()]
+    }
+
+    /// Frees the scratch space of structure walks, which a registry
+    /// done measuring (one kept in a finished profile) has no use for.
+    pub(crate) fn release_scratch(&mut self) {
+        self.marks = VisitMarks::default();
     }
 
     /// Fast path: resolves a heap reference key previously seen in a
@@ -354,25 +360,26 @@ impl InputRegistry {
     /// exact. Returns the input's size under the configured array
     /// strategy, or `None` if `r` is not measurable (null / int).
     ///
-    /// The cached measurement applies when a walk from `r` would find
-    /// the same members as the cached walk: `r` is its root, or any
-    /// object container of a strongly connected structure
+    /// The cached measurement is reused as it stands when a walk from
+    /// `r` would find the same members as the cached walk: `r` is its
+    /// root, or any object container of a strongly connected structure
     /// ([`Measurement::walks_alike_from`]). Validation is layered,
     /// cheapest first:
     ///
-    /// 1. *O(1) dirty check* — cached root, input not `shared`, and no
+    /// 1. *O(1) dirty check* — reusable root, input not `shared`, and no
     ///    write observed through its references since the cached epoch.
-    /// 2. *Stamp scan* — every container recorded by the cached
-    ///    traversal is unmodified since the cached epoch (heals
+    /// 2. *Stamp scan* — reusable root, and every container recorded by
+    ///    the cached walk is unmodified since the cached epoch (heals
     ///    false-dirties from writes that resolved here but hit another
     ///    overlapping structure).
-    /// 3. *Partial redo* — re-scan only the modified containers, then
-    ///    either grow the snapshot by the newly reachable region (no
-    ///    edge removed) or, when edges were only rewired among the
-    ///    members, re-walk from `r` over the cached edge lists (see
-    ///    [`try_partial_structure`]). A structure that may have shrunk
-    ///    or gained members behind a removal falls through.
-    /// 4. *Full walk* — traverse from scratch and re-record.
+    /// 3. *Redo* — for an object `r` and a cached structure, from any
+    ///    root: walk from `r`, reading from the heap only the edge lists
+    ///    of new members and modified containers, and the cached lists of
+    ///    the rest (see [`remeasure_structure`]). For the cached array's
+    ///    own root: replay the heap's element-store journal (see
+    ///    [`try_partial_array`]).
+    /// 4. *Full walk* — an array that the replay cannot bring up to
+    ///    date, or no cached measurement of the right kind.
     ///
     /// Under [`IncrementalMode::Differential`] every reuse is checked
     /// against a from-scratch traversal and must match exactly.
@@ -383,105 +390,83 @@ impl InputRegistry {
         id: InputId,
         r: Value,
     ) -> Option<usize> {
-        if self.incremental == IncrementalMode::Disabled {
-            let m = measure_value(program, heap, r, &mut self.marks, &mut self.stats)?;
-            self.record_measurement(id, m);
-            return Some(self.inputs[id.index()].last_size);
-        }
-
+        let enabled = self.incremental != IncrementalMode::Disabled;
         let root = match r {
-            Value::Obj(o) => ElemKey::Obj(o),
-            Value::Arr(a) => ElemKey::Arr(a),
-            Value::Int(_) | Value::Bool(_) | Value::Null => {
-                let m = measure_value(program, heap, r, &mut self.marks, &mut self.stats)?;
-                self.record_measurement(id, m);
-                return Some(self.inputs[id.index()].last_size);
-            }
+            Value::Obj(o) if enabled => ElemKey::Obj(o),
+            Value::Arr(a) if enabled => ElemKey::Arr(a),
+            _ => return self.measure_afresh(program, heap, id, r),
         };
-
-        let differential = self.incremental == IncrementalMode::Differential;
+        let Some(mut m) = self.inputs[id.index()].last_measurement.take() else {
+            return self.measure_afresh(program, heap, id, r);
+        };
         let info = &self.inputs[id.index()];
-        let (cached_root, fast_clean) = match &info.last_measurement {
-            Some(m) if m.walks_alike_from(root) => {
-                (true, !info.shared && info.dirty_epoch <= m.epoch)
-            }
-            _ => (false, false),
-        };
-
-        if cached_root {
+        let reusable = m.walks_alike_from(root);
+        let clean = !info.shared && info.dirty_epoch <= m.epoch;
+        let uncached = match r {
             // Layer 1: nothing resolving to this input was written.
-            if fast_clean {
+            _ if reusable && clean => {
                 self.stats.cache_hits += 1;
-                if differential {
-                    self.verify_cached(program, heap, id, r);
-                }
-                return Some(self.inputs[id.index()].last_size);
+                Vec::new()
             }
             // Layer 2: stamps prove the traversed containers untouched.
-            let exact = self.inputs[id.index()]
-                .last_measurement
-                .as_ref()
-                .is_some_and(|m| m.still_exact(heap));
-            if exact {
+            // Refresh the epoch so the O(1) check works next time, and
+            // advance the replay window: untouched containers mean none
+            // of the journalled stores were ours.
+            _ if reusable && m.still_exact(heap) => {
                 self.stats.cache_hits += 1;
-                // Refresh the epoch so the O(1) check works next time,
-                // and advance the replay window: untouched containers
-                // mean none of the journalled stores were ours.
-                let epoch = heap.epoch();
-                let log_pos = heap.log_pos();
-                let info = &mut self.inputs[id.index()];
-                if let Some(m) = info.last_measurement.as_mut() {
-                    m.epoch = epoch;
-                    if m.log_pos != u64::MAX {
-                        m.log_pos = log_pos;
-                    }
+                m.epoch = heap.epoch();
+                if m.log_pos != u64::MAX {
+                    m.log_pos = heap.log_pos();
                 }
-                if differential {
-                    self.verify_cached(program, heap, id, r);
-                }
-                return Some(self.inputs[id.index()].last_size);
+                Vec::new()
             }
-            // Layer 3: partial redo — structures re-scan modified
-            // containers and then traverse the newly linked region or
-            // re-walk their own edge lists; arrays replay the heap's
-            // element-store journal.
-            let mut taken = self.inputs[id.index()].last_measurement.take();
-            let redo = taken.as_mut().and_then(|m| match m.snapshot.kind {
-                SnapshotKind::Structure { .. } => {
-                    try_partial_structure(program, heap, m, root, &mut self.marks, &mut self.stats)
-                }
-                SnapshotKind::Array { .. } => {
-                    try_partial_array(heap, m, &mut self.stats).map(|_| Redo::Grown(Vec::new()))
-                }
-            });
-            match (redo, taken) {
-                (Some(redo), Some(m)) => {
-                    match redo {
-                        Redo::Grown(added) => {
-                            self.store_measurement(id, m);
-                            for key in added {
-                                self.claim_key(key, id);
-                            }
-                        }
-                        // Same members as a full walk from `r`, so leave
-                        // the reverse map as that walk's record would:
-                        // unless another input claimed some of them, every
-                        // key already maps here.
-                        Redo::Rewired if self.inputs[id.index()].shared => {
-                            self.record_measurement(id, m)
-                        }
-                        Redo::Rewired => self.store_measurement(id, m),
-                    }
-                    if differential {
-                        self.verify_cached(program, heap, id, r);
-                    }
-                    return Some(self.inputs[id.index()].last_size);
-                }
-                (_, taken) => self.inputs[id.index()].last_measurement = taken,
+            // Layer 3: structures walk from `r` over the cached edge
+            // lists; arrays replay the heap's element-store journal.
+            Value::Obj(start) if matches!(m.snapshot.kind, SnapshotKind::Structure { .. }) => {
+                remeasure_structure(
+                    program,
+                    heap,
+                    &mut m,
+                    start,
+                    &mut self.marks,
+                    &mut self.stats,
+                )
+            }
+            Value::Arr(_)
+                if reusable && try_partial_array(heap, &mut m, &mut self.stats).is_some() =>
+            {
+                Vec::new()
+            }
+            // Layer 4: full walk.
+            _ => return self.measure_afresh(program, heap, id, r),
+        };
+        // Leave the reverse map as a full walk's record would: unless
+        // another input claimed some of its keys (`shared`), every key of
+        // the cached measurement already maps here, and only the members
+        // it did not have are new.
+        if self.inputs[id.index()].shared {
+            self.record_measurement(id, m);
+        } else {
+            self.store_measurement(id, m);
+            for key in uncached {
+                self.claim_key(key, id);
             }
         }
+        if self.incremental == IncrementalMode::Differential {
+            self.verify_cached(program, heap, id, r);
+        }
+        Some(self.inputs[id.index()].last_size)
+    }
 
-        // Layer 4: full walk.
+    /// Measures `r` from scratch and records it as input `id`'s
+    /// measurement; returns the input's size.
+    fn measure_afresh(
+        &mut self,
+        program: &CompiledProgram,
+        heap: &Heap,
+        id: InputId,
+        r: Value,
+    ) -> Option<usize> {
         let m = measure_value(program, heap, r, &mut self.marks, &mut self.stats)?;
         self.record_measurement(id, m);
         Some(self.inputs[id.index()].last_size)

@@ -53,7 +53,8 @@ impl AttributionStage {
     }
 
     /// Consumes the stage, yielding the registry for profile building.
-    pub fn into_registry(self) -> InputRegistry {
+    pub fn into_registry(mut self) -> InputRegistry {
+        self.registry.release_scratch();
         self.registry
     }
 

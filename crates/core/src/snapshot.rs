@@ -70,88 +70,89 @@ impl Hasher for ElemKeyHasher {
 /// A hash map keyed by [`ElemKey`] under [`ElemKeyHasher`].
 pub type ElemKeyMap<V> = HashMap<ElemKey, V, BuildHasherDefault<ElemKeyHasher>>;
 
-/// Visit marks for structure walks, one generation stamp per heap
-/// object and array, indexed by [`ObjRef`] / [`ArrRef`]. A walk starts
-/// a new generation instead of clearing, so marking costs one store and
-/// membership one load. The tables grow to the heap's size when a walk
-/// starts, and are meant to be owned by whoever walks repeatedly (the
-/// input registry) so their allocation is reused across walks.
-///
-/// The same stamps can instead index one measurement's containers
-/// ([`VisitMarks::index`]): a marked key then maps to its position in
-/// [`Measurement::containers`], kept in a second pair of tables.
+/// One generation stamp, and a value, per heap object and per array,
+/// indexed by [`ObjRef`] / [`ArrRef`]. Starting a new generation
+/// forgets every entry at once, so setting an entry costs one store and
+/// a lookup one load. The tables grow to the heap's size when a
+/// generation starts.
 #[derive(Debug, Default, Clone)]
-pub struct VisitMarks {
+struct Stamped<T> {
     generation: u32,
-    objects: Vec<u32>,
-    arrays: Vec<u32>,
-    object_slots: Vec<u32>,
-    array_slots: Vec<u32>,
+    objects: Vec<(u32, T)>,
+    arrays: Vec<(u32, T)>,
 }
 
-impl VisitMarks {
-    /// Starts a walk over `heap`: nothing is marked afterwards.
+impl<T: Copy + Default> Stamped<T> {
+    /// Starts a generation over `heap`: no entry is set afterwards.
     fn begin(&mut self, heap: &Heap) {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
-            // Wrapped: stamps from 2^32 walks ago would read as marked.
-            self.objects.fill(0);
-            self.arrays.fill(0);
+            // Wrapped: stamps from 2^32 generations ago would read as set.
+            self.objects.fill((0, T::default()));
+            self.arrays.fill((0, T::default()));
             self.generation = 1;
         }
         if self.objects.len() < heap.object_count() {
-            self.objects.resize(heap.object_count(), 0);
+            self.objects.resize(heap.object_count(), (0, T::default()));
         }
         if self.arrays.len() < heap.array_count() {
-            self.arrays.resize(heap.array_count(), 0);
+            self.arrays.resize(heap.array_count(), (0, T::default()));
         }
     }
 
-    /// Marks `key`; true when it was not yet marked in this walk.
-    fn mark(&mut self, key: ElemKey) -> bool {
-        let slot = match key {
+    /// Sets `key` to `value`; true when it was not yet set in this
+    /// generation. Primitive keys are never set.
+    fn set(&mut self, key: ElemKey, value: T) -> bool {
+        let entry = match key {
             ElemKey::Obj(o) => &mut self.objects[o.0 as usize],
             ElemKey::Arr(a) => &mut self.arrays[a.0 as usize],
             ElemKey::Int(_) => return false,
         };
-        let fresh = *slot != self.generation;
-        *slot = self.generation;
+        let fresh = entry.0 != self.generation;
+        *entry = (self.generation, value);
         fresh
     }
 
-    /// Starts a generation in which exactly the keys of `containers`
-    /// are marked, each mapping to its position in the slice.
-    fn index(&mut self, heap: &Heap, containers: &[ContainerRecord]) {
-        self.begin(heap);
-        self.object_slots.resize(self.objects.len(), 0);
-        self.array_slots.resize(self.arrays.len(), 0);
-        for (i, c) in containers.iter().enumerate() {
-            let (stamp, slot) = match c.key {
-                ElemKey::Obj(o) => (
-                    &mut self.objects[o.0 as usize],
-                    &mut self.object_slots[o.0 as usize],
-                ),
-                ElemKey::Arr(a) => (
-                    &mut self.arrays[a.0 as usize],
-                    &mut self.array_slots[a.0 as usize],
-                ),
-                ElemKey::Int(_) => continue,
-            };
-            *stamp = self.generation;
-            *slot = i as u32;
-        }
-    }
-
-    /// The position of `key` in the containers last passed to
-    /// [`VisitMarks::index`], if it is one of them.
-    fn slot(&self, key: ElemKey) -> Option<usize> {
-        let (stamp, slot) = match key {
-            ElemKey::Obj(o) => (self.objects[o.0 as usize], self.object_slots[o.0 as usize]),
-            ElemKey::Arr(a) => (self.arrays[a.0 as usize], self.array_slots[a.0 as usize]),
+    /// The value `key` was set to in this generation, if it was.
+    fn get(&self, key: ElemKey) -> Option<T> {
+        let (stamp, value) = match key {
+            ElemKey::Obj(o) => self.objects[o.0 as usize],
+            ElemKey::Arr(a) => self.arrays[a.0 as usize],
             ElemKey::Int(_) => return None,
         };
-        (stamp == self.generation).then_some(slot as usize)
+        (stamp == self.generation).then_some(value)
     }
+}
+
+/// Scratch space for structure walks, meant to be owned by whoever walks
+/// repeatedly (the input registry) so its allocations are reused.
+///
+/// It holds the visit marks of the current walk, an index of the cached
+/// measurement's containers (each marked key maps to its position in
+/// [`Measurement::containers`]), and the walk's member, discoverer,
+/// container and edge buffers. The marks and the index have their own
+/// generations, so both are live during one walk.
+#[derive(Debug, Default, Clone)]
+pub struct VisitMarks {
+    visited: Stamped<()>,
+    index: Stamped<u32>,
+    walk: WalkBuffers,
+}
+
+/// The buffers one structure walk fills (see [`VisitMarks`]).
+#[derive(Debug, Default, Clone)]
+struct WalkBuffers {
+    /// Members in the order they were reached; also the queue.
+    members: Vec<ElemKey>,
+    /// `discoverers[i]` is the member whose edge first reached
+    /// `members[i]` (the root discovers itself).
+    discoverers: Vec<ElemKey>,
+    /// Containers in the order they were visited, with ranges into
+    /// `edges`.
+    containers: Vec<ContainerRecord>,
+    edges: Vec<ElemKey>,
+    /// Members that are not containers of the cached measurement.
+    uncached: Vec<ElemKey>,
 }
 
 /// Marks are scratch state between walks, not part of any result, so
@@ -287,8 +288,9 @@ impl Snapshot {
 /// The guest heap stamps every object and array with the mutation epoch
 /// of its last write (see `algoprof_vm::Heap::epoch`). A cached
 /// [`Measurement`] whose traversed containers are all unmodified since
-/// it was taken is still exact, so the traversal can be skipped (or
-/// partially redone when only a few containers changed).
+/// it was taken is still exact, so the traversal can be skipped. When
+/// some changed, a structure is walked again over the cached edge lists
+/// of the unmodified ones, and an array replays its journalled stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IncrementalMode {
     /// Always re-traverse (the paper's original behaviour).
@@ -309,13 +311,16 @@ pub struct SnapshotStats {
     pub full_walks: u64,
     /// Measurements answered entirely from cache.
     pub cache_hits: u64,
-    /// Measurements answered by re-scanning only modified containers.
+    /// Measurements answered by a walk over cached edge lists (for
+    /// arrays, by a replay of the write log).
     pub partial_redos: u64,
-    /// Objects visited by traversals (full walks and partial redos).
+    /// Objects visited by traversals (full walks and partial redos). A
+    /// structure walk counts only the members whose edges it reads from
+    /// the heap, not those whose cached edge lists it reuses.
     pub objects_traversed: u64,
-    /// Arrays visited by traversals.
+    /// Arrays visited by traversals, counted like objects.
     pub arrays_traversed: u64,
-    /// Array elements examined by traversals.
+    /// Array elements read from the heap by traversals.
     pub elements_scanned: u64,
 }
 
@@ -354,8 +359,8 @@ pub struct ContainerRecord {
     pub key: ElemKey,
     /// Where, in [`Measurement::edges`], the non-null references the
     /// traversal followed out of this container (recursive fields for
-    /// objects, elements for ref arrays) are stored, sorted so a later
-    /// re-scan can diff the edge multiset.
+    /// objects, elements for ref arrays) are stored, sorted so the
+    /// walk's back-edge check can binary-search them.
     pub edges: Range<u32>,
     /// Non-null references counted inside this container when it is an
     /// array (contributes to [`Snapshot::refs_traversed`]).
@@ -381,8 +386,8 @@ pub struct Measurement {
     /// element stores cannot change); for arrays, every visited array.
     pub containers: Vec<ContainerRecord>,
     /// The containers' outgoing edges, one range per container (see
-    /// [`ContainerRecord::edges`]). A partial redo may leave ranges no
-    /// container points at any more.
+    /// [`ContainerRecord::edges`]), in the order the walk visited them.
+    /// Every edge belongs to exactly one container's range.
     pub edges: Vec<ElemKey>,
     /// Position in the heap's array write log when this measurement was
     /// taken (see `Heap::log_pos`). [`try_partial_array`] replays the
@@ -453,26 +458,34 @@ impl Measurement {
     /// a traversal from `self.root` would reproduce `self.snapshot`
     /// exactly.
     pub fn still_exact(&self, heap: &Heap) -> bool {
-        self.containers.iter().all(|c| match c.key {
-            ElemKey::Obj(o) => heap.object_stamp(o) <= self.epoch,
-            ElemKey::Arr(a) => heap.array_stamp(a) <= self.epoch,
-            ElemKey::Int(_) => true,
-        })
+        self.containers
+            .iter()
+            .all(|c| stamp(heap, c.key) <= self.epoch)
+    }
+}
+
+/// The heap epoch of `key`'s last mutation (0 for a primitive key).
+fn stamp(heap: &Heap, key: ElemKey) -> u64 {
+    match key {
+        ElemKey::Obj(o) => heap.object_stamp(o),
+        ElemKey::Arr(a) => heap.array_stamp(a),
+        ElemKey::Int(_) => 0,
     }
 }
 
 /// Appends the sorted outgoing-edge multiset of one container to
 /// `edges`, as the structure traversal sees it: recursive-field
-/// references for objects, elements for ref arrays. Returns the number
-/// of references counted inside an array (0 for objects), or `None`
-/// for a primitive array: it is a member of a structure but not a
-/// container of it, since its element stores cannot change a structure
-/// snapshot.
+/// references for objects, elements for ref arrays, and counts the
+/// heap read into `stats`. Returns the number of references counted
+/// inside an array (0 for objects), or `None` for a primitive array: it
+/// is a member of a structure but not a container of it, since its
+/// element stores cannot change a structure snapshot.
 fn scan_container(
     program: &CompiledProgram,
     heap: &Heap,
     key: ElemKey,
     edges: &mut Vec<ElemKey>,
+    stats: &mut SnapshotStats,
 ) -> Option<usize> {
     let from = edges.len();
     let refs = |v: &Value| match *v {
@@ -482,6 +495,7 @@ fn scan_container(
     };
     let array_refs = match key {
         ElemKey::Obj(o) => {
+            stats.objects_traversed += 1;
             let layout = &program.class(heap.object(o).class).field_layout;
             for (v, &fid) in heap.fields(o).iter().zip(layout) {
                 if program.field(fid).is_recursive {
@@ -492,6 +506,8 @@ fn scan_container(
         }
         ElemKey::Arr(a) => {
             let arr = heap.array(a);
+            stats.arrays_traversed += 1;
+            stats.elements_scanned += arr.elems.len() as u64;
             if arr.elem != ElemKind::Ref {
                 return None;
             }
@@ -502,18 +518,6 @@ fn scan_container(
     };
     edges[from..].sort_unstable();
     Some(array_refs)
-}
-
-/// Counts one container visited by a structure traversal into `stats`.
-fn count_visit(heap: &Heap, key: ElemKey, stats: &mut SnapshotStats) {
-    match key {
-        ElemKey::Obj(_) => stats.objects_traversed += 1,
-        ElemKey::Arr(a) => {
-            stats.arrays_traversed += 1;
-            stats.elements_scanned += heap.array(a).elems.len() as u64;
-        }
-        ElemKey::Int(_) => {}
-    }
 }
 
 /// Whether `key` can be a member of a structure: objects of recursive
@@ -541,19 +545,9 @@ pub fn snapshot_structure(program: &CompiledProgram, heap: &Heap, start: ObjRef)
     .snapshot
 }
 
-/// Like [`snapshot_structure`], but also records the traversal's
-/// containers and epoch for later incremental reuse, and counts the
-/// work into `stats`. `marks` is scratch space, reused across calls.
-///
-/// One breadth-first pass: each member is marked when first reached,
-/// so the member list doubles as the queue, and each container's
-/// references are read once into [`Measurement::edges`].
-///
-/// The walk also checks that every non-root member has an edge back to
-/// the member that discovered it. Following those edges leads from any
-/// member to the root, so the structure is then strongly connected
-/// ([`Measurement::strongly_connected`]). A primitive array member has
-/// no edges, so any structure holding one fails the check.
+/// Like [`snapshot_structure`], but also records the walk's containers,
+/// edges and epoch for later incremental reuse, and counts the work into
+/// `stats` as a full walk. `marks` is scratch space, reused across calls.
 pub fn measure_structure(
     program: &CompiledProgram,
     heap: &Heap,
@@ -561,81 +555,184 @@ pub fn measure_structure(
     marks: &mut VisitMarks,
     stats: &mut SnapshotStats,
 ) -> Measurement {
-    marks.begin(heap);
-    let mut members = Vec::new();
-    // `discoverer[i]` is the member whose edge first reached `members[i]`
-    // (the root discovers itself).
-    let mut discoverer = Vec::new();
+    // The walk sets every field of this placeholder.
+    let mut m = Measurement::detached(Snapshot {
+        keys: BTreeSet::new(),
+        kind: SnapshotKind::Structure {
+            classes: BTreeMap::new(),
+        },
+        size: 0,
+        unique_size: 0,
+        refs_traversed: 0,
+    });
+    walk_structure(program, heap, start, &mut m, false, marks, stats);
+    stats.full_walks += 1;
+    m
+}
+
+/// Brings the structure measurement `m` up to date as a walk from
+/// `start`, reading from the heap only the edge lists of members that
+/// are not unmodified containers of `m`, and counts it into `stats` as a
+/// partial redo. Afterwards `m` equals what [`measure_structure`] from
+/// `start` returns. Returns the members that were not containers of `m`
+/// (new members, and primitive arrays, which are never containers).
+///
+/// # Panics
+///
+/// If `m` is not a structure measurement.
+pub fn remeasure_structure(
+    program: &CompiledProgram,
+    heap: &Heap,
+    m: &mut Measurement,
+    start: ObjRef,
+    marks: &mut VisitMarks,
+    stats: &mut SnapshotStats,
+) -> Vec<ElemKey> {
+    assert!(
+        matches!(m.snapshot.kind, SnapshotKind::Structure { .. }),
+        "remeasure_structure of an array measurement"
+    );
+    walk_structure(program, heap, start, m, true, marks, stats);
+    stats.partial_redos += 1;
+    std::mem::take(&mut marks.walk.uncached)
+}
+
+/// The structure walk: one breadth-first pass from `start` under the
+/// membership rule of paper §3.4, which makes `m` its measurement. Each
+/// member is marked when first reached, so the member list doubles as
+/// the queue. A member's edge list is its sorted outgoing references.
+/// With `reuse`, it is copied from `m` when the member is a container of
+/// `m` stamped no later than `m.epoch`; otherwise it is read from the
+/// heap (and counted into `stats`). Either way it is the current heap's,
+/// so the walk reaches what a walk over the heap reaches, in the same
+/// order, and `m` ends up as a full walk from `start` would leave it.
+///
+/// The walk also checks that every non-root member has an edge back to
+/// the member that discovered it. Following those edges leads from any
+/// member to the root, so the structure is then strongly connected
+/// ([`Measurement::strongly_connected`]). A primitive array member has
+/// no edges, so any structure holding one fails the check.
+fn walk_structure(
+    program: &CompiledProgram,
+    heap: &Heap,
+    start: ObjRef,
+    m: &mut Measurement,
+    reuse: bool,
+    marks: &mut VisitMarks,
+    stats: &mut SnapshotStats,
+) {
+    marks.visited.begin(heap);
+    let cached = reuse.then_some(&*m);
+    if let Some(m) = cached {
+        marks.index.begin(heap);
+        for (i, c) in m.containers.iter().enumerate() {
+            marks.index.set(c.key, i as u32);
+        }
+    }
+    let mut b = std::mem::take(&mut marks.walk);
+    b.members.clear();
+    b.discoverers.clear();
+    b.containers.clear();
+    b.edges.clear();
+    b.uncached.clear();
     let root = ElemKey::Obj(start);
-    if marks.mark(root) && joins_structure(program, heap, root) {
-        members.push(root);
-        discoverer.push(root);
+    if marks.visited.set(root, ()) && joins_structure(program, heap, root) {
+        b.members.push(root);
+        b.discoverers.push(root);
     }
     let mut strongly_connected = true;
-    let mut containers = Vec::new();
-    let mut edges = Vec::new();
-    let mut class_counts: Vec<(ClassId, usize)> = Vec::new();
     let mut refs_traversed = 0;
     let mut next = 0;
-    while let Some(&key) = members.get(next) {
+    while let Some(&key) = b.members.get(next) {
         next += 1;
-        count_visit(heap, key, stats);
-        if let ElemKey::Obj(o) = key {
-            let class = heap.object(o).class;
-            match class_counts.iter_mut().find(|(c, _)| *c == class) {
-                Some((_, n)) => *n += 1,
-                None => class_counts.push((class, 1)),
+        let from = b.edges.len();
+        let record = cached.and_then(|m| Some((m, &m.containers[marks.index.get(key)? as usize])));
+        let array_refs = match record {
+            Some((m, c)) if stamp(heap, key) <= m.epoch => {
+                b.edges
+                    .extend_from_slice(&m.edges[c.edges.start as usize..c.edges.end as usize]);
+                c.array_refs
             }
-        }
-        let from = edges.len();
-        let Some(array_refs) = scan_container(program, heap, key, &mut edges) else {
-            strongly_connected = false;
-            continue;
+            _ => {
+                if cached.is_some() && record.is_none() {
+                    b.uncached.push(key);
+                }
+                let Some(array_refs) = scan_container(program, heap, key, &mut b.edges, stats)
+                else {
+                    strongly_connected = false;
+                    continue;
+                };
+                array_refs
+            }
         };
         if strongly_connected && next > 1 {
-            strongly_connected = edges[from..].binary_search(&discoverer[next - 1]).is_ok();
+            strongly_connected = b.edges[from..]
+                .binary_search(&b.discoverers[next - 1])
+                .is_ok();
         }
-        for &child in &edges[from..] {
-            if marks.mark(child) && joins_structure(program, heap, child) {
-                members.push(child);
-                discoverer.push(key);
+        for &child in &b.edges[from..] {
+            if marks.visited.set(child, ()) && joins_structure(program, heap, child) {
+                b.members.push(child);
+                b.discoverers.push(key);
             }
         }
         refs_traversed += array_refs;
-        containers.push(ContainerRecord {
+        b.containers.push(ContainerRecord {
             key,
-            edges: from as u32..edges.len() as u32,
+            edges: from as u32..b.edges.len() as u32,
             array_refs,
         });
     }
-    containers.sort_unstable_by_key(|c| c.key);
-    // Members are the containers plus any primitive arrays; without
-    // the latter, the sorted containers already give the sorted keys.
-    let keys = if members.len() == containers.len() {
-        containers.iter().map(|c| c.key).collect()
+
+    // Every member but the uncached ones is a container of `cached`, so
+    // a key of it; if the uncached ones are keys too, the member set is a
+    // subset of the key set, and equal to it when the sizes match.
+    let same_members = cached.is_some()
+        && b.members.len() == m.snapshot.keys.len()
+        && b.uncached.iter().all(|k| m.snapshot.keys.contains(k));
+    if same_members {
+        // Keep the sorted containers and the snapshot, whose every field
+        // but `refs_traversed` is a function of the members; only point
+        // each container at its new edge range.
+        for c in &b.containers {
+            let i = marks.index.get(c.key).expect("a cached container") as usize;
+            m.containers[i].edges = c.edges.clone();
+            m.containers[i].array_refs = c.array_refs;
+        }
     } else {
-        members.into_iter().collect()
-    };
-    stats.full_walks += 1;
-    let size = class_counts.iter().map(|&(_, n)| n).sum();
-    Measurement {
-        snapshot: Snapshot {
-            keys,
-            kind: SnapshotKind::Structure {
-                classes: class_counts.into_iter().collect(),
-            },
-            size,
-            unique_size: size,
-            refs_traversed,
-        },
-        root,
-        epoch: heap.epoch(),
-        containers,
-        edges,
-        log_pos: heap.log_pos(),
-        elem_counts: BTreeMap::new(),
-        strongly_connected,
+        b.containers.sort_unstable_by_key(|c| c.key);
+        std::mem::swap(&mut m.containers, &mut b.containers);
+        // Members are the containers plus any primitive arrays; without
+        // the latter, the sorted containers already give the sorted keys.
+        m.snapshot.keys = if b.members.len() == m.containers.len() {
+            m.containers.iter().map(|c| c.key).collect()
+        } else {
+            b.members.iter().copied().collect()
+        };
+        let mut class_counts: Vec<(ClassId, usize)> = Vec::new();
+        for &key in &b.members {
+            if let ElemKey::Obj(o) = key {
+                let class = heap.object(o).class;
+                match class_counts.iter_mut().find(|(c, _)| *c == class) {
+                    Some((_, n)) => *n += 1,
+                    None => class_counts.push((class, 1)),
+                }
+            }
+        }
+        let size = class_counts.iter().map(|&(_, n)| n).sum();
+        m.snapshot.kind = SnapshotKind::Structure {
+            classes: class_counts.into_iter().collect(),
+        };
+        m.snapshot.size = size;
+        m.snapshot.unique_size = size;
     }
+    m.snapshot.refs_traversed = refs_traversed;
+    std::mem::swap(&mut m.edges, &mut b.edges);
+    m.root = root;
+    m.epoch = heap.epoch();
+    m.log_pos = heap.log_pos();
+    m.strongly_connected = strongly_connected;
+    marks.walk = b;
 }
 
 /// Takes a snapshot of `arr`, recursing into nested arrays (a
@@ -735,248 +832,6 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
         elem_counts,
         strongly_connected: false,
     }
-}
-
-/// Multiset difference of two sorted edge lists: appends to `additions`
-/// what `new` has beyond `old`, and returns whether `old` has an edge
-/// `new` lacks (a removal, so the cached reachable set may have shrunk).
-fn diff_edges(old: &[ElemKey], new: &[ElemKey], additions: &mut Vec<ElemKey>) -> bool {
-    let (mut i, mut j) = (0, 0);
-    let mut removed = false;
-    while i < old.len() && j < new.len() {
-        match old[i].cmp(&new[j]) {
-            std::cmp::Ordering::Equal => {
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                additions.push(new[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Less => {
-                removed = true;
-                i += 1;
-            }
-        }
-    }
-    additions.extend_from_slice(&new[j..]);
-    removed || i < old.len()
-}
-
-/// How [`try_partial_structure`] brought a measurement up to date.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Redo {
-    /// No edge was removed: the snapshot grew by the newly linked
-    /// region, whose reference keys are listed (for reverse-map
-    /// maintenance). The measurement keeps its root.
-    Grown(Vec<ElemKey>),
-    /// Edges were removed, but the members are unchanged: a walk from
-    /// the requested root over the current edge lists reached every one
-    /// of them. The measurement is now rooted there.
-    Rewired,
-}
-
-/// Attempts to bring a stale *structure* measurement up to date by
-/// re-scanning only the containers stamped after `m.epoch`, instead of
-/// walking the heap again. `root` is the reference the caller would
-/// walk from; `marks` is scratch space, as for [`measure_structure`].
-///
-/// When modified containers gained edges without losing any, unmodified
-/// containers keep their edge sets, so nothing can have fallen out of
-/// the reachable set, and everything newly reachable is behind an added
-/// edge: the newly linked region is traversed ([`Redo::Grown`]). This
-/// answers for a walk from `m.root`.
-///
-/// When an edge was removed, the redo answers for a walk from `root`
-/// ([`Redo::Rewired`]), and only if every member is a container (no
-/// primitive array), every added edge to a key that can join a
-/// structure points at a member, and `root` is an object container.
-/// Then the members are closed under the current edges: old edges of
-/// unmodified containers, kept edges of modified ones, and the added
-/// ones all lead to members or to keys that cannot join. A walk from
-/// `root` over the measurement's own edge lists, which the re-scan made
-/// current, therefore reaches exactly what a heap walk from `root`
-/// reaches. If that is every member, the member set, and with it every
-/// [`Snapshot`] field, equals a full walk's; the walk visits in
-/// [`measure_structure`]'s order, so its discoverer back-edge rule
-/// gives the same [`Measurement::strongly_connected`]. If it reaches
-/// fewer, the structure shrank and the caller must walk.
-///
-/// Returns `None` when the measurement is not a structure or neither
-/// case applies — callers must then fall back to a full walk.
-pub fn try_partial_structure(
-    program: &CompiledProgram,
-    heap: &Heap,
-    m: &mut Measurement,
-    root: ElemKey,
-    marks: &mut VisitMarks,
-    stats: &mut SnapshotStats,
-) -> Option<Redo> {
-    if !matches!(m.snapshot.kind, SnapshotKind::Structure { .. }) {
-        return None;
-    }
-
-    // Re-scan every modified container onto the end of the edge list,
-    // diffing its edge multiset. An edge list that fits its old range
-    // is moved there; a grown one keeps its new range.
-    let mut additions: Vec<ElemKey> = Vec::new();
-    let mut removed = false;
-    let mut refs_delta = 0isize;
-    for c in &mut m.containers {
-        let modified = match c.key {
-            ElemKey::Obj(o) => heap.object_stamp(o) > m.epoch,
-            ElemKey::Arr(a) => heap.array_stamp(a) > m.epoch,
-            ElemKey::Int(_) => false,
-        };
-        if !modified {
-            continue;
-        }
-        let from = m.edges.len();
-        let new_refs = scan_container(program, heap, c.key, &mut m.edges)?;
-        let old = c.edges.start as usize..c.edges.end as usize;
-        removed |= diff_edges(&m.edges[old.clone()], &m.edges[from..], &mut additions);
-        count_visit(heap, c.key, stats);
-        refs_delta += new_refs as isize - c.array_refs as isize;
-        c.array_refs = new_refs;
-        let len = m.edges.len() - from;
-        if len <= old.len() {
-            m.edges.copy_within(from.., old.start);
-            m.edges.truncate(from);
-            c.edges = c.edges.start..c.edges.start + len as u32;
-        } else {
-            c.edges = from as u32..m.edges.len() as u32;
-        }
-    }
-
-    let redo = if removed {
-        m.strongly_connected = walk_rewired(program, heap, m, root, &additions, marks)?;
-        m.root = root;
-        Redo::Rewired
-    } else {
-        Redo::Grown(grow(program, heap, m, additions, &mut refs_delta, stats))
-    };
-
-    // Ranges left behind by grown edge lists are garbage; once they
-    // outweigh the live edges, copy the live ones into a fresh list so a
-    // structure grown one edge per redo stays linear in memory.
-    let live: usize = m.containers.iter().map(|c| c.edges.len()).sum();
-    if m.edges.len() > 2 * live {
-        let mut edges = Vec::with_capacity(live);
-        for c in &mut m.containers {
-            let from = edges.len() as u32;
-            edges.extend_from_slice(&m.edges[c.edges.start as usize..c.edges.end as usize]);
-            c.edges = from..edges.len() as u32;
-        }
-        m.edges = edges;
-    }
-    m.snapshot.refs_traversed = (m.snapshot.refs_traversed as isize + refs_delta) as usize;
-    m.snapshot.unique_size = m.snapshot.size;
-    m.epoch = heap.epoch();
-    stats.partial_redos += 1;
-    Some(redo)
-}
-
-/// The growth case of [`try_partial_structure`]: traverses from the
-/// added edges under the membership rules of [`measure_structure`],
-/// adding what joins to the snapshot. Returns the keys that joined.
-fn grow(
-    program: &CompiledProgram,
-    heap: &Heap,
-    m: &mut Measurement,
-    mut frontier: Vec<ElemKey>,
-    refs_delta: &mut isize,
-    stats: &mut SnapshotStats,
-) -> Vec<ElemKey> {
-    let mut added_keys = Vec::new();
-    let mut new_containers = Vec::new();
-    while let Some(key) = frontier.pop() {
-        if m.snapshot.keys.contains(&key) || !joins_structure(program, heap, key) {
-            continue;
-        }
-        m.snapshot.keys.insert(key);
-        if let ElemKey::Obj(o) = key {
-            m.snapshot.size += 1;
-            if let SnapshotKind::Structure { classes } = &mut m.snapshot.kind {
-                *classes.entry(heap.object(o).class).or_insert(0) += 1;
-            }
-        }
-        count_visit(heap, key, stats);
-        added_keys.push(key);
-        let from = m.edges.len();
-        if let Some(array_refs) = scan_container(program, heap, key, &mut m.edges) {
-            *refs_delta += array_refs as isize;
-            frontier.extend_from_slice(&m.edges[from..]);
-            new_containers.push(ContainerRecord {
-                key,
-                edges: from as u32..m.edges.len() as u32,
-                array_refs,
-            });
-        }
-    }
-    if !new_containers.is_empty() {
-        m.containers.extend(new_containers);
-        m.containers.sort_unstable_by_key(|c| c.key);
-    }
-    // Kept edges keep every old member reaching the root, but a new
-    // member need not reach it.
-    if !added_keys.is_empty() {
-        m.strongly_connected = false;
-    }
-    added_keys
-}
-
-/// The rewire case of [`try_partial_structure`]: checks its three
-/// preconditions, then walks from `root` over `m`'s current edge lists
-/// in [`measure_structure`]'s order, finding each target's container
-/// through `marks`. Returns the strongly connected flag of that walk
-/// when it reaches every member, and `None` otherwise.
-fn walk_rewired(
-    program: &CompiledProgram,
-    heap: &Heap,
-    m: &Measurement,
-    root: ElemKey,
-    additions: &[ElemKey],
-    marks: &mut VisitMarks,
-) -> Option<bool> {
-    let n = m.containers.len();
-    if m.snapshot.keys.len() != n || !matches!(root, ElemKey::Obj(_)) {
-        return None;
-    }
-    marks.index(heap, &m.containers);
-    let start = marks.slot(root)?;
-    if !additions
-        .iter()
-        .all(|&t| marks.slot(t).is_some() || !joins_structure(program, heap, t))
-    {
-        return None;
-    }
-    // `discoverer[i]` is the position of the container whose edge first
-    // reached container `i` (the root discovers itself); `order` is the
-    // queue.
-    let mut discoverer = vec![u32::MAX; n];
-    discoverer[start] = start as u32;
-    let mut order = Vec::with_capacity(n);
-    order.push(start);
-    let mut strongly_connected = true;
-    let mut next = 0;
-    while let Some(&i) = order.get(next) {
-        next += 1;
-        let edges =
-            &m.edges[m.containers[i].edges.start as usize..m.containers[i].edges.end as usize];
-        if strongly_connected && next > 1 {
-            let back = m.containers[discoverer[i] as usize].key;
-            strongly_connected = edges.binary_search(&back).is_ok();
-        }
-        for &child in edges {
-            if let Some(j) = marks.slot(child) {
-                if discoverer[j] == u32::MAX {
-                    discoverer[j] = i as u32;
-                    order.push(j);
-                }
-            }
-        }
-    }
-    (order.len() == n).then_some(strongly_connected)
 }
 
 /// The snapshot key an array element contributes, if any. `Arr` values
@@ -1289,8 +1144,11 @@ mod tests {
         // Stamps of generation 1 left from 2^32 walks ago must not read
         // as marked once the generation wraps back to 1.
         let mut marks = VisitMarks {
-            generation: u32::MAX,
-            objects: vec![1; heap.object_count()],
+            visited: Stamped {
+                generation: u32::MAX,
+                objects: vec![(1, ()); heap.object_count()],
+                arrays: Vec::new(),
+            },
             ..VisitMarks::default()
         };
         for _ in 0..2 {
@@ -1303,45 +1161,7 @@ mod tests {
             );
             assert_eq!(m.snapshot, want);
         }
-        assert_eq!(marks.generation, 2, "wrapped past zero");
-    }
-
-    #[test]
-    fn partial_structure_reuses_edge_ranges_that_fit() {
-        let (p, mut heap) = run(r#"class Main { static int main() {
-                Node a = new Node();
-                Node b = new Node();
-                Node c = new Node();
-                a.next = b;
-                return 0;
-            } }
-            class Node { Node next; }"#);
-        let (a, b, c) = (ObjRef(0), ObjRef(1), ObjRef(2));
-        let mut stats = SnapshotStats::default();
-        let mut marks = VisitMarks::default();
-        let mut m = measure_structure(&p, &heap, a, &mut marks, &mut stats);
-        assert_eq!(m.snapshot.size, 2);
-
-        // Re-linking `a` to `c` and back stamps it without changing its
-        // edges: the re-scan lands in the old range.
-        heap.set_field(a, 0, Value::Obj(c));
-        heap.set_field(a, 0, Value::Obj(b));
-        let edges_before = m.edges.len();
-        let root = ElemKey::Obj(a);
-        assert_eq!(
-            try_partial_structure(&p, &heap, &mut m, root, &mut marks, &mut stats),
-            Some(Redo::Grown(vec![]))
-        );
-        assert_eq!(m.edges.len(), edges_before);
-
-        // Growing `b` by an edge appends a new range and pulls `c` in.
-        heap.set_field(b, 0, Value::Obj(c));
-        let added = try_partial_structure(&p, &heap, &mut m, root, &mut marks, &mut stats);
-        assert_eq!(added, Some(Redo::Grown(vec![ElemKey::Obj(c)])));
-        let rec = m.container(ElemKey::Obj(b)).expect("b is a container");
-        let range = rec.edges.start as usize..rec.edges.end as usize;
-        assert_eq!(m.edges[range], [ElemKey::Obj(c)]);
-        assert_eq!(m.snapshot, snapshot_structure(&p, &heap, a));
+        assert_eq!(marks.visited.generation, 2, "wrapped past zero");
     }
 
     #[test]
@@ -1359,28 +1179,18 @@ mod tests {
         let mut stats = SnapshotStats::default();
         let mut marks = VisitMarks::default();
         let mut m = measure_structure(&p, &heap, root, &mut marks, &mut stats);
-        // Each store grows the child array's edge list by one, which
-        // never fits its old range.
+        // Each store grows the child array's edge list by one.
         for i in 0..200 {
             let kid = heap.alloc_object(node, 1);
             heap.set_elem(kids, i, Value::Obj(kid));
-            let redo = try_partial_structure(
-                &p,
-                &heap,
-                &mut m,
-                ElemKey::Obj(root),
-                &mut marks,
-                &mut stats,
-            );
-            assert!(redo.is_some());
+            let added = remeasure_structure(&p, &heap, &mut m, root, &mut marks, &mut stats);
+            assert_eq!(added, [ElemKey::Obj(kid)]);
             let live: usize = m.containers.iter().map(|c| c.edges.len()).sum();
-            assert!(
-                m.edges.len() <= 2 * live,
-                "{} edges for {live} live",
-                m.edges.len()
-            );
+            assert_eq!(m.edges.len(), live, "every edge belongs to a container");
         }
-        assert_eq!(m.snapshot, snapshot_structure(&p, &heap, root));
+        let fresh = measure_structure(&p, &heap, root, &mut marks, &mut SnapshotStats::default());
+        assert_eq!(m, fresh);
+        assert_eq!((stats.full_walks, stats.partial_redos), (1, 200));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! strategies, exercised end-to-end through the profiler options.
 
 use algoprof::{
-    AlgoProfOptions, AlgorithmicProfile, ArraySizeStrategy, EquivalenceCriterion, IncrementalMode,
-    SnapshotPolicy,
+    render_set, AlgoProfOptions, AlgorithmicProfile, ArraySizeStrategy, EquivalenceCriterion,
+    IncrementalMode, SnapshotPolicy,
 };
 use algoprof_vm::InstrumentOptions;
 
@@ -190,6 +190,62 @@ fn all_elements_is_stricter_than_some_elements() {
     );
 }
 
+/// The programs whose reports must not depend on the incremental mode:
+/// the paper's Table 1, the sized corpus at two sizes, and the threaded
+/// examples. Each is a name, a source and the guest input.
+fn incremental_corpus() -> Vec<(String, String, Vec<i64>)> {
+    use algoprof_programs::{
+        sized_array_list_program, sized_insertion_sort_array_program, sized_insertion_sort_program,
+        GrowthPolicy, SortWorkload,
+    };
+    let mut corpus: Vec<(String, String, Vec<i64>)> = algoprof_programs::table1_programs()
+        .into_iter()
+        .map(|p| (p.name.to_owned(), p.source, Vec::new()))
+        .collect();
+    let sized = [
+        (
+            "list sort random",
+            sized_insertion_sort_program(SortWorkload::Random),
+        ),
+        (
+            "list sort reversed",
+            sized_insertion_sort_program(SortWorkload::Reversed),
+        ),
+        (
+            "array sort reversed",
+            sized_insertion_sort_array_program(SortWorkload::Reversed),
+        ),
+        (
+            "arraylist by one",
+            sized_array_list_program(GrowthPolicy::ByOne),
+        ),
+        (
+            "arraylist doubling",
+            sized_array_list_program(GrowthPolicy::Doubling),
+        ),
+    ];
+    for (name, src) in sized {
+        for n in [8, 24] {
+            corpus.push((format!("{name} n={n}"), src.clone(), vec![n]));
+        }
+    }
+    let examples = [
+        (
+            "locked_counter",
+            include_str!("../examples/locked_counter.jay"),
+        ),
+        ("parallel_sum", include_str!("../examples/parallel_sum.jay")),
+        (
+            "producer_consumer",
+            include_str!("../examples/producer_consumer.jay"),
+        ),
+    ];
+    for (name, src) in examples {
+        corpus.push((name.to_owned(), src.to_owned(), vec![8]));
+    }
+    corpus
+}
+
 #[test]
 fn incremental_snapshots_match_full_traversals() {
     // Differential mode re-runs a from-scratch traversal whenever the
@@ -241,4 +297,36 @@ fn incremental_snapshots_match_full_traversals() {
             }
         }
     }
+
+    // The default mode's reports are byte-identical to from-scratch
+    // measurement, for every thread, criterion and snapshot policy.
+    let mut configurations = 0;
+    for (name, src, input) in incremental_corpus() {
+        for criterion in criteria {
+            for snapshot_policy in [SnapshotPolicy::FirstAndLast, SnapshotPolicy::EveryAccess] {
+                let report = |incremental| {
+                    let options = AlgoProfOptions {
+                        criterion,
+                        snapshot_policy,
+                        incremental,
+                        ..AlgoProfOptions::default()
+                    };
+                    let set = algoprof::profile_source_set_with(
+                        &src,
+                        &InstrumentOptions::default(),
+                        options,
+                        &input,
+                    )
+                    .expect("profiles");
+                    render_set(&set)
+                };
+                assert!(
+                    report(IncrementalMode::Enabled) == report(IncrementalMode::Disabled),
+                    "{name}, {criterion:?}, {snapshot_policy:?}: reports differ"
+                );
+                configurations += 1;
+            }
+        }
+    }
+    assert_eq!(configurations, 31 * 8);
 }

@@ -13,18 +13,21 @@
 //!   on any snapshot divergence.
 //!
 //! Every measured size must agree between the two, under every
-//! equivalence criterion and both array sizing strategies. Mutations are
-//! reported to each registry the same way the profiler's hooks do: a
-//! write through a reference that resolves to a known input marks that
-//! input dirty at the current heap epoch.
+//! equivalence criterion and both array sizing strategies, and so must
+//! the input count and the input every created object and array
+//! resolves to. Mutations are reported to each registry the same way
+//! the profiler's hooks do: a write through a reference that resolves
+//! to a known input marks that input dirty at the current heap epoch.
 
 use algoprof::{ArraySizeStrategy, ElemKey, EquivalenceCriterion, IncrementalMode, InputRegistry};
 use algoprof_suite::testutil::TestRng;
 use algoprof_vm::bytecode::ElemKind;
-use algoprof_vm::{compile, ArrRef, CompiledProgram, Heap, ObjRef, Value};
+use algoprof_vm::{compile, ArrRef, CompiledProgram, Heap, InstrumentOptions, ObjRef, Value};
 
 /// Class declarations matching the shapes the mutations build. `Main`
-/// only exists because the compiler requires an entry point.
+/// only exists because the compiler requires an entry point. The
+/// program is instrumented, which marks `Node` and its links recursive,
+/// so walks from a node measure a real structure.
 const DECLS: &str = r#"
 class Main { static int main() { return 0; } }
 class Node { Node next; Node prev; int val; }
@@ -64,8 +67,31 @@ fn mark_write(regs: &mut [&mut InputRegistry], heap: &Heap, key: ElemKey) {
     }
 }
 
+/// The keys of every object and array the sequence created.
+fn created(nodes: &[ObjRef], items: &[ObjRef], ints: &[ArrRef], refs: &[ArrRef]) -> Vec<ElemKey> {
+    let objects = nodes.iter().chain(items).map(|&o| ElemKey::Obj(o));
+    let arrays = ints.iter().chain(refs).map(|&a| ElemKey::Arr(a));
+    objects.chain(arrays).collect()
+}
+
+/// The incremental registry must leave input ownership as from-scratch
+/// measurement does: the same number of inputs, and every key resolving
+/// to the same input, so later accesses are attributed alike.
+fn assert_same_owners(full: &InputRegistry, inc: &InputRegistry, keys: &[ElemKey]) {
+    assert_eq!(full.inputs().len(), inc.inputs().len(), "input count");
+    for &key in keys {
+        assert_eq!(
+            full.resolve_ref(key),
+            inc.resolve_ref(key),
+            "owner of {key:?}"
+        );
+    }
+}
+
 fn run_sequence(criterion: EquivalenceCriterion, strategy: ArraySizeStrategy, seed: u64) {
-    let program = compile(DECLS).expect("compiles");
+    let program = compile(DECLS)
+        .expect("compiles")
+        .instrument(&InstrumentOptions::default());
     let node_class = program.class_by_name("Node").expect("Node");
     let item_class = program.class_by_name("Item").expect("Item");
     let node_fields = program.class(node_class).field_layout.len();
@@ -164,6 +190,11 @@ fn run_sequence(criterion: EquivalenceCriterion, strategy: ArraySizeStrategy, se
                 want, got,
                 "seed {seed}: {criterion:?}/{strategy:?} diverged at {key:?}"
             );
+            assert_same_owners(
+                &full,
+                &inc,
+                &created(&nodes, &items, &int_arrays, &ref_arrays),
+            );
         }
     }
 
@@ -182,6 +213,11 @@ fn run_sequence(criterion: EquivalenceCriterion, strategy: ArraySizeStrategy, se
         let want = touch(&mut full, &program, &heap, root, key);
         let got = touch(&mut inc, &program, &heap, root, key);
         assert_eq!(want, got, "seed {seed}: final sweep diverged at {key:?}");
+        assert_same_owners(
+            &full,
+            &inc,
+            &created(&nodes, &items, &int_arrays, &ref_arrays),
+        );
     }
 
     // The incremental registry must actually have exercised the cache,

@@ -21,27 +21,29 @@
 //! an `int[]` in `Tree.children`): the walk must follow the value, not
 //! the type.
 //!
-//! The last tests cover reuse of a cached walk from a root other than
-//! the one it was taken from. It is allowed only for a strongly
-//! connected structure: a doubly linked list is re-measured from random
-//! members under `IncrementalMode::Differential`, which checks every
-//! reuse against a fresh walk, and each structure that is not strongly
-//! connected must be walked again.
-//!
-//! The rewire tests cover the partial redo after relinks that remove
-//! edges but keep the members: seeded relinks within the member set of
-//! singly and doubly linked lists, rings and trees with `Tree[]`
-//! children, re-measured from random members, where every redo must
-//! equal a fresh walk from the same root, and every refusal must be a
-//! structure that really lost members. Four negative controls (a
-//! detached segment, a removal plus a new node, an `int[]` member, and
-//! a root outside the measurement) must each be walked again.
+//! The last tests cover re-measurement through a cached walk. Reuse
+//! of a cached walk as it stands, from a root other than the one it was
+//! taken from, is allowed only for a strongly connected structure: a
+//! doubly linked list is re-measured from random members under
+//! `IncrementalMode::Differential`, which checks every reuse against a
+//! fresh walk. Every other re-measurement from an object is a walk over
+//! the cached edge lists (`remeasure_structure`), which must never be a
+//! full walk and must equal a fresh walk from the requested root:
+//! snapshot, root, strongly connected flag and edge lists. It is checked
+//! on a singly linked list re-measured from a non-root member, a cut
+//! back link, a member `int[]`, a list grown by one node, seeded relinks
+//! within the members of singly and doubly linked lists, rings and trees
+//! with `Tree[]` children (some keeping every member, some losing a
+//! part), and four further cases: a detached segment, a removal plus a
+//! new node, an `int[]` member next to a relink, and a root outside the
+//! measurement. A root that is an array of the structure is measured by
+//! an array walk, so it alone walks in full.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use algoprof::snapshot::{
-    measure_structure, snapshot_array, snapshot_structure, try_partial_structure, Measurement,
-    Redo, SnapshotKind, SnapshotStats, VisitMarks,
+    measure_structure, remeasure_structure, snapshot_array, snapshot_structure, Measurement,
+    SnapshotKind, SnapshotStats, VisitMarks,
 };
 use algoprof::{
     ArraySizeStrategy, ElemKey, EquivalenceCriterion, IncrementalMode, InputId, InputRegistry,
@@ -534,6 +536,32 @@ fn is_cache_hit(delta: SnapshotStats) -> bool {
         }
 }
 
+/// Re-measures input `id` from `root` after the heap changed, and
+/// checks that the registry answered with a walk over the cached edge
+/// lists rather than a full walk, and that the measurement it kept equals
+/// a fresh walk from `root`. Returns the size.
+fn assert_redone(
+    d: &Decls,
+    heap: &Heap,
+    reg: &mut InputRegistry,
+    id: InputId,
+    root: ObjRef,
+) -> usize {
+    reg.mark_dirty(id, heap.epoch());
+    let (size, delta) = remeasure(d, heap, reg, id, Value::Obj(root));
+    assert_eq!(delta.full_walks, 0, "{delta:?}");
+    assert_eq!(delta.partial_redos, 1, "{delta:?}");
+    let fresh = measure_structure(
+        &d.program,
+        heap,
+        root,
+        &mut VisitMarks::default(),
+        &mut SnapshotStats::default(),
+    );
+    assert_eq!(reg.input(id).last_measurement.as_ref(), Some(&fresh));
+    size
+}
+
 #[test]
 fn doubly_linked_lists_reuse_walks_from_any_member() {
     let d = Decls::new();
@@ -596,8 +624,7 @@ fn singly_linked_list_walks_again_from_a_non_root_member() {
         let mut reg = differential_registry();
         let id = register(&d, &heap, &mut reg, Value::Obj(order[0]));
         let k = rng.range(1, order.len());
-        let (size, delta) = remeasure(&d, &heap, &mut reg, id, Value::Obj(order[k]));
-        assert!(is_full_walk(delta), "seed {seed}: {delta:?}");
+        let size = assert_redone(&d, &heap, &mut reg, id, order[k]);
         assert_eq!(size, order.len() - k, "the suffix from {k}");
     }
 }
@@ -618,8 +645,7 @@ fn one_cut_back_link_walks_again() {
         let mut reg = differential_registry();
         let id = register(&d, &heap, &mut reg, Value::Obj(order[0]));
         let k = rng.range(1, order.len());
-        let (size, delta) = remeasure(&d, &heap, &mut reg, id, Value::Obj(order[k]));
-        assert!(is_full_walk(delta), "seed {seed}: {delta:?}");
+        let size = assert_redone(&d, &heap, &mut reg, id, order[k]);
         let want = if k < cut {
             order.len()
         } else {
@@ -647,8 +673,7 @@ fn node_holding_a_primitive_array_walks_again() {
         let mut reg = differential_registry();
         let id = register(&d, &heap, &mut reg, Value::Obj(order[0]));
         let k = rng.range(1, order.len());
-        let (size, delta) = remeasure(&d, &heap, &mut reg, id, Value::Obj(order[k]));
-        assert!(is_full_walk(delta), "seed {seed}: {delta:?}");
+        let size = assert_redone(&d, &heap, &mut reg, id, order[k]);
         assert_eq!(size, order.len());
     }
 }
@@ -664,26 +689,28 @@ fn partial_redo_that_adds_members_walks_again_from_another_member() {
             .collect();
         link(&d, &mut heap, &order, true);
         let mut reg = differential_registry();
-        let head = Value::Obj(order[0]);
-        let id = register(&d, &heap, &mut reg, head);
+        let id = register(&d, &heap, &mut reg, Value::Obj(order[0]));
 
         // Append a node: the tail gains an edge, so the redo from the
-        // cached root adds the new member without walking.
+        // cached root adds the new member without a full walk.
         let tail = *order.last().expect("non-empty");
         let fresh = d.alloc(&mut heap, d.node);
         heap.set_field(tail, d.slot(d.node, "next"), Value::Obj(fresh));
         heap.set_field(fresh, d.slot(d.node, "prev"), Value::Obj(tail));
         order.push(fresh);
-        reg.mark_dirty(id, heap.epoch());
-        let (size, delta) = remeasure(&d, &heap, &mut reg, id, head);
-        assert_eq!(delta.partial_redos, 1, "seed {seed}: {delta:?}");
-        assert_eq!(delta.full_walks, 0, "seed {seed}: {delta:?}");
+        let size = assert_redone(&d, &heap, &mut reg, id, order[0]);
         assert_eq!(size, order.len());
 
+        // The redo found the grown list strongly connected, as a full
+        // walk would, so another member is answered from cache.
         let k = rng.range(1, order.len());
         let (size, delta) = remeasure(&d, &heap, &mut reg, id, Value::Obj(order[k]));
-        assert!(is_full_walk(delta), "seed {seed}: {delta:?}");
+        assert!(is_cache_hit(delta), "seed {seed}: {delta:?}");
         assert_eq!(size, order.len());
+        assert_eq!(
+            reg.input(id).last_snapshot(),
+            Some(&snapshot_structure(&d.program, &heap, order[k]))
+        );
     }
 }
 
@@ -725,77 +752,44 @@ fn edge_lists(m: &Measurement) -> Vec<(ElemKey, Vec<ElemKey>)> {
         .collect()
 }
 
-/// How a stale measurement was brought up to date.
+/// Whether a redo kept the members of the measurement it brought up to
+/// date.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Outcome {
-    Rewired,
-    Grown,
-    Walked,
+    KeptMembers,
+    LostMembers,
 }
 
 /// Brings `m` up to date for a walk from `root` after relinks within
-/// its members, and checks the answer. A rewire redo must equal a fresh
-/// walk from `root` in every respect that a later reuse depends on; a
-/// growth redo must equal a fresh walk from the measurement's own root;
-/// and a refusal is allowed only when the structure reachable from
-/// `root` really lost members, in which case `m` is replaced by that
-/// fresh walk, as the registry would.
-fn redo_or_walk(d: &Decls, heap: &Heap, m: &mut Measurement, root: ObjRef) -> Outcome {
-    let mut marks = VisitMarks::default();
-    let fresh = measure_structure(
-        &d.program,
-        heap,
-        root,
-        &mut marks,
-        &mut SnapshotStats::default(),
-    );
+/// its members, and checks that the answer equals a fresh walk from
+/// `root` in every respect that a later reuse depends on. `marks` is
+/// shared with the fresh walk and across calls, as the registry shares
+/// its own.
+fn redo_or_walk(
+    d: &Decls,
+    heap: &Heap,
+    m: &mut Measurement,
+    root: ObjRef,
+    marks: &mut VisitMarks,
+) -> Outcome {
+    let fresh = measure_structure(&d.program, heap, root, marks, &mut SnapshotStats::default());
     let members = m.snapshot.keys.clone();
     let mut stats = SnapshotStats::default();
-    let redo = try_partial_structure(
-        &d.program,
-        heap,
-        m,
-        ElemKey::Obj(root),
-        &mut marks,
-        &mut stats,
+    remeasure_structure(&d.program, heap, m, root, marks, &mut stats);
+    assert_eq!(m.snapshot, fresh.snapshot, "snapshot from {root:?}");
+    assert_eq!(m.root, fresh.root);
+    assert_eq!(
+        m.strongly_connected, fresh.strongly_connected,
+        "strongly connected flag from {root:?}"
     );
-    match redo {
-        Some(Redo::Rewired) => {
-            assert_eq!(m.snapshot, fresh.snapshot, "rewired snapshot from {root:?}");
-            assert_eq!(m.root, fresh.root);
-            assert_eq!(
-                m.strongly_connected, fresh.strongly_connected,
-                "strongly connected flag from {root:?}"
-            );
-            assert_eq!(edge_lists(m), edge_lists(&fresh), "edges from {root:?}");
-            assert_eq!((stats.full_walks, stats.partial_redos), (0, 1));
-            Outcome::Rewired
-        }
-        Some(Redo::Grown(added)) => {
-            // Nothing was removed, and every relink target is a member.
-            assert!(added.is_empty(), "{added:?}");
-            let ElemKey::Obj(own) = m.root else {
-                unreachable!("structure walks start at objects")
-            };
-            let from_own = measure_structure(
-                &d.program,
-                heap,
-                own,
-                &mut marks,
-                &mut SnapshotStats::default(),
-            );
-            assert_eq!(m.snapshot, from_own.snapshot, "grown snapshot");
-            assert_eq!(edge_lists(m), edge_lists(&from_own), "grown edges");
-            Outcome::Grown
-        }
-        None => {
-            assert_ne!(
-                fresh.snapshot.keys, members,
-                "a redo was refused though {root:?} still reaches every member"
-            );
-            *m = fresh;
-            Outcome::Walked
-        }
+    assert_eq!(edge_lists(m), edge_lists(&fresh), "edges from {root:?}");
+    assert_eq!((stats.full_walks, stats.partial_redos), (0, 1));
+    // Relinks within the members cannot add any.
+    assert!(fresh.snapshot.keys.is_subset(&members), "new members");
+    if fresh.snapshot.keys == members {
+        Outcome::KeptMembers
+    } else {
+        Outcome::LostMembers
     }
 }
 
@@ -851,6 +845,7 @@ fn rewire_redo_equals_a_fresh_walk_on_lists_and_rings() {
     let d = Decls::new();
     let (next, prev) = (d.slot(d.node, "next"), d.slot(d.node, "prev"));
     let mut seen = BTreeMap::new();
+    let mut marks = VisitMarks::default();
     for seed in 0..16 {
         let mut rng = TestRng::new(1000 + seed);
         let shape = Shape {
@@ -871,7 +866,6 @@ fn rewire_redo_equals_a_fresh_walk_on_lists_and_rings() {
                     order.swap(i, rng.range(0, i + 1));
                 }
                 relink_at(&d, &mut heap, &order, &(0..n).collect::<Vec<_>>(), shape);
-                let mut marks = VisitMarks::default();
                 let fresh = measure_structure(
                     &d.program,
                     &heap,
@@ -920,18 +914,20 @@ fn rewire_redo_equals_a_fresh_walk_on_lists_and_rings() {
             } else {
                 *rng.pick(&members)
             };
-            *seen.entry(redo_or_walk(&d, &heap, m, root)).or_insert(0) += 1;
+            *seen
+                .entry(redo_or_walk(&d, &heap, m, root, &mut marks))
+                .or_insert(0) += 1;
         }
     }
     assert_outcomes(&seen, 300, 50);
 }
 
-/// Insists the seeded relinks produced enough rewire redos and enough
-/// refusals for the checks to mean something.
-fn assert_outcomes(seen: &BTreeMap<Outcome, usize>, rewired: usize, walked: usize) {
+/// Insists the seeded relinks produced enough redos that kept the
+/// members and enough that lost some for the checks to mean something.
+fn assert_outcomes(seen: &BTreeMap<Outcome, usize>, kept: usize, lost: usize) {
     let count = |o| seen.get(&o).copied().unwrap_or(0);
-    assert!(count(Outcome::Rewired) >= rewired, "{seen:?}");
-    assert!(count(Outcome::Walked) >= walked, "{seen:?}");
+    assert!(count(Outcome::KeptMembers) >= kept, "{seen:?}");
+    assert!(count(Outcome::LostMembers) >= lost, "{seen:?}");
 }
 
 #[test]
@@ -939,6 +935,7 @@ fn rewire_redo_equals_a_fresh_walk_on_trees_with_child_arrays() {
     let d = Decls::new();
     let children = d.slot(d.tree, "children");
     let mut seen = BTreeMap::new();
+    let mut marks = VisitMarks::default();
     for seed in 0..16 {
         let mut rng = TestRng::new(1100 + seed);
         let mut heap = Heap::new();
@@ -965,7 +962,6 @@ fn rewire_redo_equals_a_fresh_walk_on_trees_with_child_arrays() {
                     }
                 }
                 top = trees[0];
-                let mut marks = VisitMarks::default();
                 m = Some(measure_structure(
                     &d.program,
                     &heap,
@@ -1026,54 +1022,30 @@ fn rewire_redo_equals_a_fresh_walk_on_trees_with_child_arrays() {
             } else {
                 *rng.pick(&trees)
             };
-            *seen.entry(redo_or_walk(&d, &heap, m, root)).or_insert(0) += 1;
+            *seen
+                .entry(redo_or_walk(&d, &heap, m, root, &mut marks))
+                .or_insert(0) += 1;
         }
     }
     assert_outcomes(&seen, 100, 50);
 }
 
-/// Checks one negative control: `m`, measured from `root` before the
-/// heap changed, must not be redone, and the registry must answer the
-/// re-measurement with a full walk of the right size.
-fn assert_walks_again(
-    d: &Decls,
-    heap: &Heap,
-    reg: &mut InputRegistry,
-    id: InputId,
-    mut m: Measurement,
-    root: ObjRef,
-    want: usize,
-) {
-    let redo = try_partial_structure(
-        &d.program,
-        heap,
-        &mut m,
-        ElemKey::Obj(root),
-        &mut VisitMarks::default(),
-        &mut SnapshotStats::default(),
-    );
-    assert_eq!(redo, None, "redone from {root:?}");
-    reg.mark_dirty(id, heap.epoch());
-    let (size, delta) = remeasure(d, heap, reg, id, Value::Obj(root));
-    assert!(is_full_walk(delta), "{delta:?}");
-    assert_eq!(size, want);
-}
-
-/// A doubly linked list registered from its head, with the measurement
-/// the registry cached.
+/// A doubly linked list registered from its head.
 fn registered_list(
     d: &Decls,
     heap: &mut Heap,
     len: usize,
-) -> (Vec<ObjRef>, InputRegistry, InputId, Measurement) {
+) -> (Vec<ObjRef>, InputRegistry, InputId) {
     let order: Vec<ObjRef> = (0..len).map(|_| d.alloc(heap, d.node)).collect();
     link(d, heap, &order, true);
     let mut reg = differential_registry();
     let id = register(d, heap, &mut reg, Value::Obj(order[0]));
-    let m = reg.input(id).last_measurement.clone().expect("measured");
-    (order, reg, id, m)
+    (order, reg, id)
 }
 
+/// Relinks that change the members, or add one that is not a container,
+/// or re-measure from outside the members: each is answered by a walk
+/// over the cached edge lists that equals a fresh walk.
 #[test]
 fn rewire_negative_controls_walk_again() {
     let d = Decls::new();
@@ -1085,18 +1057,19 @@ fn rewire_negative_controls_walk_again() {
 
         // A detached segment: the list is cut after node k.
         let mut heap = Heap::new();
-        let (order, mut reg, id, m) = registered_list(&d, &mut heap, len);
+        let (order, mut reg, id) = registered_list(&d, &mut heap, len);
         heap.set_field(order[k], next, Value::Null);
         heap.set_field(order[k + 1], prev, Value::Null);
-        assert_walks_again(&d, &heap, &mut reg, id, m, order[0], k + 1);
+        assert_eq!(assert_redone(&d, &heap, &mut reg, id, order[0]), k + 1);
 
         // A removal plus a new node: node k's back link now leads to a
         // fresh node, while the forward links still reach every member.
         let mut heap = Heap::new();
-        let (order, mut reg, id, m) = registered_list(&d, &mut heap, len);
+        let (order, mut reg, id) = registered_list(&d, &mut heap, len);
         let fresh = d.alloc(&mut heap, d.node);
         heap.set_field(order[k], prev, Value::Obj(fresh));
-        assert_walks_again(&d, &heap, &mut reg, id, m, order[0], len + 1);
+        assert_eq!(assert_redone(&d, &heap, &mut reg, id, order[0]), len + 1);
+        assert_eq!(reg.resolve_ref(ElemKey::Obj(fresh)), Some(id));
 
         // An int[] member: the head's free back link holds one, and two
         // neighbours further on swap places.
@@ -1107,7 +1080,6 @@ fn rewire_negative_controls_walk_again() {
         heap.set_field(order[0], prev, Value::Arr(ints));
         let mut reg = differential_registry();
         let id = register(&d, &heap, &mut reg, Value::Obj(order[0]));
-        let m = reg.input(id).last_measurement.clone().expect("measured");
         order.swap(k, k + 1);
         let shape = Shape {
             doubly: true,
@@ -1118,22 +1090,22 @@ fn rewire_negative_controls_walk_again() {
             relink_at(&d, &mut heap, &order, &[k + 2], shape);
         }
         heap.set_field(order[0], prev, Value::Arr(ints));
-        assert_walks_again(&d, &heap, &mut reg, id, m, order[0], len);
+        assert_eq!(assert_redone(&d, &heap, &mut reg, id, order[0]), len);
 
         // A root outside the measurement: a new node links to the head
         // of a list whose node j now skips to the tail.
         let mut heap = Heap::new();
-        let (order, mut reg, id, m) = registered_list(&d, &mut heap, len);
+        let (order, mut reg, id) = registered_list(&d, &mut heap, len);
         let j = k.min(len - 3);
         heap.set_field(order[j], next, Value::Obj(order[len - 1]));
         let outside = d.alloc(&mut heap, d.node);
         heap.set_field(outside, next, Value::Obj(order[0]));
         let want = snapshot_structure(&d.program, &heap, outside).size;
-        assert_walks_again(&d, &heap, &mut reg, id, m, outside, want);
+        assert_eq!(assert_redone(&d, &heap, &mut reg, id, outside), want);
     }
 
     // An array root, though a container of the measurement that
-    // reaches every member: a walk from it would be an array walk.
+    // reaches every member: a walk from it is an array walk.
     let children = d.slot(d.tree, "children");
     let mut heap = Heap::new();
     let (parent, kid) = (d.alloc(&mut heap, d.tree), d.alloc(&mut heap, d.tree));
@@ -1142,20 +1114,14 @@ fn rewire_negative_controls_walk_again() {
     heap.set_elem(both, 1, Value::Obj(kid));
     heap.set_field(parent, children, Value::Arr(both));
     heap.set_field(kid, children, Value::Arr(both));
-    let mut marks = VisitMarks::default();
-    let mut stats = SnapshotStats::default();
-    let mut m = measure_structure(&d.program, &heap, parent, &mut marks, &mut stats);
+    let mut reg = differential_registry();
+    let id = register(&d, &heap, &mut reg, Value::Obj(parent));
     // The kid drops its link; the array still reaches every member.
     heap.set_field(kid, children, Value::Null);
-    let redo = try_partial_structure(
-        &d.program,
-        &heap,
-        &mut m,
-        ElemKey::Arr(both),
-        &mut marks,
-        &mut stats,
-    );
-    assert_eq!(redo, None);
+    reg.mark_dirty(id, heap.epoch());
+    let (size, delta) = remeasure(&d, &heap, &mut reg, id, Value::Arr(both));
+    assert!(is_full_walk(delta), "{delta:?}");
+    assert_eq!(size, 2, "the array's capacity");
 }
 
 /// A rewire redo of an input another input has claimed keys from must
