@@ -64,7 +64,7 @@ use algoprof_vm::bytecode::CompiledProgram;
 use algoprof_vm::callgraph::CallGraph;
 use algoprof_vm::error::CompileError;
 use algoprof_vm::hir::HFunction;
-use algoprof_vm::{compile, parser::parse, typeck::check, InstrumentOptions};
+use algoprof_vm::{compile_with_bodies, InstrumentOptions};
 
 pub use bounds::{BoundKind, FunctionSummary, LoopSummary};
 pub use compose::{cost_map, prediction_map, Composer, FeatureCost, Prediction, PredictionKind};
@@ -96,7 +96,9 @@ impl Analysis {
 /// Analyzes jay source end to end: parse, type-check, then run the loop
 /// bound classifier, lint catalog, and cost composition.
 ///
-/// The program is also compiled and instrumented (with default options)
+/// The source is parsed and type-checked once
+/// ([`compile_with_bodies`]): the typed bodies feed the analysis, and
+/// the program lowered from them is instrumented (with default options)
 /// so predictions carry the exact repetition names the dynamic profiler
 /// reports.
 ///
@@ -119,11 +121,9 @@ pub fn analyze_source(source: &str) -> Result<Analysis, CompileError> {
 pub fn analyze_source_with_features(
     source: &str,
 ) -> Result<(Analysis, Vec<FeatureCost>), CompileError> {
-    let ast = parse(source)?;
-    let typed = check(&ast)?;
-    let compiled = compile(source)?;
+    let (bodies, compiled) = compile_with_bodies(source)?;
     let instrumented = compiled.instrument(&InstrumentOptions::default());
-    Ok(analyze_program_with_features(&typed.bodies, &instrumented))
+    Ok(analyze_program_with_features(&bodies, &instrumented))
 }
 
 /// Analyzes already-lowered bodies against their instrumented program.
@@ -171,6 +171,7 @@ pub fn analyze_program_with_features(
 mod tests {
     use super::*;
     use algoprof_fit::ComplexityClass;
+    use algoprof_vm::compile;
 
     fn predict(src: &str, name_part: &str) -> ComplexityClass {
         let a = analyze_source(src).expect("analyzes");

@@ -7,9 +7,11 @@
 //! and *size* (object counts for recursive structures, capacity or
 //! unique-element counts for arrays).
 
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::ops::{AddAssign, Range};
+use std::sync::OnceLock;
 
 use algoprof_vm::bytecode::ElemKind;
 use algoprof_vm::{ArrRef, ClassId, CompiledProgram, Heap, ObjRef, Value};
@@ -69,6 +71,70 @@ impl Hasher for ElemKeyHasher {
 
 /// A hash map keyed by [`ElemKey`] under [`ElemKeyHasher`].
 pub type ElemKeyMap<V> = HashMap<ElemKey, V, BuildHasherDefault<ElemKeyHasher>>;
+
+/// The multiset of an array measurement's element keys
+/// ([`Measurement::elem_counts`]). Its `Int` keys are values the guest
+/// chose, and [`ElemKeyHasher`]'s low bits depend only on a key's low
+/// bits: a guest storing multiples of 2³² would put every key in one
+/// probe chain. So this map hashes under [`SeededState`] instead.
+pub type ElemCounts = HashMap<ElemKey, usize, SeededState>;
+
+/// Builds [`SeededHasher`]s from one random seed per process, so a guest
+/// cannot choose keys that collide.
+#[derive(Debug, Clone, Copy)]
+pub struct SeededState(u64);
+
+impl Default for SeededState {
+    fn default() -> Self {
+        static SEED: OnceLock<u64> = OnceLock::new();
+        SeededState(*SEED.get_or_init(|| RandomState::new().build_hasher().finish()))
+    }
+}
+
+impl BuildHasher for SeededState {
+    type Hasher = SeededHasher;
+
+    fn build_hasher(&self) -> SeededHasher {
+        SeededHasher(self.0)
+    }
+}
+
+/// Mixes each word into the seeded state by rotate and xor, then folds
+/// the halves of the state's 128-bit product with a constant, so every
+/// bit of a key reaches the low bits the table indexes by.
+#[derive(Debug, Clone, Copy)]
+pub struct SeededHasher(u64);
+
+impl SeededHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = self.0.rotate_left(5) ^ word;
+    }
+}
+
+impl Hasher for SeededHasher {
+    fn finish(&self) -> u64 {
+        let product = u128::from(self.0) * 0x9e37_79b9_7f4a_7c15;
+        product as u64 ^ (product >> 64) as u64
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
 
 /// One generation stamp, and a value, per heap object and per array,
 /// indexed by [`ObjRef`] / [`ArrRef`]. Starting a new generation
@@ -397,8 +463,9 @@ pub struct Measurement {
     /// Multiset of element-derived keys (`Int` values and `Obj`
     /// references) of an array measurement, so the write-log replay can
     /// drop a key exactly when its last occurrence is overwritten.
-    /// Empty for structure measurements.
-    pub elem_counts: BTreeMap<ElemKey, usize>,
+    /// Empty for structure measurements. Hashed: it is only probed,
+    /// never iterated, so its order cannot reach a report.
+    pub elem_counts: ElemCounts,
     /// Set by a structure walk when every member reaches the root, so
     /// that, while the measurement is exact, a walk from any of its
     /// objects finds the same members and hence the same snapshot (see
@@ -428,7 +495,7 @@ impl Measurement {
             containers,
             edges: Vec::new(),
             log_pos: u64::MAX,
-            elem_counts: BTreeMap::new(),
+            elem_counts: ElemCounts::default(),
             strongly_connected: false,
         }
     }
@@ -754,7 +821,7 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
     let root_elem = heap.array(arr).elem;
     let mut containers = Vec::new();
     let mut edges = Vec::new();
-    let mut elem_counts: BTreeMap<ElemKey, usize> = BTreeMap::new();
+    let mut elem_counts = ElemCounts::default();
 
     let mut queue = vec![arr];
     let mut seen = BTreeSet::new();
@@ -1126,6 +1193,23 @@ mod tests {
         assert!(try_partial_array(&heap, &mut m, &mut stats).is_none());
         let fresh = measure_array(&heap, a, &mut stats);
         assert!(fresh.snapshot.keys.contains(&ElemKey::Int(8)));
+    }
+
+    #[test]
+    fn element_multiset_spreads_keys_that_differ_only_in_high_bits() {
+        // Multiples of 2^32 share every low bit, so the unseeded
+        // `ElemKeyHasher` gives them one bucket of 64; the seeded hash
+        // must spread them like random keys (~40 distinct buckets).
+        let buckets = |state: &dyn Fn(ElemKey) -> u64| {
+            (0..64i64)
+                .map(|k| state(ElemKey::Int(k << 32)) & 63)
+                .collect::<BTreeSet<_>>()
+                .len()
+        };
+        let unseeded = BuildHasherDefault::<ElemKeyHasher>::default();
+        assert_eq!(buckets(&|k| unseeded.hash_one(k)), 1);
+        let seeded = SeededState::default();
+        assert!(buckets(&|k| seeded.hash_one(k)) >= 24);
     }
 
     #[test]

@@ -4,9 +4,15 @@
 //! (Figures 1 and 5), which needs the *same* program profiled at many
 //! input sizes. A sweep turns that into an explicit job list — one
 //! [`SweepJob`] per input size, crossed with any number of
-//! analysis-option ablations — and runs it on a pool of worker threads
-//! in a **single parallel pass**: each job compiles and executes its
-//! guest exactly once, with the interpreter driving a
+//! analysis-option ablations — and runs it on a pool of worker threads.
+//!
+//! The front end runs once per **distinct source**, before any job
+//! executes: one parse and type-check, one lowering and instrumentation,
+//! the source's static predictions computed from those typed bodies and
+//! that instrumented program, and one fusion. Only the fused program
+//! and the predictions are kept; every job of that source then borrows
+//! the same program. The jobs run in a **single parallel pass**: each
+//! executes its guest exactly once, with the interpreter driving a
 //! [`Tee`](algoprof_vm::Tee) of the trace recorder (for reproducibility
 //! stats) and a [`Fanout`](algoprof_vm::Fanout) of one [`AlgoProf`] per
 //! ablation. All ablations observe the identical live event stream, so
@@ -19,6 +25,7 @@
 //! enters the report — so the text, JSON, and HTML renderings are
 //! byte-identical for every worker count.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -28,7 +35,9 @@ use algoprof_fit::{
     PowerFit,
 };
 use algoprof_trace::{TraceHeader, TraceRecorder};
-use algoprof_vm::{compile, Fanout, InstrumentOptions, Interp, Tee};
+use algoprof_vm::{
+    compile_with_bodies, CompileError, CompiledProgram, Fanout, InstrumentOptions, Interp, Tee,
+};
 
 use crate::pool::{default_workers, run_indexed};
 use crate::profile::{AlgorithmicProfile, CostMetric, ProfileSet};
@@ -289,13 +298,37 @@ pub fn run_sweep(jobs: &[SweepJob], config: &SweepConfig) -> Result<SweepReport,
         config.workers
     };
 
+    // Front end once per distinct source, on this thread: running it on
+    // the pool too bought no throughput and measured ~2 MiB more peak
+    // RSS on the benchmark corpus. A source that fails to compile fails
+    // each of its jobs below, so the reported error is still the
+    // lowest-indexed failing job's.
+    let instrument = InstrumentOptions::default();
+    let mut sources: Vec<&str> = Vec::new();
+    let source_of: Vec<usize> = jobs
+        .iter()
+        .map(|job| match sources.iter().position(|s| *s == job.source) {
+            Some(s) => s,
+            None => {
+                sources.push(&job.source);
+                sources.len() - 1
+            }
+        })
+        .collect();
+    let prepared: Vec<Result<PreparedSource, CompileError>> = sources
+        .iter()
+        .map(|s| prepare_source(s, &instrument))
+        .collect();
+
     // Single pass: execute every job once, in parallel, with all
     // ablations fanned out over the live event stream.
     let done = AtomicUsize::new(0);
-    let instrument = InstrumentOptions::default();
     let outcomes: Vec<Result<JobOutcome, ProfileError>> = run_indexed(jobs.len(), workers, |i| {
         let job = &jobs[i];
-        let out = profile_job(&job.source, &job.input, &instrument, &ablations);
+        let out = match &prepared[source_of[i]] {
+            Ok(p) => profile_job(&p.program, &job.source, &job.input, &instrument, &ablations),
+            Err(e) => Err(ProfileError::Compile(e.clone())),
+        };
         if config.progress {
             let k = done.fetch_add(1, Ordering::Relaxed) + 1;
             match &out {
@@ -371,20 +404,18 @@ pub fn run_sweep(jobs: &[SweepJob], config: &SweepConfig) -> Result<SweepReport,
             None => groups.push((&job.program, vec![j])),
         }
     }
-    // Static cross-validation: one prediction map per program group
-    // (the predictions depend only on the source, not the ablation).
-    // Group members share a source by construction; analysis failure is
-    // impossible for sources that already recorded, but degrade to "no
-    // prediction" rather than failing the sweep.
-    let group_predictions: Vec<std::collections::HashMap<String, (ComplexityClass, CostFn)>> =
-        groups
-            .iter()
-            .map(|(_, members)| {
-                algoprof_analysis::analyze_source(&jobs[members[0]].source)
-                    .map(|a| algoprof_analysis::cost_map(&a.predictions))
-                    .unwrap_or_default()
-            })
-            .collect();
+    // Static cross-validation: one prediction map per program group, that
+    // of its first member's source (the predictions depend only on the
+    // source, not the ablation).
+    let group_predictions: Vec<&Predictions> = groups
+        .iter()
+        .map(|(_, members)| {
+            &prepared[source_of[members[0]]]
+                .as_ref()
+                .expect("every job succeeded, so every source compiled")
+                .predictions
+        })
+        .collect();
     for (a, ablation) in ablations.iter().enumerate() {
         for ((tag, members), predictions) in groups.iter().zip(&group_predictions) {
             // Pair each profile with its job's *requested* size: the
@@ -458,7 +489,7 @@ fn build_series(
     name: &str,
     thread: Option<usize>,
     slice: &[(&AlgorithmicProfile, u64)],
-    predictions: &std::collections::HashMap<String, (ComplexityClass, CostFn)>,
+    predictions: &Predictions,
 ) -> Option<SweepSeries> {
     let points = crate::profile::merge_invocation_series_nominal(slice, name, CostMetric::Steps);
     if points.is_empty() {
@@ -503,6 +534,36 @@ fn build_series(
     })
 }
 
+/// Static predictions of one source: asymptotic class and cost function
+/// per repetition name.
+type Predictions = HashMap<String, (ComplexityClass, CostFn)>;
+
+/// The front end's products for one distinct source, shared by every job
+/// that runs it.
+struct PreparedSource {
+    /// The instrumented program, fused unless `ALGOPROF_NO_FUSE=1`.
+    program: CompiledProgram,
+    /// The source's static predictions.
+    predictions: Predictions,
+}
+
+/// Runs the front end once for `source`: one parse and type-check, one
+/// lowering and instrumentation, the static analysis of those typed
+/// bodies against that instrumented program, then fusion. The HIR and
+/// the unfused program are dropped here.
+fn prepare_source(
+    source: &str,
+    instrument: &InstrumentOptions,
+) -> Result<PreparedSource, CompileError> {
+    let (bodies, program) = compile_with_bodies(source)?;
+    let program = program.instrument(instrument);
+    let analysis = algoprof_analysis::analyze_program(&bodies, &program);
+    Ok(PreparedSource {
+        program: program.fuse_default(),
+        predictions: algoprof_analysis::cost_map(&analysis.predictions),
+    })
+}
+
 /// What one single-pass job execution yields.
 struct JobOutcome {
     /// Recording size in bytes (header + events + terminator).
@@ -518,14 +579,16 @@ struct JobOutcome {
 /// and one profile per ablation from the same live event stream: the
 /// interpreter drives `Tee(recorder, Fanout(profilers))`, so the
 /// recorder observes each event first and the profilers observe it in
-/// ablation order.
+/// ablation order. `program` is `source` compiled and instrumented with
+/// `instrument` (see [`prepare_source`]); `source` and `instrument` also
+/// go into the recording's header.
 fn profile_job(
+    program: &CompiledProgram,
     source: &str,
     input: &[i64],
     instrument: &InstrumentOptions,
     ablations: &[SweepAblation],
 ) -> Result<JobOutcome, ProfileError> {
-    let program = compile(source)?.instrument(instrument).fuse_default();
     let mut bytes = Vec::new();
     let mut sink = Tee::new(
         TraceRecorder::new(&TraceHeader::new(source, instrument, input), &mut bytes),
@@ -536,7 +599,7 @@ fn profile_job(
                 .collect(),
         ),
     );
-    Interp::new(&program)
+    Interp::new(program)
         .with_input(input.to_vec())
         .run(&mut sink)?;
     let Tee {
@@ -550,7 +613,7 @@ fn profile_job(
         profiles: fanout
             .into_sinks()
             .into_iter()
-            .map(|p| p.finish_set(&program))
+            .map(|p| p.finish_set(program))
             .collect(),
     })
 }
@@ -1040,10 +1103,13 @@ mod tests {
             },
         ];
         let instrument = InstrumentOptions::default();
+        let program = prepare_source(SIZED_LIST, &instrument)
+            .expect("compiles")
+            .program;
         for &n in &[4u64, 9] {
             let job = SweepJob::for_size(SIZED_LIST, n);
-            let outcome =
-                profile_job(&job.source, &job.input, &instrument, &ablations).expect("profiles");
+            let outcome = profile_job(&program, &job.source, &job.input, &instrument, &ablations)
+                .expect("profiles");
             let recording =
                 record_source_with(&job.source, &instrument, &job.input).expect("records");
             assert_eq!(outcome.trace_bytes, recording.len() as u64);

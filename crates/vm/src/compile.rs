@@ -27,9 +27,24 @@ pub struct CompileOptions {
 /// Returns the first lexical, syntactic, semantic, or code-generation
 /// error.
 pub fn compile(source: &str) -> Result<CompiledProgram, CompileError> {
-    let ast = parse(source)?;
-    let typed = check(&ast)?;
-    Ok(lower(typed))
+    Ok(compile_with_bodies(source)?.1)
+}
+
+/// The whole front end in one pass: parses and type-checks `source`
+/// once, lowers it, and returns the typed HIR bodies (indexed by
+/// [`FuncId`](crate::FuncId)) beside the (uninstrumented) program
+/// lowered from them. Static analyses that read the HIR use this
+/// instead of compiling the source a second time.
+///
+/// # Errors
+///
+/// Same as [`compile`].
+pub fn compile_with_bodies(
+    source: &str,
+) -> Result<(Vec<HFunction>, CompiledProgram), CompileError> {
+    let typed = check(&parse(source)?)?;
+    let program = lower(&typed);
+    Ok((typed.bodies, program))
 }
 
 /// Like [`compile`], with optional optimization; also returns the
@@ -42,17 +57,16 @@ pub fn compile_with_options(
     source: &str,
     options: &CompileOptions,
 ) -> Result<(CompiledProgram, crate::opt::OptStats), CompileError> {
-    let ast = parse(source)?;
-    let mut typed = check(&ast)?;
+    let mut typed = check(&parse(source)?)?;
     let stats = if options.fold_constants {
         crate::opt::fold_program(&mut typed.bodies)
     } else {
         crate::opt::OptStats::default()
     };
-    Ok((lower(typed), stats))
+    Ok((lower(&typed), stats))
 }
 
-fn lower(typed: TypedProgram) -> CompiledProgram {
+fn lower(typed: &TypedProgram) -> CompiledProgram {
     let returns_void: Vec<bool> = typed.bodies.iter().map(|b| b.returns_void).collect();
     let index_hints = crate::indexflow::analyze(&typed.bodies);
 

@@ -49,24 +49,28 @@ impl CompiledProgram {
     /// sequences fused into superinstructions. Pure: the receiver is
     /// untouched, and running both yields identical event streams.
     pub fn fuse(&self) -> CompiledProgram {
-        let untracked: Vec<bool> = self.fields.iter().map(|f| !f.track_access).collect();
-        let mut fused = self.clone();
-        for func in &mut fused.functions {
-            fuse_function(func, &untracked);
-        }
-        fused
+        self.clone().fused()
     }
 
     /// [`CompiledProgram::fuse`] unless the `ALGOPROF_NO_FUSE=1`
     /// environment switch is set, in which case the program is returned
     /// unchanged. This is what the one-shot run paths apply after
-    /// instrumentation.
+    /// instrumentation. Fuses in place: the receiver is consumed, not
+    /// copied.
     pub fn fuse_default(self) -> CompiledProgram {
         if fusion_disabled() {
             self
         } else {
-            self.fuse()
+            self.fused()
         }
+    }
+
+    fn fused(mut self) -> CompiledProgram {
+        let untracked: Vec<bool> = self.fields.iter().map(|f| !f.track_access).collect();
+        for func in &mut self.functions {
+            fuse_function(func, &untracked);
+        }
+        self
     }
 }
 

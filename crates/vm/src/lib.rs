@@ -71,7 +71,7 @@ pub use bytecode::{
     ClassId, CmpKind, CompiledProgram, ElemKind, ErasedType, FieldId, FuncId, Function, Instr,
     LoopId, Opcode,
 };
-pub use compile::{compile, compile_with_options, CompileOptions};
+pub use compile::{compile, compile_with_bodies, compile_with_options, CompileOptions};
 pub use disasm::{disassemble, disassemble_cfg, disassemble_function};
 pub use error::{CompileError, RuntimeError};
 pub use event::{Event, EventCx, EventSink, Fanout, NoopSink, Tee, ThreadId};

@@ -56,6 +56,21 @@ ALGOPROF_NO_FUSE=1 ./target/release/algoprof sweep examples/sized_insertion_sort
 cmp "$sweep_out/sort1.json" "$sweep_out/sortnf.json"
 cmp "$sweep_out/sort1.txt" "$sweep_out/sortnf.txt"
 
+echo "==> multi-criterion sweeps (determinism across -j and fusion)"
+for prog in sized_insertion_sort_array sized_insertion_sort; do
+    sweep=(./target/release/algoprof sweep "examples/$prog.jay" --sizes 8,16,32
+        --criteria some,all,array,type --quiet)
+    base="$sweep_out/crit-$prog"
+    "${sweep[@]}" -j 1 --json "$base-j1.json" --html "$base-j1.html" > "$base-j1.txt"
+    "${sweep[@]}" -j 2 --json "$base-j2.json" --html "$base-j2.html" > "$base-j2.txt"
+    ALGOPROF_NO_FUSE=1 "${sweep[@]}" -j 1 --json "$base-nf.json" --html "$base-nf.html" \
+        > "$base-nf.txt"
+    for ext in txt json html; do
+        cmp "$base-j1.$ext" "$base-j2.$ext"
+        cmp "$base-j1.$ext" "$base-nf.$ext"
+    done
+done
+
 echo "==> events smoke (record -> dump, text and JSON)"
 ./target/release/algoprof record examples/sized_arraylist.jay \
     --input 16 -o "$sweep_out/run.aptr"

@@ -23,6 +23,7 @@ use algoprof_programs::{
     near_misses, seeded_bugs, sized_array_list_program, sized_insertion_sort_program,
     table1_programs, GrowthPolicy, SortWorkload, LISTING3, LISTING4, LISTING5,
 };
+use algoprof_vm::parser::parse;
 
 /// Every complete shipped guest program, labeled for error messages.
 fn shipped_programs() -> Vec<(String, String)> {
@@ -102,6 +103,38 @@ fn shipped_programs_have_no_error_level_diagnostics() {
         checked += 1;
     }
     // Non-vacuous: listings + algorithms + table1 rows + example files.
+    assert!(checked > 20, "only {checked} shipped programs checked");
+}
+
+#[test]
+fn one_parse_analysis_equals_separate_check_and_compile() {
+    // `analyze_source_with_features` parses and type-checks once and
+    // analyzes the bodies it lowered. It must equal the construction
+    // that type-checked the source for the bodies and compiled it again
+    // for the instrumented program: predictions, diagnostics and
+    // per-feature costs alike.
+    use algoprof_analysis::{analyze_program_with_features, analyze_source_with_features};
+    use algoprof_vm::{compile, typeck::check, InstrumentOptions};
+    let mut checked = 0;
+    for (name, source) in shipped_programs() {
+        let one_parse = analyze_source_with_features(&source)
+            .unwrap_or_else(|e| panic!("{name} must compile for analysis: {e}"));
+        let typed = check(&parse(&source).expect("parses")).expect("checks");
+        let instrumented = compile(&source)
+            .expect("compiles")
+            .instrument(&InstrumentOptions::default());
+        let separate = analyze_program_with_features(&typed.bodies, &instrumented);
+        assert!(
+            !one_parse.0.predictions.is_empty(),
+            "{name}: no predictions to compare"
+        );
+        assert_eq!(
+            format!("{one_parse:?}"),
+            format!("{separate:?}"),
+            "{name}: one-parse analysis differs"
+        );
+        checked += 1;
+    }
     assert!(checked > 20, "only {checked} shipped programs checked");
 }
 

@@ -111,3 +111,82 @@ fn sweep_fits_recover_listing_complexities() {
         report.render_text()
     );
 }
+
+/// The tagged jobs of `programs`, one per size, in program-major order.
+fn tagged_jobs(programs: &[(&str, &str)], sizes: &[u64]) -> Vec<SweepJob> {
+    programs
+        .iter()
+        .flat_map(|&(tag, source)| {
+            sizes
+                .iter()
+                .map(move |&n| SweepJob::for_program_size(tag, source, n))
+        })
+        .collect()
+}
+
+#[test]
+fn shared_front_end_never_mixes_programs() {
+    // The two array lists share loop names (`Main.main:loop0@...`) but
+    // not sources; `by1_again` reuses by1's source under its own tag, so
+    // it shares by1's compiled program. Swept together, every program's
+    // job rows and series must equal its own sweep's.
+    let by1 = sized_array_list_program(GrowthPolicy::ByOne);
+    let dbl = sized_array_list_program(GrowthPolicy::Doubling);
+    let programs = [
+        ("by1", by1.as_str()),
+        ("dbl", dbl.as_str()),
+        ("by1_again", by1.as_str()),
+    ];
+    let sizes = [4u64, 8, 16, 32];
+    for workers in [1, 2] {
+        let config = SweepConfig {
+            workers,
+            ..SweepConfig::default()
+        };
+        let together = run_sweep(&tagged_jobs(&programs, &sizes), &config).expect("sweep succeeds");
+        for &program in &programs {
+            let alone =
+                run_sweep(&tagged_jobs(&[program], &sizes), &config).expect("sweep succeeds");
+            let (tag, _) = program;
+            let jobs: Vec<_> = together
+                .jobs
+                .iter()
+                .filter(|j| j.label.starts_with(&format!("{tag}:")))
+                .collect();
+            assert_eq!(jobs, alone.jobs.iter().collect::<Vec<_>>(), "{tag} jobs");
+            let series: Vec<_> = together
+                .series
+                .iter()
+                .filter(|s| s.program == tag)
+                .collect();
+            assert!(!series.is_empty(), "{tag} has series");
+            assert_eq!(
+                series,
+                alone.series.iter().collect::<Vec<_>>(),
+                "{tag} series at -j {workers}"
+            );
+        }
+    }
+}
+
+#[test]
+fn shared_failing_source_names_its_first_job() {
+    // Jobs 1 and 2 share one source that does not compile: it is
+    // compiled once, fails both, and the error names job 1.
+    let ok = sized_array_list_program(GrowthPolicy::ByOne);
+    let bad = "class Main {";
+    let jobs = vec![
+        SweepJob::for_program_size("ok", &ok, 4),
+        SweepJob::for_program_size("bad", bad, 8),
+        SweepJob::for_program_size("bad", bad, 16),
+    ];
+    for workers in [1, 2] {
+        let config = SweepConfig {
+            workers,
+            ..SweepConfig::default()
+        };
+        let err = run_sweep(&jobs, &config).expect_err("sweep fails");
+        assert_eq!(err.job, jobs[1].label);
+        assert!(matches!(err.error, algoprof::ProfileError::Compile(_)));
+    }
+}
