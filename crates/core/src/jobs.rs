@@ -16,18 +16,23 @@
 //!    from cache without re-executing and still honour the sweep
 //!    determinism contract.
 //!
-//! Rendering goes through the exact code paths the one-shot CLI uses
-//! ([`crate::run`], [`crate::sweep`]), so a daemon round-trip is
+//! Both front doors run a job the same way: the one-shot CLI builds a
+//! [`JobSpec`] for every job-shaped subcommand and calls
+//! [`JobSpec::run`], exactly as a daemon worker does (through
+//! [`JobSpec::execute`]). Only rendering differs: the daemon renders the
+//! [`JobResult`] into a [`JobOutput`], the CLI renders it locally
+//! (`--csv`, `--html`, `--check`, `--json`). So a daemon round-trip is
 //! byte-identical to `algoprof sweep --json` / `algoprof <prog>` output
 //! for the same spec.
 
 use std::fmt;
 
 use crate::hash::Sha256;
+use crate::profile::ProfileSet;
 use crate::profiler::AlgoProfOptions;
 use crate::run::{profile_source_set_with, ProfileError};
 use crate::stream::StreamingAnalysis;
-use crate::sweep::{run_sweep, SweepAblation, SweepConfig, SweepError, SweepJob};
+use crate::sweep::{run_sweep, SweepAblation, SweepConfig, SweepError, SweepJob, SweepReport};
 use algoprof_vm::InstrumentOptions;
 
 /// Bump when the canonical encoding hashed by [`JobSpec::cache_key`] or
@@ -71,6 +76,39 @@ pub enum JobSpec {
         /// Profiler configuration.
         options: AlgoProfOptions,
     },
+}
+
+/// What a job computed, before rendering.
+#[derive(Debug)]
+pub enum JobResult {
+    /// A profile or analyze job: one profile per guest thread, and the
+    /// guest source they came from (an analyze job takes it from the
+    /// trace header), which `--check` cross-validates against.
+    Profiles {
+        /// The per-thread profiles.
+        set: ProfileSet,
+        /// The guest source text.
+        source: String,
+    },
+    /// A sweep job's merged report.
+    Sweep(SweepReport),
+}
+
+impl JobResult {
+    /// Renders the result as the daemon returns it: the text report every
+    /// kind has, plus the JSON report for sweeps.
+    pub fn render(&self) -> JobOutput {
+        match self {
+            JobResult::Profiles { set, .. } => JobOutput {
+                text: crate::report::render_set(set),
+                json: None,
+            },
+            JobResult::Sweep(report) => JobOutput {
+                text: report.render_text(),
+                json: Some(report.render_json()),
+            },
+        }
+    }
 }
 
 /// What a job produced: the text report every kind renders, plus the
@@ -118,16 +156,15 @@ impl JobSpec {
         }
     }
 
-    /// Executes the job, producing output byte-identical to the one-shot
-    /// CLI for the same inputs. Deterministic: the same spec always
-    /// yields the same [`JobOutput`], which is the property the content
-    /// cache relies on.
+    /// Runs the job. `workers` and `progress` apply to sweeps only: the
+    /// sweep's pool size (`0` means one per core) and whether it reports
+    /// progress on stderr. The result is the same at any worker count.
     ///
     /// # Errors
     ///
     /// Returns [`JobError`] when the guest fails to compile or run, or a
     /// trace is malformed.
-    pub fn execute(&self) -> Result<JobOutput, JobError> {
+    pub fn run(&self, workers: usize, progress: bool) -> Result<JobResult, JobError> {
         match self {
             JobSpec::Profile {
                 source,
@@ -141,9 +178,9 @@ impl JobSpec {
                     *options,
                     input,
                 )?;
-                Ok(JobOutput {
-                    text: crate::report::render_set(&set),
-                    json: None,
+                Ok(JobResult::Profiles {
+                    set,
+                    source: source.clone(),
                 })
             }
             JobSpec::Sweep {
@@ -156,31 +193,38 @@ impl JobSpec {
                     .iter()
                     .map(|&n| SweepJob::for_size(source, n))
                     .collect();
-                // One pool worker runs the whole job; the inner sweep
-                // stays serial (its report is identical at any worker
-                // count anyway, but nesting pools would oversubscribe).
                 let config = SweepConfig {
                     ablations: ablations.clone(),
-                    workers: 1,
-                    progress: false,
+                    workers,
+                    progress,
                     program: program.clone(),
                 };
-                let report = run_sweep(&jobs, &config)?;
-                Ok(JobOutput {
-                    text: report.render_text(),
-                    json: Some(report.render_json()),
-                })
+                Ok(JobResult::Sweep(run_sweep(&jobs, &config)?))
             }
             JobSpec::Analyze { trace, options } => {
                 let mut analysis = StreamingAnalysis::new(*options);
                 analysis.feed(trace)?;
                 let report = analysis.finish()?;
-                Ok(JobOutput {
-                    text: crate::report::render_set(&report.profiles),
-                    json: None,
+                Ok(JobResult::Profiles {
+                    set: report.profiles,
+                    source: report.source,
                 })
             }
         }
+    }
+
+    /// Runs and renders the job as a daemon worker does, producing output
+    /// byte-identical to the one-shot CLI for the same inputs.
+    /// Deterministic: the same spec always yields the same [`JobOutput`],
+    /// which is the property the content cache relies on.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`JobSpec::run`].
+    pub fn execute(&self) -> Result<JobOutput, JobError> {
+        // One pool worker runs the whole job; an inner sweep stays serial
+        // (nesting pools would oversubscribe).
+        Ok(self.run(1, false)?.render())
     }
 
     /// The content-address of this job: a SHA-256 over a canonical
@@ -209,11 +253,8 @@ impl JobSpec {
             } => {
                 field("program", program.as_bytes());
                 field("source", source.as_bytes());
-                let mut buf = Vec::with_capacity(input.len() * 8);
-                for v in input {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-                field("input", &buf);
+                let input: Vec<u8> = input.iter().flat_map(|v| v.to_le_bytes()).collect();
+                field("input", &input);
                 field("options", format!("{options:?}").as_bytes());
             }
             JobSpec::Sweep {
@@ -224,11 +265,8 @@ impl JobSpec {
             } => {
                 field("program", program.as_bytes());
                 field("source", source.as_bytes());
-                let mut buf = Vec::with_capacity(sizes.len() * 8);
-                for v in sizes {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-                field("sizes", &buf);
+                let sizes: Vec<u8> = sizes.iter().flat_map(|n| n.to_le_bytes()).collect();
+                field("sizes", &sizes);
                 for a in ablations {
                     field("ablation-name", a.name.as_bytes());
                     field("ablation-options", format!("{:?}", a.options).as_bytes());
@@ -383,6 +421,43 @@ mod tests {
         let out = spec.execute().expect("analyzes");
         let direct = crate::run::profile_trace(&trace).expect("replays");
         assert_eq!(out.text, direct.render_text());
+    }
+
+    /// The CLI renders `run`'s result itself and the daemon calls
+    /// `execute`: both must see the same result for every kind, and a
+    /// sweep's must not depend on its worker count.
+    #[test]
+    fn rendered_run_equals_execute_for_every_kind() {
+        let specs = [
+            JobSpec::Profile {
+                program: "prog.jay".into(),
+                source: SIZED_SRC.into(),
+                input: vec![6],
+                options: AlgoProfOptions::default(),
+            },
+            sweep_spec(&[4, 8, 16]),
+            JobSpec::Analyze {
+                trace: crate::run::record_source(SRC).expect("records"),
+                options: AlgoProfOptions::default(),
+            },
+        ];
+        for spec in &specs {
+            let executed = spec.execute().expect("executes");
+            for workers in [1, 2] {
+                let result = spec.run(workers, false).expect("runs");
+                assert_eq!(
+                    result.render(),
+                    executed,
+                    "{} job at {workers} worker(s)",
+                    spec.kind()
+                );
+            }
+        }
+        // An analyze job hands back the source embedded in its trace.
+        let Ok(JobResult::Profiles { source, .. }) = specs[2].run(1, false) else {
+            panic!("an analyze job yields profiles");
+        };
+        assert_eq!(source, SRC);
     }
 
     #[test]

@@ -73,7 +73,7 @@ pub use crossval::{cross_validate, render_cross_checks, CrossCheck};
 pub use hash::{sha256_hex, Sha256};
 pub use html::{render_html, render_html_set, render_sweep_html};
 pub use inputs::{InputId, InputInfo, InputKind, InputRegistry};
-pub use jobs::{JobError, JobOutput, JobSpec, CACHE_SCHEMA_VERSION};
+pub use jobs::{JobError, JobOutput, JobResult, JobSpec, CACHE_SCHEMA_VERSION};
 pub use pool::{default_workers, run_indexed, WorkerPool};
 pub use profile::{
     merge_invocation_series, merge_invocation_series_nominal, merge_series, AlgorithmicProfile,
@@ -84,8 +84,7 @@ pub use report::{render as render_report, render_merged, render_set};
 pub use reptree::{Invocation, NodeId, RepKind, RepNode, RepTree};
 pub use run::{
     profile_source, profile_source_set_with, profile_source_with, profile_trace,
-    profile_trace_set_with, profile_trace_with, record_and_profile_source, record_source,
-    record_source_with, ProfileError,
+    profile_trace_set_with, profile_trace_with, record_source, record_source_with, ProfileError,
 };
 pub use stream::{render_stream_fits, StreamNodeFit, StreamingAnalysis, StreamingReport};
 

@@ -6,7 +6,9 @@
 use std::fmt;
 
 use algoprof_trace::{read_header, TraceError, TraceHeader, TraceRecorder, TraceReplayer};
-use algoprof_vm::{compile, CompileError, InstrumentOptions, Interp, RuntimeError, Tee};
+use algoprof_vm::{
+    compile, CompileError, CompiledProgram, EventSink, InstrumentOptions, Interp, RuntimeError,
+};
 
 use crate::profile::{AlgorithmicProfile, ProfileSet};
 use crate::profiler::{AlgoProf, AlgoProfOptions};
@@ -74,6 +76,32 @@ impl From<TraceError> for ProfileError {
     }
 }
 
+/// The live prelude every source entry point shares: compiles,
+/// instruments and fuses `source`, then runs it on `input`, delivering
+/// every event to `sink`. Returns the program the events resolve against.
+fn run_source<S: EventSink>(
+    source: &str,
+    instrument: &InstrumentOptions,
+    input: &[i64],
+    sink: &mut S,
+) -> Result<CompiledProgram, ProfileError> {
+    let program = compile(source)?.instrument(instrument).fuse_default();
+    Interp::new(&program).with_input(input.to_vec()).run(sink)?;
+    Ok(program)
+}
+
+/// The replay prelude every trace entry point shares: recompiles the
+/// source embedded in the trace header under the recorded
+/// instrumentation options, then replays the events into `sink`.
+/// Compilation is deterministic, so every id in the stream resolves
+/// exactly as it did while recording.
+fn replay_trace<S: EventSink>(trace: &[u8], sink: &mut S) -> Result<CompiledProgram, ProfileError> {
+    let (header, events) = read_header(trace)?;
+    let program = compile(&header.source)?.instrument(&header.instrument);
+    TraceReplayer::new().replay(&program, events, sink)?;
+    Ok(program)
+}
+
 /// Compiles `source`, instruments it with the default options, runs it,
 /// and returns its algorithmic profile.
 ///
@@ -116,12 +144,7 @@ pub fn profile_source_with(
     options: AlgoProfOptions,
     input: &[i64],
 ) -> Result<AlgorithmicProfile, ProfileError> {
-    let program = compile(source)?.instrument(instrument).fuse_default();
-    let mut profiler = AlgoProf::with_options(options);
-    Interp::new(&program)
-        .with_input(input.to_vec())
-        .run(&mut profiler)?;
-    Ok(profiler.finish(&program))
+    profile_source_set_with(source, instrument, options, input).map(ProfileSet::into_main)
 }
 
 /// Like [`profile_source_with`], but returns one profile per guest
@@ -137,11 +160,8 @@ pub fn profile_source_set_with(
     options: AlgoProfOptions,
     input: &[i64],
 ) -> Result<ProfileSet, ProfileError> {
-    let program = compile(source)?.instrument(instrument).fuse_default();
     let mut profiler = AlgoProf::with_options(options);
-    Interp::new(&program)
-        .with_input(input.to_vec())
-        .run(&mut profiler)?;
+    let program = run_source(source, instrument, input, &mut profiler)?;
     Ok(profiler.finish_set(&program))
 }
 
@@ -170,45 +190,11 @@ pub fn record_source_with(
     instrument: &InstrumentOptions,
     input: &[i64],
 ) -> Result<Vec<u8>, ProfileError> {
-    let program = compile(source)?.instrument(instrument).fuse_default();
     let mut bytes = Vec::new();
     let mut recorder = TraceRecorder::new(&TraceHeader::new(source, instrument, input), &mut bytes);
-    Interp::new(&program)
-        .with_input(input.to_vec())
-        .run(&mut recorder)?;
+    run_source(source, instrument, input, &mut recorder)?;
     recorder.finish().expect("writes to a Vec<u8> cannot fail");
     Ok(bytes)
-}
-
-/// Executes the guest once, producing its event trace *and* a live
-/// profile from the same run: a [`Tee`] delivers every event to the
-/// recorder first, then to an [`AlgoProf`] configured with `options`.
-///
-/// # Errors
-///
-/// Same as [`record_source`].
-pub fn record_and_profile_source(
-    source: &str,
-    instrument: &InstrumentOptions,
-    options: AlgoProfOptions,
-    input: &[i64],
-) -> Result<(Vec<u8>, AlgorithmicProfile), ProfileError> {
-    let program = compile(source)?.instrument(instrument).fuse_default();
-    let mut bytes = Vec::new();
-    let mut sink = Tee::new(
-        TraceRecorder::new(&TraceHeader::new(source, instrument, input), &mut bytes),
-        AlgoProf::with_options(options),
-    );
-    Interp::new(&program)
-        .with_input(input.to_vec())
-        .run(&mut sink)?;
-    let Tee {
-        a: recorder,
-        b: profiler,
-    } = sink;
-    recorder.finish().expect("writes to a Vec<u8> cannot fail");
-    let profile = profiler.finish(&program);
-    Ok((bytes, profile))
 }
 
 /// Profiles a recorded trace under the default [`AlgoProfOptions`]
@@ -222,12 +208,8 @@ pub fn profile_trace(trace: &[u8]) -> Result<AlgorithmicProfile, ProfileError> {
     profile_trace_with(trace, AlgoProfOptions::default())
 }
 
-/// Like [`profile_trace`] with explicit profiler options. The program is
-/// recompiled from the source and instrumentation options embedded in
-/// the trace header — compilation is deterministic, so every id in the
-/// event stream resolves exactly as it did while recording, and the
-/// resulting profile equals what a live run under `options` would have
-/// produced.
+/// Like [`profile_trace`] with explicit profiler options. The resulting
+/// profile equals what a live run under `options` would have produced.
 ///
 /// # Errors
 ///
@@ -236,11 +218,7 @@ pub fn profile_trace_with(
     trace: &[u8],
     options: AlgoProfOptions,
 ) -> Result<AlgorithmicProfile, ProfileError> {
-    let (header, events) = read_header(trace)?;
-    let program = compile(&header.source)?.instrument(&header.instrument);
-    let mut profiler = AlgoProf::with_options(options);
-    TraceReplayer::new().replay(&program, events, &mut profiler)?;
-    Ok(profiler.finish(&program))
+    profile_trace_set_with(trace, options).map(ProfileSet::into_main)
 }
 
 /// Like [`profile_trace_with`], but returns one profile per guest thread
@@ -253,10 +231,8 @@ pub fn profile_trace_set_with(
     trace: &[u8],
     options: AlgoProfOptions,
 ) -> Result<ProfileSet, ProfileError> {
-    let (header, events) = read_header(trace)?;
-    let program = compile(&header.source)?.instrument(&header.instrument);
     let mut profiler = AlgoProf::with_options(options);
-    TraceReplayer::new().replay(&program, events, &mut profiler)?;
+    let program = replay_trace(trace, &mut profiler)?;
     Ok(profiler.finish_set(&program))
 }
 
@@ -298,19 +274,6 @@ mod tests {
         let trace = record_source(LOOP_SRC).expect("records");
         let replayed = profile_trace(&trace).expect("replays");
         assert_eq!(live, replayed);
-    }
-
-    #[test]
-    fn record_and_profile_matches_pure_recording() {
-        let (trace, live) = record_and_profile_source(
-            LOOP_SRC,
-            &InstrumentOptions::default(),
-            AlgoProfOptions::default(),
-            &[],
-        )
-        .expect("records");
-        assert_eq!(trace, record_source(LOOP_SRC).expect("records"));
-        assert_eq!(live, profile_trace(&trace).expect("replays"));
     }
 
     #[test]

@@ -816,7 +816,7 @@ pub fn snapshot_array(heap: &Heap, arr: ArrRef) -> Snapshot {
 pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Measurement {
     let mut keys = BTreeSet::new();
     let mut capacity = 0usize;
-    let mut unique = BTreeSet::new();
+    let mut self_ref = false;
     let mut refs_traversed = 0usize;
     let root_elem = heap.array(arr).elem;
     let mut containers = Vec::new();
@@ -844,7 +844,6 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
                         _ => continue,
                     };
                     keys.insert(ElemKey::Int(v));
-                    unique.insert(ElemKey::Int(v));
                     *elem_counts.entry(ElemKey::Int(v)).or_insert(0) += 1;
                 }
             }
@@ -853,7 +852,6 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
                     match e {
                         Value::Obj(o) => {
                             keys.insert(ElemKey::Obj(o));
-                            unique.insert(ElemKey::Obj(o));
                             *elem_counts.entry(ElemKey::Obj(o)).or_insert(0) += 1;
                             refs_traversed += 1;
                             stats.objects_traversed += 1;
@@ -861,7 +859,7 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
                             array_refs += 1;
                         }
                         Value::Arr(child) => {
-                            unique.insert(ElemKey::Arr(child));
+                            self_ref |= child == arr;
                             refs_traversed += 1;
                             edges.push(ElemKey::Arr(child));
                             array_refs += 1;
@@ -888,7 +886,11 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
             keys,
             kind: SnapshotKind::Array { elem: root_elem },
             size: capacity,
-            unique_size: unique.len(),
+            // Distinct elements: the values and objects counted in
+            // `elem_counts`, plus every child array. All of those are in
+            // `seen`, as is the root, which is a child only when it
+            // contains itself.
+            unique_size: elem_counts.len() + seen.len() - 1 + usize::from(self_ref),
             refs_traversed,
         },
         root: ElemKey::Arr(arr),
@@ -1193,6 +1195,63 @@ mod tests {
         assert!(try_partial_array(&heap, &mut m, &mut stats).is_none());
         let fresh = measure_array(&heap, a, &mut stats);
         assert!(fresh.snapshot.keys.contains(&ElemKey::Int(8)));
+    }
+
+    /// `unique_size` is counted from the walk's own bookkeeping; it must
+    /// equal the number of distinct element keys (values, objects and
+    /// child arrays) over every array the walk reaches.
+    #[test]
+    fn unique_size_counts_distinct_elements_and_child_arrays() {
+        let naive = |heap: &Heap, root: ArrRef| {
+            let (mut elems, mut seen, mut queue) = (BTreeSet::new(), BTreeSet::new(), vec![root]);
+            while let Some(a) = queue.pop() {
+                if !seen.insert(a) {
+                    continue;
+                }
+                for &e in &heap.array(a).elems {
+                    match e {
+                        Value::Int(v) => elems.insert(ElemKey::Int(v)),
+                        Value::Bool(b) => elems.insert(ElemKey::Int(b as i64)),
+                        Value::Obj(o) => elems.insert(ElemKey::Obj(o)),
+                        Value::Arr(c) => {
+                            queue.push(c);
+                            elems.insert(ElemKey::Arr(c))
+                        }
+                        _ => false,
+                    };
+                }
+            }
+            elems.len()
+        };
+        let mut heap = Heap::new();
+        let fill = |heap: &mut Heap, kind: ElemKind, values: &[Value]| {
+            let a = heap.alloc_array(kind, values.len());
+            for (i, &v) in values.iter().enumerate() {
+                heap.set_elem(a, i, v);
+            }
+            a
+        };
+        // A nested `int[][]` whose rows repeat and share values.
+        let row1 = fill(&mut heap, ElemKind::Int, &[1, 2, 2].map(Value::Int));
+        let row2 = fill(&mut heap, ElemKind::Int, &[2, 5].map(Value::Int));
+        let (r1, r2) = (Value::Arr(row1), Value::Arr(row2));
+        let grid = fill(&mut heap, ElemKind::Ref, &[r1, r2, r1, Value::Null]);
+        // An array that contains itself, next to a row and an object.
+        let node = Value::Obj(heap.alloc_object(ClassId(0), 1));
+        let looped = heap.alloc_array(ElemKind::Ref, 3);
+        heap.set_elem(looped, 0, Value::Arr(looped));
+        heap.set_elem(looped, 1, r1);
+        heap.set_elem(looped, 2, node);
+        let flags = [true, false, true, true].map(Value::Bool);
+        let flags = fill(&mut heap, ElemKind::Bool, &flags);
+        // A `Node[]` holding one object twice.
+        let other = Value::Obj(heap.alloc_object(ClassId(0), 1));
+        let nodes = fill(&mut heap, ElemKind::Ref, &[node, other, node, Value::Null]);
+        for (root, expected) in [(grid, 5), (looped, 5), (flags, 2), (nodes, 2)] {
+            let m = measure_array(&heap, root, &mut SnapshotStats::default());
+            assert_eq!(m.snapshot.unique_size, naive(&heap, root), "array {root:?}");
+            assert_eq!(m.snapshot.unique_size, expected, "array {root:?}");
+        }
     }
 
     #[test]

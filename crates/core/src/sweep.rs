@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use algoprof_analysis::CostFn;
+use algoprof_analysis::{json_str, CostFn};
 use algoprof_fit::{
     best_fit, check_coefficient, fit_power_law, CoeffCheck, CoeffVerdict, ComplexityClass, Fit,
     PowerFit,
@@ -855,27 +855,6 @@ impl SweepReport {
     pub fn render_html(&self) -> String {
         crate::html::render_sweep_html(self)
     }
-}
-
-/// JSON string literal with the escapes our identifiers can need.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// A finite `f64` as a JSON number (Rust's shortest-roundtrip `Display`

@@ -14,122 +14,106 @@ use algoprof::{
 
 use crate::json::Json;
 
-/// Wire name of an equivalence criterion (matches `--criterion`).
-pub fn criterion_name(c: EquivalenceCriterion) -> &'static str {
-    match c {
-        EquivalenceCriterion::SomeElements => "some",
-        EquivalenceCriterion::AllElements => "all",
-        EquivalenceCriterion::SameArray => "array",
-        EquivalenceCriterion::SameType => "type",
+/// One option's names: the value of its CLI flag and its wire name, for
+/// every variant. Each table below is the one list of its option's names:
+/// the CLI flags, the CLI's error hints and the wire codec all read it.
+pub struct OptionTable<T: 'static> {
+    /// What the option is called in error messages.
+    pub what: &'static str,
+    /// Every variant, with its name.
+    pub names: &'static [(&'static str, T)],
+}
+
+impl<T: Copy + PartialEq> OptionTable<T> {
+    /// The variant called `name`.
+    pub fn parse(&self, name: &str) -> Option<T> {
+        self.names.iter().find(|(n, _)| *n == name).map(|&(_, v)| v)
+    }
+
+    /// The name of `value`.
+    pub fn name(&self, value: T) -> &'static str {
+        let found = self.names.iter().find(|(_, v)| *v == value);
+        found.expect("option tables name every variant").0
+    }
+
+    /// Sets `slot` from the name in member `key` of `options`, when the
+    /// member is present.
+    fn decode(&self, options: &Json, key: &str, slot: &mut T) -> Result<(), String> {
+        if let Some(v) = options.get(key) {
+            let name = v
+                .as_str()
+                .ok_or_else(|| format!("options.{key} must be a string"))?;
+            *slot = self
+                .parse(name)
+                .ok_or_else(|| format!("unknown {} {name:?}", self.what))?;
+        }
+        Ok(())
     }
 }
 
-/// Parses a `--criterion` / wire name.
-pub fn parse_criterion(name: &str) -> Option<EquivalenceCriterion> {
-    match name {
-        "some" => Some(EquivalenceCriterion::SomeElements),
-        "all" => Some(EquivalenceCriterion::AllElements),
-        "array" => Some(EquivalenceCriterion::SameArray),
-        "type" => Some(EquivalenceCriterion::SameType),
-        _ => None,
-    }
-}
+/// `--criterion` names of the equivalence criteria.
+pub const CRITERIA: OptionTable<EquivalenceCriterion> = OptionTable {
+    what: "criterion",
+    names: &[
+        ("some", EquivalenceCriterion::SomeElements),
+        ("all", EquivalenceCriterion::AllElements),
+        ("array", EquivalenceCriterion::SameArray),
+        ("type", EquivalenceCriterion::SameType),
+    ],
+};
 
-fn sizing_name(s: ArraySizeStrategy) -> &'static str {
-    match s {
-        ArraySizeStrategy::Capacity => "capacity",
-        ArraySizeStrategy::UniqueElements => "unique",
-    }
-}
+/// `--sizing` names of the array sizing strategies.
+pub const SIZINGS: OptionTable<ArraySizeStrategy> = OptionTable {
+    what: "sizing",
+    names: &[
+        ("capacity", ArraySizeStrategy::Capacity),
+        ("unique", ArraySizeStrategy::UniqueElements),
+    ],
+};
 
-fn parse_sizing(name: &str) -> Option<ArraySizeStrategy> {
-    match name {
-        "capacity" => Some(ArraySizeStrategy::Capacity),
-        "unique" => Some(ArraySizeStrategy::UniqueElements),
-        _ => None,
-    }
-}
+/// `--snapshots` names of the snapshot policies.
+pub const SNAPSHOT_POLICIES: OptionTable<SnapshotPolicy> = OptionTable {
+    what: "snapshot policy",
+    names: &[
+        ("firstlast", SnapshotPolicy::FirstAndLast),
+        ("every", SnapshotPolicy::EveryAccess),
+    ],
+};
 
-fn snapshots_name(p: SnapshotPolicy) -> &'static str {
-    match p {
-        SnapshotPolicy::FirstAndLast => "firstlast",
-        SnapshotPolicy::EveryAccess => "every",
-    }
-}
-
-fn parse_snapshots(name: &str) -> Option<SnapshotPolicy> {
-    match name {
-        "firstlast" => Some(SnapshotPolicy::FirstAndLast),
-        "every" => Some(SnapshotPolicy::EveryAccess),
-        _ => None,
-    }
-}
-
-fn grouping_name(g: GroupingStrategy) -> &'static str {
-    match g {
-        GroupingStrategy::SharedInput => "input",
-        GroupingStrategy::SharedInputOrIndexFlow => "indexflow",
-        GroupingStrategy::SameMethod => "method",
-    }
-}
-
-fn parse_grouping(name: &str) -> Option<GroupingStrategy> {
-    match name {
-        "input" => Some(GroupingStrategy::SharedInput),
-        "indexflow" => Some(GroupingStrategy::SharedInputOrIndexFlow),
-        "method" => Some(GroupingStrategy::SameMethod),
-        _ => None,
-    }
-}
+/// `--grouping` names of the grouping strategies.
+pub const GROUPINGS: OptionTable<GroupingStrategy> = OptionTable {
+    what: "grouping",
+    names: &[
+        ("input", GroupingStrategy::SharedInput),
+        ("indexflow", GroupingStrategy::SharedInputOrIndexFlow),
+        ("method", GroupingStrategy::SameMethod),
+    ],
+};
 
 /// Encodes the CLI-visible option surface (the `incremental` cache mode
 /// is an internal tuning knob with no CLI flag; it stays at default on
 /// the wire too).
 pub fn options_to_json(o: &AlgoProfOptions) -> Json {
+    let name = |n: &str| Json::Str(n.into());
     Json::obj(vec![
-        ("criterion", Json::Str(criterion_name(o.criterion).into())),
-        ("sizing", Json::Str(sizing_name(o.array_strategy).into())),
-        (
-            "snapshots",
-            Json::Str(snapshots_name(o.snapshot_policy).into()),
-        ),
-        ("grouping", Json::Str(grouping_name(o.grouping).into())),
+        ("criterion", name(CRITERIA.name(o.criterion))),
+        ("sizing", name(SIZINGS.name(o.array_strategy))),
+        ("snapshots", name(SNAPSHOT_POLICIES.name(o.snapshot_policy))),
+        ("grouping", name(GROUPINGS.name(o.grouping))),
     ])
 }
 
 /// Decodes options; absent object or absent members mean defaults,
 /// unknown values are errors.
 pub fn options_from_json(value: Option<&Json>) -> Result<AlgoProfOptions, String> {
-    let mut options = AlgoProfOptions::default();
-    let Some(value) = value else {
-        return Ok(options);
-    };
-    let text = |key: &str| -> Result<Option<&str>, String> {
-        match value.get(key) {
-            None => Ok(None),
-            Some(v) => v
-                .as_str()
-                .map(Some)
-                .ok_or_else(|| format!("options.{key} must be a string")),
-        }
-    };
-    if let Some(name) = text("criterion")? {
-        options.criterion =
-            parse_criterion(name).ok_or_else(|| format!("unknown criterion {name:?}"))?;
+    let mut o = AlgoProfOptions::default();
+    if let Some(value) = value {
+        CRITERIA.decode(value, "criterion", &mut o.criterion)?;
+        SIZINGS.decode(value, "sizing", &mut o.array_strategy)?;
+        SNAPSHOT_POLICIES.decode(value, "snapshots", &mut o.snapshot_policy)?;
+        GROUPINGS.decode(value, "grouping", &mut o.grouping)?;
     }
-    if let Some(name) = text("sizing")? {
-        options.array_strategy =
-            parse_sizing(name).ok_or_else(|| format!("unknown sizing {name:?}"))?;
-    }
-    if let Some(name) = text("snapshots")? {
-        options.snapshot_policy =
-            parse_snapshots(name).ok_or_else(|| format!("unknown snapshot policy {name:?}"))?;
-    }
-    if let Some(name) = text("grouping")? {
-        options.grouping =
-            parse_grouping(name).ok_or_else(|| format!("unknown grouping {name:?}"))?;
-    }
-    Ok(options)
+    Ok(o)
 }
 
 fn hex_encode(bytes: &[u8]) -> String {

@@ -41,11 +41,12 @@
 //! ablation fanned out over the same live event stream, and merges the
 //! results into one deterministic report (byte-identical for every `-j`).
 //!
-//! `serve` turns the same machinery into a daemon: jobs arrive over a
-//! socket, run on a bounded worker pool, and results are memoized in a
-//! content-addressed cache — a daemon round-trip is byte-identical to
-//! the one-shot CLI for the same spec (see `docs/SERVE.md`). `submit` is
-//! the matching client.
+//! Each job-shaped subcommand (live, `analyze`, `sweep`) parses its flags
+//! once into a `JobSpec` and calls `JobSpec::run`, as a `serve` daemon
+//! worker does (`analyze -` streams stdin into the same analysis); only
+//! the rendering (`--csv`, `--html`, `--check`, `--json`) is local.
+//! `submit` sends the same spec to the daemon, so a round-trip is
+//! byte-identical to the one-shot CLI (see `docs/SERVE.md`).
 //!
 //! Every failure — unknown flag, missing argument, unreadable path,
 //! guest or trace error — exits non-zero with a one-line message on
@@ -55,10 +56,11 @@ use std::io::{Read, Write};
 use std::process::ExitCode;
 
 use algoprof::{
-    AlgoProfOptions, AlgorithmicProfile, ArraySizeStrategy, CostMetric, EquivalenceCriterion,
-    GroupingStrategy, JobSpec, ProfileError, ProfileSet, SnapshotPolicy, StreamingAnalysis,
-    SweepAblation, SweepConfig, SweepJob,
+    AlgoProfOptions, CostMetric, JobError, JobResult, JobSpec, ProfileError, StreamingAnalysis,
+    SweepAblation,
 };
+use algoprof_analysis::json_str;
+use algoprof_serve::api::{OptionTable, CRITERIA, GROUPINGS, SIZINGS, SNAPSHOT_POLICIES};
 use algoprof_serve::{client, Server, ServerAddr, ServerConfig};
 use algoprof_vm::InstrumentOptions;
 
@@ -105,9 +107,9 @@ impl From<ProfileError> for CliError {
     }
 }
 
-impl From<algoprof::SweepError> for CliError {
-    fn from(e: algoprof::SweepError) -> Self {
-        CliError::Run(e.to_string())
+impl From<JobError> for CliError {
+    fn from(e: JobError) -> Self {
+        CliError::Run(e.0)
     }
 }
 
@@ -154,47 +156,29 @@ fn flag_value(args: &[String], i: usize) -> Result<&str, CliError> {
     }
 }
 
-fn parse_criterion(name: &str) -> Result<EquivalenceCriterion, CliError> {
-    match name {
-        "some" => Ok(EquivalenceCriterion::SomeElements),
-        "all" => Ok(EquivalenceCriterion::AllElements),
-        "array" => Ok(EquivalenceCriterion::SameArray),
-        "type" => Ok(EquivalenceCriterion::SameType),
-        other => Err(CliError::Usage(format!(
-            "unknown criterion {other:?} (expected some|all|array|type)"
-        ))),
-    }
+/// Looks `name` up in one of the wire protocol's option tables; an
+/// unknown name is a usage error listing the table's names.
+fn parse_named<T: Copy + PartialEq>(table: &OptionTable<T>, name: &str) -> Result<T, CliError> {
+    table.parse(name).ok_or_else(|| {
+        let names: Vec<&str> = table.names.iter().map(|&(n, _)| n).collect();
+        CliError::Usage(format!(
+            "unknown {} {name:?} (expected {})",
+            table.what,
+            names.join("|")
+        ))
+    })
 }
 
-fn parse_sizing(name: &str) -> Result<ArraySizeStrategy, CliError> {
-    match name {
-        "capacity" => Ok(ArraySizeStrategy::Capacity),
-        "unique" => Ok(ArraySizeStrategy::UniqueElements),
-        other => Err(CliError::Usage(format!(
-            "unknown sizing {other:?} (expected capacity|unique)"
-        ))),
+/// Sets the profiler option `flag` names to `value`.
+fn set_option(opts: &mut AlgoProfOptions, flag: &str, value: &str) -> Result<(), CliError> {
+    match flag {
+        "--criterion" => opts.criterion = parse_named(&CRITERIA, value)?,
+        "--sizing" => opts.array_strategy = parse_named(&SIZINGS, value)?,
+        "--grouping" => opts.grouping = parse_named(&GROUPINGS, value)?,
+        "--snapshots" => opts.snapshot_policy = parse_named(&SNAPSHOT_POLICIES, value)?,
+        other => unreachable!("{other} is not a profiler option flag"),
     }
-}
-
-fn parse_grouping(name: &str) -> Result<GroupingStrategy, CliError> {
-    match name {
-        "input" => Ok(GroupingStrategy::SharedInput),
-        "indexflow" => Ok(GroupingStrategy::SharedInputOrIndexFlow),
-        "method" => Ok(GroupingStrategy::SameMethod),
-        other => Err(CliError::Usage(format!(
-            "unknown grouping {other:?} (expected input|indexflow|method)"
-        ))),
-    }
-}
-
-fn parse_snapshots(name: &str) -> Result<SnapshotPolicy, CliError> {
-    match name {
-        "firstlast" => Ok(SnapshotPolicy::FirstAndLast),
-        "every" => Ok(SnapshotPolicy::EveryAccess),
-        other => Err(CliError::Usage(format!(
-            "unknown snapshot policy {other:?} (expected firstlast|every)"
-        ))),
-    }
+    Ok(())
 }
 
 /// Parses a comma-separated integer list for `flag`.
@@ -219,11 +203,27 @@ fn read_file(path: &str) -> Result<String, CliError> {
     std::fs::read_to_string(path).map_err(|e| ProfileError::io("read", path, &e).into())
 }
 
+fn read_trace(path: &str) -> Result<Vec<u8>, CliError> {
+    std::fs::read(path).map_err(|e| ProfileError::io("read", path, &e).into())
+}
+
 fn write_file(path: &str, bytes: &[u8]) -> Result<(), CliError> {
     std::fs::write(path, bytes).map_err(|e| ProfileError::io("write", path, &e).into())
 }
 
-/// Analysis-side options shared by live profiling and `analyze`.
+/// `submit` sends a job, not a rendering: it rejects the flags that only
+/// shape a local run.
+fn reject_local(given: bool, flags: &str) -> Result<(), CliError> {
+    if given {
+        return Err(CliError::Usage(format!(
+            "{flags} are not valid for submit (render locally instead)"
+        )));
+    }
+    Ok(())
+}
+
+/// Options of a profile or analyze job (live, `analyze` and their
+/// `submit` forms), plus the flags that render its result locally.
 #[derive(Default)]
 struct AnalysisArgs {
     opts: AlgoProfOptions,
@@ -234,6 +234,82 @@ struct AnalysisArgs {
     positional: Vec<String>,
 }
 
+impl AnalysisArgs {
+    /// The one positional argument, a `what` ("program file" or "trace
+    /// file").
+    fn path(&self, what: &str) -> Result<&str, CliError> {
+        match self.positional.as_slice() {
+            [path] => Ok(path),
+            _ => Err(CliError::Usage(format!("expected exactly one {what}"))),
+        }
+    }
+
+    fn reject_local(&self) -> Result<(), CliError> {
+        reject_local(
+            self.csv.is_some() || self.html.is_some() || self.check,
+            "--csv/--html/--check",
+        )
+    }
+
+    /// The profile job of `algoprof <prog>` and `submit profile`.
+    fn profile_job(&self) -> Result<JobSpec, CliError> {
+        let path = self.path("program file")?;
+        Ok(JobSpec::Profile {
+            program: path.to_owned(),
+            source: read_file(path)?,
+            input: self.input.clone(),
+            options: self.opts,
+        })
+    }
+
+    /// Renders a profile or analyze job's result per the `--csv`/`--html`
+    /// selection. Single-threaded sets keep the exact pre-thread output;
+    /// threaded sets get per-thread sections plus the merged view
+    /// (text/HTML) or the cross-thread merged series (CSV). `--check` then
+    /// cross-validates static complexity predictions against the main
+    /// thread's dynamic fits and prints the verdicts (informational —
+    /// disagreement does not change the exit code; use `lint` for gating).
+    fn emit(&self, result: JobResult) -> Result<(), CliError> {
+        let JobResult::Profiles { set, source } = result else {
+            unreachable!("profile and analyze jobs yield profiles");
+        };
+        if let Some(html_path) = &self.html {
+            write_file(html_path, algoprof::render_html_set(&set).as_bytes())?;
+            println!("wrote {html_path}");
+        } else if let Some(needle) = &self.csv {
+            // Resolve the substring needle against any thread, then merge
+            // that algorithm's points across all of them. A one-thread
+            // set emits its profile's series verbatim (unsorted).
+            let Some((p, algo)) = set
+                .threads()
+                .iter()
+                .find_map(|p| p.algorithm_by_root_name(needle).map(|a| (p, a)))
+            else {
+                return Err(CliError::Run(format!(
+                    "no algorithm whose root matches {needle:?}"
+                )));
+            };
+            println!("size,steps");
+            let series = if set.is_threaded() {
+                set.merged_series(p.node_name(algo.root), CostMetric::Steps)
+            } else {
+                p.invocation_series(algo.id, CostMetric::Steps)
+            };
+            for (s, c) in series {
+                println!("{s},{c}");
+            }
+        } else {
+            print!("{}", algoprof::render_set(&set));
+        }
+        if self.check {
+            let checks = algoprof::cross_validate(set.main(), &source)
+                .map_err(|e| CliError::Run(e.to_string()))?;
+            print!("{}", algoprof::render_cross_checks(&checks));
+        }
+        Ok(())
+    }
+}
+
 /// Parses live/`analyze` arguments. Every value-taking flag rejects a
 /// missing value and every unknown flag is an error.
 fn parse_args(args: &[String]) -> Result<AnalysisArgs, CliError> {
@@ -241,20 +317,8 @@ fn parse_args(args: &[String]) -> Result<AnalysisArgs, CliError> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--criterion" => {
-                out.opts.criterion = parse_criterion(flag_value(args, i)?)?;
-                i += 1;
-            }
-            "--sizing" => {
-                out.opts.array_strategy = parse_sizing(flag_value(args, i)?)?;
-                i += 1;
-            }
-            "--grouping" => {
-                out.opts.grouping = parse_grouping(flag_value(args, i)?)?;
-                i += 1;
-            }
-            "--snapshots" => {
-                out.opts.snapshot_policy = parse_snapshots(flag_value(args, i)?)?;
+            flag @ ("--criterion" | "--sizing" | "--grouping" | "--snapshots") => {
+                set_option(&mut out.opts, flag, flag_value(args, i)?)?;
                 i += 1;
             }
             "--input" => {
@@ -281,74 +345,10 @@ fn parse_args(args: &[String]) -> Result<AnalysisArgs, CliError> {
     Ok(out)
 }
 
-/// Renders a per-thread profile set per the `--csv`/`--html` selection.
-/// Single-threaded sets keep the exact pre-thread output; threaded sets
-/// get per-thread sections plus the merged view (text/HTML) or the
-/// cross-thread merged series (CSV).
-fn emit_set(set: &ProfileSet, csv: Option<String>, html: Option<String>) -> Result<(), CliError> {
-    if let Some(html_path) = html {
-        write_file(&html_path, algoprof::render_html_set(set).as_bytes())?;
-        println!("wrote {html_path}");
-        return Ok(());
-    }
-    match csv {
-        Some(needle) => {
-            // Resolve the substring needle against any thread, then merge
-            // that algorithm's points across all of them. A one-thread
-            // set emits its profile's series verbatim (unsorted), exactly
-            // as before.
-            let Some((p, algo)) = set
-                .threads()
-                .iter()
-                .find_map(|p| p.algorithm_by_root_name(&needle).map(|a| (p, a)))
-            else {
-                return Err(CliError::Run(format!(
-                    "no algorithm whose root matches {needle:?}"
-                )));
-            };
-            println!("size,steps");
-            let series = if set.is_threaded() {
-                set.merged_series(p.node_name(algo.root), CostMetric::Steps)
-            } else {
-                p.invocation_series(algo.id, CostMetric::Steps)
-            };
-            for (s, c) in series {
-                println!("{s},{c}");
-            }
-        }
-        None => print!("{}", algoprof::render_set(set)),
-    }
-    Ok(())
-}
-
 /// The classic mode: compile, execute, and profile in one go.
 fn live_main(args: &[String]) -> Result<(), CliError> {
     let parsed = parse_args(args)?;
-    let [path] = parsed.positional.as_slice() else {
-        return Err(CliError::Usage("expected exactly one program file".into()));
-    };
-    let source = read_file(path)?;
-    let set = algoprof::profile_source_set_with(
-        &source,
-        &InstrumentOptions::default(),
-        parsed.opts,
-        &parsed.input,
-    )?;
-    emit_set(&set, parsed.csv, parsed.html)?;
-    if parsed.check {
-        cross_validate(set.main(), &source)?;
-    }
-    Ok(())
-}
-
-/// Cross-validates static complexity predictions against the profile's
-/// dynamic fits and prints the verdicts (informational — disagreement
-/// does not change the exit code; use `lint` for gating).
-fn cross_validate(profile: &AlgorithmicProfile, source: &str) -> Result<(), CliError> {
-    let checks =
-        algoprof::cross_validate(profile, source).map_err(|e| CliError::Run(e.to_string()))?;
-    print!("{}", algoprof::render_cross_checks(&checks));
-    Ok(())
+    parsed.emit(parsed.profile_job()?.run(1, false)?)
 }
 
 /// `algoprof record <prog.jay> -o <trace>`: execute once, save the trace.
@@ -393,42 +393,39 @@ fn record_main(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `algoprof analyze <trace|->`: profile a recording without
-/// re-executing. `-` streams the trace from stdin through the
-/// incremental replayer, so analysis overlaps the pipe — and produces
-/// the same bytes as the batch path.
-fn analyze_main(args: &[String]) -> Result<(), CliError> {
+/// Parses `analyze` / `submit analyze` arguments: a recording carries
+/// its own inputs.
+fn parse_analyze_args(args: &[String]) -> Result<AnalysisArgs, CliError> {
     let parsed = parse_args(args)?;
     if !parsed.input.is_empty() {
         return Err(CliError::Usage(
             "--input is not valid for analyze: inputs are embedded in the trace".into(),
         ));
     }
-    let [path] = parsed.positional.as_slice() else {
-        return Err(CliError::Usage("expected exactly one trace file".into()));
-    };
-    let (set, source) = if path == "-" {
-        let report = analyze_stdin(parsed.opts)?;
-        (report.profiles, report.source)
+    Ok(parsed)
+}
+
+/// `algoprof analyze <trace|->`: profile a recording without
+/// re-executing. `-` streams the trace from stdin through the same
+/// [`StreamingAnalysis`] an analyze job runs, so analysis overlaps the
+/// pipe — and produces the same bytes as a file.
+fn analyze_main(args: &[String]) -> Result<(), CliError> {
+    let parsed = parse_analyze_args(args)?;
+    let path = parsed.path("trace file")?;
+    let result = if path == "-" {
+        analyze_stdin(parsed.opts)?
     } else {
-        let trace =
-            std::fs::read(path).map_err(|e| CliError::from(ProfileError::io("read", path, &e)))?;
-        let set = algoprof::profile_trace_set_with(&trace, parsed.opts)?;
-        // The APTR header embeds the recorded source, so recordings are
-        // cross-validatable offline, without the original file.
-        let (header, _) =
-            algoprof_trace::read_header(&trace).map_err(|e| CliError::Run(e.to_string()))?;
-        (set, header.source)
+        let spec = JobSpec::Analyze {
+            trace: read_trace(path)?,
+            options: parsed.opts,
+        };
+        spec.run(1, false)?
     };
-    emit_set(&set, parsed.csv, parsed.html)?;
-    if parsed.check {
-        cross_validate(set.main(), &source)?;
-    }
-    Ok(())
+    parsed.emit(result)
 }
 
 /// Streams stdin into a [`StreamingAnalysis`] chunk by chunk.
-fn analyze_stdin(opts: AlgoProfOptions) -> Result<algoprof::StreamingReport, CliError> {
+fn analyze_stdin(opts: AlgoProfOptions) -> Result<JobResult, CliError> {
     let mut analysis = StreamingAnalysis::new(opts);
     let mut stdin = std::io::stdin().lock();
     let mut buf = [0u8; 64 * 1024];
@@ -441,7 +438,11 @@ fn analyze_stdin(opts: AlgoProfOptions) -> Result<algoprof::StreamingReport, Cli
         }
         analysis.feed(&buf[..n])?;
     }
-    Ok(analysis.finish()?)
+    let report = analysis.finish()?;
+    Ok(JobResult::Profiles {
+        set: report.profiles,
+        source: report.source,
+    })
 }
 
 /// `algoprof events <trace.aptr>`: decode a recording into one line per
@@ -489,8 +490,7 @@ fn events_main(args: &[String]) -> Result<(), CliError> {
             "events expects exactly one trace file".into(),
         ));
     };
-    let trace =
-        std::fs::read(path).map_err(|e| CliError::from(ProfileError::io("read", path, &e)))?;
+    let trace = read_trace(path)?;
     let (header, events) =
         algoprof_trace::read_header(&trace).map_err(|e| CliError::Run(e.to_string()))?;
     // Recompile the embedded source so every id in the stream resolves
@@ -616,7 +616,7 @@ fn costfn_main(args: &[String]) -> Result<(), CliError> {
         let mut out = String::from("{\n");
         out.push_str(&format!(
             "  \"program\": {},\n  \"repetitions\": [\n",
-            json_string(path)
+            json_str(path)
         ));
         for (i, p) in analysis.predictions.iter().enumerate() {
             let kind = match p.kind {
@@ -636,11 +636,7 @@ fn costfn_main(args: &[String]) -> Result<(), CliError> {
                     fc.features
                         .iter()
                         .map(|(ft, c)| {
-                            format!(
-                                "{}: {}",
-                                json_string(ft.name()),
-                                json_string(&c.to_string())
-                            )
+                            format!("{}: {}", json_str(ft.name()), json_str(&c.to_string()))
                         })
                         .collect::<Vec<_>>()
                         .join(", ")
@@ -648,10 +644,10 @@ fn costfn_main(args: &[String]) -> Result<(), CliError> {
                 .unwrap_or_default();
             out.push_str(&format!(
                 "    {{\"name\": {}, \"kind\": \"{kind}\", \"class\": {}, \"cost\": {}, \"leading\": {leading}, \"detail\": {}, \"features\": {{{feats}}}}}{}\n",
-                json_string(&p.name),
-                json_string(p.class.big_o()),
-                json_string(&p.cost.to_string()),
-                json_string(&p.detail),
+                json_str(&p.name),
+                json_str(p.class.big_o()),
+                json_str(&p.cost.to_string()),
+                json_str(&p.detail),
                 if i + 1 < analysis.predictions.len() { "," } else { "" },
             ));
         }
@@ -670,25 +666,6 @@ fn costfn_main(args: &[String]) -> Result<(), CliError> {
         }
     }
     Ok(())
-}
-
-/// Minimal JSON string encoder for the costfn report.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// `algoprof opstats <prog.jay>... [--input ...] [--json] [--top N]`:
@@ -793,91 +770,63 @@ fn disasm_main(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `--criteria a,b` fans each job's live event stream out to one
-/// profiler per criterion; without it the sweep runs the single base
-/// configuration. Shared between the one-shot `sweep` and
-/// `submit sweep` so both produce the same [`JobSpec`].
-fn build_ablations(
-    criteria: &[String],
+/// `sweep` / `submit sweep` arguments: the job's flags, `--json`
+/// (written from the job's result in both modes), and the flags only a
+/// local run has (`-j`, `--quiet`, `--html`).
+#[derive(Default)]
+struct SweepArgs {
+    path: String,
+    sizes: Vec<u64>,
+    criteria: Vec<String>,
     base: AlgoProfOptions,
-) -> Result<Vec<SweepAblation>, CliError> {
-    if criteria.is_empty() {
-        return Ok(vec![SweepAblation {
-            name: "default".to_owned(),
-            options: base,
-        }]);
-    }
-    criteria
-        .iter()
-        .map(|name| {
-            let mut options = base;
-            options.criterion = parse_criterion(name)?;
-            Ok(SweepAblation {
-                name: name.clone(),
-                options,
-            })
-        })
-        .collect()
+    json: Option<String>,
+    workers: Option<usize>,
+    quiet: bool,
+    html: Option<String>,
 }
 
-/// `algoprof sweep <prog.jay> --sizes n1,n2,...`: execute the program
-/// once per size on a worker pool, profiling every requested ablation
-/// from the same live event stream, and emit one merged report.
-fn sweep_main(args: &[String]) -> Result<(), CliError> {
-    let mut sizes: Vec<u64> = Vec::new();
-    let mut workers = 0usize;
-    let mut criteria: Vec<String> = Vec::new();
-    let mut base = AlgoProfOptions::default();
-    let mut json: Option<String> = None;
-    let mut html: Option<String> = None;
-    let mut quiet = false;
+/// Parses the arguments of `cmd` (`sweep` or `submit sweep`).
+fn parse_sweep_args(args: &[String], cmd: &str) -> Result<SweepArgs, CliError> {
+    let mut out = SweepArgs::default();
     let mut positional: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--sizes" => {
-                sizes = parse_int_list("--sizes", flag_value(args, i)?)?;
+                out.sizes = parse_int_list("--sizes", flag_value(args, i)?)?;
                 i += 1;
             }
             "-j" | "--jobs" => {
                 let v = flag_value(args, i)?;
-                workers = v.parse().map_err(|_| {
+                out.workers = Some(v.parse().map_err(|_| {
                     CliError::Usage(format!("invalid worker count {v:?} for {}", args[i]))
-                })?;
+                })?);
                 i += 1;
             }
             "--criteria" => {
-                criteria = flag_value(args, i)?
+                out.criteria = flag_value(args, i)?
                     .split(',')
                     .filter(|p| !p.is_empty())
                     .map(|p| p.trim().to_owned())
                     .collect();
                 i += 1;
             }
-            "--sizing" => {
-                base.array_strategy = parse_sizing(flag_value(args, i)?)?;
-                i += 1;
-            }
-            "--grouping" => {
-                base.grouping = parse_grouping(flag_value(args, i)?)?;
-                i += 1;
-            }
-            "--snapshots" => {
-                base.snapshot_policy = parse_snapshots(flag_value(args, i)?)?;
+            flag @ ("--sizing" | "--grouping" | "--snapshots") => {
+                set_option(&mut out.base, flag, flag_value(args, i)?)?;
                 i += 1;
             }
             "--json" => {
-                json = Some(flag_value(args, i)?.to_owned());
+                out.json = Some(flag_value(args, i)?.to_owned());
                 i += 1;
             }
             "--html" => {
-                html = Some(flag_value(args, i)?.to_owned());
+                out.html = Some(flag_value(args, i)?.to_owned());
                 i += 1;
             }
-            "--quiet" => quiet = true,
+            "--quiet" => out.quiet = true,
             other if other.starts_with('-') => {
                 return Err(CliError::Usage(format!(
-                    "unknown option {other:?} for sweep"
+                    "unknown option {other:?} for {cmd}"
                 )));
             }
             other => positional.push(other.to_owned()),
@@ -889,32 +838,62 @@ fn sweep_main(args: &[String]) -> Result<(), CliError> {
             "sweep expects exactly one program file".into(),
         ));
     };
-    if sizes.is_empty() {
+    if out.sizes.is_empty() {
         return Err(CliError::Usage("sweep requires --sizes n1,n2,...".into()));
     }
-    let ablations = build_ablations(&criteria, base)?;
-    let source = read_file(path)?;
+    out.path = path.clone();
+    Ok(out)
+}
 
-    let jobs: Vec<SweepJob> = sizes
-        .iter()
-        .map(|&n| SweepJob::for_size(&source, n))
-        .collect();
-    let config = SweepConfig {
-        ablations,
-        workers,
-        progress: !quiet,
-        program: path.clone(),
+impl SweepArgs {
+    /// The sweep job. `--criteria a,b` fans each run's live event stream
+    /// out to one profiler per criterion; without it the sweep runs the
+    /// single base configuration.
+    fn job(&self) -> Result<JobSpec, CliError> {
+        let ablations = if self.criteria.is_empty() {
+            vec![SweepAblation {
+                name: "default".to_owned(),
+                options: self.base,
+            }]
+        } else {
+            self.criteria
+                .iter()
+                .map(|name| {
+                    let mut options = self.base;
+                    options.criterion = parse_named(&CRITERIA, name)?;
+                    Ok(SweepAblation {
+                        name: name.clone(),
+                        options,
+                    })
+                })
+                .collect::<Result<_, CliError>>()?
+        };
+        Ok(JobSpec::Sweep {
+            program: self.path.clone(),
+            source: read_file(&self.path)?,
+            sizes: self.sizes.clone(),
+            ablations,
+        })
+    }
+}
+
+/// `algoprof sweep <prog.jay> --sizes n1,n2,...`: execute the program
+/// once per size on a worker pool, profiling every requested ablation
+/// from the same live event stream, and emit one merged report.
+fn sweep_main(args: &[String]) -> Result<(), CliError> {
+    let args = parse_sweep_args(args, "sweep")?;
+    let result = args.job()?.run(args.workers.unwrap_or(0), !args.quiet)?;
+    let JobResult::Sweep(report) = result else {
+        unreachable!("a sweep job yields a sweep report");
     };
-    let report = algoprof::run_sweep(&jobs, &config)?;
-
-    if let Some(json_path) = &json {
+    if let Some(json_path) = &args.json {
         write_file(json_path, report.render_json().as_bytes())?;
     }
-    if let Some(html_path) = &html {
+    if let Some(html_path) = &args.html {
         write_file(html_path, report.render_html().as_bytes())?;
     }
     print!("{}", report.render_text());
-    for out in json.iter().chain(html.iter()) {
+    for out in args.json.iter().chain(args.html.iter()) {
         eprintln!("wrote {out}");
     }
     Ok(())
@@ -1156,109 +1135,28 @@ fn submit_and_report(
 
 fn submit_profile(server: &ServerAddr, rest: &[String], wait: bool) -> Result<(), CliError> {
     let parsed = parse_args(rest)?;
-    if parsed.csv.is_some() || parsed.html.is_some() || parsed.check {
-        return Err(CliError::Usage(
-            "--csv/--html/--check are not valid for submit (render locally instead)".into(),
-        ));
-    }
-    let [path] = parsed.positional.as_slice() else {
-        return Err(CliError::Usage("expected exactly one program file".into()));
-    };
-    let source = read_file(path)?;
-    let spec = JobSpec::Profile {
-        program: path.clone(),
-        source,
-        input: parsed.input,
-        options: parsed.opts,
-    };
-    submit_and_report(server, &spec, wait, None)
+    parsed.reject_local()?;
+    submit_and_report(server, &parsed.profile_job()?, wait, None)
 }
 
 fn submit_sweep(server: &ServerAddr, rest: &[String], wait: bool) -> Result<(), CliError> {
-    let mut sizes: Vec<u64> = Vec::new();
-    let mut criteria: Vec<String> = Vec::new();
-    let mut base = AlgoProfOptions::default();
-    let mut json: Option<String> = None;
-    let mut positional: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--sizes" => {
-                sizes = parse_int_list("--sizes", flag_value(rest, i)?)?;
-                i += 1;
-            }
-            "--criteria" => {
-                criteria = flag_value(rest, i)?
-                    .split(',')
-                    .filter(|p| !p.is_empty())
-                    .map(|p| p.trim().to_owned())
-                    .collect();
-                i += 1;
-            }
-            "--sizing" => {
-                base.array_strategy = parse_sizing(flag_value(rest, i)?)?;
-                i += 1;
-            }
-            "--grouping" => {
-                base.grouping = parse_grouping(flag_value(rest, i)?)?;
-                i += 1;
-            }
-            "--snapshots" => {
-                base.snapshot_policy = parse_snapshots(flag_value(rest, i)?)?;
-                i += 1;
-            }
-            "--json" => {
-                json = Some(flag_value(rest, i)?.to_owned());
-                i += 1;
-            }
-            other if other.starts_with('-') => {
-                return Err(CliError::Usage(format!(
-                    "unknown option {other:?} for submit sweep"
-                )));
-            }
-            other => positional.push(other.to_owned()),
-        }
-        i += 1;
-    }
-    let [path] = positional.as_slice() else {
-        return Err(CliError::Usage(
-            "sweep expects exactly one program file".into(),
-        ));
-    };
-    if sizes.is_empty() {
-        return Err(CliError::Usage("sweep requires --sizes n1,n2,...".into()));
-    }
-    if json.is_some() && !wait {
+    let args = parse_sweep_args(rest, "submit sweep")?;
+    reject_local(
+        args.workers.is_some() || args.quiet || args.html.is_some(),
+        "-j/--quiet/--html",
+    )?;
+    if args.json.is_some() && !wait {
         return Err(CliError::Usage(
             "--json requires --wait (the report is part of the result)".into(),
         ));
     }
-    let ablations = build_ablations(&criteria, base)?;
-    let source = read_file(path)?;
-    let spec = JobSpec::Sweep {
-        program: path.clone(),
-        source,
-        sizes,
-        ablations,
-    };
-    submit_and_report(server, &spec, wait, json)
+    submit_and_report(server, &args.job()?, wait, args.json)
 }
 
 fn submit_analyze(server: &ServerAddr, rest: &[String], wait: bool) -> Result<(), CliError> {
-    let parsed = parse_args(rest)?;
-    if !parsed.input.is_empty() {
-        return Err(CliError::Usage(
-            "--input is not valid for analyze: inputs are embedded in the trace".into(),
-        ));
-    }
-    if parsed.csv.is_some() || parsed.html.is_some() || parsed.check {
-        return Err(CliError::Usage(
-            "--csv/--html/--check are not valid for submit (render locally instead)".into(),
-        ));
-    }
-    let [path] = parsed.positional.as_slice() else {
-        return Err(CliError::Usage("expected exactly one trace file".into()));
-    };
+    let parsed = parse_analyze_args(rest)?;
+    parsed.reject_local()?;
+    let path = parsed.path("trace file")?;
     let trace = if path == "-" {
         let mut bytes = Vec::new();
         std::io::stdin()
@@ -1267,7 +1165,7 @@ fn submit_analyze(server: &ServerAddr, rest: &[String], wait: bool) -> Result<()
             .map_err(|e| CliError::Run(format!("cannot read stdin: {e}")))?;
         bytes
     } else {
-        std::fs::read(path).map_err(|e| CliError::from(ProfileError::io("read", path, &e)))?
+        read_trace(path)?
     };
     let spec = JobSpec::Analyze {
         trace,

@@ -79,21 +79,41 @@ echo "==> events smoke (record -> dump, text and JSON)"
 ./target/release/algoprof events "$sweep_out/run.aptr" --json --limit 10 \
     | grep -Eq '^\{"thread": [0-9]+, "event": "'
 
-echo "==> live vs replay (list sort: analyze <trace> and analyze - match the live report)"
-./target/release/algoprof record examples/sized_insertion_sort.jay \
-    --input 48 -o "$sweep_out/sort.aptr" > /dev/null
-for criterion in some all array type; do
-    for snapshots in firstlast every; do
-        opts=(--criterion "$criterion" --snapshots "$snapshots")
-        ./target/release/algoprof "${opts[@]}" --input 48 \
-            examples/sized_insertion_sort.jay > "$sweep_out/live.txt"
-        ./target/release/algoprof analyze "$sweep_out/sort.aptr" "${opts[@]}" \
-            > "$sweep_out/replayed.txt"
-        ./target/release/algoprof analyze - "${opts[@]}" \
-            < "$sweep_out/sort.aptr" > "$sweep_out/stdin.txt"
-        cmp "$sweep_out/live.txt" "$sweep_out/replayed.txt"
-        cmp "$sweep_out/live.txt" "$sweep_out/stdin.txt"
+echo "==> live vs replay (analyze <trace> and analyze - match the live report: text, HTML, --check)"
+for spec in sized_insertion_sort:48 producer_consumer:32; do
+    prog="${spec%%:*}"
+    input="${spec#*:}"
+    ./target/release/algoprof record "examples/$prog.jay" \
+        --input "$input" -o "$sweep_out/$prog.aptr" > /dev/null
+    for criterion in some all array type; do
+        for snapshots in firstlast every; do
+            opts=(--criterion "$criterion" --snapshots "$snapshots")
+            ./target/release/algoprof "${opts[@]}" --input "$input" \
+                "examples/$prog.jay" > "$sweep_out/live.txt"
+            ./target/release/algoprof analyze "$sweep_out/$prog.aptr" "${opts[@]}" \
+                > "$sweep_out/replayed.txt"
+            ./target/release/algoprof analyze - "${opts[@]}" \
+                < "$sweep_out/$prog.aptr" > "$sweep_out/stdin.txt"
+            cmp "$sweep_out/live.txt" "$sweep_out/replayed.txt"
+            cmp "$sweep_out/live.txt" "$sweep_out/stdin.txt"
+        done
     done
+    ./target/release/algoprof --check --input "$input" "examples/$prog.jay" \
+        > "$sweep_out/live-check.txt"
+    ./target/release/algoprof analyze "$sweep_out/$prog.aptr" --check \
+        > "$sweep_out/replayed-check.txt"
+    ./target/release/algoprof analyze - --check < "$sweep_out/$prog.aptr" \
+        > "$sweep_out/stdin-check.txt"
+    cmp "$sweep_out/live-check.txt" "$sweep_out/replayed-check.txt"
+    cmp "$sweep_out/live-check.txt" "$sweep_out/stdin-check.txt"
+    ./target/release/algoprof --html "$sweep_out/live.html" --input "$input" \
+        "examples/$prog.jay" > /dev/null
+    ./target/release/algoprof analyze "$sweep_out/$prog.aptr" \
+        --html "$sweep_out/replayed.html" > /dev/null
+    ./target/release/algoprof analyze - --html "$sweep_out/stdin.html" \
+        < "$sweep_out/$prog.aptr" > /dev/null
+    cmp "$sweep_out/live.html" "$sweep_out/replayed.html"
+    cmp "$sweep_out/live.html" "$sweep_out/stdin.html"
 done
 
 echo "==> serve smoke (daemon round-trip, byte parity with one-shot, warm cache hit)"
@@ -110,6 +130,15 @@ serve_addr="$(awk '{print $NF}' "$sweep_out/serve.out")"
     --json "$sweep_out/served.json" > "$sweep_out/served.txt"
 cmp "$sweep_out/j1.txt" "$sweep_out/served.txt"
 cmp "$sweep_out/j1.json" "$sweep_out/served.json"
+./target/release/algoprof --input 32 examples/producer_consumer.jay > "$sweep_out/oneshot.txt"
+./target/release/algoprof submit --addr "$serve_addr" --wait profile \
+    --input 32 examples/producer_consumer.jay > "$sweep_out/served-profile.txt"
+cmp "$sweep_out/oneshot.txt" "$sweep_out/served-profile.txt"
+./target/release/algoprof analyze "$sweep_out/sized_insertion_sort.aptr" \
+    > "$sweep_out/oneshot-analyze.txt"
+./target/release/algoprof submit --addr "$serve_addr" --wait analyze \
+    "$sweep_out/sized_insertion_sort.aptr" > "$sweep_out/served-analyze.txt"
+cmp "$sweep_out/oneshot-analyze.txt" "$sweep_out/served-analyze.txt"
 ./target/release/algoprof submit --addr "$serve_addr" sweep \
     examples/sized_arraylist.jay --sizes 8,16,32,64 | grep -q "cache hit"
 ./target/release/algoprof submit --addr "$serve_addr" cache-stats \
