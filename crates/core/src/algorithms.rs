@@ -302,8 +302,18 @@ fn build_algorithm(
 mod tests {
     use super::*;
     use crate::cost::CostKey;
-    use crate::reptree::{ActiveObservation, RepKind};
+    use crate::reptree::RepKind;
     use algoprof_vm::LoopId;
+
+    /// Records an observation of `input` at `size` on `node`'s innermost
+    /// activation.
+    fn observe(tree: &mut RepTree, node: NodeId, input: InputId, size: usize) {
+        let cur = tree.node_mut(node).current_mut().expect("node active");
+        let (record, _) = cur.inputs.find_or_insert(input);
+        record.first_size = size;
+        record.exit_size = size;
+        record.max_size = size;
+    }
 
     /// Builds the Listing-3 shape: an outer loop with 3 iterations whose
     /// inner loop runs 0+1+2 times, both touching input#0.
@@ -318,40 +328,19 @@ mod tests {
             tree.node_mut(outer)
                 .current_mut()
                 .expect("outer active")
-                .costs
                 .bump(CostKey::Step);
             // Inner invocation with `o` steps.
             tree.start_invocation(inner, Some((outer, 0)));
-            {
-                let cur = tree.node_mut(inner).current_mut().expect("inner active");
-                cur.costs.add(CostKey::Step, o);
-                cur.inputs.insert(
-                    InputId(0),
-                    ActiveObservation {
-                        first_size: 5,
-                        exit_size: 5,
-                        max_size: 5,
-                        last_ref: None,
-                    },
-                );
-            }
+            tree.node_mut(inner)
+                .current_mut()
+                .expect("inner active")
+                .steps += o;
+            observe(&mut tree, inner, InputId(0), 5);
             tree.finalize_invocation(inner);
         }
         // Mark the outer loop as accessing the same input so grouping
         // fuses the nest.
-        tree.node_mut(outer)
-            .current_mut()
-            .expect("outer active")
-            .inputs
-            .insert(
-                InputId(0),
-                ActiveObservation {
-                    first_size: 5,
-                    exit_size: 5,
-                    max_size: 5,
-                    last_ref: None,
-                },
-            );
+        observe(&mut tree, outer, InputId(0), 5);
         tree.finalize_invocation(outer);
         tree.finalize_invocation(tree.root());
         tree
@@ -381,19 +370,7 @@ mod tests {
         tree.start_invocation(outer, Some((tree.root(), 0)));
         tree.start_invocation(inner, Some((outer, 0)));
         // Only the inner loop touches the input (the Listing-5 situation).
-        tree.node_mut(inner)
-            .current_mut()
-            .expect("inner active")
-            .inputs
-            .insert(
-                InputId(0),
-                ActiveObservation {
-                    first_size: 9,
-                    exit_size: 9,
-                    max_size: 9,
-                    last_ref: None,
-                },
-            );
+        observe(&mut tree, inner, InputId(0), 9);
         tree.finalize_invocation(inner);
         tree.finalize_invocation(outer);
         tree.finalize_invocation(tree.root());

@@ -84,7 +84,8 @@ pub use report::{render as render_report, render_merged, render_set};
 pub use reptree::{Invocation, NodeId, RepKind, RepNode, RepTree};
 pub use run::{
     profile_source, profile_source_set_with, profile_source_with, profile_trace,
-    profile_trace_set_with, profile_trace_with, record_source, record_source_with, ProfileError,
+    profile_trace_set_with, profile_trace_with, record_source, record_source_with, replay_trace,
+    ProfileError,
 };
 pub use stream::{render_stream_fits, StreamNodeFit, StreamingAnalysis, StreamingReport};
 

@@ -13,7 +13,6 @@ use algoprof_vm::{ClassId, CompiledProgram, Heap, Value};
 
 use crate::cost::{AccessOp, CostKey};
 use crate::inputs::{InputId, InputRegistry};
-use crate::reptree::ActiveObservation;
 use crate::snapshot::{ElemKey, SnapshotStats};
 
 use super::repetition::RepetitionStage;
@@ -99,7 +98,9 @@ impl AttributionStage {
     }
 
     /// Records an access observation of `input` through `r` on the
-    /// current node's active invocation.
+    /// current node's active invocation, counting it under `access` when
+    /// the access is this thread's own. One record lookup serves both.
+    #[allow(clippy::too_many_arguments)]
     fn observe(
         &mut self,
         rep: &mut RepetitionStage,
@@ -108,14 +109,21 @@ impl AttributionStage {
         input: InputId,
         r: Value,
         measured: Option<usize>,
+        access: Option<CostKey>,
     ) {
         let every_access = self.snapshot_policy == SnapshotPolicy::EveryAccess;
-        let exists = rep.current().is_some_and(|c| c.inputs.contains_key(&input));
+        let cur = rep
+            .current_mut()
+            .expect("the current node has an active invocation");
+        let (record, opened) = cur.inputs.find_or_insert(input);
+        if let Some(key) = access {
+            record.count(key);
+        }
 
         // First access in this invocation (or every access, under that
         // policy): measure from the accessed reference and refresh the
         // registry.
-        let size = if !exists || every_access {
+        let size = if opened || every_access {
             match measured {
                 Some(s) => Some(s),
                 None => self.registry.remeasure(program, heap, input, r),
@@ -123,23 +131,16 @@ impl AttributionStage {
         } else {
             None
         };
-
-        let cur = rep
-            .current_mut()
-            .expect("the current node has an active invocation");
-        let obs = cur.inputs.entry(input).or_insert_with(|| {
+        if opened {
             let s = size.unwrap_or(0);
-            ActiveObservation {
-                first_size: s,
-                exit_size: s,
-                max_size: s,
-                last_ref: None,
-            }
-        });
-        obs.last_ref = Some(r);
+            record.first_size = s;
+            record.exit_size = s;
+            record.max_size = s;
+        }
+        record.last_ref = Some(r);
         if let Some(s) = size {
-            obs.max_size = obs.max_size.max(s);
-            obs.exit_size = s;
+            record.max_size = record.max_size.max(s);
+            record.exit_size = s;
         }
         // Only *structure* accesses set the open input: unresolved object
         // references fall back to it mid-construction. Array accesses must
@@ -159,20 +160,19 @@ impl AttributionStage {
         program: &CompiledProgram,
         heap: &Heap,
     ) {
-        let entries: Vec<(InputId, Value)> = match rep.current() {
-            Some(cur) => cur
-                .inputs
-                .iter()
-                .filter_map(|(&id, obs)| obs.last_ref.map(|r| (id, r)))
-                .collect(),
-            None => return,
+        let Some(cur) = rep.current_mut() else {
+            return;
         };
-        for (id, r) in entries {
-            if let Some(size) = self.registry.remeasure(program, heap, id, r) {
-                if let Some(obs) = rep.current_mut().and_then(|c| c.inputs.get_mut(&id)) {
-                    obs.exit_size = size;
-                    obs.max_size = obs.max_size.max(size);
-                }
+        // A re-measure updates the registry (snapshot cache, key
+        // ownership), so the visiting order is part of the result: it is
+        // `InputId` order, not the records' first-access order.
+        for record in cur.inputs.by_input_mut() {
+            let Some(r) = record.last_ref else {
+                continue;
+            };
+            if let Some(size) = self.registry.remeasure(program, heap, record.input, r) {
+                record.exit_size = size;
+                record.max_size = record.max_size.max(size);
             }
         }
     }
@@ -199,12 +199,12 @@ impl AttributionStage {
         // One count per access: a field access of known class counts
         // only by type, and finalizing the invocation folds those counts
         // into its `StructAccess` totals (`CostMap::fold_by_type`).
-        rep.bump(match target {
+        let key = match target {
             AccessTarget::Array => CostKey::ArrayAccess { input, op },
             AccessTarget::Field(Some(class)) => CostKey::StructAccessByType { input, class, op },
             AccessTarget::Field(None) => CostKey::StructAccess { input, op },
-        });
-        self.observe(rep, program, heap, input, r, measured);
+        };
+        self.observe(rep, program, heap, input, r, measured, Some(key));
     }
 
     /// A cross-thread read of data this thread wrote last (Coppa et
@@ -222,7 +222,7 @@ impl AttributionStage {
         let Some((input, measured)) = self.resolve_input(rep, program, heap, r) else {
             return;
         };
-        self.observe(rep, program, heap, input, r, measured);
+        self.observe(rep, program, heap, input, r, measured, None);
     }
 
     /// External I/O: both streams are inputs whose "size" is the number
@@ -235,14 +235,9 @@ impl AttributionStage {
         rep.bump(key);
         self.registry.bump_external(id);
         if let Some(cur) = rep.current_mut() {
-            let obs = cur.inputs.entry(id).or_insert(ActiveObservation {
-                first_size: 0,
-                exit_size: 0,
-                max_size: 0,
-                last_ref: None,
-            });
-            obs.max_size += 1;
-            obs.exit_size = obs.max_size;
+            let (record, _) = cur.inputs.find_or_insert(id);
+            record.max_size += 1;
+            record.exit_size = record.max_size;
         }
     }
 }

@@ -40,7 +40,9 @@
 //!   invocation (without double-counting the access itself).
 //!
 //! Single-threaded streams carry no thread events, so everything lands on
-//! the one main-thread pipeline exactly as before.
+//! the one main-thread pipeline exactly as before. The last-writer table
+//! behind the second rule is kept only once a second pipeline exists;
+//! until then every location was last written by the main thread.
 
 pub mod attribution;
 pub mod repetition;
@@ -128,7 +130,9 @@ pub struct AlgoProf {
     /// implicitly in the main thread).
     cur: usize,
     /// Last thread to write each heap location (allocation counts as a
-    /// write). Drives the cross-thread read rule.
+    /// write), recorded only once a second pipeline exists. Drives the
+    /// cross-thread read rule; a location with no entry was last written
+    /// by the main thread.
     last_writer: ElemKeyMap<usize>,
 }
 
@@ -163,24 +167,36 @@ impl AlgoProf {
         }
     }
 
+    /// Records the current thread as the last writer of `key`. While
+    /// the main pipeline is the only one, every write is the main
+    /// thread's, so nothing is recorded: every location is allocated
+    /// through an `ObjectAlloc` / `ArrayAlloc` event, so any location
+    /// without an entry was last written by the main thread.
+    fn note_write(&mut self, key: ElemKey) {
+        if self.threads.len() > 1 {
+            self.last_writer.insert(key, self.cur);
+        }
+    }
+
     /// Applies the cross-thread read rule for a read through `r`: when
     /// another thread wrote this location last, the read also observes
     /// the input (identity and size) on *that* thread's current
-    /// invocation.
+    /// invocation. With one pipeline the writer is always the reader.
     fn credit_remote_writer(
         &mut self,
         r: Value,
         program: &CompiledProgram,
         heap: &algoprof_vm::Heap,
     ) {
+        if self.threads.len() == 1 {
+            return;
+        }
         let key = match r {
             Value::Obj(o) => ElemKey::Obj(o),
             Value::Arr(a) => ElemKey::Arr(a),
             _ => return,
         };
-        let Some(&w) = self.last_writer.get(&key) else {
-            return;
-        };
+        let w = self.last_writer.get(&key).copied().unwrap_or(0);
         if w == self.cur || w >= self.threads.len() {
             return;
         }
@@ -285,7 +301,7 @@ impl EventSink for AlgoProf {
                 attr.on_access(rep, obj, AccessOp::Read, target, program, heap);
             }
             Event::FieldWrite { obj, tracked, .. } => {
-                self.last_writer.insert(ElemKey::Obj(obj), self.cur);
+                self.note_write(ElemKey::Obj(obj));
                 if tracked {
                     let target = AccessTarget::Field(Some(heap.object(obj).class));
                     let (rep, attr) = self.pipeline();
@@ -298,7 +314,7 @@ impl EventSink for AlgoProf {
                 attr.on_access(rep, arr, AccessOp::Read, AccessTarget::Array, program, heap);
             }
             Event::ArrayWrite { arr, tracked, .. } => {
-                self.last_writer.insert(ElemKey::Arr(arr), self.cur);
+                self.note_write(ElemKey::Arr(arr));
                 if tracked {
                     let (rep, attr) = self.pipeline();
                     attr.on_access(
@@ -316,13 +332,13 @@ impl EventSink for AlgoProf {
                 class,
                 tracked,
             } => {
-                self.last_writer.insert(ElemKey::Obj(obj), self.cur);
+                self.note_write(ElemKey::Obj(obj));
                 if tracked {
                     self.pipeline().0.bump(CostKey::Creation { class });
                 }
             }
             Event::ArrayAlloc { arr, .. } => {
-                self.last_writer.insert(ElemKey::Arr(arr), self.cur);
+                self.note_write(ElemKey::Arr(arr));
             }
             Event::InputRead => {
                 let (rep, attr) = self.pipeline();
@@ -538,6 +554,96 @@ mod tests {
             series.iter().any(|&(size, _)| size == 20.0),
             "the observed size is the full 20-node list, got {series:?}"
         );
+    }
+
+    /// Profiles `src` live and from its recording, asserts the two sets
+    /// are equal, and returns the live one.
+    fn live_and_replayed(src: &str) -> crate::profile::ProfileSet {
+        let instrument = InstrumentOptions::default();
+        let opts = AlgoProfOptions::default();
+        let live = crate::run::profile_source_set_with(src, &instrument, opts, &[])
+            .expect("profiles live");
+        let trace = crate::run::record_source_with(src, &instrument, &[]).expect("records");
+        let replayed = crate::run::profile_trace_set_with(&trace, opts).expect("replays");
+        assert_eq!(live, replayed, "live and replayed profiles differ");
+        live
+    }
+
+    /// The maximum sizes of the inputs observed directly by the root
+    /// invocation of `profile`'s thread.
+    fn root_observations(profile: &crate::profile::AlgorithmicProfile) -> Vec<usize> {
+        let tree = profile.tree();
+        tree.node(tree.root()).invocations[0]
+            .inputs
+            .values()
+            .map(|obs| obs.max_size)
+            .collect()
+    }
+
+    /// `build` links `n` nodes behind main's sentinel without reading
+    /// the sentinel; `sum` traverses the list. Both touch data only
+    /// inside their loops, so their threads' root invocations observe
+    /// an input only through a cross-thread read credit.
+    const WORKER_BUILDS_SRC: &str = "
+        static int build(Node head, int n) {
+            Node first = null;
+            for (int i = 0; i < n; i = i + 1) {
+                Node x = new Node();
+                x.next = first;
+                first = x;
+                head.next = x;
+            }
+            return n;
+        }
+        static int sum(Node head) {
+            int s = 0;
+            Node cur = head;
+            while (cur != null) { s = s + cur.value; cur = cur.next; }
+            return s;
+        } }
+        class Node { Node next; int value; }";
+
+    #[test]
+    fn reads_after_join_attribute_size_to_the_worker_that_built_the_list() {
+        // The worker builds the list after the spawn; main traverses it
+        // after the join. Every node main reads was last written by the
+        // worker, so the worker's root invocation (where it sits once its
+        // frames are gone) observes the whole list, and main's own root
+        // is credited nothing.
+        let set = live_and_replayed(&format!(
+            "class Main {{ static int main() {{
+                Node head = new Node();
+                int t = spawn build(head, 20);
+                int k = join t;
+                return sum(head);
+            }} {WORKER_BUILDS_SRC}"
+        ));
+        assert_eq!(set.len(), 2);
+        assert_eq!(root_observations(set.thread(1).expect("worker")), [21]);
+        assert!(root_observations(set.main()).is_empty());
+    }
+
+    #[test]
+    fn main_overwriting_worker_data_takes_the_credit_back() {
+        // After joining worker 1, main writes every node before reading
+        // its link, so main is the last writer of every node without
+        // reading worker 1's data. Worker 2's traversal then credits
+        // main's root invocation, and worker 1 gets nothing.
+        let set = live_and_replayed(&format!(
+            "class Main {{ static int main() {{
+                Node head = new Node();
+                int t1 = spawn build(head, 20);
+                int a = join t1;
+                Node cur = head;
+                while (cur != null) {{ cur.value = 7; cur = cur.next; }}
+                int t2 = spawn sum(head);
+                return join t2;
+            }} {WORKER_BUILDS_SRC}"
+        ));
+        assert_eq!(set.len(), 3);
+        assert_eq!(root_observations(set.main()), [21]);
+        assert!(root_observations(set.thread(1).expect("worker 1")).is_empty());
+        assert!(root_observations(set.thread(2).expect("worker 2")).is_empty());
     }
 
     /// A trace may carry a `FieldRead` on a non-object value (the wire

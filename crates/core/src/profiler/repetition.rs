@@ -56,10 +56,10 @@ impl RepetitionStage {
         self.tree.node_mut(self.tn).current_mut()
     }
 
-    /// Bumps `key` on the current invocation's cost map.
+    /// Counts one `key` on the current invocation.
     pub fn bump(&mut self, key: CostKey) {
         if let Some(cur) = self.current_mut() {
-            cur.costs.bump(key);
+            cur.bump(key);
         }
     }
 
@@ -69,7 +69,7 @@ impl RepetitionStage {
         let mut out = Vec::new();
         for node in self.tree.path_to_root(self.tn) {
             for activation in &self.tree.node(node).active {
-                out.extend(activation.inputs.keys().copied());
+                out.extend(activation.inputs.iter().map(|r| r.input));
             }
         }
         out.sort_unstable();

@@ -17,7 +17,7 @@ use std::fmt;
 
 use algoprof_vm::{FuncId, LoopId, Value};
 
-use crate::cost::CostMap;
+use crate::cost::{CostKey, CostMap};
 use crate::inputs::InputId;
 
 /// Index of a node within its [`RepTree`].
@@ -75,26 +75,83 @@ pub struct Invocation {
 }
 
 /// Mutable bookkeeping for an invocation in flight.
+///
+/// Costs are kept flat rather than in a [`CostMap`]: steps in one
+/// counter, creations, external I/O and lock waits in a short tally,
+/// and every access count in the record of the input it touched. An
+/// access then costs one record lookup, which also serves its size
+/// observation. [`RepTree::finalize_invocation`] rebuilds the ordered
+/// [`CostMap`] and observation map from them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActiveInvocation {
     /// The pre-assigned index in [`RepNode::invocations`].
     pub ordinal: usize,
-    /// Costs so far. A field access of known class is counted only as
-    /// [`CostKey::StructAccessByType`](crate::cost::CostKey); its
-    /// `StructAccess` total appears when
-    /// [`RepTree::finalize_invocation`] folds the per-type counts in, so
-    /// in-flight `StructAccess` counts hold class-less accesses only.
-    pub costs: CostMap,
-    /// Observations so far.
-    pub inputs: BTreeMap<InputId, ActiveObservation>,
+    /// Algorithmic steps so far.
+    pub steps: u64,
+    /// Counts of the other operations counted through
+    /// [`ActiveInvocation::bump`] (creations, external I/O, lock waits),
+    /// one entry per key.
+    pub tally: Vec<(CostKey, u64)>,
+    /// One record per input accessed or observed so far.
+    pub inputs: InputRecords,
     /// The input of the most recent resolved access; unresolved
     /// references (mid-construction) are attributed here.
     pub open_input: Option<InputId>,
 }
 
-/// In-flight observation of one input.
+impl ActiveInvocation {
+    fn new(ordinal: usize) -> Self {
+        ActiveInvocation {
+            ordinal,
+            steps: 0,
+            tally: Vec::new(),
+            inputs: InputRecords::default(),
+            open_input: None,
+        }
+    }
+
+    /// Counts one occurrence of `key`. The profiler counts accesses on
+    /// their input's record ([`InputRecord::count`]) instead.
+    pub fn bump(&mut self, key: CostKey) {
+        match key {
+            CostKey::Step => self.steps += 1,
+            _ => bump_in(&mut self.tally, key),
+        }
+    }
+
+    /// The ordered cost map of everything counted so far, with per-type
+    /// structure access counts folded into their totals
+    /// ([`CostMap::fold_by_type`]).
+    fn costs(&self) -> CostMap {
+        let mut costs = CostMap::new();
+        costs.add(CostKey::Step, self.steps);
+        for &(key, n) in &self.tally {
+            costs.add(key, n);
+        }
+        for record in self.inputs.iter() {
+            for &(key, n) in &record.counts {
+                costs.add(key, n);
+            }
+        }
+        costs.fold_by_type();
+        costs
+    }
+}
+
+/// Adds one to `key`'s entry of a short count list.
+fn bump_in(counts: &mut Vec<(CostKey, u64)>, key: CostKey) {
+    match counts.iter_mut().find(|(k, _)| *k == key) {
+        Some((_, n)) => *n += 1,
+        None => counts.push((key, 1)),
+    }
+}
+
+/// In-flight record of one input within one invocation: its sizes, the
+/// last reference accessed, and the accesses counted on it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ActiveObservation {
+pub struct InputRecord {
+    /// The input.
+    pub input: InputId,
     /// Size at the first access.
     pub first_size: usize,
     /// Size at the exit re-measurement (set by `remeasureInputs`).
@@ -103,6 +160,80 @@ pub struct ActiveObservation {
     pub max_size: usize,
     /// Last reference accessed (the exit re-measurement starts here).
     pub last_ref: Option<Value>,
+    /// Access counts on this input, one entry per [`CostKey`]. A field
+    /// access of known class is counted only as
+    /// [`CostKey::StructAccessByType`]; its `StructAccess` total appears
+    /// when the invocation is finalized.
+    pub counts: Vec<(CostKey, u64)>,
+}
+
+impl InputRecord {
+    fn new(input: InputId) -> Self {
+        InputRecord {
+            input,
+            first_size: 0,
+            exit_size: 0,
+            max_size: 0,
+            last_ref: None,
+            counts: Vec::new(),
+        }
+    }
+
+    /// Counts one access under `key`.
+    pub fn count(&mut self, key: CostKey) {
+        bump_in(&mut self.counts, key);
+    }
+
+    fn observation(&self) -> InputObservation {
+        InputObservation {
+            first_size: self.first_size,
+            exit_size: self.exit_size,
+            max_size: self.max_size,
+        }
+    }
+}
+
+/// The input records of an invocation in flight, in first-access order
+/// until the exit re-measurement sorts them.
+/// Most invocations touch one or two inputs, and consecutive accesses
+/// mostly touch the same one, so lookup tries the most recently used
+/// record first and then scans.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct InputRecords {
+    records: Vec<InputRecord>,
+    recent: usize,
+}
+
+impl InputRecords {
+    /// The record of `input`, opened (all sizes 0) if there is none yet;
+    /// the flag is `true` when it was just opened.
+    pub fn find_or_insert(&mut self, input: InputId) -> (&mut InputRecord, bool) {
+        let found = match self.records.get(self.recent) {
+            Some(r) if r.input == input => Some(self.recent),
+            _ => self.records.iter().position(|r| r.input == input),
+        };
+        let (at, opened) = match found {
+            Some(at) => (at, false),
+            None => {
+                self.records.push(InputRecord::new(input));
+                (self.records.len() - 1, true)
+            }
+        };
+        self.recent = at;
+        (&mut self.records[at], opened)
+    }
+
+    /// Every record, mutably, after sorting them into `InputId` order.
+    pub fn by_input_mut(&mut self) -> impl Iterator<Item = &mut InputRecord> + '_ {
+        self.records.sort_unstable_by_key(|r| r.input);
+        self.records.iter_mut()
+    }
+
+    /// Every record, in first-access order (until
+    /// [`InputRecords::by_input_mut`] sorts them).
+    pub fn iter(&self) -> impl Iterator<Item = &InputRecord> + '_ {
+        self.records.iter()
+    }
 }
 
 /// One node of the repetition tree.
@@ -274,12 +405,7 @@ impl RepTree {
             inputs: BTreeMap::new(),
             finished: false,
         });
-        n.active.push(ActiveInvocation {
-            ordinal,
-            costs: CostMap::new(),
-            inputs: BTreeMap::new(),
-            open_input: None,
-        });
+        n.active.push(ActiveInvocation::new(ordinal));
         ordinal
     }
 
@@ -296,21 +422,11 @@ impl RepTree {
         let n = &mut self.nodes[node.index()];
         let active = n.active.pop().expect("an invocation is active");
         let slot = &mut n.invocations[active.ordinal];
-        slot.costs = active.costs;
-        slot.costs.fold_by_type();
+        slot.costs = active.costs();
         slot.inputs = active
             .inputs
-            .into_iter()
-            .map(|(id, obs)| {
-                (
-                    id,
-                    InputObservation {
-                        first_size: obs.first_size,
-                        exit_size: obs.exit_size,
-                        max_size: obs.max_size,
-                    },
-                )
-            })
+            .iter()
+            .map(|r| (r.input, r.observation()))
             .collect();
         slot.finished = true;
         active.ordinal
@@ -376,7 +492,6 @@ mod tests {
         tree.node_mut(l)
             .current_mut()
             .expect("active")
-            .costs
             .bump(CostKey::Step);
         let ordinal = tree.finalize_invocation(l);
         assert_eq!(ordinal, 0);
@@ -393,18 +508,10 @@ mod tests {
         let mut tree = RepTree::new();
         let l = tree.get_or_create_child(tree.root(), RepKind::Loop(LoopId(0)));
         let outer = tree.start_invocation(l, Some((tree.root(), 0)));
-        tree.node_mut(l)
-            .current_mut()
-            .expect("outer active")
-            .costs
-            .add(CostKey::Step, 10);
+        tree.node_mut(l).current_mut().expect("outer active").steps += 10;
         let inner = tree.start_invocation(l, Some((tree.root(), 0)));
         assert_ne!(outer, inner);
-        tree.node_mut(l)
-            .current_mut()
-            .expect("inner active")
-            .costs
-            .add(CostKey::Step, 3);
+        tree.node_mut(l).current_mut().expect("inner active").steps += 3;
         // Inner finishes first but keeps its own ordinal.
         assert_eq!(tree.finalize_invocation(l), inner);
         assert_eq!(tree.finalize_invocation(l), outer);

@@ -95,7 +95,15 @@ fn run_source<S: EventSink>(
 /// instrumentation options, then replays the events into `sink`.
 /// Compilation is deterministic, so every id in the stream resolves
 /// exactly as it did while recording.
-fn replay_trace<S: EventSink>(trace: &[u8], sink: &mut S) -> Result<CompiledProgram, ProfileError> {
+///
+/// # Errors
+///
+/// Returns [`ProfileError::Trace`] when the trace is malformed and
+/// [`ProfileError::Compile`] when its embedded source does not compile.
+pub fn replay_trace<S: EventSink>(
+    trace: &[u8],
+    sink: &mut S,
+) -> Result<CompiledProgram, ProfileError> {
     let (header, events) = read_header(trace)?;
     let program = compile(&header.source)?.instrument(&header.instrument);
     TraceReplayer::new().replay(&program, events, sink)?;

@@ -56,8 +56,8 @@ use std::io::{Read, Write};
 use std::process::ExitCode;
 
 use algoprof::{
-    AlgoProfOptions, CostMetric, JobError, JobResult, JobSpec, ProfileError, StreamingAnalysis,
-    SweepAblation,
+    replay_trace, AlgoProfOptions, CostMetric, JobError, JobResult, JobSpec, ProfileError,
+    StreamingAnalysis, SweepAblation,
 };
 use algoprof_analysis::json_str;
 use algoprof_serve::api::{OptionTable, CRITERIA, GROUPINGS, SIZINGS, SNAPSHOT_POLICIES};
@@ -491,21 +491,14 @@ fn events_main(args: &[String]) -> Result<(), CliError> {
         ));
     };
     let trace = read_trace(path)?;
-    let (header, events) =
-        algoprof_trace::read_header(&trace).map_err(|e| CliError::Run(e.to_string()))?;
-    // Recompile the embedded source so every id in the stream resolves
-    // to its name, exactly as `analyze` does.
-    let program = algoprof_vm::compile(&header.source)
-        .map_err(|e| CliError::Run(e.to_string()))?
-        .instrument(&header.instrument);
     let stdout = std::io::stdout().lock();
     let mut sink = algoprof_trace::DumpSink::new(std::io::BufWriter::new(stdout), json, limit);
     if let Some(id) = thread {
         sink = sink.with_thread_filter(id);
     }
-    algoprof_trace::TraceReplayer::new()
-        .replay(&program, events, &mut sink)
-        .map_err(|e| CliError::Run(e.to_string()))?;
+    // The same replay prelude as `analyze`: ids resolve to names against
+    // the recompiled embedded source.
+    replay_trace(&trace, &mut sink)?;
     sink.finish()
         .map_err(|e| CliError::Run(format!("cannot write event dump: {e}")))?;
     Ok(())

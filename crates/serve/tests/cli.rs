@@ -191,6 +191,61 @@ fn events_usage_and_run_errors() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `events` replays through the same prelude as `analyze`, so a bad
+/// recording fails with the same prefixed diagnostic and exit code 1.
+#[test]
+fn events_and_analyze_report_replay_failures_alike() {
+    let dir =
+        std::env::temp_dir().join(format!("algoprof-cli-events-replay-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let src = dir.join("count.jay");
+    std::fs::write(
+        &src,
+        "class Main { static int main() {
+            int s = 0;
+            for (int i = 0; i < 4; i = i + 1) { s = s + i; }
+            return s;
+        } }",
+    )
+    .expect("writes");
+    let trace = dir.join("count.aptr");
+    let out = algoprof(&[
+        "record",
+        src.to_str().unwrap(),
+        "-o",
+        trace.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+
+    // A recording cut short before its end tag.
+    let bytes = std::fs::read(&trace).expect("reads the recording");
+    let truncated = dir.join("truncated.aptr");
+    std::fs::write(&truncated, &bytes[..bytes.len() - 1]).expect("writes");
+    // A well-formed recording whose embedded source does not compile.
+    let mut uncompilable = Vec::new();
+    let header = algoprof_trace::TraceHeader::new(
+        "class Main {",
+        &algoprof_vm::InstrumentOptions::default(),
+        &[],
+    );
+    algoprof_trace::TraceRecorder::new(&header, &mut uncompilable)
+        .finish()
+        .expect("writes to a Vec");
+    let bad_source = dir.join("bad_source.aptr");
+    std::fs::write(&bad_source, &uncompilable).expect("writes");
+
+    for (file, prefix) in [
+        (&truncated, "algoprof: trace replay failed: "),
+        (&bad_source, "algoprof: guest compilation failed: "),
+    ] {
+        let file = file.to_str().unwrap();
+        for cmd in ["events", "analyze"] {
+            assert_run_error(&[cmd, file], prefix);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn events_dumps_a_recording() {
     let dir = std::env::temp_dir().join(format!("algoprof-cli-events-{}", std::process::id()));

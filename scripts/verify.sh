@@ -56,8 +56,8 @@ ALGOPROF_NO_FUSE=1 ./target/release/algoprof sweep examples/sized_insertion_sort
 cmp "$sweep_out/sort1.json" "$sweep_out/sortnf.json"
 cmp "$sweep_out/sort1.txt" "$sweep_out/sortnf.txt"
 
-echo "==> multi-criterion sweeps (determinism across -j and fusion)"
-for prog in sized_insertion_sort_array sized_insertion_sort; do
+echo "==> multi-criterion sweeps, threaded programs too (determinism across -j and fusion)"
+for prog in sized_insertion_sort_array sized_insertion_sort producer_consumer parallel_sum; do
     sweep=(./target/release/algoprof sweep "examples/$prog.jay" --sizes 8,16,32
         --criteria some,all,array,type --quiet)
     base="$sweep_out/crit-$prog"
