@@ -131,6 +131,10 @@ pub struct InputRegistry {
     stats: SnapshotStats,
     /// Scratch marks shared by every structure walk this registry makes.
     marks: VisitMarks,
+    /// Whether another pipeline writes to the same heap. Its writes never
+    /// reach [`InputRegistry::mark_dirty`], so the O(1) dirty check is
+    /// not trusted once it does.
+    foreign_writes: bool,
 }
 
 impl InputRegistry {
@@ -154,7 +158,15 @@ impl InputRegistry {
             incremental,
             stats: SnapshotStats::default(),
             marks: VisitMarks::default(),
+            foreign_writes: false,
         }
+    }
+
+    /// Notes that another pipeline now writes to the heap this registry
+    /// measures: from here on, cached measurements are validated by the
+    /// heap's stamps, which every thread's writes update.
+    pub(crate) fn expect_foreign_writes(&mut self) {
+        self.foreign_writes = true;
     }
 
     /// The configured array sizing strategy.
@@ -368,6 +380,8 @@ impl InputRegistry {
     ///
     /// 1. *O(1) dirty check* — reusable root, input not `shared`, and no
     ///    write observed through its references since the cached epoch.
+    ///    Skipped once another pipeline writes to the heap
+    ///    ([`InputRegistry::expect_foreign_writes`]).
     /// 2. *Stamp scan* — reusable root, and every container recorded by
     ///    the cached walk is unmodified since the cached epoch (heals
     ///    false-dirties from writes that resolved here but hit another
@@ -401,7 +415,7 @@ impl InputRegistry {
         };
         let info = &self.inputs[id.index()];
         let reusable = m.walks_alike_from(root);
-        let clean = !info.shared && info.dirty_epoch <= m.epoch;
+        let clean = !self.foreign_writes && !info.shared && info.dirty_epoch <= m.epoch;
         let uncached = match r {
             // Layer 1: nothing resolving to this input was written.
             _ if reusable && clean => {

@@ -51,6 +51,12 @@ impl AttributionStage {
         &self.registry
     }
 
+    /// Notes that another thread's pipeline now writes to the heap (see
+    /// [`InputRegistry::expect_foreign_writes`]).
+    pub(crate) fn expect_foreign_writes(&mut self) {
+        self.registry.expect_foreign_writes();
+    }
+
     /// Consumes the stage, yielding the registry for profile building.
     pub fn into_registry(mut self) -> InputRegistry {
         self.registry.release_scratch();

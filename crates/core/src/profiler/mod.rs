@@ -164,6 +164,11 @@ impl AlgoProf {
         while self.threads.len() <= thread.index() {
             self.threads
                 .push((RepetitionStage::new(), AttributionStage::new(&self.opts)));
+            // A registry's dirty marks only see its own pipeline's
+            // writes; with a second writer, every one revalidates.
+            for (_, attribution) in &mut self.threads {
+                attribution.expect_foreign_writes();
+            }
         }
     }
 

@@ -660,6 +660,22 @@ fn disasm_cfg_matches_golden_dot() {
 }
 
 #[test]
+fn disasm_fused_matches_golden() {
+    // One line per dispatched instruction: a superinstruction prints its
+    // mnemonic, then its constituents.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_cfg.jay");
+    let out = algoprof(&["disasm", fixture.to_str().unwrap(), "--fused"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    let golden = include_str!("fixtures/golden_fused.txt");
+    assert_eq!(
+        text, golden,
+        "disasm --fused drifted from tests/fixtures/golden_fused.txt; \
+         regenerate it if the change is intended"
+    );
+}
+
+#[test]
 fn sweep_smoke_produces_report_files() {
     let dir = std::env::temp_dir().join(format!("algoprof-cli-ok-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");

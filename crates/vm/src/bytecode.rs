@@ -107,15 +107,15 @@ pub enum CmpKind {
 }
 
 impl CmpKind {
-    /// The base comparison opcode this kind corresponds to.
-    pub fn opcode(self) -> Opcode {
+    /// The base comparison instruction this kind stands for.
+    pub fn instr(self) -> Instr {
         match self {
-            CmpKind::Lt => Opcode::CmpLt,
-            CmpKind::Le => Opcode::CmpLe,
-            CmpKind::Gt => Opcode::CmpGt,
-            CmpKind::Ge => Opcode::CmpGe,
-            CmpKind::Eq => Opcode::CmpEq,
-            CmpKind::Ne => Opcode::CmpNe,
+            CmpKind::Lt => Instr::CmpLt,
+            CmpKind::Le => Instr::CmpLe,
+            CmpKind::Gt => Instr::CmpGt,
+            CmpKind::Ge => Instr::CmpGe,
+            CmpKind::Eq => Instr::CmpEq,
+            CmpKind::Ne => Instr::CmpNe,
         }
     }
 }
@@ -123,12 +123,12 @@ impl CmpKind {
 /// One bytecode instruction. Jump targets are absolute instruction indices
 /// within the owning function.
 ///
-/// The `Fused*`/`IncLocal`/`CmpJump` variants at the end are
+/// The `Fused*`/`CmpJump` variants at the end are
 /// **superinstructions** introduced by the profile-guided peephole pass
 /// ([`crate::fuse`]); the compiler never emits them directly. Each one is
 /// observationally identical to the base sequence it replaces: it emits
 /// one [`crate::event::Event::Instruction`] per constituent opcode (see
-/// [`Instr::expansion`]) and counts every constituent toward the
+/// [`Instr::expand`]) and counts every constituent toward the
 /// instruction total, so profiles and event streams are byte-identical
 /// with fusion on or off — only the number of dispatches changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -246,30 +246,16 @@ pub enum Instr {
     FusedLoadConst(u16, i64),
     /// Fused `LoadLocal slot; GetField field`.
     FusedLoadGetField(u16, FieldId),
-    /// Fused `LoadLocal slot; ALoad` — the slot holds the index, the
-    /// array is on the stack.
-    FusedLoadALoad(u16),
-    /// Fused `LoadLocal slot; ConstInt k; Add; StoreLocal slot` — the
-    /// canonical loop increment `i = i + k`.
-    IncLocal(u16, i64),
     /// Fused `Cmp<kind>; JumpIfTrue/JumpIfFalse target`. The `bool` is
     /// the branch sense: `true` jumps when the comparison holds
     /// (`JumpIfTrue`), `false` when it does not (`JumpIfFalse`).
     CmpJump(CmpKind, bool, usize),
-    /// Fused `LoadLocal slot; Cmp<kind>; JumpIfTrue/JumpIfFalse target`
-    /// — compares the stack top against the local (stack value on the
-    /// left: `stack <kind> local`).
-    LoadCmpJump(u16, CmpKind, bool, usize),
-    /// Fused `GetField field; ArrayLen` — the ubiquitous
-    /// `obj.array.length`. Only emitted for untracked fields (a tracked
-    /// field's read event would otherwise reorder against the
-    /// constituents' instruction events).
-    FusedGetFieldLen(FieldId),
-    /// Fused `LoadLocal slot; GetField field; ArrayLen` — ditto, with
-    /// the receiver coming straight from a local.
+    /// Fused `LoadLocal slot; GetField field; ArrayLen` — the ubiquitous
+    /// `obj.array.length` with the receiver coming straight from a local.
+    /// Only emitted for untracked fields (a tracked field's read event
+    /// would otherwise reorder against the constituents' instruction
+    /// events).
     FusedLoadGetFieldLen(u16, FieldId),
-    /// Fused `ConstInt k; Add` — add a constant to the stack top.
-    FusedConstAdd(i64),
     /// Fused `ProfLoopBack loop; Jump target` — the back-edge tail every
     /// loop iteration executes. Emits the back-edge event, then jumps;
     /// the loop id survives fusion, keeping indexflow ordinals intact.
@@ -286,7 +272,7 @@ pub enum Instr {
     /// Fused `LoadLocal a; LoadLocal b; GetField field; ArrayLen` — the
     /// `this.array.length` read with another operand (typically the index
     /// being range-checked) loaded first. Only fused for untracked fields
-    /// on a single source line, like [`Instr::FusedGetFieldLen`].
+    /// on a single source line, like [`Instr::FusedLoadGetFieldLen`].
     FusedLoadLoadGetFieldLen(u16, u16, FieldId),
     /// Fused `LoadLocal a; LoadLocal b; Cmp*; JumpIf*` — a loop-header
     /// comparison of two locals. Target narrowed to `u32`.
@@ -321,7 +307,7 @@ pub enum Instr {
 /// The logical opcode of a base instruction, without operands. This is
 /// what [`crate::event::Event::Instruction`] carries and what the
 /// opcode-statistics sink counts: superinstructions expand to the base
-/// opcodes they replace (see [`Instr::expansion`]), so the logical opcode
+/// opcodes they replace (see [`Instr::expand`]), so the logical opcode
 /// stream is identical with fusion on or off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
@@ -537,161 +523,210 @@ impl Opcode {
     }
 }
 
-impl Instr {
-    /// Whether this instruction unconditionally transfers control (ends a
-    /// basic block with no fall-through).
-    pub fn is_terminator(&self) -> bool {
-        matches!(
-            self,
-            Instr::Jump(_)
-                | Instr::Ret
-                | Instr::RetVal
-                | Instr::Throw
-                | Instr::FusedLoopBackJump(..)
-                | Instr::FusedIncJump(..)
-        )
-    }
+/// The base instructions one [`Instr`] stands for, in execution order and
+/// with their operands: a superinstruction's constituents, or a base
+/// instruction alone. Returned by [`Instr::expand`]; derefs to a slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Expansion {
+    instrs: [Instr; Expansion::MAX],
+    len: u8,
+}
 
-    /// The branch targets of this instruction, if any.
-    pub fn targets(&self) -> Option<usize> {
-        match self {
-            Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::JumpIfTrue(t) => Some(*t),
-            Instr::CmpJump(_, _, t) | Instr::LoadCmpJump(_, _, _, t) => Some(*t),
-            Instr::FusedLoopBackJump(_, t) => Some(*t),
-            Instr::FusedIncJump(_, _, t) | Instr::FusedLoadLoadCmpJump(_, _, _, _, t) => {
-                Some(*t as usize)
+impl Expansion {
+    /// The most base instructions any superinstruction stands for.
+    const MAX: usize = 6;
+
+    #[inline]
+    fn of<const N: usize>(instrs: [Instr; N]) -> Expansion {
+        let mut buf = [Instr::Ret; Expansion::MAX];
+        buf[..N].copy_from_slice(&instrs);
+        Expansion {
+            instrs: buf,
+            len: N as u8,
+        }
+    }
+}
+
+impl std::ops::Deref for Expansion {
+    type Target = [Instr];
+
+    #[inline]
+    fn deref(&self) -> &[Instr] {
+        &self.instrs[..self.len as usize]
+    }
+}
+
+impl std::ops::DerefMut for Expansion {
+    fn deref_mut(&mut self) -> &mut [Instr] {
+        &mut self.instrs[..self.len as usize]
+    }
+}
+
+fn branch(jump_if: bool, t: usize) -> Instr {
+    if jump_if {
+        Instr::JumpIfTrue(t)
+    } else {
+        Instr::JumpIfFalse(t)
+    }
+}
+
+impl Instr {
+    /// The base instructions this instruction stands for, with their
+    /// operands. A base instruction expands to itself; a superinstruction
+    /// to the sequence it was fused from, narrowed operands widened back.
+    /// This is the one definition of every superinstruction: the
+    /// interpreter counts and reports one logical instruction per
+    /// constituent, and the verifier, the CFG builder and the
+    /// disassembler walk the constituents with the base rules.
+    #[inline]
+    pub fn expand(&self) -> Expansion {
+        use Instr::*;
+        match *self {
+            FusedLoadLoad(a, b) => Expansion::of([LoadLocal(a), LoadLocal(b)]),
+            FusedLoadConst(s, k) => Expansion::of([LoadLocal(s), ConstInt(k)]),
+            FusedLoadGetField(s, f) => Expansion::of([LoadLocal(s), GetField(f)]),
+            CmpJump(kind, jump_if, t) => Expansion::of([kind.instr(), branch(jump_if, t)]),
+            FusedLoadGetFieldLen(s, f) => Expansion::of([LoadLocal(s), GetField(f), ArrayLen]),
+            FusedLoopBackJump(l, t) => Expansion::of([ProfLoopBack(l), Jump(t)]),
+            FusedLoadAStore(s) => Expansion::of([LoadLocal(s), AStore]),
+            FusedIncJump(s, k, t) => Expansion::of([
+                LoadLocal(s),
+                ConstInt(k.into()),
+                Add,
+                StoreLocal(s),
+                Jump(t as usize),
+            ]),
+            FusedLoadLoadGetFieldLen(a, b, f) => {
+                Expansion::of([LoadLocal(a), LoadLocal(b), GetField(f), ArrayLen])
             }
-            _ => None,
+            FusedLoadLoadCmpJump(a, b, kind, jump_if, t) => Expansion::of([
+                LoadLocal(a),
+                LoadLocal(b),
+                kind.instr(),
+                branch(jump_if, t as usize),
+            ]),
+            FusedLoadLoadPutField(a, b, f) => {
+                Expansion::of([LoadLocal(a), LoadLocal(b), PutField(f)])
+            }
+            FusedFieldAdd(a, b, f, k) => Expansion::of([
+                LoadLocal(a),
+                LoadLocal(b),
+                GetField(f),
+                ConstInt(k.into()),
+                Add,
+                PutField(f),
+            ]),
+            FusedLoadCallDirect(s, m) => Expansion::of([LoadLocal(s), CallDirect(m)]),
+            FusedLoadCallVirtual(s, m) => Expansion::of([LoadLocal(s), CallVirtual(m)]),
+            FusedNewDup(c) => Expansion::of([New(c), Dup]),
+            FusedLoadGetFieldALoad(s, f, i) => {
+                Expansion::of([LoadLocal(s), GetField(f), LoadLocal(i), ALoad])
+            }
+            base => Expansion::of([base]),
         }
     }
 
-    /// The sequence of logical opcodes this instruction executes. Base
-    /// instructions expand to themselves (length 1); superinstructions
-    /// expand to the base sequence they were fused from. The interpreter
-    /// emits one [`crate::event::Event::Instruction`] per element and
-    /// counts each one toward the instruction total, which is what makes
-    /// fused and unfused execution observationally identical.
-    pub fn expansion(&self) -> &'static [Opcode] {
-        use Opcode as O;
+    /// The superinstruction's name in disassembly; a base instruction's
+    /// is its [`Opcode::name`].
+    pub fn mnemonic(&self) -> &'static str {
+        if let Some(op) = self.opcode() {
+            return op.name();
+        }
         match self {
-            Instr::ConstInt(_) => &[O::ConstInt],
-            Instr::ConstBool(_) => &[O::ConstBool],
-            Instr::ConstNull => &[O::ConstNull],
-            Instr::LoadLocal(_) => &[O::LoadLocal],
-            Instr::StoreLocal(_) => &[O::StoreLocal],
-            Instr::Dup => &[O::Dup],
-            Instr::Pop => &[O::Pop],
-            Instr::Add => &[O::Add],
-            Instr::Sub => &[O::Sub],
-            Instr::Mul => &[O::Mul],
-            Instr::Div => &[O::Div],
-            Instr::Rem => &[O::Rem],
-            Instr::Neg => &[O::Neg],
-            Instr::Not => &[O::Not],
-            Instr::CmpLt => &[O::CmpLt],
-            Instr::CmpLe => &[O::CmpLe],
-            Instr::CmpGt => &[O::CmpGt],
-            Instr::CmpGe => &[O::CmpGe],
-            Instr::CmpEq => &[O::CmpEq],
-            Instr::CmpNe => &[O::CmpNe],
-            Instr::Jump(_) => &[O::Jump],
-            Instr::JumpIfFalse(_) => &[O::JumpIfFalse],
-            Instr::JumpIfTrue(_) => &[O::JumpIfTrue],
-            Instr::New(_) => &[O::New],
-            Instr::GetField(_) => &[O::GetField],
-            Instr::PutField(_) => &[O::PutField],
-            Instr::NewArray(_) => &[O::NewArray],
-            Instr::ALoad => &[O::ALoad],
-            Instr::AStore => &[O::AStore],
-            Instr::ArrayLen => &[O::ArrayLen],
-            Instr::CallStatic(_) => &[O::CallStatic],
-            Instr::CallVirtual(_) => &[O::CallVirtual],
-            Instr::CallDirect(_) => &[O::CallDirect],
-            Instr::Ret => &[O::Ret],
-            Instr::RetVal => &[O::RetVal],
-            Instr::Throw => &[O::Throw],
-            Instr::CheckCast(_) => &[O::CheckCast],
-            Instr::InstanceOfOp(_) => &[O::InstanceOfOp],
-            Instr::ReadInput => &[O::ReadInput],
-            Instr::Print => &[O::Print],
-            Instr::Spawn(_) => &[O::Spawn],
-            Instr::JoinThread => &[O::JoinThread],
-            Instr::Lock => &[O::Lock],
-            Instr::Unlock => &[O::Unlock],
-            Instr::ProfLoopEntry(_) => &[O::ProfLoopEntry],
-            Instr::ProfLoopBack(_) => &[O::ProfLoopBack],
-            Instr::ProfLoopExit(_) => &[O::ProfLoopExit],
-            Instr::FusedLoadLoad(..) => &[O::LoadLocal, O::LoadLocal],
-            Instr::FusedLoadConst(..) => &[O::LoadLocal, O::ConstInt],
-            Instr::FusedLoadGetField(..) => &[O::LoadLocal, O::GetField],
-            Instr::FusedLoadALoad(_) => &[O::LoadLocal, O::ALoad],
-            Instr::FusedGetFieldLen(_) => &[O::GetField, O::ArrayLen],
-            Instr::FusedLoadGetFieldLen(..) => &[O::LoadLocal, O::GetField, O::ArrayLen],
-            Instr::FusedConstAdd(_) => &[O::ConstInt, O::Add],
-            Instr::FusedLoopBackJump(..) => &[O::ProfLoopBack, O::Jump],
-            Instr::FusedLoadAStore(_) => &[O::LoadLocal, O::AStore],
-            Instr::FusedIncJump(..) => &[O::LoadLocal, O::ConstInt, O::Add, O::StoreLocal, O::Jump],
-            Instr::FusedLoadLoadGetFieldLen(..) => {
-                &[O::LoadLocal, O::LoadLocal, O::GetField, O::ArrayLen]
-            }
-            Instr::FusedLoadLoadPutField(..) => &[O::LoadLocal, O::LoadLocal, O::PutField],
-            Instr::FusedFieldAdd(..) => &[
-                O::LoadLocal,
-                O::LoadLocal,
-                O::GetField,
-                O::ConstInt,
-                O::Add,
-                O::PutField,
-            ],
-            Instr::FusedLoadCallDirect(..) => &[O::LoadLocal, O::CallDirect],
-            Instr::FusedLoadCallVirtual(..) => &[O::LoadLocal, O::CallVirtual],
-            Instr::FusedNewDup(_) => &[O::New, O::Dup],
-            Instr::FusedLoadGetFieldALoad(..) => {
-                &[O::LoadLocal, O::GetField, O::LoadLocal, O::ALoad]
-            }
-            Instr::FusedLoadLoadCmpJump(_, _, kind, jump_if, _) => match (kind, jump_if) {
-                (CmpKind::Lt, false) => &[O::LoadLocal, O::LoadLocal, O::CmpLt, O::JumpIfFalse],
-                (CmpKind::Lt, true) => &[O::LoadLocal, O::LoadLocal, O::CmpLt, O::JumpIfTrue],
-                (CmpKind::Le, false) => &[O::LoadLocal, O::LoadLocal, O::CmpLe, O::JumpIfFalse],
-                (CmpKind::Le, true) => &[O::LoadLocal, O::LoadLocal, O::CmpLe, O::JumpIfTrue],
-                (CmpKind::Gt, false) => &[O::LoadLocal, O::LoadLocal, O::CmpGt, O::JumpIfFalse],
-                (CmpKind::Gt, true) => &[O::LoadLocal, O::LoadLocal, O::CmpGt, O::JumpIfTrue],
-                (CmpKind::Ge, false) => &[O::LoadLocal, O::LoadLocal, O::CmpGe, O::JumpIfFalse],
-                (CmpKind::Ge, true) => &[O::LoadLocal, O::LoadLocal, O::CmpGe, O::JumpIfTrue],
-                (CmpKind::Eq, false) => &[O::LoadLocal, O::LoadLocal, O::CmpEq, O::JumpIfFalse],
-                (CmpKind::Eq, true) => &[O::LoadLocal, O::LoadLocal, O::CmpEq, O::JumpIfTrue],
-                (CmpKind::Ne, false) => &[O::LoadLocal, O::LoadLocal, O::CmpNe, O::JumpIfFalse],
-                (CmpKind::Ne, true) => &[O::LoadLocal, O::LoadLocal, O::CmpNe, O::JumpIfTrue],
-            },
-            Instr::IncLocal(..) => &[O::LoadLocal, O::ConstInt, O::Add, O::StoreLocal],
-            Instr::CmpJump(kind, jump_if, _) => match (kind, jump_if) {
-                (CmpKind::Lt, false) => &[O::CmpLt, O::JumpIfFalse],
-                (CmpKind::Lt, true) => &[O::CmpLt, O::JumpIfTrue],
-                (CmpKind::Le, false) => &[O::CmpLe, O::JumpIfFalse],
-                (CmpKind::Le, true) => &[O::CmpLe, O::JumpIfTrue],
-                (CmpKind::Gt, false) => &[O::CmpGt, O::JumpIfFalse],
-                (CmpKind::Gt, true) => &[O::CmpGt, O::JumpIfTrue],
-                (CmpKind::Ge, false) => &[O::CmpGe, O::JumpIfFalse],
-                (CmpKind::Ge, true) => &[O::CmpGe, O::JumpIfTrue],
-                (CmpKind::Eq, false) => &[O::CmpEq, O::JumpIfFalse],
-                (CmpKind::Eq, true) => &[O::CmpEq, O::JumpIfTrue],
-                (CmpKind::Ne, false) => &[O::CmpNe, O::JumpIfFalse],
-                (CmpKind::Ne, true) => &[O::CmpNe, O::JumpIfTrue],
-            },
-            Instr::LoadCmpJump(_, kind, jump_if, _) => match (kind, jump_if) {
-                (CmpKind::Lt, false) => &[O::LoadLocal, O::CmpLt, O::JumpIfFalse],
-                (CmpKind::Lt, true) => &[O::LoadLocal, O::CmpLt, O::JumpIfTrue],
-                (CmpKind::Le, false) => &[O::LoadLocal, O::CmpLe, O::JumpIfFalse],
-                (CmpKind::Le, true) => &[O::LoadLocal, O::CmpLe, O::JumpIfTrue],
-                (CmpKind::Gt, false) => &[O::LoadLocal, O::CmpGt, O::JumpIfFalse],
-                (CmpKind::Gt, true) => &[O::LoadLocal, O::CmpGt, O::JumpIfTrue],
-                (CmpKind::Ge, false) => &[O::LoadLocal, O::CmpGe, O::JumpIfFalse],
-                (CmpKind::Ge, true) => &[O::LoadLocal, O::CmpGe, O::JumpIfTrue],
-                (CmpKind::Eq, false) => &[O::LoadLocal, O::CmpEq, O::JumpIfFalse],
-                (CmpKind::Eq, true) => &[O::LoadLocal, O::CmpEq, O::JumpIfTrue],
-                (CmpKind::Ne, false) => &[O::LoadLocal, O::CmpNe, O::JumpIfFalse],
-                (CmpKind::Ne, true) => &[O::LoadLocal, O::CmpNe, O::JumpIfTrue],
-            },
+            Instr::FusedLoadLoad(..) => "load2",
+            Instr::FusedLoadConst(..) => "load_const",
+            Instr::FusedLoadGetField(..) => "load_getfield",
+            Instr::CmpJump(..) => "cmp_jump",
+            Instr::FusedLoadGetFieldLen(..) => "load_getfield_len",
+            Instr::FusedLoopBackJump(..) => "loop_back_jump",
+            Instr::FusedLoadAStore(_) => "load_astore",
+            Instr::FusedIncJump(..) => "inc_jump",
+            Instr::FusedLoadLoadGetFieldLen(..) => "load2_getfield_len",
+            Instr::FusedLoadLoadCmpJump(..) => "load2_cmp_jump",
+            Instr::FusedLoadLoadPutField(..) => "load2_putfield",
+            Instr::FusedFieldAdd(..) => "field_add",
+            Instr::FusedLoadCallDirect(..) => "load_call_direct",
+            Instr::FusedLoadCallVirtual(..) => "load_call_virtual",
+            Instr::FusedNewDup(_) => "new_dup",
+            Instr::FusedLoadGetFieldALoad(..) => "load_getfield_aload",
+            _ => unreachable!("every base instruction has an opcode"),
+        }
+    }
+
+    /// The logical opcode of a base instruction, or `None` for a
+    /// superinstruction (each of its constituents has one).
+    pub fn opcode(&self) -> Option<Opcode> {
+        use Opcode as O;
+        Some(match self {
+            Instr::ConstInt(_) => O::ConstInt,
+            Instr::ConstBool(_) => O::ConstBool,
+            Instr::ConstNull => O::ConstNull,
+            Instr::LoadLocal(_) => O::LoadLocal,
+            Instr::StoreLocal(_) => O::StoreLocal,
+            Instr::Dup => O::Dup,
+            Instr::Pop => O::Pop,
+            Instr::Add => O::Add,
+            Instr::Sub => O::Sub,
+            Instr::Mul => O::Mul,
+            Instr::Div => O::Div,
+            Instr::Rem => O::Rem,
+            Instr::Neg => O::Neg,
+            Instr::Not => O::Not,
+            Instr::CmpLt => O::CmpLt,
+            Instr::CmpLe => O::CmpLe,
+            Instr::CmpGt => O::CmpGt,
+            Instr::CmpGe => O::CmpGe,
+            Instr::CmpEq => O::CmpEq,
+            Instr::CmpNe => O::CmpNe,
+            Instr::Jump(_) => O::Jump,
+            Instr::JumpIfFalse(_) => O::JumpIfFalse,
+            Instr::JumpIfTrue(_) => O::JumpIfTrue,
+            Instr::New(_) => O::New,
+            Instr::GetField(_) => O::GetField,
+            Instr::PutField(_) => O::PutField,
+            Instr::NewArray(_) => O::NewArray,
+            Instr::ALoad => O::ALoad,
+            Instr::AStore => O::AStore,
+            Instr::ArrayLen => O::ArrayLen,
+            Instr::CallStatic(_) => O::CallStatic,
+            Instr::CallVirtual(_) => O::CallVirtual,
+            Instr::CallDirect(_) => O::CallDirect,
+            Instr::Ret => O::Ret,
+            Instr::RetVal => O::RetVal,
+            Instr::Throw => O::Throw,
+            Instr::CheckCast(_) => O::CheckCast,
+            Instr::InstanceOfOp(_) => O::InstanceOfOp,
+            Instr::ReadInput => O::ReadInput,
+            Instr::Print => O::Print,
+            Instr::Spawn(_) => O::Spawn,
+            Instr::JoinThread => O::JoinThread,
+            Instr::Lock => O::Lock,
+            Instr::Unlock => O::Unlock,
+            Instr::ProfLoopEntry(_) => O::ProfLoopEntry,
+            Instr::ProfLoopBack(_) => O::ProfLoopBack,
+            Instr::ProfLoopExit(_) => O::ProfLoopExit,
+            _ => return None,
+        })
+    }
+
+    /// Whether this instruction unconditionally transfers control (ends a
+    /// basic block with no fall-through): its last constituent is a jump,
+    /// a return or a throw.
+    #[inline]
+    pub fn is_terminator(&self) -> bool {
+        matches!(
+            self.expand().last(),
+            Some(Instr::Jump(_) | Instr::Ret | Instr::RetVal | Instr::Throw)
+        )
+    }
+
+    /// The branch target of this instruction's last constituent, if any
+    /// (no other constituent branches).
+    #[inline]
+    pub fn targets(&self) -> Option<usize> {
+        match self.expand().last()? {
+            Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::JumpIfTrue(t) => Some(*t),
+            _ => None,
         }
     }
 }
@@ -917,13 +952,9 @@ mod tests {
     #[test]
     fn superinstruction_targets_and_terminators() {
         let cj = Instr::CmpJump(CmpKind::Lt, false, 7);
-        let lcj = Instr::LoadCmpJump(2, CmpKind::Ge, true, 11);
         assert_eq!(cj.targets(), Some(7));
-        assert_eq!(lcj.targets(), Some(11));
         // Fused compare-and-branch still falls through: not a terminator.
         assert!(!cj.is_terminator());
-        assert!(!lcj.is_terminator());
-        assert_eq!(Instr::IncLocal(1, 1).targets(), None);
         // A fused back-edge jump is an unconditional transfer.
         let lbj = Instr::FusedLoopBackJump(LoopId(2), 13);
         assert_eq!(lbj.targets(), Some(13));
@@ -952,131 +983,55 @@ mod tests {
     }
 
     #[test]
-    fn expansion_base_ops_are_singletons() {
-        assert_eq!(Instr::Add.expansion(), &[Opcode::Add]);
-        assert_eq!(Instr::LoadLocal(0).expansion(), &[Opcode::LoadLocal]);
-        assert_eq!(
-            Instr::ProfLoopBack(LoopId(0)).expansion(),
-            &[Opcode::ProfLoopBack]
-        );
+    fn base_instructions_expand_to_themselves() {
+        for instr in [
+            Instr::Add,
+            Instr::LoadLocal(3),
+            Instr::Jump(9),
+            Instr::ProfLoopBack(LoopId(0)),
+        ] {
+            assert_eq!(&*instr.expand(), &[instr]);
+            assert_eq!(instr.mnemonic(), instr.opcode().expect("base").name());
+        }
     }
 
     #[test]
-    fn expansion_superinstructions_match_fused_sequences() {
-        use Opcode as O;
+    fn expansions_carry_widened_operands() {
+        use Instr as I;
         assert_eq!(
-            Instr::FusedLoadLoad(0, 1).expansion(),
-            &[O::LoadLocal, O::LoadLocal]
-        );
-        assert_eq!(
-            Instr::FusedLoadConst(0, 5).expansion(),
-            &[O::LoadLocal, O::ConstInt]
-        );
-        assert_eq!(
-            Instr::FusedLoadGetField(0, FieldId(0)).expansion(),
-            &[O::LoadLocal, O::GetField]
-        );
-        assert_eq!(
-            Instr::FusedLoadALoad(0).expansion(),
-            &[O::LoadLocal, O::ALoad]
-        );
-        assert_eq!(
-            Instr::IncLocal(3, 1).expansion(),
-            &[O::LoadLocal, O::ConstInt, O::Add, O::StoreLocal]
-        );
-        assert_eq!(
-            Instr::FusedGetFieldLen(FieldId(0)).expansion(),
-            &[O::GetField, O::ArrayLen]
-        );
-        assert_eq!(
-            Instr::FusedLoadGetFieldLen(1, FieldId(0)).expansion(),
-            &[O::LoadLocal, O::GetField, O::ArrayLen]
-        );
-        assert_eq!(Instr::FusedConstAdd(4).expansion(), &[O::ConstInt, O::Add]);
-        assert_eq!(
-            Instr::FusedLoopBackJump(LoopId(0), 2).expansion(),
-            &[O::ProfLoopBack, O::Jump]
-        );
-        assert_eq!(
-            Instr::CmpJump(CmpKind::Lt, false, 0).expansion(),
-            &[O::CmpLt, O::JumpIfFalse]
-        );
-        assert_eq!(
-            Instr::CmpJump(CmpKind::Ne, true, 0).expansion(),
-            &[O::CmpNe, O::JumpIfTrue]
-        );
-        assert_eq!(
-            Instr::LoadCmpJump(0, CmpKind::Ge, false, 0).expansion(),
-            &[O::LoadLocal, O::CmpGe, O::JumpIfFalse]
-        );
-        // Every expansion's opcodes agree with the fused kind.
-        for kind in [
-            CmpKind::Lt,
-            CmpKind::Le,
-            CmpKind::Gt,
-            CmpKind::Ge,
-            CmpKind::Eq,
-            CmpKind::Ne,
-        ] {
-            for jump_if in [false, true] {
-                let branch = if jump_if {
-                    O::JumpIfTrue
-                } else {
-                    O::JumpIfFalse
-                };
-                assert_eq!(
-                    Instr::CmpJump(kind, jump_if, 0).expansion(),
-                    &[kind.opcode(), branch]
-                );
-                assert_eq!(
-                    Instr::LoadCmpJump(0, kind, jump_if, 0).expansion(),
-                    &[O::LoadLocal, kind.opcode(), branch]
-                );
-                assert_eq!(
-                    Instr::FusedLoadLoadCmpJump(0, 1, kind, jump_if, 0).expansion(),
-                    &[O::LoadLocal, O::LoadLocal, kind.opcode(), branch]
-                );
-            }
-        }
-        assert_eq!(
-            Instr::FusedIncJump(0, 1, 0).expansion(),
-            &[O::LoadLocal, O::ConstInt, O::Add, O::StoreLocal, O::Jump]
-        );
-        assert_eq!(
-            Instr::FusedLoadLoadGetFieldLen(0, 1, FieldId(0)).expansion(),
-            &[O::LoadLocal, O::LoadLocal, O::GetField, O::ArrayLen]
-        );
-        assert_eq!(
-            Instr::FusedLoadLoadPutField(0, 1, FieldId(0)).expansion(),
-            &[O::LoadLocal, O::LoadLocal, O::PutField]
-        );
-        assert_eq!(
-            Instr::FusedFieldAdd(0, 1, FieldId(0), 2).expansion(),
+            &*I::FusedIncJump(2, -3, 21).expand(),
             &[
-                O::LoadLocal,
-                O::LoadLocal,
-                O::GetField,
-                O::ConstInt,
-                O::Add,
-                O::PutField
+                I::LoadLocal(2),
+                I::ConstInt(-3),
+                I::Add,
+                I::StoreLocal(2),
+                I::Jump(21)
             ]
         );
         assert_eq!(
-            Instr::FusedLoadCallDirect(0, FuncId(0)).expansion(),
-            &[O::LoadLocal, O::CallDirect]
+            &*I::FusedLoadLoadCmpJump(0, 1, CmpKind::Ge, true, 17).expand(),
+            &[
+                I::LoadLocal(0),
+                I::LoadLocal(1),
+                I::CmpGe,
+                I::JumpIfTrue(17)
+            ]
         );
         assert_eq!(
-            Instr::FusedLoadCallVirtual(0, FuncId(0)).expansion(),
-            &[O::LoadLocal, O::CallVirtual]
+            &*I::FusedFieldAdd(4, 5, FieldId(6), 7).expand(),
+            &[
+                I::LoadLocal(4),
+                I::LoadLocal(5),
+                I::GetField(FieldId(6)),
+                I::ConstInt(7),
+                I::Add,
+                I::PutField(FieldId(6))
+            ]
         );
-        assert_eq!(
-            Instr::FusedNewDup(ClassId(0)).expansion(),
-            &[O::New, O::Dup]
-        );
-        assert_eq!(
-            Instr::FusedLoadGetFieldALoad(0, FieldId(0), 1).expansion(),
-            &[O::LoadLocal, O::GetField, O::LoadLocal, O::ALoad]
-        );
+        let cj = I::CmpJump(CmpKind::Ne, false, 4);
+        assert_eq!(&*cj.expand(), &[I::CmpNe, I::JumpIfFalse(4)]);
+        assert_eq!(cj.opcode(), None);
+        assert_eq!(cj.mnemonic(), "cmp_jump");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! exits are reconstructed at run time from the interpreter's active-loop
 //! stack.
 
-use crate::bytecode::{Function, Instr};
+use crate::bytecode::Function;
 
 /// Kind of a control-flow edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,20 +65,10 @@ impl Cfg {
         for (i, instr) in code.iter().enumerate() {
             if let Some(t) = instr.targets() {
                 leader[t] = true;
+                leader[i + 1] = true;
             }
-            match instr {
-                Instr::Jump(_)
-                | Instr::JumpIfFalse(_)
-                | Instr::JumpIfTrue(_)
-                | Instr::CmpJump(..)
-                | Instr::LoadCmpJump(..)
-                | Instr::FusedLoopBackJump(..)
-                | Instr::FusedIncJump(..)
-                | Instr::FusedLoadLoadCmpJump(..)
-                | Instr::Ret
-                | Instr::RetVal
-                | Instr::Throw => leader[i + 1] = true,
-                _ => {}
+            if instr.is_terminator() {
+                leader[i + 1] = true;
             }
         }
         for h in &func.handlers {
@@ -116,42 +106,11 @@ impl Cfg {
         for (b, block) in blocks.iter().enumerate() {
             let last = block.end - 1;
             let instr = code[last];
-            match instr {
-                Instr::Jump(t) | Instr::FusedLoopBackJump(_, t) => {
-                    if t < n {
-                        edges.push((b, block_of[t], EdgeKind::Normal));
-                    }
-                }
-                Instr::FusedIncJump(_, _, t) => {
-                    if (t as usize) < n {
-                        edges.push((b, block_of[t as usize], EdgeKind::Normal));
-                    }
-                }
-                Instr::FusedLoadLoadCmpJump(_, _, _, _, t) => {
-                    if (t as usize) < n {
-                        edges.push((b, block_of[t as usize], EdgeKind::Normal));
-                    }
-                    if block.end < n {
-                        edges.push((b, block_of[block.end], EdgeKind::Normal));
-                    }
-                }
-                Instr::JumpIfFalse(t)
-                | Instr::JumpIfTrue(t)
-                | Instr::CmpJump(_, _, t)
-                | Instr::LoadCmpJump(_, _, _, t) => {
-                    if t < n {
-                        edges.push((b, block_of[t], EdgeKind::Normal));
-                    }
-                    if block.end < n {
-                        edges.push((b, block_of[block.end], EdgeKind::Normal));
-                    }
-                }
-                Instr::Ret | Instr::RetVal | Instr::Throw => {}
-                _ => {
-                    if block.end < n {
-                        edges.push((b, block_of[block.end], EdgeKind::Normal));
-                    }
-                }
+            if let Some(t) = instr.targets().filter(|&t| t < n) {
+                edges.push((b, block_of[t], EdgeKind::Normal));
+            }
+            if !instr.is_terminator() && block.end < n {
+                edges.push((b, block_of[block.end], EdgeKind::Normal));
             }
         }
 

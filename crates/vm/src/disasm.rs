@@ -5,7 +5,7 @@
 
 use std::fmt::Write as _;
 
-use crate::bytecode::{CompiledProgram, FuncId, Instr};
+use crate::bytecode::{CompiledProgram, FieldId, FuncId, Instr};
 use crate::cfg::{Cfg, EdgeKind};
 use crate::dominators::Dominators;
 use crate::hir::CatchKind;
@@ -167,124 +167,36 @@ fn render_catch(program: &CompiledProgram, kind: CatchKind) -> String {
     }
 }
 
+/// Renders one instruction: a base instruction as its opcode name and
+/// symbolic operands, a superinstruction as its mnemonic followed by its
+/// constituents, e.g. `load2 load 0; load 1`.
 fn render_instr(program: &CompiledProgram, instr: &Instr) -> String {
-    match instr {
-        Instr::ConstInt(v) => format!("const_int {v}"),
-        Instr::ConstBool(v) => format!("const_bool {v}"),
-        Instr::ConstNull => "const_null".to_owned(),
-        Instr::LoadLocal(s) => format!("load {s}"),
-        Instr::StoreLocal(s) => format!("store {s}"),
-        Instr::Dup => "dup".to_owned(),
-        Instr::Pop => "pop".to_owned(),
-        Instr::Add => "add".to_owned(),
-        Instr::Sub => "sub".to_owned(),
-        Instr::Mul => "mul".to_owned(),
-        Instr::Div => "div".to_owned(),
-        Instr::Rem => "rem".to_owned(),
-        Instr::Neg => "neg".to_owned(),
-        Instr::Not => "not".to_owned(),
-        Instr::CmpLt => "cmp_lt".to_owned(),
-        Instr::CmpLe => "cmp_le".to_owned(),
-        Instr::CmpGt => "cmp_gt".to_owned(),
-        Instr::CmpGe => "cmp_ge".to_owned(),
-        Instr::CmpEq => "cmp_eq".to_owned(),
-        Instr::CmpNe => "cmp_ne".to_owned(),
-        Instr::Jump(t) => format!("jump {t}"),
-        Instr::JumpIfFalse(t) => format!("jump_if_false {t}"),
-        Instr::JumpIfTrue(t) => format!("jump_if_true {t}"),
-        Instr::New(c) => format!("new {}", program.class(*c).name),
-        Instr::GetField(f) => format!("getfield {}", qualified_field(program, *f)),
-        Instr::PutField(f) => format!("putfield {}", qualified_field(program, *f)),
-        Instr::NewArray(k) => format!("newarray {k:?}"),
-        Instr::ALoad => "aload".to_owned(),
-        Instr::AStore => "astore".to_owned(),
-        Instr::ArrayLen => "arraylen".to_owned(),
-        Instr::CallStatic(m) => format!("call_static {}", program.func(*m).name),
-        Instr::CallVirtual(m) => format!("call_virtual {}", program.func(*m).name),
-        Instr::CallDirect(m) => format!("call_direct {}", program.func(*m).name),
-        Instr::Ret => "ret".to_owned(),
-        Instr::RetVal => "ret_val".to_owned(),
-        Instr::Throw => "throw".to_owned(),
-        Instr::CheckCast(k) => format!("checkcast {}", render_catch(program, *k)),
-        Instr::InstanceOfOp(k) => format!("instanceof {}", render_catch(program, *k)),
-        Instr::ReadInput => "read_input".to_owned(),
-        Instr::Print => "print".to_owned(),
-        Instr::Spawn(m) => format!("spawn {}", program.func(*m).name),
-        Instr::JoinThread => "join_thread".to_owned(),
-        Instr::Lock => "lock".to_owned(),
-        Instr::Unlock => "unlock".to_owned(),
-        Instr::ProfLoopEntry(l) => format!("prof_loop_entry {l}"),
-        Instr::ProfLoopBack(l) => format!("prof_loop_back {l}"),
-        Instr::ProfLoopExit(l) => format!("prof_loop_exit {l}"),
-        Instr::FusedLoadLoad(a, b) => format!("load2 {a} {b}"),
-        Instr::FusedLoadConst(s, k) => format!("load_const {s} {k}"),
-        Instr::FusedLoadGetField(s, f) => {
-            format!("load_getfield {s} {}", qualified_field(program, *f))
+    let name = instr.mnemonic();
+    let operand = match *instr {
+        Instr::ConstInt(v) => v.to_string(),
+        Instr::ConstBool(v) => v.to_string(),
+        Instr::LoadLocal(s) | Instr::StoreLocal(s) => s.to_string(),
+        Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::JumpIfTrue(t) => t.to_string(),
+        Instr::New(c) => program.class(c).name.clone(),
+        Instr::GetField(f) | Instr::PutField(f) => qualified_field(program, f),
+        Instr::NewArray(k) => format!("{k:?}"),
+        Instr::CallStatic(m) | Instr::CallVirtual(m) | Instr::CallDirect(m) | Instr::Spawn(m) => {
+            program.func(m).name.clone()
         }
-        Instr::FusedLoadALoad(s) => format!("load_aload {s}"),
-        Instr::IncLocal(s, k) => format!("inc_local {s} {k}"),
-        Instr::CmpJump(kind, jump_if, t) => {
-            format!("{}_{} {t}", kind.opcode().name(), jump_sense(*jump_if))
-        }
-        Instr::LoadCmpJump(s, kind, jump_if, t) => {
-            format!(
-                "load_{}_{} {s} {t}",
-                kind.opcode().name(),
-                jump_sense(*jump_if)
-            )
-        }
-        Instr::FusedGetFieldLen(f) => format!("getfield_len {}", qualified_field(program, *f)),
-        Instr::FusedLoadGetFieldLen(s, f) => {
-            format!("load_getfield_len {s} {}", qualified_field(program, *f))
-        }
-        Instr::FusedConstAdd(k) => format!("const_add {k}"),
-        Instr::FusedLoopBackJump(l, t) => format!("loop_back_jump {l} {t}"),
-        Instr::FusedLoadAStore(s) => format!("load_astore {s}"),
-        Instr::FusedIncJump(s, k, t) => format!("inc_jump {s} {k} {t}"),
-        Instr::FusedLoadLoadGetFieldLen(a, b, f) => {
-            format!(
-                "load2_getfield_len {a} {b} {}",
-                qualified_field(program, *f)
-            )
-        }
-        Instr::FusedLoadLoadCmpJump(a, b, kind, jump_if, t) => {
-            format!(
-                "load2_{}_{} {a} {b} {t}",
-                kind.opcode().name(),
-                jump_sense(*jump_if)
-            )
-        }
-        Instr::FusedLoadLoadPutField(a, b, f) => {
-            format!("load2_putfield {a} {b} {}", qualified_field(program, *f))
-        }
-        Instr::FusedFieldAdd(a, b, f, k) => {
-            format!("field_add {a} {b} {} {k}", qualified_field(program, *f))
-        }
-        Instr::FusedLoadCallDirect(s, f) => {
-            format!("load_call_direct {s} {}", program.func(*f).name)
-        }
-        Instr::FusedLoadCallVirtual(s, f) => {
-            format!("load_call_virtual {s} {}", program.func(*f).name)
-        }
-        Instr::FusedNewDup(c) => format!("new_dup {}", program.class(*c).name),
-        Instr::FusedLoadGetFieldALoad(s, f, i) => {
-            format!(
-                "load_getfield_aload {s} {} {i}",
-                qualified_field(program, *f)
-            )
-        }
-    }
+        Instr::CheckCast(k) | Instr::InstanceOfOp(k) => render_catch(program, k),
+        Instr::ProfLoopEntry(l) | Instr::ProfLoopBack(l) | Instr::ProfLoopExit(l) => l.to_string(),
+        _ if instr.opcode().is_none() => instr
+            .expand()
+            .iter()
+            .map(|c| render_instr(program, c))
+            .collect::<Vec<_>>()
+            .join("; "),
+        _ => return name.to_owned(),
+    };
+    format!("{name} {operand}")
 }
 
-fn jump_sense(jump_if: bool) -> &'static str {
-    if jump_if {
-        "jump_if_true"
-    } else {
-        "jump_if_false"
-    }
-}
-
-fn qualified_field(program: &CompiledProgram, f: crate::bytecode::FieldId) -> String {
+fn qualified_field(program: &CompiledProgram, f: FieldId) -> String {
     let field = program.field(f);
     format!("{}.{}", program.class(field.class).name, field.name)
 }

@@ -3,17 +3,17 @@
 //!
 //! The patterns come from `algoprof opstats` over the listings/table1
 //! corpus (see `EXPERIMENTS.md`): local loads dominate the opcode mix,
-//! and the top pairs are load+load, load+const, compare+branch,
-//! load+compare+branch, the canonical loop increment
-//! (with or without its trailing jump), load+getfield, index+aload,
-//! local-value astore, field+length, const+add, and the back-edge jump
-//! tail.
+//! and the top pairs are load+load, load+const, compare+branch, the
+//! loop increment with its trailing jump, load+getfield, local-value
+//! astore, field+length, and the back-edge jump tail. Forms whose
+//! removal cost less than 2% of the dispatches on every benchmark
+//! workload were deleted (the ablation table in `EXPERIMENTS.md`).
 //! Fusing them collapses the dispatch-loop iterations those sequences
 //! cost without changing anything observable:
 //!
 //! * each superinstruction emits one
 //!   [`Event::Instruction`](crate::event::Event::Instruction) per
-//!   constituent opcode ([`Instr::expansion`]) and counts every
+//!   constituent ([`Instr::expand`]) and counts every
 //!   constituent toward the instruction total, so event streams, traces,
 //!   and profiles are **byte-identical** with fusion on or off;
 //! * only the *last* constituent of any fused window can emit a
@@ -86,6 +86,39 @@ fn cmp_kind(instr: Instr) -> Option<CmpKind> {
     }
 }
 
+/// Whether the base instruction `instr` can raise a runtime error
+/// attributed to its own source line.
+fn faults_at_line(instr: &Instr) -> bool {
+    matches!(
+        instr,
+        Instr::GetField(_)
+            | Instr::PutField(_)
+            | Instr::Div
+            | Instr::Rem
+            | Instr::NewArray(_)
+            | Instr::ALoad
+            | Instr::AStore
+            | Instr::ArrayLen
+            | Instr::CallVirtual(_)
+            | Instr::Throw
+            | Instr::CheckCast(_)
+            | Instr::ReadInput
+            | Instr::JoinThread
+            | Instr::Lock
+            | Instr::Unlock
+    )
+}
+
+/// The base jump `instr` with its target replaced by `t`.
+fn retarget(instr: Instr, t: usize) -> Instr {
+    match instr {
+        Instr::Jump(_) => Instr::Jump(t),
+        Instr::JumpIfFalse(_) => Instr::JumpIfFalse(t),
+        Instr::JumpIfTrue(_) => Instr::JumpIfTrue(t),
+        other => other,
+    }
+}
+
 fn branch_sense(instr: Instr) -> Option<(bool, usize)> {
     match instr {
         Instr::JumpIfFalse(t) => Some((false, t)),
@@ -111,23 +144,18 @@ fn match_pattern(
     let at = |i: usize| code.get(pc + i).copied();
     match at(0)? {
         Instr::LoadLocal(s) => {
-            // Longest first: inc-and-jump (5), inc-local (4), 3-windows,
-            // then pairs.
-            if let (Some(Instr::ConstInt(k)), Some(Instr::Add), Some(Instr::StoreLocal(s2))) =
-                (at(1), at(2), at(3))
+            // Longest first: inc-and-jump (5), 4- and 3-windows, then
+            // pairs.
+            if let (
+                Some(Instr::ConstInt(k)),
+                Some(Instr::Add),
+                Some(Instr::StoreLocal(s2)),
+                Some(Instr::Jump(t)),
+            ) = (at(1), at(2), at(3), at(4))
             {
-                if s2 == s {
-                    if max_len >= 5 {
-                        if let (Some(Instr::Jump(t)), Ok(ki), true) =
-                            (at(4), i32::try_from(k), s2 == s)
-                        {
-                            if let Ok(tu) = u32::try_from(t) {
-                                return Some((Instr::FusedIncJump(s, ki, tu), 5));
-                            }
-                        }
-                    }
-                    if max_len >= 4 {
-                        return Some((Instr::IncLocal(s, k), 4));
+                if s2 == s && max_len >= 5 {
+                    if let (Ok(ki), Ok(tu)) = (i32::try_from(k), u32::try_from(t)) {
+                        return Some((Instr::FusedIncJump(s, ki, tu), 5));
                     }
                 }
             }
@@ -189,12 +217,6 @@ fn match_pattern(
                 }
             }
             if max_len >= 3 {
-                if let (Some(cmp), Some(branch)) = (at(1), at(2)) {
-                    if let (Some(kind), Some((jump_if, t))) = (cmp_kind(cmp), branch_sense(branch))
-                    {
-                        return Some((Instr::LoadCmpJump(s, kind, jump_if, t), 3));
-                    }
-                }
                 if let (Some(Instr::GetField(f)), Some(Instr::ArrayLen)) = (at(1), at(2)) {
                     if field_fusible(f) {
                         return Some((Instr::FusedLoadGetFieldLen(s, f), 3));
@@ -204,7 +226,6 @@ fn match_pattern(
             match at(1)? {
                 Instr::ConstInt(k) => Some((Instr::FusedLoadConst(s, k), 2)),
                 Instr::GetField(f) => Some((Instr::FusedLoadGetField(s, f), 2)),
-                Instr::ALoad => Some((Instr::FusedLoadALoad(s), 2)),
                 Instr::AStore => Some((Instr::FusedLoadAStore(s), 2)),
                 Instr::CallDirect(f) => Some((Instr::FusedLoadCallDirect(s, f), 2)),
                 Instr::CallVirtual(f) => Some((Instr::FusedLoadCallVirtual(s, f), 2)),
@@ -212,20 +233,6 @@ fn match_pattern(
             }
         }
         _ if max_len < 2 => None,
-        Instr::GetField(f) => {
-            if matches!(at(1)?, Instr::ArrayLen) && field_fusible(f) {
-                Some((Instr::FusedGetFieldLen(f), 2))
-            } else {
-                None
-            }
-        }
-        Instr::ConstInt(k) => {
-            if matches!(at(1)?, Instr::Add) {
-                Some((Instr::FusedConstAdd(k), 2))
-            } else {
-                None
-            }
-        }
         Instr::New(c) => {
             if matches!(at(1)?, Instr::Dup) {
                 Some((Instr::FusedNewDup(c), 2))
@@ -278,20 +285,12 @@ fn fuse_function(func: &mut Function, untracked_fields: &[bool]) {
     let window_ok = |instr: Instr, pc: usize, len: usize| {
         pc + len <= n
             && !label[pc + 1..pc + len].iter().any(|&l| l)
-            // The field+length patterns can null-deref at their
-            // mid-window GetField; fuse only when the whole window
-            // shares one source line so the error is attributed
-            // exactly as the unfused sequence attributes it.
-            && match instr {
-                Instr::FusedGetFieldLen(_)
-                | Instr::FusedLoadGetFieldLen(..)
-                | Instr::FusedLoadLoadGetFieldLen(..)
-                | Instr::FusedFieldAdd(..)
-                | Instr::FusedLoadGetFieldALoad(..) => {
-                    func.lines[pc..pc + len].iter().all(|&l| l == func.lines[pc])
-                }
-                _ => true,
-            }
+            // A constituent before the last that can fault at its own
+            // line (the mid-window `GetField` of the field patterns)
+            // needs the whole window on one source line, so the error is
+            // attributed exactly as the unfused sequence attributes it.
+            && (!instr.expand()[..len - 1].iter().any(faults_at_line)
+                || func.lines[pc..pc + len].iter().all(|&l| l == func.lines[pc]))
     };
 
     let mut pc = 0;
@@ -323,19 +322,17 @@ fn fuse_function(func: &mut Function, untracked_fields: &[bool]) {
     }
     old2new[n] = new_code.len();
 
-    // Remap every branch target and handler boundary.
+    // Remap every branch target and handler boundary. Only the last
+    // constituent of an instruction branches, so a superinstruction is
+    // rebuilt from its retargeted expansion through the pattern table.
     for instr in &mut new_code {
-        match instr {
-            Instr::Jump(t)
-            | Instr::JumpIfFalse(t)
-            | Instr::JumpIfTrue(t)
-            | Instr::CmpJump(_, _, t)
-            | Instr::LoadCmpJump(_, _, _, t)
-            | Instr::FusedLoopBackJump(_, t) => *t = old2new[*t],
-            Instr::FusedIncJump(_, _, t) | Instr::FusedLoadLoadCmpJump(_, _, _, _, t) => {
-                *t = old2new[*t as usize] as u32
-            }
-            _ => {}
+        if let Some(t) = instr.targets() {
+            let mut window = instr.expand();
+            let last = window.len() - 1;
+            window[last] = retarget(window[last], old2new[t]);
+            let rebuilt = match_pattern(&window, 0, &|_| true, window.len());
+            debug_assert!(window.len() == 1 || rebuilt.is_some_and(|(_, len)| len == window.len()));
+            *instr = rebuilt.map_or(window[0], |(fused, _)| fused);
         }
     }
     for h in &mut func.handlers {
@@ -397,7 +394,7 @@ mod tests {
             .functions
             .iter()
             .flat_map(|f| &f.code)
-            .any(|i| matches!(i, Instr::IncLocal(..) | Instr::FusedIncJump(..))));
+            .any(|i| matches!(i, Instr::FusedIncJump(..))));
 
         let mut a = Recorder::default();
         let mut b = Recorder::default();
@@ -413,6 +410,35 @@ mod tests {
             ra.dispatches
         );
         assert_eq!(ra.dispatches, ra.instructions);
+    }
+
+    #[test]
+    fn pattern_table_inverts_every_expansion() {
+        // Target remapping rebuilds a superinstruction from its
+        // retargeted expansion, so every form must round-trip.
+        let src = "class Main { static int main() {
+            int[] a = new int[8];
+            Node n = new Node();
+            for (int i = 0; i < a.length; i = i + 1) {
+                a[i] = i;
+                if (a[i] > n.v) { n.v = n.v + 1; }
+            }
+            int j = 0;
+            while (j < 3) { j = j + 1; }
+            return n.v + a[j];
+        } }
+        class Node { int v; }";
+        let (_, fused) = fused_of(src);
+        let mut seen = 0;
+        for instr in fused.functions.iter().flat_map(|f| &f.code) {
+            let window = instr.expand();
+            if window.len() > 1 {
+                let rebuilt = match_pattern(&window, 0, &|_| true, window.len());
+                assert_eq!(rebuilt, Some((*instr, window.len())));
+                seen += 1;
+            }
+        }
+        assert!(seen >= 5, "only {seen} superinstructions");
     }
 
     #[test]

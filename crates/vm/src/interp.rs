@@ -552,8 +552,7 @@ impl<'p> Interp<'p> {
                     func.name
                 )));
             };
-            let ops = instr.expansion();
-            instructions += ops.len() as u64;
+            instructions += instr.expand().len() as u64;
             if instructions > fuel_limit {
                 return Err(RuntimeError::OutOfFuel);
             }
@@ -578,11 +577,14 @@ impl<'p> Interp<'p> {
                         op: Opcode::Jump,
                     },
                 );
-            } else if !matches!(instr, Instr::FusedNewDup(_)) {
+            } else if S::READS_INSTRUCTIONS && !matches!(instr, Instr::FusedNewDup(_)) {
                 // `FusedNewDup` emits its own events in its arm: the
                 // allocation event falls between its two instruction
-                // events, as in unfused execution.
-                for &op in ops {
+                // events, as in unfused execution. The sink is asked
+                // here, not only in `emit`, so that a sink ignoring
+                // instruction events never has the expansion built
+                // (~8% of `live_array_sort` throughput when it was).
+                for op in instr.expand().iter().filter_map(Instr::opcode) {
                     self.emit(sink, Event::Instruction { func: cur.func, op });
                 }
             }
@@ -603,42 +605,6 @@ impl<'p> Interp<'p> {
                     let v = values[cur.base + slot as usize];
                     values.push(v);
                     values.push(Value::Int(k));
-                }
-                Instr::LoadCmpJump(slot, kind, jump_if, t) => {
-                    // Mirrors `LoadLocal slot; Cmp<kind>; JumpIf<jump_if>`:
-                    // the local is the *right* operand (`b`), the stack top
-                    // the left (`a`), and `b`'s type is checked first —
-                    // exactly the pop order of the unfused comparison.
-                    let bv = values[cur.base + slot as usize];
-                    let r = match kind {
-                        CmpKind::Lt | CmpKind::Le | CmpKind::Gt | CmpKind::Ge => {
-                            let b = match bv {
-                                Value::Int(v) => v,
-                                other => {
-                                    return Err(RuntimeError::Internal(format!(
-                                        "expected int, got {other}"
-                                    )))
-                                }
-                            };
-                            let a = pop_int(values, cur.floor)?;
-                            match kind {
-                                CmpKind::Lt => a < b,
-                                CmpKind::Le => a <= b,
-                                CmpKind::Gt => a > b,
-                                _ => a >= b,
-                            }
-                        }
-                        CmpKind::Eq | CmpKind::Ne => {
-                            let a = pop(values, cur.floor)?;
-                            (a == bv) == matches!(kind, CmpKind::Eq)
-                        }
-                    };
-                    if r == jump_if {
-                        cur.pc = t;
-                        if t <= pc {
-                            yield_point!();
-                        }
-                    }
                 }
                 Instr::CmpJump(kind, jump_if, t) => {
                     let r = match kind {
@@ -665,24 +631,12 @@ impl<'p> Interp<'p> {
                         }
                     }
                 }
-                Instr::IncLocal(slot, k) => {
-                    // `Load; ConstInt; Add; StoreLocal` on one slot. The
-                    // constant is always an int, so the unfused `Add` would
-                    // type-check the loaded local second.
-                    let v = match values[cur.base + slot as usize] {
-                        Value::Int(v) => v,
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "expected int, got {other}"
-                            )))
-                        }
-                    };
-                    values[cur.base + slot as usize] = Value::Int(v.wrapping_add(k));
-                }
                 Instr::FusedIncJump(slot, k, t) => {
-                    // `IncLocal` plus the unconditional jump a loop body
-                    // ends with when the back-edge block is laid out
-                    // elsewhere.
+                    // `Load; ConstInt; Add; StoreLocal` on one slot, then
+                    // the unconditional jump a loop body ends with when
+                    // the back-edge block is laid out elsewhere. The
+                    // constant is always an int, so the unfused `Add`
+                    // would type-check the loaded local second.
                     let v = match values[cur.base + slot as usize] {
                         Value::Int(v) => v,
                         other => {
@@ -964,35 +918,6 @@ impl<'p> Interp<'p> {
                         }
                     }
                 }
-                Instr::FusedLoadALoad(slot) => {
-                    // `LoadLocal slot; ALoad`: the slot holds the index,
-                    // the array is on the stack. The unfused `ALoad` pops
-                    // (and type-checks) the index before the array.
-                    let line = func.lines[pc];
-                    let idx = match values[cur.base + slot as usize] {
-                        Value::Int(v) => v,
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "expected int, got {other}"
-                            )))
-                        }
-                    };
-                    let arr = pop(values, cur.floor)?;
-                    let a = as_array(arr, line)?;
-                    let len = self.heap.array(a).elems.len();
-                    if idx < 0 || idx as usize >= len {
-                        return Err(RuntimeError::IndexOutOfBounds {
-                            index: idx,
-                            len,
-                            line,
-                        });
-                    }
-                    let v = self.heap.array(a).elems[idx as usize];
-                    values.push(v);
-                    if program.track_arrays {
-                        self.emit(sink, Event::ArrayRead { arr });
-                    }
-                }
                 Instr::ALoad => {
                     let line = func.lines[pc];
                     let idx = pop_int(values, cur.floor)?;
@@ -1086,27 +1011,6 @@ impl<'p> Interp<'p> {
                         self.emit(sink, Event::FieldRead { obj, field: fid });
                     }
                 }
-                Instr::FusedGetFieldLen(fid) => {
-                    // `GetField fid; ArrayLen` — the `this.array.length`
-                    // idiom. Only fused for untracked fields (no FieldRead
-                    // event can fall mid-window) on a single source line.
-                    let line = func.lines[pc];
-                    let obj = pop(values, cur.floor)?;
-                    let o = match obj {
-                        Value::Obj(o) => o,
-                        Value::Null => return Err(RuntimeError::NullDeref { line }),
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "getfield on non-object {other}"
-                            )))
-                        }
-                    };
-                    let fslot = program.field(fid).slot as usize;
-                    let v = self.heap.field(o, fslot);
-                    let a = as_array(v, line)?;
-                    let len = self.heap.array(a).elems.len();
-                    values.push(Value::Int(len as i64));
-                }
                 Instr::FusedLoadGetFieldLen(slot, fid) => {
                     // `LoadLocal slot; GetField fid; ArrayLen` — same as
                     // above with the receiver read straight from a local.
@@ -1126,11 +1030,6 @@ impl<'p> Interp<'p> {
                     let a = as_array(v, line)?;
                     let len = self.heap.array(a).elems.len();
                     values.push(Value::Int(len as i64));
-                }
-                Instr::FusedConstAdd(k) => {
-                    // `ConstInt k; Add` — add-immediate on the stack top.
-                    let a = pop_int(values, cur.floor)?;
-                    values.push(Value::Int(a.wrapping_add(k)));
                 }
                 Instr::FusedLoopBackJump(_, t) => {
                     // Events (including the interleaved back edge) were

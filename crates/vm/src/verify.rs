@@ -19,7 +19,7 @@
 
 use std::collections::VecDeque;
 
-use crate::bytecode::{CmpKind, CompiledProgram, FuncId, Instr, LoopId};
+use crate::bytecode::{CompiledProgram, FuncId, Instr, LoopId};
 
 /// A verification failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,98 +121,22 @@ fn verify_function(program: &CompiledProgram, func_id: FuncId) -> Result<(), Ver
         return Err(err(None, "empty code".into()));
     }
 
-    // Range checks on operands.
+    // Range checks on operands: the branch target, the highest local
+    // slot, then each base constituent's table indices.
     for (i, instr) in func.code.iter().enumerate() {
-        match instr {
-            Instr::Jump(t)
-            | Instr::JumpIfFalse(t)
-            | Instr::JumpIfTrue(t)
-            | Instr::CmpJump(_, _, t)
-            | Instr::LoadCmpJump(_, _, _, t)
-            | Instr::FusedLoopBackJump(_, t)
-                if *t > n =>
-            {
-                return Err(err(Some(i), format!("jump target {t} out of range")));
-            }
-            Instr::FusedIncJump(_, _, t) | Instr::FusedLoadLoadCmpJump(_, _, _, _, t)
-                if *t as usize > n =>
-            {
-                return Err(err(Some(i), format!("jump target {t} out of range")));
-            }
-            Instr::LoadLocal(s)
-            | Instr::StoreLocal(s)
-            | Instr::FusedLoadConst(s, _)
-            | Instr::FusedLoadALoad(s)
-            | Instr::IncLocal(s, _)
-            | Instr::FusedIncJump(s, _, _)
-            | Instr::LoadCmpJump(s, _, _, _)
-                if *s as usize >= func.n_locals as usize =>
-            {
-                return Err(err(Some(i), format!("local slot {s} out of range")));
-            }
-            Instr::FusedLoadGetFieldALoad(a, _, b)
-            | Instr::FusedLoadLoad(a, b)
-            | Instr::FusedLoadLoadGetFieldLen(a, b, _)
-            | Instr::FusedLoadLoadCmpJump(a, b, _, _, _)
-            | Instr::FusedLoadLoadPutField(a, b, _)
-            | Instr::FusedFieldAdd(a, b, _, _)
-                if *a as usize >= func.n_locals as usize
-                    || *b as usize >= func.n_locals as usize =>
-            {
-                let s = (*a).max(*b);
-                return Err(err(Some(i), format!("local slot {s} out of range")));
-            }
-            Instr::FusedLoadGetField(s, _)
-            | Instr::FusedLoadGetFieldLen(s, _)
-            | Instr::FusedLoadAStore(s)
-            | Instr::FusedLoadCallDirect(s, _)
-            | Instr::FusedLoadCallVirtual(s, _)
-                if *s as usize >= func.n_locals as usize =>
-            {
-                return Err(err(Some(i), format!("local slot {s} out of range")));
-            }
-            Instr::New(c) | Instr::FusedNewDup(c) if c.index() >= program.classes.len() => {
-                return Err(err(Some(i), format!("class {c} out of range")));
-            }
-            Instr::GetField(f)
-            | Instr::PutField(f)
-            | Instr::FusedLoadGetField(_, f)
-            | Instr::FusedGetFieldLen(f)
-            | Instr::FusedLoadGetFieldLen(_, f)
-            | Instr::FusedLoadLoadGetFieldLen(_, _, f)
-            | Instr::FusedLoadLoadPutField(_, _, f)
-            | Instr::FusedFieldAdd(_, _, f, _)
-            | Instr::FusedLoadGetFieldALoad(_, f, _)
-                if f.index() >= program.fields.len() =>
-            {
-                return Err(err(Some(i), format!("field {f} out of range")));
-            }
-            Instr::CallStatic(m)
-            | Instr::CallVirtual(m)
-            | Instr::CallDirect(m)
-            | Instr::FusedLoadCallDirect(_, m)
-            | Instr::FusedLoadCallVirtual(_, m)
-            | Instr::Spawn(m) => {
-                if m.index() >= program.functions.len() {
-                    return Err(err(Some(i), format!("function {m} out of range")));
-                }
-                if matches!(
-                    instr,
-                    Instr::CallVirtual(_) | Instr::FusedLoadCallVirtual(..)
-                ) && program.func(*m).vslot.is_none()
-                {
-                    return Err(err(Some(i), format!("virtual call to {m} without vslot")));
-                }
-            }
-            Instr::ProfLoopEntry(l)
-            | Instr::ProfLoopBack(l)
-            | Instr::ProfLoopExit(l)
-            | Instr::FusedLoopBackJump(l, _)
-                if l.index() >= program.loops.len() =>
-            {
-                return Err(err(Some(i), format!("loop {l} out of range")));
-            }
-            _ => {}
+        if let Some(t) = instr.targets().filter(|&t| t > n) {
+            return Err(err(Some(i), format!("jump target {t} out of range")));
+        }
+        let constituents = instr.expand();
+        let slots = constituents.iter().filter_map(|c| match *c {
+            Instr::LoadLocal(s) | Instr::StoreLocal(s) => Some(s),
+            _ => None,
+        });
+        if let Some(s) = slots.max().filter(|&s| s >= func.n_locals) {
+            return Err(err(Some(i), format!("local slot {s} out of range")));
+        }
+        for c in constituents.iter() {
+            operand_range(program, c).map_err(|m| err(Some(i), m))?;
         }
     }
     for h in &func.handlers {
@@ -302,418 +226,40 @@ fn verify_function(program: &CompiledProgram, func_id: FuncId) -> Result<(), Ver
         if pc >= n {
             return Err(err(Some(pc), "control flow reaches past the end".into()));
         }
-        let cur = state[pc].clone().expect("queued pcs have state");
-        let instr = func.code[pc];
-
-        // Seed exception handlers covering this pc: stack is cleared, the
-        // loop stack is truncated to the recorded depth, and the catch
-        // slot receives the thrown value (kind unknown).
-        for h in &func.handlers {
-            if pc >= h.start && pc < h.end {
-                let keep = (h.active_loops as usize).min(cur.loops.len());
-                let mut locals = cur.locals.clone();
-                locals[h.catch_slot as usize] = Kind::Any;
-                merge(
-                    &mut state,
-                    &mut work,
-                    h.target,
-                    AbsState {
-                        stack: Vec::new(),
-                        locals,
-                        loops: cur.loops[..keep].to_vec(),
-                    },
-                )?;
+        let mut next = state[pc].clone().expect("queued pcs have state");
+        let constituents = func.code[pc].expand();
+        // A superinstruction runs its constituents through the base rules
+        // in order, exactly as the unfused code would.
+        for &c in constituents.iter() {
+            // Seed exception handlers covering this pc from the state
+            // before each constituent: stack is cleared, the loop stack
+            // is truncated to the recorded depth, and the catch slot
+            // receives the thrown value (kind unknown).
+            for h in &func.handlers {
+                if pc >= h.start && pc < h.end {
+                    let keep = (h.active_loops as usize).min(next.loops.len());
+                    let mut locals = next.locals.clone();
+                    locals[h.catch_slot as usize] = Kind::Any;
+                    merge(
+                        &mut state,
+                        &mut work,
+                        h.target,
+                        AbsState {
+                            stack: Vec::new(),
+                            locals,
+                            loops: next.loops[..keep].to_vec(),
+                        },
+                    )?;
+                }
             }
+            transfer(program, &mut next, c).map_err(|m| err(Some(pc), m))?;
         }
 
-        // Depth pre-check so multi-operand instructions report underflow
-        // (not a kind error against a partially-popped stack).
-        let needs = match instr {
-            Instr::StoreLocal(_)
-            | Instr::Pop
-            | Instr::Dup
-            | Instr::Neg
-            | Instr::Not
-            | Instr::ArrayLen
-            | Instr::NewArray(_)
-            | Instr::JumpIfFalse(_)
-            | Instr::JumpIfTrue(_)
-            | Instr::GetField(_)
-            | Instr::RetVal
-            | Instr::Throw
-            | Instr::CheckCast(_)
-            | Instr::InstanceOfOp(_)
-            | Instr::Print
-            | Instr::FusedLoadALoad(_)
-            | Instr::FusedGetFieldLen(_)
-            | Instr::FusedConstAdd(_)
-            | Instr::JoinThread
-            | Instr::Lock
-            | Instr::Unlock
-            | Instr::LoadCmpJump(..) => 1,
-            Instr::Add
-            | Instr::Sub
-            | Instr::Mul
-            | Instr::Div
-            | Instr::Rem
-            | Instr::CmpLt
-            | Instr::CmpLe
-            | Instr::CmpGt
-            | Instr::CmpGe
-            | Instr::CmpEq
-            | Instr::CmpNe
-            | Instr::PutField(_)
-            | Instr::ALoad
-            | Instr::FusedLoadAStore(_)
-            | Instr::CmpJump(..) => 2,
-            Instr::AStore => 3,
-            Instr::CallStatic(m) | Instr::CallVirtual(m) | Instr::CallDirect(m) => {
-                program.func(m).n_params as usize
-            }
-            Instr::Spawn(m) => program.func(m).n_params as usize,
-            Instr::FusedLoadCallDirect(_, m) | Instr::FusedLoadCallVirtual(_, m) => {
-                (program.func(m).n_params as usize).saturating_sub(1)
-            }
-            _ => 0,
-        };
-        if cur.stack.len() < needs {
-            return Err(err(
-                Some(pc),
-                format!("stack underflow: depth {}, needs {needs}", cur.stack.len()),
-            ));
-        }
-
-        let mut next = cur.clone();
-        let pop = |next: &mut AbsState, want: Kind| -> Result<Kind, VerifyError> {
-            let got = next.stack.pop().expect("depth pre-checked");
-            if want != Kind::Any && got != Kind::Any && got != want {
-                return Err(VerifyError {
-                    func: func_id,
-                    at: Some(pc),
-                    message: format!(
-                        "operand kind mismatch: {instr:?} expects {}, found {}",
-                        want.name(),
-                        got.name()
-                    ),
-                });
-            }
-            Ok(got)
-        };
-
-        // Kind check for operands superinstructions take straight from a
-        // local slot instead of the stack (same message as `pop`).
-        let local_kind = |next: &AbsState, s: u16, want: Kind| -> Result<Kind, VerifyError> {
-            let got = next.locals[s as usize];
-            if want != Kind::Any && got != Kind::Any && got != want {
-                return Err(VerifyError {
-                    func: func_id,
-                    at: Some(pc),
-                    message: format!(
-                        "operand kind mismatch: {instr:?} expects {}, found {}",
-                        want.name(),
-                        got.name()
-                    ),
-                });
-            }
-            Ok(got)
-        };
-
-        match instr {
-            Instr::ConstInt(_) | Instr::ReadInput => next.stack.push(Kind::Int),
-            Instr::ConstBool(_) => next.stack.push(Kind::Bool),
-            Instr::ConstNull | Instr::New(_) => next.stack.push(Kind::Ref),
-            Instr::LoadLocal(s) => next.stack.push(next.locals[s as usize]),
-            Instr::StoreLocal(s) => {
-                let k = pop(&mut next, Kind::Any)?;
-                next.locals[s as usize] = k;
-            }
-            Instr::Pop => {
-                pop(&mut next, Kind::Any)?;
-            }
-            Instr::Dup => {
-                let k = *next.stack.last().expect("depth pre-checked");
-                next.stack.push(k);
-            }
-            Instr::Add | Instr::Sub | Instr::Mul | Instr::Div | Instr::Rem => {
-                pop(&mut next, Kind::Int)?;
-                pop(&mut next, Kind::Int)?;
-                next.stack.push(Kind::Int);
-            }
-            Instr::CmpLt | Instr::CmpLe | Instr::CmpGt | Instr::CmpGe => {
-                pop(&mut next, Kind::Int)?;
-                pop(&mut next, Kind::Int)?;
-                next.stack.push(Kind::Bool);
-            }
-            Instr::CmpEq | Instr::CmpNe => {
-                // Equality is polymorphic (ints, bools, refs) but both
-                // sides must agree when both kinds are known.
-                let a = pop(&mut next, Kind::Any)?;
-                let b = pop(&mut next, Kind::Any)?;
-                if a != Kind::Any && b != Kind::Any && a != b {
-                    return Err(err(
-                        Some(pc),
-                        format!(
-                            "operand kind mismatch: {instr:?} compares {} with {}",
-                            b.name(),
-                            a.name()
-                        ),
-                    ));
-                }
-                next.stack.push(Kind::Bool);
-            }
-            Instr::Neg => {
-                pop(&mut next, Kind::Int)?;
-                next.stack.push(Kind::Int);
-            }
-            Instr::Not => {
-                pop(&mut next, Kind::Bool)?;
-                next.stack.push(Kind::Bool);
-            }
-            Instr::Jump(_) => {}
-            Instr::JumpIfFalse(_) | Instr::JumpIfTrue(_) => {
-                pop(&mut next, Kind::Bool)?;
-            }
-            Instr::GetField(_) => {
-                pop(&mut next, Kind::Ref)?;
-                next.stack.push(Kind::Any);
-            }
-            Instr::PutField(_) => {
-                pop(&mut next, Kind::Any)?;
-                pop(&mut next, Kind::Ref)?;
-            }
-            Instr::ALoad => {
-                pop(&mut next, Kind::Int)?;
-                pop(&mut next, Kind::Ref)?;
-                next.stack.push(Kind::Any);
-            }
-            Instr::AStore => {
-                pop(&mut next, Kind::Any)?;
-                pop(&mut next, Kind::Int)?;
-                pop(&mut next, Kind::Ref)?;
-            }
-            Instr::ArrayLen => {
-                pop(&mut next, Kind::Ref)?;
-                next.stack.push(Kind::Int);
-            }
-            Instr::NewArray(_) => {
-                pop(&mut next, Kind::Int)?;
-                next.stack.push(Kind::Ref);
-            }
-            Instr::CheckCast(_) => {
-                pop(&mut next, Kind::Ref)?;
-                next.stack.push(Kind::Ref);
-            }
-            Instr::InstanceOfOp(_) => {
-                pop(&mut next, Kind::Ref)?;
-                next.stack.push(Kind::Bool);
-            }
-            Instr::Print | Instr::RetVal | Instr::Throw => {
-                // Print/return/throw accept any kind (the type checker
-                // enforces source-level typing; thrown values may be
-                // ints or refs).
-                pop(&mut next, Kind::Any)?;
-            }
-            Instr::Ret => {}
-            Instr::CallStatic(m) | Instr::CallVirtual(m) | Instr::CallDirect(m) => {
-                let callee = program.func(m);
-                for _ in 0..callee.n_params {
-                    pop(&mut next, Kind::Any)?;
-                }
-                if returns_value(program, &instr) {
-                    next.stack.push(Kind::Any);
-                }
-            }
-            Instr::Spawn(m) => {
-                let callee = program.func(m);
-                for _ in 0..callee.n_params {
-                    pop(&mut next, Kind::Any)?;
-                }
-                next.stack.push(Kind::Int);
-            }
-            Instr::JoinThread => {
-                pop(&mut next, Kind::Int)?;
-                next.stack.push(Kind::Int);
-            }
-            Instr::Lock | Instr::Unlock => {
-                pop(&mut next, Kind::Ref)?;
-            }
-            Instr::ProfLoopEntry(_) | Instr::ProfLoopBack(_) | Instr::ProfLoopExit(_) => {}
-            Instr::FusedLoadLoad(a, b) => {
-                let ka = next.locals[a as usize];
-                let kb = next.locals[b as usize];
-                next.stack.push(ka);
-                next.stack.push(kb);
-            }
-            Instr::FusedLoadConst(s, _) => {
-                let k = next.locals[s as usize];
-                next.stack.push(k);
-                next.stack.push(Kind::Int);
-            }
-            Instr::FusedLoadGetField(s, _) => {
-                local_kind(&next, s, Kind::Ref)?;
-                next.stack.push(Kind::Any);
-            }
-            Instr::FusedGetFieldLen(_) => {
-                // `GetField; ArrayLen`: the field value itself is a ref
-                // (an array), but the bytecode-level fact is only that a
-                // ref goes in and an int comes out.
-                pop(&mut next, Kind::Ref)?;
-                next.stack.push(Kind::Int);
-            }
-            Instr::FusedLoadGetFieldLen(s, _) => {
-                local_kind(&next, s, Kind::Ref)?;
-                next.stack.push(Kind::Int);
-            }
-            Instr::FusedConstAdd(_) => {
-                pop(&mut next, Kind::Int)?;
-                next.stack.push(Kind::Int);
-            }
-            Instr::FusedLoadAStore(s) => {
-                local_kind(&next, s, Kind::Any)?;
-                pop(&mut next, Kind::Int)?;
-                pop(&mut next, Kind::Ref)?;
-            }
-            Instr::FusedLoopBackJump(..) => {}
-            Instr::FusedLoadALoad(s) => {
-                local_kind(&next, s, Kind::Int)?;
-                pop(&mut next, Kind::Ref)?;
-                next.stack.push(Kind::Any);
-            }
-            Instr::IncLocal(s, _) | Instr::FusedIncJump(s, _, _) => {
-                local_kind(&next, s, Kind::Int)?;
-                next.locals[s as usize] = Kind::Int;
-            }
-            Instr::CmpJump(kind, _, _) => match kind {
-                CmpKind::Lt | CmpKind::Le | CmpKind::Gt | CmpKind::Ge => {
-                    pop(&mut next, Kind::Int)?;
-                    pop(&mut next, Kind::Int)?;
-                }
-                CmpKind::Eq | CmpKind::Ne => {
-                    let r = pop(&mut next, Kind::Any)?;
-                    let l = pop(&mut next, Kind::Any)?;
-                    if l != Kind::Any && r != Kind::Any && l != r {
-                        return Err(err(
-                            Some(pc),
-                            format!(
-                                "operand kind mismatch: {instr:?} compares {} with {}",
-                                l.name(),
-                                r.name()
-                            ),
-                        ));
-                    }
-                }
-            },
-            Instr::FusedLoadLoadGetFieldLen(a, b, _) => {
-                // `b` is the object whose array field's length is read;
-                // `a`'s value stays on the stack under the length.
-                let ka = next.locals[a as usize];
-                local_kind(&next, b, Kind::Ref)?;
-                next.stack.push(ka);
-                next.stack.push(Kind::Int);
-            }
-            Instr::FusedLoadLoadPutField(a, b, _) => {
-                let _ = next.locals[b as usize];
-                local_kind(&next, a, Kind::Ref)?;
-            }
-            Instr::FusedFieldAdd(a, b, _, _) => {
-                local_kind(&next, b, Kind::Ref)?;
-                local_kind(&next, a, Kind::Ref)?;
-            }
-            Instr::FusedNewDup(_) => {
-                next.stack.push(Kind::Ref);
-                next.stack.push(Kind::Ref);
-            }
-            Instr::FusedLoadGetFieldALoad(a, _, i) => {
-                local_kind(&next, a, Kind::Ref)?;
-                local_kind(&next, i, Kind::Int)?;
-                next.stack.push(Kind::Any);
-            }
-            Instr::FusedLoadCallDirect(s, m) | Instr::FusedLoadCallVirtual(s, m) => {
-                local_kind(&next, s, Kind::Any)?;
-                let callee = program.func(m);
-                for _ in 0..callee.n_params.saturating_sub(1) {
-                    pop(&mut next, Kind::Any)?;
-                }
-                if returns_value(program, &instr) {
-                    next.stack.push(Kind::Any);
-                }
-            }
-            Instr::FusedLoadLoadCmpJump(a, b, kind, _, _) => match kind {
-                CmpKind::Lt | CmpKind::Le | CmpKind::Gt | CmpKind::Ge => {
-                    local_kind(&next, b, Kind::Int)?;
-                    local_kind(&next, a, Kind::Int)?;
-                }
-                CmpKind::Eq | CmpKind::Ne => {
-                    let r = local_kind(&next, b, Kind::Any)?;
-                    let l = local_kind(&next, a, Kind::Any)?;
-                    if l != Kind::Any && r != Kind::Any && l != r {
-                        return Err(err(
-                            Some(pc),
-                            format!(
-                                "operand kind mismatch: {instr:?} compares {} with {}",
-                                l.name(),
-                                r.name()
-                            ),
-                        ));
-                    }
-                }
-            },
-            Instr::LoadCmpJump(s, kind, _, _) => match kind {
-                CmpKind::Lt | CmpKind::Le | CmpKind::Gt | CmpKind::Ge => {
-                    local_kind(&next, s, Kind::Int)?;
-                    pop(&mut next, Kind::Int)?;
-                }
-                CmpKind::Eq | CmpKind::Ne => {
-                    // The local is the right-hand operand.
-                    let r = local_kind(&next, s, Kind::Any)?;
-                    let l = pop(&mut next, Kind::Any)?;
-                    if l != Kind::Any && r != Kind::Any && l != r {
-                        return Err(err(
-                            Some(pc),
-                            format!(
-                                "operand kind mismatch: {instr:?} compares {} with {}",
-                                l.name(),
-                                r.name()
-                            ),
-                        ));
-                    }
-                }
-            },
-        }
-
-        match instr {
-            Instr::ProfLoopEntry(l) => next.loops.push(l),
-            Instr::ProfLoopExit(l) => {
-                let top = next.loops.pop();
-                if top != Some(l) {
-                    return Err(err(
-                        Some(pc),
-                        format!("loop exit {l} does not match innermost entry {top:?}"),
-                    ));
-                }
-            }
-            Instr::ProfLoopBack(l) | Instr::FusedLoopBackJump(l, _)
-                if next.loops.last() != Some(&l) =>
-            {
-                return Err(err(Some(pc), format!("back edge of {l} outside that loop")));
-            }
-            _ => {}
-        }
-
-        match instr {
-            Instr::Jump(t) | Instr::FusedLoopBackJump(_, t) => {
-                merge(&mut state, &mut work, t, next)?
-            }
-            Instr::FusedIncJump(_, _, t) => merge(&mut state, &mut work, t as usize, next)?,
-            Instr::JumpIfFalse(t)
-            | Instr::JumpIfTrue(t)
-            | Instr::CmpJump(_, _, t)
-            | Instr::LoadCmpJump(_, _, _, t) => {
+        // Successors follow from the last constituent.
+        match constituents[constituents.len() - 1] {
+            Instr::Jump(t) => merge(&mut state, &mut work, t, next)?,
+            Instr::JumpIfFalse(t) | Instr::JumpIfTrue(t) => {
                 merge(&mut state, &mut work, t, next.clone())?;
-                merge(&mut state, &mut work, pc + 1, next)?;
-            }
-            Instr::FusedLoadLoadCmpJump(_, _, _, _, t) => {
-                merge(&mut state, &mut work, t as usize, next.clone())?;
                 merge(&mut state, &mut work, pc + 1, next)?;
             }
             Instr::Ret | Instr::RetVal | Instr::Throw => {
@@ -732,25 +278,238 @@ fn verify_function(program: &CompiledProgram, func_id: FuncId) -> Result<(), Ver
     Ok(())
 }
 
-fn returns_value(program: &CompiledProgram, call: &Instr) -> bool {
-    // The bytecode does not record return types; recover the fact from
-    // the callee's code: a function returns a value iff any RetVal is
-    // present (the type checker guarantees consistency).
-    let callee = match call {
-        Instr::CallStatic(m)
-        | Instr::CallVirtual(m)
-        | Instr::CallDirect(m)
-        | Instr::FusedLoadCallDirect(_, m)
-        | Instr::FusedLoadCallVirtual(_, m) => program.func(*m),
-        _ => return false,
+/// Range-checks the table indices a base instruction carries.
+fn operand_range(program: &CompiledProgram, instr: &Instr) -> Result<(), String> {
+    match *instr {
+        Instr::New(c) if c.index() >= program.classes.len() => {
+            Err(format!("class {c} out of range"))
+        }
+        Instr::GetField(f) | Instr::PutField(f) if f.index() >= program.fields.len() => {
+            Err(format!("field {f} out of range"))
+        }
+        Instr::CallStatic(m) | Instr::CallVirtual(m) | Instr::CallDirect(m) | Instr::Spawn(m) => {
+            if m.index() >= program.functions.len() {
+                Err(format!("function {m} out of range"))
+            } else if matches!(instr, Instr::CallVirtual(_)) && program.func(m).vslot.is_none() {
+                Err(format!("virtual call to {m} without vslot"))
+            } else {
+                Ok(())
+            }
+        }
+        Instr::ProfLoopEntry(l) | Instr::ProfLoopBack(l) | Instr::ProfLoopExit(l)
+            if l.index() >= program.loops.len() =>
+        {
+            Err(format!("loop {l} out of range"))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Applies one base instruction to the abstract state: the depth
+/// pre-check, the operand kinds, and the active-loop stack.
+fn transfer(program: &CompiledProgram, next: &mut AbsState, instr: Instr) -> Result<(), String> {
+    // Depth pre-check so multi-operand instructions report underflow
+    // (not a kind error against a partially-popped stack).
+    let needs = match instr {
+        Instr::StoreLocal(_)
+        | Instr::Pop
+        | Instr::Dup
+        | Instr::Neg
+        | Instr::Not
+        | Instr::ArrayLen
+        | Instr::NewArray(_)
+        | Instr::JumpIfFalse(_)
+        | Instr::JumpIfTrue(_)
+        | Instr::GetField(_)
+        | Instr::RetVal
+        | Instr::Throw
+        | Instr::CheckCast(_)
+        | Instr::InstanceOfOp(_)
+        | Instr::Print
+        | Instr::JoinThread
+        | Instr::Lock
+        | Instr::Unlock => 1,
+        Instr::Add
+        | Instr::Sub
+        | Instr::Mul
+        | Instr::Div
+        | Instr::Rem
+        | Instr::CmpLt
+        | Instr::CmpLe
+        | Instr::CmpGt
+        | Instr::CmpGe
+        | Instr::CmpEq
+        | Instr::CmpNe
+        | Instr::PutField(_)
+        | Instr::ALoad => 2,
+        Instr::AStore => 3,
+        Instr::CallStatic(m) | Instr::CallVirtual(m) | Instr::CallDirect(m) | Instr::Spawn(m) => {
+            program.func(m).n_params as usize
+        }
+        _ => 0,
     };
-    callee.code.iter().any(|i| matches!(i, Instr::RetVal))
+    if next.stack.len() < needs {
+        return Err(format!(
+            "stack underflow: depth {}, needs {needs}",
+            next.stack.len()
+        ));
+    }
+
+    let pop = |next: &mut AbsState, want: Kind| -> Result<Kind, String> {
+        let got = next.stack.pop().expect("depth pre-checked");
+        if want != Kind::Any && got != Kind::Any && got != want {
+            return Err(format!(
+                "operand kind mismatch: {instr:?} expects {}, found {}",
+                want.name(),
+                got.name()
+            ));
+        }
+        Ok(got)
+    };
+
+    match instr {
+        Instr::ConstInt(_) | Instr::ReadInput => next.stack.push(Kind::Int),
+        Instr::ConstBool(_) => next.stack.push(Kind::Bool),
+        Instr::ConstNull | Instr::New(_) => next.stack.push(Kind::Ref),
+        Instr::LoadLocal(s) => next.stack.push(next.locals[s as usize]),
+        Instr::StoreLocal(s) => {
+            let k = pop(next, Kind::Any)?;
+            next.locals[s as usize] = k;
+        }
+        Instr::Pop => {
+            pop(next, Kind::Any)?;
+        }
+        Instr::Dup => {
+            let k = *next.stack.last().expect("depth pre-checked");
+            next.stack.push(k);
+        }
+        Instr::Add | Instr::Sub | Instr::Mul | Instr::Div | Instr::Rem => {
+            pop(next, Kind::Int)?;
+            pop(next, Kind::Int)?;
+            next.stack.push(Kind::Int);
+        }
+        Instr::CmpLt | Instr::CmpLe | Instr::CmpGt | Instr::CmpGe => {
+            pop(next, Kind::Int)?;
+            pop(next, Kind::Int)?;
+            next.stack.push(Kind::Bool);
+        }
+        Instr::CmpEq | Instr::CmpNe => {
+            // Equality is polymorphic (ints, bools, refs) but both
+            // sides must agree when both kinds are known.
+            let a = pop(next, Kind::Any)?;
+            let b = pop(next, Kind::Any)?;
+            if a != Kind::Any && b != Kind::Any && a != b {
+                return Err(format!(
+                    "operand kind mismatch: {instr:?} compares {} with {}",
+                    b.name(),
+                    a.name()
+                ));
+            }
+            next.stack.push(Kind::Bool);
+        }
+        Instr::Neg => {
+            pop(next, Kind::Int)?;
+            next.stack.push(Kind::Int);
+        }
+        Instr::Not => {
+            pop(next, Kind::Bool)?;
+            next.stack.push(Kind::Bool);
+        }
+        Instr::Jump(_) => {}
+        Instr::JumpIfFalse(_) | Instr::JumpIfTrue(_) => {
+            pop(next, Kind::Bool)?;
+        }
+        Instr::GetField(_) => {
+            pop(next, Kind::Ref)?;
+            next.stack.push(Kind::Any);
+        }
+        Instr::PutField(_) => {
+            pop(next, Kind::Any)?;
+            pop(next, Kind::Ref)?;
+        }
+        Instr::ALoad => {
+            pop(next, Kind::Int)?;
+            pop(next, Kind::Ref)?;
+            next.stack.push(Kind::Any);
+        }
+        Instr::AStore => {
+            pop(next, Kind::Any)?;
+            pop(next, Kind::Int)?;
+            pop(next, Kind::Ref)?;
+        }
+        Instr::ArrayLen => {
+            pop(next, Kind::Ref)?;
+            next.stack.push(Kind::Int);
+        }
+        Instr::NewArray(_) => {
+            pop(next, Kind::Int)?;
+            next.stack.push(Kind::Ref);
+        }
+        Instr::CheckCast(_) => {
+            pop(next, Kind::Ref)?;
+            next.stack.push(Kind::Ref);
+        }
+        Instr::InstanceOfOp(_) => {
+            pop(next, Kind::Ref)?;
+            next.stack.push(Kind::Bool);
+        }
+        Instr::Print | Instr::RetVal | Instr::Throw => {
+            // Print/return/throw accept any kind (the type checker
+            // enforces source-level typing; thrown values may be
+            // ints or refs).
+            pop(next, Kind::Any)?;
+        }
+        Instr::Ret => {}
+        Instr::CallStatic(m) | Instr::CallVirtual(m) | Instr::CallDirect(m) => {
+            let callee = program.func(m);
+            for _ in 0..callee.n_params {
+                pop(next, Kind::Any)?;
+            }
+            // The bytecode does not record return types; recover the
+            // fact from the callee's code: a function returns a value
+            // iff any RetVal is present (the type checker guarantees
+            // consistency).
+            if callee.code.iter().any(|i| matches!(i, Instr::RetVal)) {
+                next.stack.push(Kind::Any);
+            }
+        }
+        Instr::Spawn(m) => {
+            let callee = program.func(m);
+            for _ in 0..callee.n_params {
+                pop(next, Kind::Any)?;
+            }
+            next.stack.push(Kind::Int);
+        }
+        Instr::JoinThread => {
+            pop(next, Kind::Int)?;
+            next.stack.push(Kind::Int);
+        }
+        Instr::Lock | Instr::Unlock => {
+            pop(next, Kind::Ref)?;
+        }
+        Instr::ProfLoopEntry(l) => next.loops.push(l),
+        Instr::ProfLoopExit(l) => {
+            let top = next.loops.pop();
+            if top != Some(l) {
+                return Err(format!(
+                    "loop exit {l} does not match innermost entry {top:?}"
+                ));
+            }
+        }
+        Instr::ProfLoopBack(l) => {
+            if next.loops.last() != Some(&l) {
+                return Err(format!("back edge of {l} outside that loop"));
+            }
+        }
+        fused => return Err(format!("{fused:?} is not a base instruction")),
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{FieldId, LoopId};
+    use crate::bytecode::{CmpKind, FieldId};
     use crate::compile::compile;
     use crate::instrument::InstrumentOptions;
 
@@ -1000,23 +759,6 @@ mod tests {
     }
 
     #[test]
-    fn inc_local_on_reference_is_rejected() {
-        let p = with_main_code(
-            "class Main { static int main() { int x = 0; return x; } }",
-            vec![
-                Instr::ConstNull,
-                Instr::StoreLocal(0),
-                Instr::IncLocal(0, 1),
-                Instr::ConstInt(0),
-                Instr::RetVal,
-            ],
-        );
-        let e = verify(&p).expect_err("must reject");
-        assert!(e.message.contains("expects int"), "{e}");
-        assert!(e.message.contains("found ref"), "{e}");
-    }
-
-    #[test]
     fn fused_load_getfield_on_int_local_is_rejected() {
         let p = with_main_code(
             "class Main { static int main() { int x = 0; return x; } } class Node { int v; }",
@@ -1033,23 +775,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_const_add_on_reference_is_rejected() {
-        let p = with_main_code(
-            "class Main { static int main() { return 1; } }",
-            vec![
-                Instr::ConstNull,
-                Instr::FusedConstAdd(1),
-                Instr::Pop,
-                Instr::ConstInt(0),
-                Instr::RetVal,
-            ],
-        );
-        let e = verify(&p).expect_err("must reject");
-        assert!(e.message.contains("expects int"), "{e}");
-        assert!(e.message.contains("found ref"), "{e}");
-    }
-
-    #[test]
     fn fused_load_getfield_len_on_int_local_is_rejected() {
         let p = with_main_code(
             "class Main { static int main() { int x = 0; return x; } } class Node { int v; }",
@@ -1063,16 +788,6 @@ mod tests {
         let e = verify(&p).expect_err("must reject");
         assert!(e.message.contains("expects ref"), "{e}");
         assert!(e.message.contains("found int"), "{e}");
-    }
-
-    #[test]
-    fn fused_getfield_len_underflow_is_rejected() {
-        let p = with_main_code(
-            "class Main { static int main() { return 1; } } class Node { int v; }",
-            vec![Instr::FusedGetFieldLen(FieldId(0)), Instr::RetVal],
-        );
-        let e = verify(&p).expect_err("must reject");
-        assert!(e.message.contains("underflow"), "{e}");
     }
 
     #[test]
@@ -1123,25 +838,6 @@ mod tests {
             .expect("has loop entry");
         main.code[entry] = Instr::Jump(entry + 1);
         assert!(verify(&p).is_err());
-    }
-
-    #[test]
-    fn load_cmp_jump_kind_confusion_is_rejected() {
-        // Stack operand is a ref, local is an int: Eq comparison across
-        // kinds must be rejected just like the unfused CmpEq.
-        let p = with_main_code(
-            "class Main { static int main() { int x = 0; return x; } }",
-            vec![
-                Instr::ConstInt(1),
-                Instr::StoreLocal(0),
-                Instr::ConstNull,
-                Instr::LoadCmpJump(0, CmpKind::Eq, true, 5),
-                Instr::ConstInt(0),
-                Instr::RetVal,
-            ],
-        );
-        let e = verify(&p).expect_err("must reject");
-        assert!(e.message.contains("compares ref with int"), "{e}");
     }
 
     #[test]
@@ -1208,12 +904,10 @@ mod tests {
                 Instr::ConstInt(5),
                 Instr::StoreLocal(0),
                 Instr::FusedLoadConst(0, 10),
-                Instr::CmpJump(CmpKind::Lt, false, 6),
-                Instr::IncLocal(0, 1),
-                Instr::Jump(2),
-                Instr::ConstInt(10),
-                Instr::LoadCmpJump(0, CmpKind::Eq, false, 9),
-                Instr::IncLocal(0, 0),
+                Instr::CmpJump(CmpKind::Lt, false, 5),
+                Instr::FusedIncJump(0, 1, 2),
+                Instr::FusedLoadLoadCmpJump(0, 0, CmpKind::Eq, false, 7),
+                Instr::FusedIncJump(0, 0, 7),
                 Instr::FusedLoadLoad(0, 0),
                 Instr::Pop,
                 Instr::RetVal,

@@ -56,6 +56,19 @@ ALGOPROF_NO_FUSE=1 ./target/release/algoprof sweep examples/sized_insertion_sort
 cmp "$sweep_out/sort1.json" "$sweep_out/sortnf.json"
 cmp "$sweep_out/sort1.txt" "$sweep_out/sortnf.txt"
 
+echo "==> fused vs unfused live reports and fused disassembly, every shipped example"
+for prog in examples/*.jay; do
+    for criterion in some all array type; do
+        ./target/release/algoprof --criterion "$criterion" --input 12 "$prog" \
+            > "$sweep_out/fused.txt"
+        ALGOPROF_NO_FUSE=1 ./target/release/algoprof --criterion "$criterion" --input 12 \
+            "$prog" > "$sweep_out/unfused.txt"
+        cmp "$sweep_out/fused.txt" "$sweep_out/unfused.txt"
+    done
+    ./target/release/algoprof disasm "$prog" --fused > /dev/null
+    ./target/release/algoprof disasm "$prog" --fused --cfg > /dev/null
+done
+
 echo "==> multi-criterion sweeps, threaded programs too (determinism across -j and fusion)"
 for prog in sized_insertion_sort_array sized_insertion_sort producer_consumer parallel_sum; do
     sweep=(./target/release/algoprof sweep "examples/$prog.jay" --sizes 8,16,32

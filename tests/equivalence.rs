@@ -246,6 +246,36 @@ fn incremental_corpus() -> Vec<(String, String, Vec<i64>)> {
     corpus
 }
 
+/// A worker links 20 nodes behind the sentinel main allocated, reading
+/// `head.next` as it goes; main traverses the list after the join. The
+/// worker's first read credits main (cross-thread read rule), so main's
+/// registry caches the one-node list before the worker's writes.
+const SENTINEL: &str = r#"
+class Main {
+    static int main() {
+        Node head = new Node();
+        int t = spawn link(head, 20);
+        int linked = join t;
+        return traverse(head) - linked;
+    }
+    static int link(Node head, int n) {
+        for (int i = 0; i < n; i = i + 1) {
+            Node x = new Node();
+            x.next = head.next;
+            head.next = x;
+        }
+        return n;
+    }
+    static int traverse(Node n) {
+        int s = 0;
+        Node cur = n;
+        while (cur != null) { s = s + 1; cur = cur.next; }
+        return s;
+    }
+}
+class Node { Node next; }
+"#;
+
 #[test]
 fn incremental_snapshots_match_full_traversals() {
     // Differential mode re-runs a from-scratch traversal whenever the
@@ -259,7 +289,7 @@ fn incremental_snapshots_match_full_traversals() {
         12,
         1,
     );
-    let sources: Vec<&str> = vec![TWO_LISTS, PARTIAL_ARRAY, &sort];
+    let sources: Vec<&str> = vec![TWO_LISTS, PARTIAL_ARRAY, &sort, SENTINEL];
     let criteria = [
         EquivalenceCriterion::SomeElements,
         EquivalenceCriterion::AllElements,
@@ -296,6 +326,27 @@ fn incremental_snapshots_match_full_traversals() {
                 assert_eq!(d.last_size, f.last_size, "{criterion:?}: last sizes agree");
             }
         }
+    }
+
+    // Main's traversal sees the whole list the worker built: the
+    // sentinel plus 20 nodes, under every criterion.
+    for criterion in criteria {
+        let p = profile_with(
+            SENTINEL,
+            AlgoProfOptions {
+                criterion,
+                ..AlgoProfOptions::default()
+            },
+        );
+        let [traverse] = p.algorithms_touching("Main.traverse:loop0")[..] else {
+            panic!("{criterion:?}: one algorithm holds the traversal loop");
+        };
+        let sizes: Vec<_> = traverse
+            .points
+            .iter()
+            .flat_map(|point| point.input_sizes.values().copied())
+            .collect();
+        assert_eq!(sizes, [21], "{criterion:?}: main's traversal sizes");
     }
 
     // The default mode's reports are byte-identical to from-scratch

@@ -42,7 +42,7 @@ fn count_superinstructions(p: &CompiledProgram) -> usize {
     p.functions
         .iter()
         .flat_map(|f| &f.code)
-        .filter(|i| i.expansion().len() > 1)
+        .filter(|i| i.expand().len() > 1)
         .count()
 }
 
@@ -130,9 +130,10 @@ fn assert_fusion_invisible(name: &str, src: &str, input: &[i64]) {
     }
 }
 
-#[test]
-fn listings_corpus_is_fusion_invisible() {
-    let corpus: Vec<(&str, String)> = vec![
+/// The listings: the paper's three plus the sized sort and growth
+/// workloads.
+fn listings_corpus() -> Vec<(&'static str, String)> {
+    vec![
         ("listing3", LISTING3.to_string()),
         ("listing4", LISTING4.to_string()),
         ("listing5", LISTING5.to_string()),
@@ -156,7 +157,42 @@ fn listings_corpus_is_fusion_invisible() {
             "array_list_doubling",
             array_list_program(GrowthPolicy::Doubling, 60, 10, 2),
         ),
-    ];
+    ]
+}
+
+/// Every program the fusion contract is checked on: the listings, the
+/// Table-1 programs, every `examples/*.jay` and 100 random programs.
+fn whole_corpus() -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = listings_corpus()
+        .into_iter()
+        .map(|(name, src)| (name.to_string(), src))
+        .collect();
+    out.extend(
+        table1_programs()
+            .into_iter()
+            .map(|p| (p.name.to_string(), p.source)),
+    );
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples");
+    let mut examples: Vec<_> = std::fs::read_dir(dir)
+        .expect("examples directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "jay"))
+        .collect();
+    examples.sort();
+    for path in examples {
+        let src = std::fs::read_to_string(&path).expect("readable example");
+        out.push((path.display().to_string(), src));
+    }
+    for seed in 0..100 {
+        let mut rng = TestRng::new(11_000 + seed);
+        out.push((format!("seed {seed}"), random_program(&mut rng)));
+    }
+    out
+}
+
+#[test]
+fn listings_corpus_is_fusion_invisible() {
+    let corpus = listings_corpus();
     let mut fused_somewhere = false;
     for (name, src) in &corpus {
         fused_somewhere |= count_superinstructions(&compiled(name, src).fuse()) > 0;
@@ -211,4 +247,135 @@ fn fusion_preserves_loop_ordinals() {
         };
         assert_eq!(loops(&plain), loops(&fused));
     }
+}
+
+/// `instr` (a base instruction) with its branch target mapped by `f`.
+fn map_target(instr: Instr, f: impl Fn(usize) -> usize) -> Instr {
+    match instr {
+        Instr::Jump(t) => Instr::Jump(f(t)),
+        Instr::JumpIfFalse(t) => Instr::JumpIfFalse(f(t)),
+        Instr::JumpIfTrue(t) => Instr::JumpIfTrue(f(t)),
+        other => other,
+    }
+}
+
+#[test]
+fn fused_code_expands_back_to_the_unfused_code() {
+    // Fusion only regroups the code: concatenating every instruction's
+    // expansion, with jump targets, handler bounds and lines mapped back
+    // to the old pcs, reproduces the unfused code exactly.
+    let mut superinstructions = 0;
+    for (name, src) in whole_corpus() {
+        let plain = compiled(&name, &src);
+        let fused = plain.fuse();
+        for (pf, ff) in plain.functions.iter().zip(&fused.functions) {
+            // New pc -> old pc of its first constituent.
+            let mut new2old = vec![0];
+            for instr in &ff.code {
+                new2old.push(new2old[new2old.len() - 1] + instr.expand().len());
+            }
+            let mut code = Vec::new();
+            for (pc, instr) in ff.code.iter().enumerate() {
+                let constituents = instr.expand();
+                if constituents.len() > 1 {
+                    superinstructions += 1;
+                    assert_eq!(instr.opcode(), None, "{name}: {instr:?}");
+                }
+                for (i, c) in constituents.iter().enumerate() {
+                    assert!(c.opcode().is_some(), "{name}: {instr:?} expands to {c:?}");
+                    if i + 1 < constituents.len() {
+                        assert!(
+                            c.targets().is_none() && !c.is_terminator(),
+                            "{name}: {instr:?} branches before its last constituent"
+                        );
+                    }
+                    code.push(map_target(*c, |t| new2old[t]));
+                }
+                assert_eq!(
+                    ff.lines[pc],
+                    pf.lines[new2old[pc + 1] - 1],
+                    "{name}: {instr:?} must take its last constituent's line"
+                );
+            }
+            assert_eq!(code, pf.code, "{name}: {} regrouped", pf.name);
+            let handlers: Vec<_> = ff
+                .handlers
+                .iter()
+                .map(|h| (new2old[h.start], new2old[h.end], new2old[h.target]))
+                .collect();
+            let expected: Vec<_> = pf
+                .handlers
+                .iter()
+                .map(|h| (h.start, h.end, h.target))
+                .collect();
+            assert_eq!(handlers, expected, "{name}: {} handlers", pf.name);
+        }
+    }
+    assert!(superinstructions > 3000, "only {superinstructions} fused");
+}
+
+/// Applies one seeded corruption to a random `ConstInt`, `LoadLocal` or
+/// `StoreLocal` of `p` (jump targets stay intact). Returns `false` when
+/// the program has no such instruction.
+fn corrupt(p: &mut CompiledProgram, rng: &mut TestRng) -> bool {
+    let sites: Vec<(usize, usize)> = p
+        .functions
+        .iter()
+        .enumerate()
+        .flat_map(|(f, func)| {
+            func.code
+                .iter()
+                .enumerate()
+                .filter(|(_, i)| {
+                    matches!(
+                        i,
+                        Instr::ConstInt(_) | Instr::LoadLocal(_) | Instr::StoreLocal(_)
+                    )
+                })
+                .map(move |(pc, _)| (f, pc))
+        })
+        .collect();
+    if sites.is_empty() {
+        return false;
+    }
+    let &(f, pc) = rng.pick(&sites);
+    let func = &mut p.functions[f];
+    let locals = func.n_locals as usize;
+    func.code[pc] = match func.code[pc] {
+        Instr::ConstInt(k) if rng.chance(1, 2) => Instr::ConstBool(k % 2 == 0),
+        Instr::ConstInt(_) => Instr::ConstNull,
+        Instr::LoadLocal(_) => Instr::LoadLocal(rng.range(0, locals) as u16),
+        Instr::StoreLocal(_) => Instr::StoreLocal(rng.range(0, locals) as u16),
+        other => other,
+    };
+    true
+}
+
+#[test]
+fn verify_agrees_on_fused_and_unfused_corruptions() {
+    let mut rng = TestRng::new(20_000);
+    let (mut checked, mut rejected) = (0, 0);
+    for (name, src) in whole_corpus() {
+        let plain = compiled(&name, &src);
+        for _ in 0..20 {
+            let mut p = plain.clone();
+            if !corrupt(&mut p, &mut rng) {
+                break;
+            }
+            let unfused = verify(&p);
+            let fused = verify(&p.fuse());
+            assert_eq!(
+                unfused.is_ok(),
+                fused.is_ok(),
+                "{name}: unfused {unfused:?} vs fused {fused:?}"
+            );
+            checked += 1;
+            rejected += usize::from(unfused.is_err());
+        }
+    }
+    assert!(checked >= 2000, "only {checked} corruptions checked");
+    assert!(
+        rejected >= 600,
+        "only {rejected} of {checked} corruptions rejected"
+    );
 }
