@@ -1,4 +1,4 @@
-//! Text and JSON rendering of an [`Analysis`](crate::Analysis).
+//! Text and JSON rendering of an [`Analysis`].
 //!
 //! Both renderers are deterministic (diagnostics and predictions are
 //! already in canonical order) and the JSON is hand-rolled like the

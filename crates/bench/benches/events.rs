@@ -18,7 +18,7 @@
 
 use std::time::{Duration, Instant};
 
-use algoprof::{profile_trace_with, AlgoProf, AlgoProfOptions, EquivalenceCriterion};
+use algoprof::{profile, AlgoProf, AlgoProfOptions, EquivalenceCriterion, Guest, RunConfig};
 use algoprof_programs::{array_list_program, GrowthPolicy};
 use algoprof_trace::{TraceHeader, TraceRecorder};
 use algoprof_vm::{compile, CompiledProgram, Fanout, InstrumentOptions, Interp, NoopSink, Tee};
@@ -162,12 +162,16 @@ fn main() {
         CRITERIA
             .iter()
             .map(|&criterion| {
-                let options = AlgoProfOptions {
-                    criterion,
-                    ..AlgoProfOptions::default()
+                let config = RunConfig {
+                    options: AlgoProfOptions {
+                        criterion,
+                        ..AlgoProfOptions::default()
+                    },
+                    ..RunConfig::default()
                 };
-                profile_trace_with(&bytes, options)
+                profile(Guest::Trace(&bytes), &config)
                     .expect("replays")
+                    .main()
                     .algorithms()
                     .len()
             })

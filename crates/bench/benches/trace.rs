@@ -13,8 +13,7 @@ use algoprof_bench::harness::Criterion;
 use algoprof_bench::{criterion_group, criterion_main};
 
 use algoprof::{
-    profile_source_with, profile_trace_with, record_source_with, AlgoProf, AlgoProfOptions,
-    EquivalenceCriterion,
+    profile, record_source_with, AlgoProf, AlgoProfOptions, EquivalenceCriterion, Guest, RunConfig,
 };
 use algoprof_programs::{array_list_program, GrowthPolicy};
 use algoprof_trace::{TraceHeader, TraceRecorder};
@@ -76,12 +75,16 @@ fn bench_trace(c: &mut Criterion) {
         b.iter(|| {
             let mut algos = 0usize;
             for criterion in CRITERIA {
-                let options = AlgoProfOptions {
-                    criterion,
-                    ..AlgoProfOptions::default()
+                let config = RunConfig {
+                    options: AlgoProfOptions {
+                        criterion,
+                        ..AlgoProfOptions::default()
+                    },
+                    ..RunConfig::default()
                 };
-                algos += profile_trace_with(&trace, options)
+                algos += profile(Guest::Trace(&trace), &config)
                     .expect("replays")
+                    .main()
                     .algorithms()
                     .len();
             }
@@ -92,12 +95,16 @@ fn bench_trace(c: &mut Criterion) {
         b.iter(|| {
             let mut algos = 0usize;
             for criterion in CRITERIA {
-                let options = AlgoProfOptions {
-                    criterion,
-                    ..AlgoProfOptions::default()
+                let config = RunConfig {
+                    options: AlgoProfOptions {
+                        criterion,
+                        ..AlgoProfOptions::default()
+                    },
+                    ..RunConfig::default()
                 };
-                algos += profile_source_with(&src, &instrument, options, &[])
+                algos += profile(Guest::Source(&src), &config)
                     .expect("profiles")
+                    .main()
                     .algorithms()
                     .len();
             }

@@ -10,7 +10,6 @@
 
 use algoprof::{AlgoProfOptions, GroupingStrategy};
 use algoprof_programs::table1_programs;
-use algoprof_vm::InstrumentOptions;
 
 fn main() {
     let strategies = [
@@ -34,9 +33,15 @@ fn main() {
                 grouping: *strategy,
                 ..AlgoProfOptions::default()
             };
-            let profile =
-                algoprof::profile_source_with(&p.source, &InstrumentOptions::default(), opts, &[])
-                    .expect("profiles");
+            let profile = algoprof::profile(
+                algoprof::Guest::Source(&p.source),
+                &algoprof::RunConfig {
+                    options: opts,
+                    ..algoprof::RunConfig::default()
+                },
+            )
+            .expect("profiles")
+            .into_main();
             let outcome = p.evaluate(&profile);
             if outcome.observed_grouped {
                 grouped_counts[i] += 1;

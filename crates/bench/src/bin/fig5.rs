@@ -9,7 +9,6 @@
 use algoprof::{AlgoProfOptions, ArraySizeStrategy, CostMetric};
 use algoprof_bench::{print_series, SweepArgs};
 use algoprof_programs::{array_list_program, GrowthPolicy};
-use algoprof_vm::InstrumentOptions;
 
 fn main() {
     let args = SweepArgs::parse(129, 8, 1);
@@ -22,8 +21,15 @@ fn main() {
             array_strategy: ArraySizeStrategy::UniqueElements,
             ..AlgoProfOptions::default()
         };
-        let profile = algoprof::profile_source_with(&src, &InstrumentOptions::default(), opts, &[])
-            .expect("profiles");
+        let profile = algoprof::profile(
+            algoprof::Guest::Source(&src),
+            &algoprof::RunConfig {
+                options: opts,
+                ..algoprof::RunConfig::default()
+            },
+        )
+        .expect("profiles")
+        .into_main();
         let algo = profile
             .algorithm_by_root_name("Main.testForSize:loop0")
             .expect("append algorithm exists");

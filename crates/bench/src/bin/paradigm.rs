@@ -10,7 +10,6 @@
 use algoprof::{AlgoProfOptions, CostMetric, EquivalenceCriterion};
 use algoprof_bench::SweepArgs;
 use algoprof_programs::{functional_sort_program, insertion_sort_program, SortWorkload};
-use algoprof_vm::InstrumentOptions;
 
 /// The immutable sort builds a *fresh* structure disjoint from its input,
 /// so the reference-overlap criterion sees two inputs and keeps `sort`
@@ -23,7 +22,15 @@ fn profile_same_type(src: &str) -> algoprof::AlgorithmicProfile {
         criterion: EquivalenceCriterion::SameType,
         ..AlgoProfOptions::default()
     };
-    algoprof::profile_source_with(src, &InstrumentOptions::default(), opts, &[]).expect("profiles")
+    algoprof::profile(
+        algoprof::Guest::Source(src),
+        &algoprof::RunConfig {
+            options: opts,
+            ..algoprof::RunConfig::default()
+        },
+    )
+    .expect("profiles")
+    .into_main()
 }
 
 fn main() {

@@ -139,9 +139,18 @@ pub fn render_cross_checks(checks: &[CrossCheck]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::profile_source_with;
-    use crate::AlgoProfOptions;
-    use algoprof_vm::InstrumentOptions;
+    use crate::run::{profile, Guest, RunConfig};
+    use crate::AlgorithmicProfile;
+
+    fn profile_sized_list(k: i64) -> AlgorithmicProfile {
+        let config = RunConfig {
+            input: vec![k],
+            ..RunConfig::default()
+        };
+        profile(Guest::Source(SIZED_LIST), &config)
+            .expect("profiles")
+            .into_main()
+    }
 
     // Figure-1 shape: a harness invokes the construction at growing
     // sizes, so the per-invocation ⟨size, steps⟩ series is fittable
@@ -164,13 +173,7 @@ mod tests {
 
     #[test]
     fn construction_prediction_matches_dynamic_fit() {
-        let profile = profile_source_with(
-            SIZED_LIST,
-            &InstrumentOptions::default(),
-            AlgoProfOptions::default(),
-            &[8],
-        )
-        .expect("profiles");
+        let profile = profile_sized_list(8);
         let checks = cross_validate(&profile, SIZED_LIST).expect("validates");
         assert!(!checks.is_empty());
         let c = checks
@@ -186,13 +189,7 @@ mod tests {
 
     #[test]
     fn non_compiling_source_is_rejected() {
-        let profile = profile_source_with(
-            SIZED_LIST,
-            &InstrumentOptions::default(),
-            AlgoProfOptions::default(),
-            &[4],
-        )
-        .expect("profiles");
+        let profile = profile_sized_list(4);
         assert!(cross_validate(&profile, "class Main {").is_err());
     }
 }

@@ -381,7 +381,7 @@ impl InputRegistry {
     /// 1. *O(1) dirty check* — reusable root, input not `shared`, and no
     ///    write observed through its references since the cached epoch.
     ///    Skipped once another pipeline writes to the heap
-    ///    ([`InputRegistry::expect_foreign_writes`]).
+    ///    (`InputRegistry::expect_foreign_writes`).
     /// 2. *Stamp scan* — reusable root, and every container recorded by
     ///    the cached walk is unmodified since the cached epoch (heals
     ///    false-dirties from writes that resolved here but hit another

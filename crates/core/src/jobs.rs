@@ -30,10 +30,8 @@ use std::fmt;
 use crate::hash::Sha256;
 use crate::profile::ProfileSet;
 use crate::profiler::AlgoProfOptions;
-use crate::run::{profile_source_set_with, ProfileError};
-use crate::stream::StreamingAnalysis;
-use crate::sweep::{run_sweep, SweepAblation, SweepConfig, SweepError, SweepJob, SweepReport};
-use algoprof_vm::InstrumentOptions;
+use crate::run::{profile, Guest, ProfileError, RunConfig};
+use crate::sweep::{sweep, SweepAblation, SweepConfig, SweepError, SweepJob, SweepReport};
 
 /// Bump when the canonical encoding hashed by [`JobSpec::cache_key`] or
 /// the meaning of [`JobOutput`] changes, so stale cache dirs can never
@@ -158,13 +156,15 @@ impl JobSpec {
 
     /// Runs the job. `workers` and `progress` apply to sweeps only: the
     /// sweep's pool size (`0` means one per core) and whether it reports
-    /// progress on stderr. The result is the same at any worker count.
+    /// progress on stderr. `fuse` is [`RunConfig::fuse`] for every guest
+    /// the job executes. The result is the same at any worker count and
+    /// with fusion on or off.
     ///
     /// # Errors
     ///
     /// Returns [`JobError`] when the guest fails to compile or run, or a
     /// trace is malformed.
-    pub fn run(&self, workers: usize, progress: bool) -> Result<JobResult, JobError> {
+    pub fn run(&self, workers: usize, progress: bool, fuse: bool) -> Result<JobResult, JobError> {
         match self {
             JobSpec::Profile {
                 source,
@@ -172,14 +172,14 @@ impl JobSpec {
                 options,
                 ..
             } => {
-                let set = profile_source_set_with(
-                    source,
-                    &InstrumentOptions::default(),
-                    *options,
-                    input,
-                )?;
+                let config = RunConfig {
+                    input: input.clone(),
+                    options: *options,
+                    fuse,
+                    ..RunConfig::default()
+                };
                 Ok(JobResult::Profiles {
-                    set,
+                    set: profile(Guest::Source(source), &config)?,
                     source: source.clone(),
                 })
             }
@@ -199,15 +199,19 @@ impl JobSpec {
                     progress,
                     program: program.clone(),
                 };
-                Ok(JobResult::Sweep(run_sweep(&jobs, &config)?))
+                Ok(JobResult::Sweep(sweep(&jobs, &config, fuse)?))
             }
             JobSpec::Analyze { trace, options } => {
-                let mut analysis = StreamingAnalysis::new(*options);
-                analysis.feed(trace)?;
-                let report = analysis.finish()?;
+                let config = RunConfig {
+                    options: *options,
+                    ..RunConfig::default()
+                };
+                let set = profile(Guest::Trace(trace), &config)?;
+                let (header, _) =
+                    algoprof_trace::read_header(trace).expect("the replay decoded this header");
                 Ok(JobResult::Profiles {
-                    set: report.profiles,
-                    source: report.source,
+                    set,
+                    source: header.source,
                 })
             }
         }
@@ -223,8 +227,9 @@ impl JobSpec {
     /// Same as [`JobSpec::run`].
     pub fn execute(&self) -> Result<JobOutput, JobError> {
         // One pool worker runs the whole job; an inner sweep stays serial
-        // (nesting pools would oversubscribe).
-        Ok(self.run(1, false)?.render())
+        // (nesting pools would oversubscribe). The daemon always fuses:
+        // reports are the same either way.
+        Ok(self.run(1, false, true)?.render())
     }
 
     /// The content-address of this job: a SHA-256 over a canonical
@@ -285,6 +290,11 @@ impl JobSpec {
 mod tests {
     use super::*;
     use crate::snapshot::EquivalenceCriterion;
+    use algoprof_vm::InstrumentOptions;
+
+    fn record(src: &str) -> Vec<u8> {
+        crate::run::record_source_with(src, &InstrumentOptions::default(), &[]).expect("records")
+    }
 
     const SRC: &str = "class Main { static int main() {
         int s = 0;
@@ -368,13 +378,7 @@ mod tests {
             options: AlgoProfOptions::default(),
         };
         let out = spec.execute().expect("runs");
-        let direct = crate::run::profile_source_with(
-            SRC,
-            &InstrumentOptions::default(),
-            AlgoProfOptions::default(),
-            &[],
-        )
-        .expect("runs");
+        let direct = crate::run::profile_source(SRC).expect("runs");
         // Single-threaded guests keep the exact pre-thread rendering.
         assert_eq!(out.text, direct.render_text());
         assert!(out.json.is_none());
@@ -397,7 +401,7 @@ mod tests {
             .iter()
             .map(|&n| SweepJob::for_size(source, n))
             .collect();
-        let report = run_sweep(
+        let report = crate::sweep::run_sweep(
             &jobs,
             &SweepConfig {
                 ablations: ablations.clone(),
@@ -413,14 +417,14 @@ mod tests {
 
     #[test]
     fn analyze_execute_matches_profile_trace() {
-        let trace = crate::run::record_source(SRC).expect("records");
+        let trace = record(SRC);
         let spec = JobSpec::Analyze {
             trace: trace.clone(),
             options: AlgoProfOptions::default(),
         };
         let out = spec.execute().expect("analyzes");
-        let direct = crate::run::profile_trace(&trace).expect("replays");
-        assert_eq!(out.text, direct.render_text());
+        let direct = profile(Guest::Trace(&trace), &RunConfig::default()).expect("replays");
+        assert_eq!(out.text, direct.main().render_text());
     }
 
     /// The CLI renders `run`'s result itself and the daemon calls
@@ -437,24 +441,24 @@ mod tests {
             },
             sweep_spec(&[4, 8, 16]),
             JobSpec::Analyze {
-                trace: crate::run::record_source(SRC).expect("records"),
+                trace: record(SRC),
                 options: AlgoProfOptions::default(),
             },
         ];
         for spec in &specs {
             let executed = spec.execute().expect("executes");
-            for workers in [1, 2] {
-                let result = spec.run(workers, false).expect("runs");
+            for (workers, fuse) in [(1, true), (2, true), (1, false)] {
+                let result = spec.run(workers, false, fuse).expect("runs");
                 assert_eq!(
                     result.render(),
                     executed,
-                    "{} job at {workers} worker(s)",
+                    "{} job at {workers} worker(s), fuse {fuse}",
                     spec.kind()
                 );
             }
         }
         // An analyze job hands back the source embedded in its trace.
-        let Ok(JobResult::Profiles { source, .. }) = specs[2].run(1, false) else {
+        let Ok(JobResult::Profiles { source, .. }) = specs[2].run(1, false, true) else {
             panic!("an analyze job yields profiles");
         };
         assert_eq!(source, SRC);

@@ -564,12 +564,11 @@ mod tests {
     /// Profiles `src` live and from its recording, asserts the two sets
     /// are equal, and returns the live one.
     fn live_and_replayed(src: &str) -> crate::profile::ProfileSet {
-        let instrument = InstrumentOptions::default();
-        let opts = AlgoProfOptions::default();
-        let live = crate::run::profile_source_set_with(src, &instrument, opts, &[])
-            .expect("profiles live");
-        let trace = crate::run::record_source_with(src, &instrument, &[]).expect("records");
-        let replayed = crate::run::profile_trace_set_with(&trace, opts).expect("replays");
+        use crate::run::{profile, record_source_with, Guest, RunConfig};
+        let config = RunConfig::default();
+        let live = profile(Guest::Source(src), &config).expect("profiles live");
+        let trace = record_source_with(src, &config.instrument, &[]).expect("records");
+        let replayed = profile(Guest::Trace(&trace), &config).expect("replays");
         assert_eq!(live, replayed, "live and replayed profiles differ");
         live
     }

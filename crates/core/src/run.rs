@@ -1,7 +1,10 @@
-//! One-call convenience: compile, instrument, execute, and profile a jay
-//! source program — or record its event trace once and profile the
-//! recording as many times as needed ([`record_source`],
-//! [`profile_trace`]).
+//! The one run entry point. [`run`] takes a [`Guest`] — jay source to
+//! compile, instrument, fuse and execute, or a recorded trace to replay —
+//! to any [`EventSink`] under one [`RunConfig`]; [`profile`] drives an
+//! [`AlgoProf`] through it. Profile jobs, analyze jobs, the CLI's
+//! `record`, `events` and `opstats`, and the examples all run this way,
+//! so a new concern becomes a [`RunConfig`] field rather than another
+//! wrapper.
 
 use std::fmt;
 
@@ -76,47 +79,111 @@ impl From<TraceError> for ProfileError {
     }
 }
 
-/// The live prelude every source entry point shares: compiles,
-/// instruments and fuses `source`, then runs it on `input`, delivering
-/// every event to `sink`. Returns the program the events resolve against.
-fn run_source<S: EventSink>(
-    source: &str,
-    instrument: &InstrumentOptions,
-    input: &[i64],
-    sink: &mut S,
-) -> Result<CompiledProgram, ProfileError> {
-    let program = compile(source)?.instrument(instrument).fuse_default();
-    Interp::new(&program).with_input(input.to_vec()).run(sink)?;
-    Ok(program)
+/// What a run is driven from.
+#[derive(Debug, Clone, Copy)]
+pub enum Guest<'a> {
+    /// jay source text, compiled under [`RunConfig::instrument`], fused
+    /// if [`RunConfig::fuse`], and executed on [`RunConfig::input`].
+    Source(&'a str),
+    /// A recorded APTR trace. Its header carries the source,
+    /// instrumentation and input it was recorded with, so the config's
+    /// are not consulted, and nothing executes.
+    Trace(&'a [u8]),
 }
 
-/// The replay prelude every trace entry point shares: recompiles the
-/// source embedded in the trace header under the recorded
-/// instrumentation options, then replays the events into `sink`.
-/// Compilation is deterministic, so every id in the stream resolves
-/// exactly as it did while recording.
+/// Everything a run depends on besides its [`Guest`].
+#[derive(Debug, Clone)]
+pub struct RunConfig {
+    /// Instrumentation of a source guest.
+    pub instrument: InstrumentOptions,
+    /// Values for a source guest's `readInput()` calls.
+    pub input: Vec<i64>,
+    /// Profiler configuration ([`profile`] only).
+    pub options: AlgoProfOptions,
+    /// Whether a source guest's bytecode is fused into
+    /// superinstructions. Reports are identical either way; only the
+    /// dispatch count changes.
+    pub fuse: bool,
+}
+
+impl Default for RunConfig {
+    /// Default instrumentation and profiler options, no input, fused:
+    /// the configuration users run.
+    fn default() -> Self {
+        RunConfig {
+            instrument: InstrumentOptions::default(),
+            input: Vec::new(),
+            options: AlgoProfOptions::default(),
+            fuse: true,
+        }
+    }
+}
+
+/// Runs `guest` under `config`, delivering every event to `sink`, and
+/// returns the program the events resolve against.
+///
+/// A trace's embedded source is recompiled under its recorded
+/// instrumentation; compilation is deterministic, so every id in the
+/// stream resolves exactly as it did while recording.
 ///
 /// # Errors
 ///
-/// Returns [`ProfileError::Trace`] when the trace is malformed and
-/// [`ProfileError::Compile`] when its embedded source does not compile.
-pub fn replay_trace<S: EventSink>(
-    trace: &[u8],
+/// Returns [`ProfileError::Compile`] when the source (or the trace's
+/// embedded source) does not compile, [`ProfileError::Runtime`] when the
+/// guest raises an uncaught error, and [`ProfileError::Trace`] when the
+/// trace is malformed.
+pub fn run<S: EventSink>(
+    guest: Guest<'_>,
+    config: &RunConfig,
     sink: &mut S,
 ) -> Result<CompiledProgram, ProfileError> {
-    let (header, events) = read_header(trace)?;
-    let program = compile(&header.source)?.instrument(&header.instrument);
-    TraceReplayer::new().replay(&program, events, sink)?;
-    Ok(program)
+    match guest {
+        Guest::Source(source) => {
+            let program = compile(source)?.instrument(&config.instrument);
+            let program = if config.fuse {
+                program.fused()
+            } else {
+                program
+            };
+            Interp::new(&program)
+                .with_input(config.input.clone())
+                .run(sink)?;
+            Ok(program)
+        }
+        Guest::Trace(trace) => {
+            let (header, events) = read_header(trace)?;
+            let program = recorded_program(&header)?;
+            TraceReplayer::new().replay(&program, events, sink)?;
+            Ok(program)
+        }
+    }
 }
 
-/// Compiles `source`, instruments it with the default options, runs it,
-/// and returns its algorithmic profile.
+/// The program a trace's events resolve against: its embedded source
+/// compiled under its recorded instrumentation (unfused: nothing runs).
+pub(crate) fn recorded_program(header: &TraceHeader) -> Result<CompiledProgram, CompileError> {
+    Ok(compile(&header.source)?.instrument(&header.instrument))
+}
+
+/// Runs `guest` under `config` into an [`AlgoProf`] and returns one
+/// profile per guest thread. A trace's profile equals what the live run
+/// it recorded would have produced under the same options.
 ///
 /// # Errors
 ///
-/// Returns [`ProfileError`] when the guest program fails to compile or
-/// its execution raises an uncaught error.
+/// Same as [`run`].
+pub fn profile(guest: Guest<'_>, config: &RunConfig) -> Result<ProfileSet, ProfileError> {
+    let mut profiler = AlgoProf::with_options(config.options);
+    let program = run(guest, config, &mut profiler)?;
+    Ok(profiler.finish_set(&program))
+}
+
+/// Profiles `source` under the default [`RunConfig`] and returns its main
+/// thread's profile.
+///
+/// # Errors
+///
+/// Same as [`run`].
 ///
 /// # Example
 ///
@@ -132,116 +199,31 @@ pub fn replay_trace<S: EventSink>(
 /// # Ok::<(), algoprof::ProfileError>(())
 /// ```
 pub fn profile_source(source: &str) -> Result<AlgorithmicProfile, ProfileError> {
-    profile_source_with(
-        source,
-        &InstrumentOptions::default(),
-        AlgoProfOptions::default(),
-        &[],
-    )
+    profile(Guest::Source(source), &RunConfig::default()).map(ProfileSet::into_main)
 }
 
-/// Like [`profile_source`] with explicit instrumentation and profiler
-/// options plus guest input values.
+/// Executes `source` once under `instrument` with `input` and returns the
+/// recorded event trace, which embeds all three. Profile the bytes with
+/// [`Guest::Trace`] any number of times without re-executing the guest.
 ///
 /// # Errors
 ///
-/// Same as [`profile_source`].
-pub fn profile_source_with(
-    source: &str,
-    instrument: &InstrumentOptions,
-    options: AlgoProfOptions,
-    input: &[i64],
-) -> Result<AlgorithmicProfile, ProfileError> {
-    profile_source_set_with(source, instrument, options, input).map(ProfileSet::into_main)
-}
-
-/// Like [`profile_source_with`], but returns one profile per guest
-/// thread ([`ProfileSet`]) instead of only the main thread's —
-/// single-threaded programs yield a one-element set.
-///
-/// # Errors
-///
-/// Same as [`profile_source`].
-pub fn profile_source_set_with(
-    source: &str,
-    instrument: &InstrumentOptions,
-    options: AlgoProfOptions,
-    input: &[i64],
-) -> Result<ProfileSet, ProfileError> {
-    let mut profiler = AlgoProf::with_options(options);
-    let program = run_source(source, instrument, input, &mut profiler)?;
-    Ok(profiler.finish_set(&program))
-}
-
-/// Compiles `source`, instruments it with the default options, executes
-/// it once, and returns the recorded event trace. Feed the bytes to
-/// [`profile_trace`] (any number of times) to analyze without
-/// re-executing the guest.
-///
-/// # Errors
-///
-/// Returns [`ProfileError`] when the guest fails to compile or its
-/// execution raises an uncaught error.
-pub fn record_source(source: &str) -> Result<Vec<u8>, ProfileError> {
-    record_source_with(source, &InstrumentOptions::default(), &[])
-}
-
-/// Like [`record_source`] with explicit instrumentation options and
-/// guest input values (both are embedded in the trace header, so the
-/// recording stays self-contained).
-///
-/// # Errors
-///
-/// Same as [`record_source`].
+/// Same as [`run`].
 pub fn record_source_with(
     source: &str,
     instrument: &InstrumentOptions,
     input: &[i64],
 ) -> Result<Vec<u8>, ProfileError> {
+    let config = RunConfig {
+        instrument: *instrument,
+        input: input.to_vec(),
+        ..RunConfig::default()
+    };
     let mut bytes = Vec::new();
     let mut recorder = TraceRecorder::new(&TraceHeader::new(source, instrument, input), &mut bytes);
-    run_source(source, instrument, input, &mut recorder)?;
+    run(Guest::Source(source), &config, &mut recorder)?;
     recorder.finish().expect("writes to a Vec<u8> cannot fail");
     Ok(bytes)
-}
-
-/// Profiles a recorded trace under the default [`AlgoProfOptions`]
-/// without executing the guest.
-///
-/// # Errors
-///
-/// Returns [`ProfileError`] when the trace is malformed or its embedded
-/// source no longer compiles.
-pub fn profile_trace(trace: &[u8]) -> Result<AlgorithmicProfile, ProfileError> {
-    profile_trace_with(trace, AlgoProfOptions::default())
-}
-
-/// Like [`profile_trace`] with explicit profiler options. The resulting
-/// profile equals what a live run under `options` would have produced.
-///
-/// # Errors
-///
-/// Same as [`profile_trace`].
-pub fn profile_trace_with(
-    trace: &[u8],
-    options: AlgoProfOptions,
-) -> Result<AlgorithmicProfile, ProfileError> {
-    profile_trace_set_with(trace, options).map(ProfileSet::into_main)
-}
-
-/// Like [`profile_trace_with`], but returns one profile per guest thread
-/// recorded in the trace ([`ProfileSet`]).
-///
-/// # Errors
-///
-/// Same as [`profile_trace`].
-pub fn profile_trace_set_with(
-    trace: &[u8],
-    options: AlgoProfOptions,
-) -> Result<ProfileSet, ProfileError> {
-    let mut profiler = AlgoProf::with_options(options);
-    let program = replay_trace(trace, &mut profiler)?;
-    Ok(profiler.finish_set(&program))
 }
 
 #[cfg(test)]
@@ -276,17 +258,22 @@ mod tests {
         return s;
     } }";
 
+    fn record(src: &str) -> Vec<u8> {
+        record_source_with(src, &InstrumentOptions::default(), &[]).expect("records")
+    }
+
     #[test]
     fn trace_profile_equals_live_profile() {
-        let live = profile_source(LOOP_SRC).expect("profiles");
-        let trace = record_source(LOOP_SRC).expect("records");
-        let replayed = profile_trace(&trace).expect("replays");
+        let config = RunConfig::default();
+        let live = profile(Guest::Source(LOOP_SRC), &config).expect("profiles");
+        let trace = record(LOOP_SRC);
+        let replayed = profile(Guest::Trace(&trace), &config).expect("replays");
         assert_eq!(live, replayed);
     }
 
     #[test]
     fn trace_error_is_reported() {
-        let e = profile_trace(b"not a trace").unwrap_err();
+        let e = profile(Guest::Trace(b"not a trace"), &RunConfig::default()).unwrap_err();
         assert!(matches!(e, ProfileError::Trace(_)));
         assert!(e.to_string().contains("trace"));
     }
@@ -325,21 +312,22 @@ mod tests {
     fn threaded_trace_profile_equals_live_profile_under_every_criterion() {
         use crate::snapshot::EquivalenceCriterion;
 
-        let trace = record_source(THREADED_SRC).expect("records");
+        let trace = record(THREADED_SRC);
         for criterion in [
             EquivalenceCriterion::AllElements,
             EquivalenceCriterion::SomeElements,
             EquivalenceCriterion::SameArray,
             EquivalenceCriterion::SameType,
         ] {
-            let options = AlgoProfOptions {
-                criterion,
-                ..AlgoProfOptions::default()
+            let config = RunConfig {
+                options: AlgoProfOptions {
+                    criterion,
+                    ..AlgoProfOptions::default()
+                },
+                ..RunConfig::default()
             };
-            let live =
-                profile_source_set_with(THREADED_SRC, &InstrumentOptions::default(), options, &[])
-                    .expect("profiles live");
-            let replayed = profile_trace_set_with(&trace, options).expect("replays");
+            let live = profile(Guest::Source(THREADED_SRC), &config).expect("profiles live");
+            let replayed = profile(Guest::Trace(&trace), &config).expect("replays");
             assert_eq!(live.len(), 3, "main + two workers under {criterion:?}");
             assert_eq!(
                 live, replayed,

@@ -1,7 +1,8 @@
 //! Streaming analysis: profile an APTR trace while it is still arriving.
 //!
-//! The batch path ([`crate::profile_trace_with`]) needs the whole trace
-//! before analysis starts. [`StreamingAnalysis`] inverts that: each
+//! Profiling a trace through [`crate::profile`](fn@crate::profile)
+//! needs the whole trace before analysis starts. [`StreamingAnalysis`]
+//! inverts that: each
 //! [`feed`] decodes every fully buffered event through
 //! [`IncrementalReplayer`] straight into a live [`AlgoProf`], and pushes
 //! every repetition-tree invocation that *finished* during the chunk
@@ -13,8 +14,10 @@
 //! everything before it.
 //!
 //! [`finish`] closes the stream and returns the full
-//! [`AlgorithmicProfile`] — identical to what the batch path produces
-//! for the same bytes — plus the per-node online fits.
+//! [`ProfileSet`] — identical to what
+//! [`crate::profile`](fn@crate::profile) produces for the same bytes,
+//! errors included, since both decode through the one replay driver —
+//! plus the per-node online fits.
 //!
 //! [`feed`]: StreamingAnalysis::feed
 //! [`finish`]: StreamingAnalysis::finish
@@ -23,13 +26,13 @@ use std::collections::BTreeMap;
 
 use algoprof_fit::{Fit, PowerFit, StreamingFit};
 use algoprof_trace::IncrementalReplayer;
-use algoprof_vm::{compile, CompiledProgram};
+use algoprof_vm::CompiledProgram;
 
 use crate::inputs::{InputKind, InputRegistry};
 use crate::profile::ProfileSet;
 use crate::profiler::{AlgoProf, AlgoProfOptions};
 use crate::reptree::{Invocation, NodeId};
-use crate::run::ProfileError;
+use crate::run::{recorded_program, ProfileError};
 
 /// Online ⟨size, steps⟩ fit state for one repetition-tree node.
 #[derive(Debug, Default)]
@@ -56,9 +59,9 @@ pub struct StreamNodeFit {
 /// Everything a completed streaming analysis produced.
 #[derive(Debug)]
 pub struct StreamingReport {
-    /// One profile per guest thread, identical to the batch
-    /// [`crate::profile_trace_set_with`] result for the same trace bytes
-    /// and options (single-threaded guests yield a one-entry set).
+    /// One profile per guest thread, identical to the
+    /// [`crate::profile`](fn@crate::profile) result for the same trace
+    /// bytes and options (single-threaded guests yield a one-entry set).
     pub profiles: ProfileSet,
     /// Per-node online fits, sized nodes only, in node-id order.
     pub node_fits: Vec<StreamNodeFit>,
@@ -107,7 +110,7 @@ impl StreamingAnalysis {
         self.inc.feed(chunk);
         if self.program.is_none() {
             if let Some(header) = self.inc.header()? {
-                let program = compile(&header.source)?.instrument(&header.instrument);
+                let program = recorded_program(header)?;
                 self.profiler = Some(AlgoProf::with_options(self.options));
                 self.program = Some(program);
             }
@@ -122,21 +125,6 @@ impl StreamingAnalysis {
             }
         }
         Ok(())
-    }
-
-    /// Trace bytes consumed so far.
-    pub fn bytes_fed(&self) -> u64 {
-        self.inc.bytes_fed()
-    }
-
-    /// Events replayed so far.
-    pub fn events(&self) -> u64 {
-        self.inc.stats().events
-    }
-
-    /// Whether the trace's `End` tag has been decoded.
-    pub fn is_complete(&self) -> bool {
-        self.inc.is_ended()
     }
 
     /// Closes the stream: verifies the `End` tag arrived, finalizes the
@@ -251,7 +239,16 @@ pub fn render_stream_fits(report: &StreamingReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run::{profile_trace_with, record_source};
+    use crate::run::{profile, record_source_with, Guest, RunConfig};
+    use algoprof_vm::InstrumentOptions;
+
+    fn record(src: &str) -> Result<Vec<u8>, ProfileError> {
+        record_source_with(src, &InstrumentOptions::default(), &[])
+    }
+
+    fn batch(trace: &[u8]) -> Result<ProfileSet, ProfileError> {
+        profile(Guest::Trace(trace), &RunConfig::default())
+    }
 
     const SRC: &str = "class Main { static int main() {
         Node head = null;
@@ -277,13 +274,12 @@ mod tests {
 
     #[test]
     fn streaming_profile_equals_batch_profile() {
-        let trace = record_source(SRC).expect("records");
-        let batch = profile_trace_with(&trace, AlgoProfOptions::default()).expect("replays");
+        let trace = record(SRC).expect("records");
+        let batch = batch(&trace).expect("replays");
         for chunk in [1, 7, 64, trace.len()] {
             let report = streamed(&trace, chunk);
             assert_eq!(
-                *report.profiles.main(),
-                batch,
+                report.profiles, batch,
                 "chunk size {chunk} diverged from batch"
             );
             assert_eq!(report.bytes, trace.len() as u64);
@@ -293,7 +289,7 @@ mod tests {
 
     #[test]
     fn online_fits_cover_sized_nodes() {
-        let trace = record_source(SRC).expect("records");
+        let trace = record(SRC).expect("records");
         let report = streamed(&trace, 11);
         // Both loops touch the Node structure input, so both stream
         // points into their node fits.
@@ -312,7 +308,6 @@ mod tests {
 
     #[test]
     fn threaded_streaming_equals_batch_set() {
-        use crate::run::profile_trace_set_with;
         const TSRC: &str = "class Main { static int main() {
             int t1 = spawn work(6);
             int t2 = spawn work(9);
@@ -326,8 +321,8 @@ mod tests {
             return n;
         } }
         class Node { Node next; }";
-        let trace = record_source(TSRC).expect("records");
-        let batch = profile_trace_set_with(&trace, AlgoProfOptions::default()).expect("replays");
+        let trace = record(TSRC).expect("records");
+        let batch = batch(&trace).expect("replays");
         assert_eq!(batch.len(), 3, "main + two workers");
         for chunk in [1, 13, trace.len()] {
             let report = streamed(&trace, chunk);
@@ -340,7 +335,7 @@ mod tests {
 
     #[test]
     fn truncated_stream_is_an_error_at_finish() {
-        let trace = record_source(SRC).expect("records");
+        let trace = record(SRC).expect("records");
         let mut s = StreamingAnalysis::new(AlgoProfOptions::default());
         s.feed(&trace[..trace.len() - 1]).expect("feeds");
         let err = s.finish().unwrap_err();

@@ -13,11 +13,11 @@
 //! and the predictions are kept; every job of that source then borrows
 //! the same program. The jobs run in a **single parallel pass**: each
 //! executes its guest exactly once, with the interpreter driving a
-//! [`Tee`](algoprof_vm::Tee) of the trace recorder (for reproducibility
-//! stats) and a [`Fanout`](algoprof_vm::Fanout) of one [`AlgoProf`] per
-//! ablation. All ablations observe the identical live event stream, so
-//! their profiles equal what a record-then-replay pipeline would have
-//! produced — without re-decoding the recording N times.
+//! [`Tee`] of the trace recorder (for reproducibility stats) and a
+//! [`Fanout`] of one [`AlgoProf`] per ablation. All ablations observe
+//! the identical live event stream, so their profiles equal what a
+//! record-then-replay pipeline would have produced — without
+//! re-decoding the recording N times.
 //!
 //! The merged report is **deterministic**: results land in
 //! pre-assigned slots indexed by job (see [`crate::pool`]), the merge
@@ -287,6 +287,19 @@ pub struct SweepReport {
 /// # Ok::<(), algoprof::sweep::SweepError>(())
 /// ```
 pub fn run_sweep(jobs: &[SweepJob], config: &SweepConfig) -> Result<SweepReport, SweepError> {
+    sweep(jobs, config, true)
+}
+
+/// [`run_sweep`] with fusion as a value ([`RunConfig::fuse`]): the CLI
+/// passes its default, the daemon always fuses, and the report is the
+/// same either way.
+///
+/// [`RunConfig::fuse`]: crate::RunConfig::fuse
+pub(crate) fn sweep(
+    jobs: &[SweepJob],
+    config: &SweepConfig,
+    fuse: bool,
+) -> Result<SweepReport, SweepError> {
     let ablations: Vec<SweepAblation> = if config.ablations.is_empty() {
         SweepConfig::default().ablations
     } else {
@@ -317,7 +330,7 @@ pub fn run_sweep(jobs: &[SweepJob], config: &SweepConfig) -> Result<SweepReport,
         .collect();
     let prepared: Vec<Result<PreparedSource, CompileError>> = sources
         .iter()
-        .map(|s| prepare_source(s, &instrument))
+        .map(|s| prepare_source(s, &instrument, fuse))
         .collect();
 
     // Single pass: execute every job once, in parallel, with all
@@ -541,7 +554,7 @@ type Predictions = HashMap<String, (ComplexityClass, CostFn)>;
 /// The front end's products for one distinct source, shared by every job
 /// that runs it.
 struct PreparedSource {
-    /// The instrumented program, fused unless `ALGOPROF_NO_FUSE=1`.
+    /// The instrumented program, fused if the sweep fuses.
     program: CompiledProgram,
     /// The source's static predictions.
     predictions: Predictions,
@@ -549,17 +562,18 @@ struct PreparedSource {
 
 /// Runs the front end once for `source`: one parse and type-check, one
 /// lowering and instrumentation, the static analysis of those typed
-/// bodies against that instrumented program, then fusion. The HIR and
-/// the unfused program are dropped here.
+/// bodies against that instrumented program, then fusion if `fuse`. The
+/// HIR is dropped here.
 fn prepare_source(
     source: &str,
     instrument: &InstrumentOptions,
+    fuse: bool,
 ) -> Result<PreparedSource, CompileError> {
     let (bodies, program) = compile_with_bodies(source)?;
     let program = program.instrument(instrument);
     let analysis = algoprof_analysis::analyze_program(&bodies, &program);
     Ok(PreparedSource {
-        program: program.fuse_default(),
+        program: if fuse { program.fused() } else { program },
         predictions: algoprof_analysis::cost_map(&analysis.predictions),
     })
 }
@@ -1063,7 +1077,7 @@ mod tests {
         // The Fanout'd live profiles must be indistinguishable from the
         // old record-then-replay pipeline, and the teed recording must
         // be byte-identical to a pure recording run.
-        use crate::run::{profile_trace_set_with, record_source_with};
+        use crate::run::{profile, record_source_with, Guest, RunConfig};
         use crate::snapshot::EquivalenceCriterion;
         let ablations = vec![
             SweepAblation {
@@ -1082,7 +1096,7 @@ mod tests {
             },
         ];
         let instrument = InstrumentOptions::default();
-        let program = prepare_source(SIZED_LIST, &instrument)
+        let program = prepare_source(SIZED_LIST, &instrument, true)
             .expect("compiles")
             .program;
         for &n in &[4u64, 9] {
@@ -1094,8 +1108,11 @@ mod tests {
             assert_eq!(outcome.trace_bytes, recording.len() as u64);
             assert!(outcome.events > 0);
             for (ablation, live) in ablations.iter().zip(&outcome.profiles) {
-                let replayed =
-                    profile_trace_set_with(&recording, ablation.options).expect("replays");
+                let config = RunConfig {
+                    options: ablation.options,
+                    ..RunConfig::default()
+                };
+                let replayed = profile(Guest::Trace(&recording), &config).expect("replays");
                 assert_eq!(
                     *live, replayed,
                     "single-pass [{}] diverged from replay",

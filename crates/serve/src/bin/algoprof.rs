@@ -56,13 +56,12 @@ use std::io::{Read, Write};
 use std::process::ExitCode;
 
 use algoprof::{
-    replay_trace, AlgoProfOptions, CostMetric, JobError, JobResult, JobSpec, ProfileError,
+    AlgoProfOptions, CostMetric, Guest, JobError, JobResult, JobSpec, ProfileError, RunConfig,
     StreamingAnalysis, SweepAblation,
 };
 use algoprof_analysis::json_str;
 use algoprof_serve::api::{OptionTable, CRITERIA, GROUPINGS, SIZINGS, SNAPSHOT_POLICIES};
 use algoprof_serve::{client, Server, ServerAddr, ServerConfig};
-use algoprof_vm::InstrumentOptions;
 
 const USAGE: &str = "usage: algoprof [--criterion some|all|array|type] [--sizing capacity|unique] \
      [--snapshots firstlast|every] [--grouping input|indexflow|method] \
@@ -144,6 +143,16 @@ fn main() -> ExitCode {
             eprintln!("algoprof: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// The [`RunConfig`] one-shot commands start from: fused unless
+/// `ALGOPROF_NO_FUSE=1`, the switch the fusion-on-vs-off comparison
+/// sets. Reports are the same either way; a daemon always fuses.
+fn run_config() -> RunConfig {
+    RunConfig {
+        fuse: !algoprof_vm::fuse::fusion_disabled(),
+        ..RunConfig::default()
     }
 }
 
@@ -348,7 +357,7 @@ fn parse_args(args: &[String]) -> Result<AnalysisArgs, CliError> {
 /// The classic mode: compile, execute, and profile in one go.
 fn live_main(args: &[String]) -> Result<(), CliError> {
     let parsed = parse_args(args)?;
-    parsed.emit(parsed.profile_job()?.run(1, false)?)
+    parsed.emit(parsed.profile_job()?.run(1, false, run_config().fuse)?)
 }
 
 /// `algoprof record <prog.jay> -o <trace>`: execute once, save the trace.
@@ -387,7 +396,8 @@ fn record_main(args: &[String]) -> Result<(), CliError> {
         ));
     };
     let source = read_file(&path)?;
-    let trace = algoprof::record_source_with(&source, &InstrumentOptions::default(), &input)?;
+    // Fused or not, the recording is the same.
+    let trace = algoprof::record_source_with(&source, &Default::default(), &input)?;
     write_file(&out, &trace)?;
     println!("wrote {out} ({} bytes)", trace.len());
     Ok(())
@@ -419,7 +429,7 @@ fn analyze_main(args: &[String]) -> Result<(), CliError> {
             trace: read_trace(path)?,
             options: parsed.opts,
         };
-        spec.run(1, false)?
+        spec.run(1, false, run_config().fuse)?
     };
     parsed.emit(result)
 }
@@ -496,9 +506,9 @@ fn events_main(args: &[String]) -> Result<(), CliError> {
     if let Some(id) = thread {
         sink = sink.with_thread_filter(id);
     }
-    // The same replay prelude as `analyze`: ids resolve to names against
-    // the recompiled embedded source.
-    replay_trace(&trace, &mut sink)?;
+    // The same replay as `analyze`: ids resolve to names against the
+    // recompiled embedded source.
+    algoprof::run(Guest::Trace(&trace), &run_config(), &mut sink)?;
     sink.finish()
         .map_err(|e| CliError::Run(format!("cannot write event dump: {e}")))?;
     Ok(())
@@ -700,18 +710,16 @@ fn opstats_main(args: &[String]) -> Result<(), CliError> {
             "opstats needs at least one program file".into(),
         ));
     }
+    let config = RunConfig {
+        input,
+        ..run_config()
+    };
     let mut total = algoprof_vm::OpStats::new();
     for path in &paths {
         let source = read_file(path)?;
-        let program = algoprof_vm::compile(&source)
-            .map_err(|e| CliError::Run(format!("{path}: guest compilation failed: {e}")))?
-            .instrument(&InstrumentOptions::default())
-            .fuse_default();
         let mut stats = algoprof_vm::OpStats::new();
-        algoprof_vm::Interp::new(&program)
-            .with_input(input.clone())
-            .run(&mut stats)
-            .map_err(|e| CliError::Run(format!("{path}: guest execution failed: {e}")))?;
+        algoprof::run(Guest::Source(&source), &config, &mut stats)
+            .map_err(|e| CliError::Run(format!("{path}: {e}")))?;
         total.merge(&stats);
     }
     if json {
@@ -751,7 +759,7 @@ fn disasm_main(args: &[String]) -> Result<(), CliError> {
     let source = read_file(path)?;
     let mut program = algoprof_vm::compile(&source)
         .map_err(|e| CliError::Run(e.to_string()))?
-        .instrument(&InstrumentOptions::default());
+        .instrument(&algoprof_vm::InstrumentOptions::default());
     if fused {
         program = program.fuse();
     }
@@ -875,7 +883,9 @@ impl SweepArgs {
 /// from the same live event stream, and emit one merged report.
 fn sweep_main(args: &[String]) -> Result<(), CliError> {
     let args = parse_sweep_args(args, "sweep")?;
-    let result = args.job()?.run(args.workers.unwrap_or(0), !args.quiet)?;
+    let result = args
+        .job()?
+        .run(args.workers.unwrap_or(0), !args.quiet, run_config().fuse)?;
     let JobResult::Sweep(report) = result else {
         unreachable!("a sweep job yields a sweep report");
     };

@@ -484,8 +484,7 @@ fn options_from_query(query: &str) -> Result<algoprof::AlgoProfOptions, String> 
 mod tests {
     use super::*;
     use crate::client::{self, ServerAddr};
-    use algoprof::record_source;
-    use algoprof::JobSpec;
+    use algoprof::{record_source_with, Guest, JobSpec, RunConfig};
 
     const SRC: &str = "class Main { static int main() {
         int size = readInput();
@@ -546,7 +545,7 @@ mod tests {
     fn streaming_upload_matches_batch_analysis() {
         let server = Server::start("127.0.0.1:0", ServerConfig::default()).expect("starts");
         let addr = ServerAddr::Tcp(server.addr().expect("tcp").to_string());
-        let trace = record_source(
+        let trace = record_source_with(
             "class Main { static int main() {
                 Node head = null;
                 for (int i = 0; i < 6; i = i + 1) {
@@ -555,11 +554,13 @@ mod tests {
                 return 0;
             } }
             class Node { Node next; }",
+            &Default::default(),
+            &[],
         )
         .expect("records");
         let report = client::stream_trace(&addr, &mut &trace[..], "").expect("streams");
-        let batch = algoprof::profile_trace_with(&trace, Default::default()).expect("batch");
-        assert_eq!(report.text, batch.render_text());
+        let batch = algoprof::profile(Guest::Trace(&trace), &RunConfig::default()).expect("batch");
+        assert_eq!(report.text, algoprof::render_set(&batch));
         assert!(report.stream_fits.contains("streaming fits"));
         assert_eq!(report.bytes, trace.len() as u64);
 

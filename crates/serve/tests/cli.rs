@@ -246,6 +246,76 @@ fn events_and_analyze_report_replay_failures_alike() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Runs `algoprof analyze -` with `bytes` on stdin.
+fn analyze_stdin(bytes: &[u8]) -> Output {
+    use std::io::Write as _;
+    use std::process::Stdio;
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_algoprof"))
+        .args(["analyze", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawns analyze -");
+    // A child that rejects the stream early may close the pipe first.
+    let _ = child.stdin.take().expect("stdin handle").write_all(bytes);
+    child.wait_with_output().expect("analyze - finishes")
+}
+
+/// One replay driver: a corrupt recording fails with one and the same
+/// `trace replay failed: …` line, and exit code 1, whether it is
+/// analyzed from a file, streamed through `analyze -`, or dumped by
+/// `events`.
+#[test]
+fn one_error_line_per_corrupt_file() {
+    use algoprof_trace::format::{TAG_END, TAG_FIELD_WRITTEN, TAG_METHOD_ENTRY};
+
+    let dir = std::env::temp_dir().join(format!("algoprof-cli-corrupt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let source = "class Main { static int main() { Node n = new Node(); n.v = 1; return n.v; } }
+        class Node { int v; }";
+    let mut header = Vec::new();
+    algoprof_trace::TraceHeader::new(source, &algoprof_vm::InstrumentOptions::default(), &[])
+        .encode(&mut header);
+    let corruptions: [(&str, &[u8], &str); 2] = [
+        // An End tag inside a method, followed by the stream's remainder.
+        (
+            "premature_end",
+            &[TAG_METHOD_ENTRY, 0, TAG_END, TAG_METHOD_ENTRY, 0],
+            "End tag with 1 repetitions still open",
+        ),
+        // A field write to object delta 3 before anything was allocated.
+        (
+            "ref_before_alloc",
+            &[TAG_FIELD_WRITTEN, 6, 0],
+            "object ref 2 outside the 0 allocated",
+        ),
+    ];
+    for (name, events, needle) in corruptions {
+        let mut bytes = header.clone();
+        bytes.extend_from_slice(events);
+        let file = dir.join(format!("{name}.aptr"));
+        std::fs::write(&file, &bytes).expect("writes");
+        let file = file.to_str().unwrap();
+        let want = format!("algoprof: trace replay failed: trace is corrupt: {needle}\n");
+        for (how, out) in [
+            ("analyze <file>", algoprof(&["analyze", file])),
+            ("analyze -", analyze_stdin(&bytes)),
+            ("events <file>", algoprof(&["events", file])),
+        ] {
+            assert_eq!(
+                out.status.code(),
+                Some(1),
+                "{name}, {how}: {}",
+                stderr(&out)
+            );
+            assert_eq!(stderr(&out), want, "{name}, {how}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn events_dumps_a_recording() {
     let dir = std::env::temp_dir().join(format!("algoprof-cli-events-{}", std::process::id()));

@@ -1,7 +1,7 @@
 //! Decoding a recording into human-readable or JSON-lines events.
 //!
 //! [`DumpSink`] is an [`EventSink`] that renders each event it observes
-//! with the [`Event`](algoprof_vm::Event) serializer — one line per event
+//! with the [`Event`] serializer — one line per event
 //! — and writes it to an `io::Write` backend. Drive it from a
 //! [`TraceReplayer`](crate::TraceReplayer) to turn a `.aptr` recording
 //! into text (the `algoprof events` subcommand does exactly that).

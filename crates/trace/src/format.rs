@@ -136,6 +136,26 @@ pub const VK_OBJ: u8 = 4;
 /// `Value::Arr(_)`, followed by the delta to the last array ref as ileb.
 pub const VK_ARR: u8 = 5;
 
+/// The delta-coding registers both ends of the format keep: the last
+/// object, array and thread id coded. Refs are stored relative to them,
+/// so the recorder and the replayer must start from the same state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Deltas {
+    pub(crate) obj: i64,
+    pub(crate) arr: i64,
+    pub(crate) thread: i64,
+}
+
+impl Deltas {
+    /// Every stream's starting state: no object or array coded yet, and
+    /// the implicit thread 0.
+    pub(crate) const START: Deltas = Deltas {
+        obj: -1,
+        arr: -1,
+        thread: 0,
+    };
+}
+
 // --------------------------------------------------------------- header
 
 /// The decoded trace header: everything needed to rebuild the program a

@@ -1,32 +1,27 @@
 //! Incremental replay over partial buffers: decode what has arrived,
 //! suspend mid-stream, resume when more bytes land.
 //!
-//! [`TraceReplayer::replay`] needs the whole trace in memory before the
-//! first event reaches the sink. A daemon ingesting an APTR upload (or
-//! `algoprof analyze -` reading a pipe) wants the opposite: feed each
-//! network/pipe chunk as it arrives and let analysis overlap ingestion.
-//! [`IncrementalReplayer`] provides that as a push-style wrapper around
-//! the same decoding core ([`TraceReplayer::step`]): [`feed`] appends
-//! bytes, [`header`] surfaces the decoded [`TraceHeader`] as soon as it
-//! is complete (so the caller can compile the program), and [`advance`]
-//! delivers every event whose bytes are fully buffered, stopping — not
-//! failing — at a partial event.
-//!
-//! Suspension is safe because every decode arm performs all cursor reads
-//! before any shadow-heap or frame mutation; a mid-event
-//! [`TraceError::Truncated`] therefore only needs the delta-decoding
-//! registers rolled back (see [`TraceReplayer::mark`]), and the next
-//! [`advance`] retries the same event from its first byte.
+//! A daemon ingesting an APTR upload (or `algoprof analyze -` reading a
+//! pipe) wants to feed each network/pipe chunk as it arrives and let
+//! analysis overlap ingestion. [`IncrementalReplayer`] provides that as
+//! a push-style buffer around the one replay driver
+//! ([`TraceReplayer`]): [`feed`] appends bytes, [`header`] surfaces the
+//! decoded [`TraceHeader`] as soon as it is complete (so the caller can
+//! compile the program), [`advance`] delivers every event whose bytes
+//! are fully buffered, stopping — not failing — at a partial event, and
+//! [`finish`] closes the stream. [`TraceReplayer::replay`] is the same
+//! driver fed the whole stream at once, so both report the same events
+//! and the same error for the same bytes, however they are chunked.
 //!
 //! [`feed`]: IncrementalReplayer::feed
 //! [`header`]: IncrementalReplayer::header
 //! [`advance`]: IncrementalReplayer::advance
+//! [`finish`]: IncrementalReplayer::finish
 
-use algoprof_vm::{CompiledProgram, EventSink, Heap};
+use algoprof_vm::{CompiledProgram, EventSink};
 
 use crate::format::{TraceError, TraceHeader};
-use crate::replay::{FrameStacks, ReplayStats, Step, TraceReplayer};
-use crate::wire::Cursor;
+use crate::replay::{ReplayStats, TraceReplayer};
 
 /// Buffered bytes consumed this far are dropped once the prefix grows
 /// past this, keeping steady-state memory proportional to one chunk
@@ -79,11 +74,10 @@ pub struct IncrementalReplayer {
     consumed: usize,
     /// Total bytes fed, across compactions.
     fed: u64,
+    /// Bytes fed after the `End` tag; they are counted, not kept.
+    trailing: u64,
     header: Option<TraceHeader>,
     replayer: TraceReplayer,
-    frames: FrameStacks,
-    stats: ReplayStats,
-    ended: bool,
 }
 
 impl IncrementalReplayer {
@@ -95,27 +89,16 @@ impl IncrementalReplayer {
     /// Appends a chunk of trace bytes.
     pub fn feed(&mut self, chunk: &[u8]) {
         self.fed += chunk.len() as u64;
-        self.buf.extend_from_slice(chunk);
+        if self.replayer.ended {
+            self.trailing += chunk.len() as u64;
+        } else {
+            self.buf.extend_from_slice(chunk);
+        }
     }
 
     /// Total bytes fed so far.
     pub fn bytes_fed(&self) -> u64 {
         self.fed
-    }
-
-    /// Whether the `End` tag has been decoded.
-    pub fn is_ended(&self) -> bool {
-        self.ended
-    }
-
-    /// Events delivered so far.
-    pub fn stats(&self) -> ReplayStats {
-        self.stats
-    }
-
-    /// The shadow heap in its current (partially rebuilt) state.
-    pub fn heap(&self) -> &Heap {
-        self.replayer.heap()
     }
 
     /// The trace header, once enough bytes have arrived to decode it;
@@ -141,65 +124,39 @@ impl IncrementalReplayer {
         Ok(self.header.as_ref())
     }
 
-    /// Delivers every fully buffered event to `sink`, returning how many
-    /// were delivered. Stops cleanly at a partial event (resume by
-    /// feeding more bytes and calling again). `program` must be the
-    /// compiled form of the header returned by
+    /// Delivers every fully buffered event to `sink`. Stops cleanly at a
+    /// partial event (resume by feeding more bytes and calling again).
+    /// `program` must be the compiled form of the header returned by
     /// [`IncrementalReplayer::header`]; calling before the header is
-    /// decoded is a no-op returning 0.
+    /// decoded is a no-op.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Corrupt`] for structurally invalid events,
-    /// unbalanced repetitions at `End`, or bytes after the `End` tag.
+    /// Returns [`TraceError::Corrupt`] for structurally invalid events
+    /// and for repetitions still open at `End`. Bytes after `End` are
+    /// reported by [`IncrementalReplayer::finish`], which knows how many
+    /// there were.
     pub fn advance<S: EventSink>(
         &mut self,
         program: &CompiledProgram,
         sink: &mut S,
-    ) -> Result<u64, TraceError> {
-        if self.header.is_none() {
-            return Ok(0);
+    ) -> Result<(), TraceError> {
+        if self.header.is_none() || self.replayer.ended {
+            return Ok(());
         }
         if self.consumed >= COMPACT_THRESHOLD {
             self.buf.drain(..self.consumed);
             self.consumed = 0;
         }
-        let mut delivered = 0;
-        loop {
-            if self.ended {
-                if self.consumed < self.buf.len() {
-                    return Err(TraceError::Corrupt(format!(
-                        "{} trailing bytes after End tag",
-                        self.buf.len() - self.consumed
-                    )));
-                }
-                return Ok(delivered);
-            }
-            let mark = self.replayer.mark();
-            let mut c = Cursor::new(&self.buf[self.consumed..]);
-            match self.replayer.step(program, &mut c, &mut self.frames, sink) {
-                Ok(Step::Event) => {
-                    self.consumed += c.pos();
-                    self.stats.events += 1;
-                    delivered += 1;
-                }
-                Ok(Step::End) => {
-                    self.consumed += c.pos();
-                    self.ended = true;
-                    if self.frames.open() != 0 {
-                        return Err(TraceError::Corrupt(format!(
-                            "End tag with {} repetitions still open",
-                            self.frames.open()
-                        )));
-                    }
-                }
-                Err(TraceError::Truncated) => {
-                    self.replayer.restore(mark);
-                    return Ok(delivered);
-                }
-                Err(e) => return Err(e),
-            }
+        self.consumed += self
+            .replayer
+            .advance(program, &self.buf[self.consumed..], sink)?;
+        if self.replayer.ended {
+            self.trailing += (self.buf.len() - self.consumed) as u64;
+            self.buf = Vec::new();
+            self.consumed = 0;
         }
+        Ok(())
     }
 
     /// Declares the stream complete and returns the final stats.
@@ -210,16 +167,7 @@ impl IncrementalReplayer {
     /// decoded (the upload stopped mid-stream) and
     /// [`TraceError::Corrupt`] for bytes after it.
     pub fn finish(&self) -> Result<ReplayStats, TraceError> {
-        if !self.ended {
-            return Err(TraceError::Truncated);
-        }
-        if self.consumed < self.buf.len() {
-            return Err(TraceError::Corrupt(format!(
-                "{} trailing bytes after End tag",
-                self.buf.len() - self.consumed
-            )));
-        }
-        Ok(self.stats)
+        self.replayer.finish(self.trailing)
     }
 }
 
@@ -333,7 +281,6 @@ mod tests {
             .expect("compiles")
             .instrument(&h.instrument);
         inc.advance(&program, &mut NoopProfiler).expect("advances");
-        assert!(!inc.is_ended());
         assert_eq!(inc.finish(), Err(TraceError::Truncated));
     }
 
@@ -347,8 +294,11 @@ mod tests {
         let program = compile(&h.source)
             .expect("compiles")
             .instrument(&h.instrument);
-        let err = inc.advance(&program, &mut NoopProfiler).unwrap_err();
-        assert!(matches!(err, TraceError::Corrupt(_)));
+        inc.advance(&program, &mut NoopProfiler).expect("advances");
+        assert_eq!(
+            inc.finish(),
+            Err(TraceError::Corrupt("1 trailing bytes after End tag".into()))
+        );
     }
 
     #[test]

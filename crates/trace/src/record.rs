@@ -16,8 +16,8 @@ use std::io::{self, Write};
 use algoprof_vm::{ArrRef, Event, EventCx, EventSink, ObjRef, Value};
 
 use crate::format::{
-    TraceHeader, TAG_ARRAY_ALLOCATED, TAG_ARRAY_LOAD, TAG_ARRAY_WRITTEN, TAG_END, TAG_FIELD_GET,
-    TAG_FIELD_WRITTEN, TAG_INPUT_READ, TAG_LOCK_ACQ, TAG_LOCK_REL, TAG_LOCK_WAIT,
+    Deltas, TraceHeader, TAG_ARRAY_ALLOCATED, TAG_ARRAY_LOAD, TAG_ARRAY_WRITTEN, TAG_END,
+    TAG_FIELD_GET, TAG_FIELD_WRITTEN, TAG_INPUT_READ, TAG_LOCK_ACQ, TAG_LOCK_REL, TAG_LOCK_WAIT,
     TAG_LOOP_BACK_EDGE, TAG_LOOP_ENTRY, TAG_LOOP_EXIT, TAG_METHOD_ENTRY, TAG_METHOD_EXIT,
     TAG_OBJECT_ALLOCATED, TAG_OUTPUT_WRITE, TAG_THREAD_END, TAG_THREAD_SPAWN, TAG_THREAD_SWITCH,
     VK_ARR, VK_FALSE, VK_INT, VK_NULL, VK_OBJ, VK_TRUE,
@@ -65,11 +65,7 @@ impl TraceStats {
 pub struct TraceRecorder<W: Write> {
     out: W,
     buf: Vec<u8>,
-    last_obj: i64,
-    last_arr: i64,
-    /// Last switched-to thread id, for delta coding. A stream starts
-    /// implicitly in thread 0.
-    last_thread: i64,
+    deltas: Deltas,
     events: u64,
     event_bytes: u64,
     flushed_bytes: u64,
@@ -84,9 +80,7 @@ impl<W: Write> TraceRecorder<W> {
         TraceRecorder {
             out,
             buf,
-            last_obj: -1,
-            last_arr: -1,
-            last_thread: 0,
+            deltas: Deltas::START,
             events: 0,
             event_bytes: 0,
             flushed_bytes: 0,
@@ -134,13 +128,13 @@ impl<W: Write> TraceRecorder<W> {
     }
 
     fn put_obj(&mut self, o: ObjRef) {
-        put_ileb(&mut self.buf, i64::from(o.0) - self.last_obj);
-        self.last_obj = i64::from(o.0);
+        put_ileb(&mut self.buf, i64::from(o.0) - self.deltas.obj);
+        self.deltas.obj = i64::from(o.0);
     }
 
     fn put_arr(&mut self, a: ArrRef) {
-        put_ileb(&mut self.buf, i64::from(a.0) - self.last_arr);
-        self.last_arr = i64::from(a.0);
+        put_ileb(&mut self.buf, i64::from(a.0) - self.deltas.arr);
+        self.deltas.arr = i64::from(a.0);
     }
 
     fn put_value(&mut self, v: Value) {
@@ -207,7 +201,7 @@ impl<W: Write> EventSink for TraceRecorder<W> {
                 // class is stored. Still sync the delta base so follow-up
                 // writes to the new object encode as delta 0.
                 self.put_id(TAG_OBJECT_ALLOCATED, class.0);
-                self.last_obj = i64::from(obj.0);
+                self.deltas.obj = i64::from(obj.0);
             }
             Event::ArrayAlloc { arr, elem, len } => {
                 let start = self.buf.len();
@@ -219,7 +213,7 @@ impl<W: Write> EventSink for TraceRecorder<W> {
                 });
                 put_uleb(&mut self.buf, len as u64);
                 self.event_end(start);
-                self.last_arr = i64::from(arr.0);
+                self.deltas.arr = i64::from(arr.0);
             }
             Event::FieldWrite {
                 obj, field, value, ..
@@ -251,8 +245,8 @@ impl<W: Write> EventSink for TraceRecorder<W> {
             Event::ThreadSwitch { thread } => {
                 let start = self.buf.len();
                 self.buf.push(TAG_THREAD_SWITCH);
-                put_ileb(&mut self.buf, i64::from(thread.0) - self.last_thread);
-                self.last_thread = i64::from(thread.0);
+                put_ileb(&mut self.buf, i64::from(thread.0) - self.deltas.thread);
+                self.deltas.thread = i64::from(thread.0);
                 self.event_end(start);
             }
             Event::ThreadEnd { thread } => self.put_id(TAG_THREAD_END, thread.0),

@@ -20,8 +20,8 @@ use algoprof_vm::{
 };
 
 use crate::format::{
-    TraceError, TAG_ARRAY_ALLOCATED, TAG_ARRAY_LOAD, TAG_ARRAY_WRITTEN, TAG_END, TAG_FIELD_GET,
-    TAG_FIELD_WRITTEN, TAG_INPUT_READ, TAG_LOCK_ACQ, TAG_LOCK_REL, TAG_LOCK_WAIT,
+    Deltas, TraceError, TAG_ARRAY_ALLOCATED, TAG_ARRAY_LOAD, TAG_ARRAY_WRITTEN, TAG_END,
+    TAG_FIELD_GET, TAG_FIELD_WRITTEN, TAG_INPUT_READ, TAG_LOCK_ACQ, TAG_LOCK_REL, TAG_LOCK_WAIT,
     TAG_LOOP_BACK_EDGE, TAG_LOOP_ENTRY, TAG_LOOP_EXIT, TAG_METHOD_ENTRY, TAG_METHOD_EXIT,
     TAG_OBJECT_ALLOCATED, TAG_OUTPUT_WRITE, TAG_THREAD_END, TAG_THREAD_SPAWN, TAG_THREAD_SWITCH,
     VK_ARR, VK_FALSE, VK_INT, VK_NULL, VK_OBJ, VK_TRUE,
@@ -46,7 +46,7 @@ pub struct ReplayStats {
 /// One open repetition frame during replay, used to validate that the
 /// event stream is balanced (see [`TraceReplayer::replay`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Frame {
+enum Frame {
     Loop(LoopId),
     Method(FuncId),
 }
@@ -56,7 +56,7 @@ pub(crate) enum Frame {
 /// stack of the thread each event belongs to — the one last switched to.
 /// Version-1 traces contain no thread events and stay on stack 0.
 #[derive(Debug)]
-pub(crate) struct FrameStacks {
+struct FrameStacks {
     /// Index of the current thread's stack (the last `ThreadSwitch`).
     cur: usize,
     /// One stack per thread, indexed by dense thread id.
@@ -79,14 +79,14 @@ impl FrameStacks {
     }
 
     /// Total open repetitions across all threads (0 = balanced).
-    pub(crate) fn open(&self) -> usize {
+    fn open(&self) -> usize {
         self.stacks.iter().map(Vec::len).sum()
     }
 }
 
 /// What [`TraceReplayer::step`] decoded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Step {
+enum Step {
     /// One event was decoded and delivered to the sink.
     Event,
     /// The `End` tag was read; the stream is complete.
@@ -95,23 +95,43 @@ pub(crate) enum Step {
 
 /// Replays a trace's event stream, maintaining the shadow heap.
 ///
+/// The one replay driver: [`TraceReplayer::replay`] feeds it a whole
+/// event stream, [`IncrementalReplayer`] chunk by chunk, so the same
+/// bytes give the same events, or the same error, however they are split.
+///
 /// One replayer owns one shadow heap; to analyze the same trace under
 /// several configurations, either reuse the replayer (the heap rebuild
 /// restarts from scratch each [`TraceReplayer::replay`] call) or create
 /// a fresh one per pass — both are cheap relative to re-executing the
 /// guest.
-#[derive(Debug, Default)]
+///
+/// [`IncrementalReplayer`]: crate::IncrementalReplayer
+#[derive(Debug)]
 pub struct TraceReplayer {
     heap: Heap,
-    last_obj: i64,
-    last_arr: i64,
-    last_thread: i64,
+    deltas: Deltas,
+    frames: FrameStacks,
+    pub(crate) stats: ReplayStats,
+    /// Whether the `End` tag has been decoded.
+    pub(crate) ended: bool,
+}
+
+impl Default for TraceReplayer {
+    fn default() -> Self {
+        TraceReplayer::new()
+    }
 }
 
 impl TraceReplayer {
-    /// A replayer with an empty shadow heap.
+    /// A replayer with an empty shadow heap, at the start of a stream.
     pub fn new() -> Self {
-        TraceReplayer::default()
+        TraceReplayer {
+            heap: Heap::new(),
+            deltas: Deltas::START,
+            frames: FrameStacks::default(),
+            stats: ReplayStats::default(),
+            ended: false,
+        }
     }
 
     /// The shadow heap in its current state (fully rebuilt after a
@@ -132,81 +152,94 @@ impl TraceReplayer {
     ///
     /// Returns [`TraceError`] when the stream is truncated (no `End`
     /// tag), contains an unknown tag, references an id that does not
-    /// exist in `program` or the shadow heap, or is unbalanced (a
+    /// exist in `program` or the shadow heap, is unbalanced (a
     /// loop/method exit without its matching entry, a back edge outside
-    /// its loop, or an `End` tag with repetitions still open). The live
-    /// interpreter can only emit balanced streams, so an unbalanced one
-    /// is corruption — and forwarding it would violate the invariants
-    /// sinks are entitled to assume.
+    /// its loop, or an `End` tag with repetitions still open), or
+    /// continues past its `End` tag. The live interpreter can only emit
+    /// balanced streams, so an unbalanced one is corruption — and
+    /// forwarding it would violate the invariants sinks are entitled to
+    /// assume.
     pub fn replay<S: EventSink>(
         &mut self,
         program: &CompiledProgram,
         events: &[u8],
         sink: &mut S,
     ) -> Result<ReplayStats, TraceError> {
-        self.reset();
-        let mut stats = ReplayStats::default();
-        let mut frames = FrameStacks::default();
-        let mut c = Cursor::new(events);
-        loop {
-            match self.step(program, &mut c, &mut frames, sink)? {
-                Step::Event => stats.events += 1,
-                Step::End => {
-                    if !c.is_done() {
-                        return Err(TraceError::Corrupt(format!(
-                            "{} trailing bytes after End tag",
-                            events.len() - c.pos()
-                        )));
-                    }
-                    if frames.open() != 0 {
+        *self = TraceReplayer::new();
+        let consumed = self.advance(program, events, sink)?;
+        self.finish((events.len() - consumed) as u64)
+    }
+
+    /// Delivers every complete event at the front of `bytes`, the event
+    /// stream continuing where the previous call stopped, and returns
+    /// how many bytes that consumed. Stops at a partial event (the next
+    /// call retries it from its first byte) and after the `End` tag.
+    ///
+    /// This is where the `End` tag's own rule lives: repetitions still
+    /// open when it is decoded are corruption. Bytes after it are
+    /// judged by [`TraceReplayer::finish`], once their count is known.
+    pub(crate) fn advance<S: EventSink>(
+        &mut self,
+        program: &CompiledProgram,
+        bytes: &[u8],
+        sink: &mut S,
+    ) -> Result<usize, TraceError> {
+        let mut c = Cursor::new(bytes);
+        while !self.ended {
+            // Every arm of `step` reads all its bytes before it touches
+            // the heap or the frames, so a mid-event `Truncated` has
+            // disturbed only the delta registers.
+            let (pos, deltas) = (c.pos(), self.deltas);
+            match self.step(program, &mut c, sink) {
+                Ok(Step::Event) => self.stats.events += 1,
+                Ok(Step::End) => {
+                    self.ended = true;
+                    if self.frames.open() != 0 {
                         return Err(TraceError::Corrupt(format!(
                             "End tag with {} repetitions still open",
-                            frames.open()
+                            self.frames.open()
                         )));
                     }
-                    return Ok(stats);
                 }
+                Err(TraceError::Truncated) => {
+                    self.deltas = deltas;
+                    return Ok(pos);
+                }
+                Err(e) => return Err(e),
             }
         }
+        Ok(c.pos())
     }
 
-    /// Resets the shadow heap and delta-decoding state for a fresh pass.
-    pub(crate) fn reset(&mut self) {
-        self.heap = Heap::new();
-        self.last_obj = -1;
-        self.last_arr = -1;
-        self.last_thread = 0;
-    }
-
-    /// Snapshot of the delta-decoding state, for rollback after a
-    /// [`TraceError::Truncated`] mid-event (see
-    /// [`IncrementalReplayer`](crate::IncrementalReplayer)). The heap
-    /// needs no snapshot: every arm of [`TraceReplayer::step`] performs
-    /// all cursor reads *before* any heap or frame mutation, so a
-    /// truncated event can only have disturbed the delta registers
-    /// `last_obj`/`last_arr`/`last_thread`.
-    pub(crate) fn mark(&self) -> (i64, i64, i64) {
-        (self.last_obj, self.last_arr, self.last_thread)
-    }
-
-    /// Restores a [`TraceReplayer::mark`] snapshot.
-    pub(crate) fn restore(&mut self, (obj, arr, thread): (i64, i64, i64)) {
-        self.last_obj = obj;
-        self.last_arr = arr;
-        self.last_thread = thread;
+    /// Closes the stream, given the number of bytes that followed the
+    /// `End` tag.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Truncated`] when no `End` tag was decoded
+    /// and [`TraceError::Corrupt`] when bytes followed it.
+    pub(crate) fn finish(&self, trailing: u64) -> Result<ReplayStats, TraceError> {
+        if !self.ended {
+            return Err(TraceError::Truncated);
+        }
+        if trailing != 0 {
+            return Err(TraceError::Corrupt(format!(
+                "{trailing} trailing bytes after End tag"
+            )));
+        }
+        Ok(self.stats)
     }
 
     /// Decodes and delivers one event from `c`.
     ///
-    /// Invariant relied on by incremental replay: every cursor read in an
-    /// arm happens before that arm mutates the shadow heap or `frames`,
-    /// so a `Truncated` error leaves both untouched (only the delta state
-    /// covered by [`TraceReplayer::mark`] may have advanced).
-    pub(crate) fn step<S: EventSink>(
+    /// Invariant relied on by [`TraceReplayer::advance`]: every cursor
+    /// read in an arm happens before that arm mutates the shadow heap or
+    /// the frames, so a `Truncated` error leaves both untouched (only
+    /// the delta registers may have advanced).
+    fn step<S: EventSink>(
         &mut self,
         program: &CompiledProgram,
         c: &mut Cursor<'_>,
-        frames: &mut FrameStacks,
         sink: &mut S,
     ) -> Result<Step, TraceError> {
         macro_rules! emit {
@@ -224,12 +257,12 @@ impl TraceReplayer {
             TAG_END => return Ok(Step::End),
             TAG_METHOD_ENTRY => {
                 let f = self.func_id(&mut *c, program)?;
-                frames.current().push(Frame::Method(f));
+                self.frames.current().push(Frame::Method(f));
                 emit!(Event::MethodEntry { func: f });
             }
             TAG_METHOD_EXIT => {
                 let f = self.func_id(&mut *c, program)?;
-                if frames.current().pop() != Some(Frame::Method(f)) {
+                if self.frames.current().pop() != Some(Frame::Method(f)) {
                     return Err(TraceError::Corrupt(format!(
                         "method exit for function {} without matching entry",
                         f.0
@@ -239,12 +272,12 @@ impl TraceReplayer {
             }
             TAG_LOOP_ENTRY => {
                 let l = self.loop_id(&mut *c, program)?;
-                frames.current().push(Frame::Loop(l));
+                self.frames.current().push(Frame::Loop(l));
                 emit!(Event::LoopEntry { l });
             }
             TAG_LOOP_BACK_EDGE => {
                 let l = self.loop_id(&mut *c, program)?;
-                if frames.current().last() != Some(&Frame::Loop(l)) {
+                if self.frames.current().last() != Some(&Frame::Loop(l)) {
                     return Err(TraceError::Corrupt(format!(
                         "back edge for loop {} which is not the innermost open repetition",
                         l.0
@@ -254,7 +287,7 @@ impl TraceReplayer {
             }
             TAG_LOOP_EXIT => {
                 let l = self.loop_id(&mut *c, program)?;
-                if frames.current().pop() != Some(Frame::Loop(l)) {
+                if self.frames.current().pop() != Some(Frame::Loop(l)) {
                     return Err(TraceError::Corrupt(format!(
                         "loop exit for loop {} without matching entry",
                         l.0
@@ -282,7 +315,7 @@ impl TraceReplayer {
                     .map(|&fid| default_field_value(&program.field(fid).ty))
                     .collect();
                 let obj = self.heap.alloc_object_with(class, fields);
-                self.last_obj = i64::from(obj.0);
+                self.deltas.obj = i64::from(obj.0);
                 emit!(Event::ObjectAlloc {
                     obj,
                     class,
@@ -304,7 +337,7 @@ impl TraceReplayer {
                 }
                 let len = len as usize;
                 let arr = self.heap.alloc_array(elem, len);
-                self.last_arr = i64::from(arr.0);
+                self.deltas.arr = i64::from(arr.0);
                 emit!(Event::ArrayAlloc { arr, elem, len });
             }
             TAG_FIELD_WRITTEN => {
@@ -351,38 +384,38 @@ impl TraceReplayer {
                 let f = self.func_id(&mut *c, program)?;
                 // The interpreter allocates thread ids densely in spawn
                 // order, so each spawn's id must be the next unseen one.
-                if tid != frames.stacks.len() as u64 {
+                if tid != self.frames.stacks.len() as u64 {
                     return Err(TraceError::Corrupt(format!(
                         "thread spawn with id {tid}, expected {}",
-                        frames.stacks.len()
+                        self.frames.stacks.len()
                     )));
                 }
-                frames.stacks.push(Vec::new());
+                self.frames.stacks.push(Vec::new());
                 emit!(Event::ThreadSpawn {
                     thread: ThreadId(tid as u32),
                     func: f,
                 });
             }
             TAG_THREAD_SWITCH => {
-                let tid = self.last_thread + c.ileb()?;
-                if tid < 0 || tid as usize >= frames.stacks.len() {
+                let tid = self.deltas.thread + c.ileb()?;
+                if tid < 0 || tid as usize >= self.frames.stacks.len() {
                     return Err(TraceError::Corrupt(format!(
                         "thread switch to {tid} outside the {} spawned",
-                        frames.stacks.len()
+                        self.frames.stacks.len()
                     )));
                 }
-                self.last_thread = tid;
-                frames.cur = tid as usize;
+                self.deltas.thread = tid;
+                self.frames.cur = tid as usize;
                 emit!(Event::ThreadSwitch {
                     thread: ThreadId(tid as u32),
                 });
             }
             TAG_THREAD_END => {
-                let tid = bounded_id(&mut *c, frames.stacks.len(), "thread")?;
-                if !frames.stacks[tid as usize].is_empty() {
+                let tid = bounded_id(&mut *c, self.frames.stacks.len(), "thread")?;
+                if !self.frames.stacks[tid as usize].is_empty() {
                     return Err(TraceError::Corrupt(format!(
                         "thread {tid} ended with {} repetitions still open",
-                        frames.stacks[tid as usize].len()
+                        self.frames.stacks[tid as usize].len()
                     )));
                 }
                 emit!(Event::ThreadEnd {
@@ -414,26 +447,26 @@ impl TraceReplayer {
     // -------------------------------------------------------- decoding
 
     fn obj_ref(&mut self, c: &mut Cursor<'_>) -> Result<ObjRef, TraceError> {
-        let id = self.last_obj + c.ileb()?;
+        let id = self.deltas.obj + c.ileb()?;
         if id < 0 || id as usize >= self.heap.object_count() {
             return Err(TraceError::Corrupt(format!(
                 "object ref {id} outside the {} allocated",
                 self.heap.object_count()
             )));
         }
-        self.last_obj = id;
+        self.deltas.obj = id;
         Ok(ObjRef(id as u32))
     }
 
     fn arr_ref(&mut self, c: &mut Cursor<'_>) -> Result<ArrRef, TraceError> {
-        let id = self.last_arr + c.ileb()?;
+        let id = self.deltas.arr + c.ileb()?;
         if id < 0 || id as usize >= self.heap.array_count() {
             return Err(TraceError::Corrupt(format!(
                 "array ref {id} outside the {} allocated",
                 self.heap.array_count()
             )));
         }
-        self.last_arr = id;
+        self.deltas.arr = id;
         Ok(ArrRef(id as u32))
     }
 
@@ -482,4 +515,42 @@ fn bounded_id(c: &mut Cursor<'_>, len: usize, what: &str) -> Result<u32, TraceEr
         )));
     }
     Ok(id as u32)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::wire::put_ileb;
+    use crate::{IncrementalReplayer, TraceHeader};
+    use algoprof_vm::{compile, InstrumentOptions, NoopProfiler};
+
+    const SRC: &str =
+        "class Main { static int main() { Node n = new Node(); n.v = 1; return n.v; } }
+    class Node { int v; }";
+
+    /// A stream whose first event writes a field of object delta `d`
+    /// before anything was allocated: only the starting delta register
+    /// decides which ref the error names.
+    #[test]
+    fn batch_and_streaming_replay_start_from_one_decode_state() {
+        let opts = InstrumentOptions::default();
+        let program = compile(SRC).expect("compiles").instrument(&opts);
+        for d in [0i64, 1, 5, -3] {
+            let mut events = vec![TAG_FIELD_WRITTEN];
+            put_ileb(&mut events, d);
+            let want = TraceError::Corrupt(format!("object ref {} outside the 0 allocated", d - 1));
+
+            let batch = TraceReplayer::new().replay(&program, &events, &mut NoopProfiler);
+            assert_eq!(batch, Err(want.clone()), "batch, delta {d}");
+
+            let mut trace = Vec::new();
+            TraceHeader::new(SRC, &opts, &[]).encode(&mut trace);
+            trace.extend_from_slice(&events);
+            let mut inc = IncrementalReplayer::new();
+            inc.feed(&trace);
+            inc.header().expect("header decodes");
+            let streamed = inc.advance(&program, &mut NoopProfiler);
+            assert_eq!(streamed, Err(want), "streaming, delta {d}");
+        }
+    }
 }

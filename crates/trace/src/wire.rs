@@ -55,11 +55,6 @@ impl<'a> Cursor<'a> {
         self.pos
     }
 
-    /// Whether all bytes were consumed.
-    pub fn is_done(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
     /// Reads one byte.
     pub fn u8(&mut self) -> Result<u8, TraceError> {
         let b = *self.bytes.get(self.pos).ok_or(TraceError::Truncated)?;
@@ -117,7 +112,7 @@ mod tests {
         put_uleb(&mut buf, v);
         let mut c = Cursor::new(&buf);
         assert_eq!(c.uleb().unwrap(), v);
-        assert!(c.is_done());
+        assert_eq!(c.pos(), buf.len());
     }
 
     fn roundtrip_i(v: i64) {
@@ -125,7 +120,7 @@ mod tests {
         put_ileb(&mut buf, v);
         let mut c = Cursor::new(&buf);
         assert_eq!(c.ileb().unwrap(), v);
-        assert!(c.is_done());
+        assert_eq!(c.pos(), buf.len());
     }
 
     #[test]

@@ -204,7 +204,7 @@ pub enum Event {
         func: FuncId,
         /// The logical opcode dispatched. Superinstructions report one
         /// event per constituent opcode (see
-        /// [`crate::bytecode::Instr::expansion`]), so this stream is
+        /// [`crate::bytecode::Instr::expand`]), so this stream is
         /// identical with peephole fusion on or off.
         op: Opcode,
     },

@@ -24,22 +24,27 @@
 //!   untracked (no read event to reorder) and every constituent shares
 //!   one source line (null-dereference attribution unchanged);
 //! * `ProfLoopEntry`/`ProfLoopExit` pseudo-instructions are never fused,
-//!   and the fused back-edge jump carries its [`LoopId`] verbatim, so
-//!   loop ordinals stay paired with the `indexflow` hints;
+//!   and the fused back-edge jump carries its
+//!   [`LoopId`](crate::bytecode::LoopId) verbatim, so loop ordinals stay
+//!   paired with the `indexflow` hints;
 //! * a window is only fused when no branch or handler boundary targets
 //!   its interior, and all jump targets / handler ranges are remapped
 //!   through the old→new pc map afterwards.
 //!
-//! Set `ALGOPROF_NO_FUSE=1` to make [`CompiledProgram::fuse_default`] a
-//! no-op (used by the fusion-on-vs-off CI comparison).
+//! Whether a run fuses is a value its caller passes. The one place that
+//! consults the environment is [`fusion_disabled`]: the `algoprof` CLI
+//! takes its one-shot commands' default from `ALGOPROF_NO_FUSE=1` (the
+//! fusion-on-vs-off CI comparison), and [`CompiledProgram::fuse_default`]
+//! keeps honouring it for the benchmark harness.
 
 use std::sync::OnceLock;
 
 use crate::bytecode::{CmpKind, CompiledProgram, FieldId, Function, Instr};
 
-/// Whether `ALGOPROF_NO_FUSE=1` disables [`CompiledProgram::fuse_default`]
-/// for this process (read once).
-fn fusion_disabled() -> bool {
+/// Whether `ALGOPROF_NO_FUSE=1` is set for this process (read once): the
+/// CLI's default for fusing one-shot runs, and what
+/// [`CompiledProgram::fuse_default`] obeys.
+pub fn fusion_disabled() -> bool {
     static DISABLED: OnceLock<bool> = OnceLock::new();
     *DISABLED.get_or_init(|| matches!(std::env::var("ALGOPROF_NO_FUSE").ok().as_deref(), Some("1")))
 }
@@ -52,25 +57,26 @@ impl CompiledProgram {
         self.clone().fused()
     }
 
-    /// [`CompiledProgram::fuse`] unless the `ALGOPROF_NO_FUSE=1`
-    /// environment switch is set, in which case the program is returned
-    /// unchanged. This is what the one-shot run paths apply after
-    /// instrumentation. Fuses in place: the receiver is consumed, not
+    /// [`CompiledProgram::fuse`] in place: the receiver is consumed, not
     /// copied.
+    pub fn fused(mut self) -> CompiledProgram {
+        let untracked: Vec<bool> = self.fields.iter().map(|f| !f.track_access).collect();
+        for func in &mut self.functions {
+            fuse_function(func, &untracked);
+        }
+        self
+    }
+
+    /// [`CompiledProgram::fused`] unless [`fusion_disabled`], in which
+    /// case the program is returned unchanged. Only the benchmark
+    /// harness still calls this; library run paths take fusion from
+    /// their configuration instead.
     pub fn fuse_default(self) -> CompiledProgram {
         if fusion_disabled() {
             self
         } else {
             self.fused()
         }
-    }
-
-    fn fused(mut self) -> CompiledProgram {
-        let untracked: Vec<bool> = self.fields.iter().map(|f| !f.track_access).collect();
-        for func in &mut self.functions {
-            fuse_function(func, &untracked);
-        }
-        self
     }
 }
 

@@ -120,7 +120,7 @@ pub struct RunResult {
     pub output: Vec<i64>,
     /// Total logical bytecode instructions executed. Superinstructions
     /// count one per constituent opcode (see
-    /// [`Instr::expansion`](crate::bytecode::Instr::expansion)), so this
+    /// [`Instr::expand`](crate::bytecode::Instr::expand)), so this
     /// is identical with peephole fusion on or off.
     pub instructions: u64,
     /// Dispatch-loop iterations. Equal to `instructions` on unfused
@@ -260,7 +260,7 @@ impl<'p> Interp<'p> {
     /// to completion, reporting events to `sink`.
     ///
     /// Threads run under a deterministic cooperative round-robin
-    /// scheduler: each gets a fixed [`QUANTUM`] of yield points, then the
+    /// scheduler: each gets a fixed quantum of yield points, then the
     /// next runnable thread (in spawn order) takes over. The schedule is
     /// a pure function of the program and its input, so repeated runs —
     /// at any host parallelism — produce byte-identical event streams.

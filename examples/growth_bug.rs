@@ -10,7 +10,6 @@
 
 use algoprof::{AlgoProfOptions, ArraySizeStrategy, CostMetric};
 use algoprof_programs::{array_list_program, GrowthPolicy};
-use algoprof_vm::InstrumentOptions;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for policy in [GrowthPolicy::ByOne, GrowthPolicy::Doubling] {
@@ -19,8 +18,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             array_strategy: ArraySizeStrategy::UniqueElements,
             ..AlgoProfOptions::default()
         };
-        let profile =
-            algoprof::profile_source_with(&source, &InstrumentOptions::default(), opts, &[])?;
+        let profile = algoprof::profile(
+            algoprof::Guest::Source(&source),
+            &algoprof::RunConfig {
+                options: opts,
+                ..algoprof::RunConfig::default()
+            },
+        )?
+        .into_main();
 
         let append = profile
             .algorithm_by_root_name("Main.testForSize:loop0")

@@ -7,8 +7,7 @@
 //!
 //! Run with: `cargo run --example io_streams`
 
-use algoprof::{AlgoProfOptions, AlgorithmClass, CostMetric};
-use algoprof_vm::InstrumentOptions;
+use algoprof::{AlgorithmClass, CostMetric, Guest, RunConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A guest filter pipeline: read n values, write the positive ones.
@@ -33,12 +32,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut input = vec![12i64];
     input.extend([3, -1, 4, -1, 5, -9, 2, 6, -5, 3, 5, -8]);
 
-    let profile = algoprof::profile_source_with(
-        source,
-        &InstrumentOptions::default(),
-        AlgoProfOptions::default(),
-        &input,
-    )?;
+    let config = RunConfig {
+        input,
+        ..RunConfig::default()
+    };
+    let profile = algoprof::profile(Guest::Source(source), &config)?.into_main();
 
     // The header read (`int n = readInput()`) happens outside the loop
     // and touches the same input stream, so the loop fuses with the

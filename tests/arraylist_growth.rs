@@ -4,7 +4,6 @@
 use algoprof::{AlgoProfOptions, AlgorithmicProfile, ArraySizeStrategy, CostMetric};
 use algoprof_fit::{best_fit, Model};
 use algoprof_programs::{array_list_program, GrowthPolicy};
-use algoprof_vm::InstrumentOptions;
 
 fn profile(policy: GrowthPolicy) -> AlgorithmicProfile {
     let src = array_list_program(policy, 97, 8, 1);
@@ -12,7 +11,15 @@ fn profile(policy: GrowthPolicy) -> AlgorithmicProfile {
         array_strategy: ArraySizeStrategy::UniqueElements,
         ..AlgoProfOptions::default()
     };
-    algoprof::profile_source_with(&src, &InstrumentOptions::default(), opts, &[]).expect("profiles")
+    algoprof::profile(
+        algoprof::Guest::Source(&src),
+        &algoprof::RunConfig {
+            options: opts,
+            ..algoprof::RunConfig::default()
+        },
+    )
+    .expect("profiles")
+    .into_main()
 }
 
 fn access_series(profile: &AlgorithmicProfile) -> Vec<(f64, f64)> {

@@ -5,10 +5,17 @@ use algoprof::{
     render_set, AlgoProfOptions, AlgorithmicProfile, ArraySizeStrategy, EquivalenceCriterion,
     IncrementalMode, SnapshotPolicy,
 };
-use algoprof_vm::InstrumentOptions;
 
 fn profile_with(src: &str, opts: AlgoProfOptions) -> AlgorithmicProfile {
-    algoprof::profile_source_with(src, &InstrumentOptions::default(), opts, &[]).expect("profiles")
+    algoprof::profile(
+        algoprof::Guest::Source(src),
+        &algoprof::RunConfig {
+            options: opts,
+            ..algoprof::RunConfig::default()
+        },
+    )
+    .expect("profiles")
+    .into_main()
 }
 
 /// Two disconnected lists, traversed by the same loop.
@@ -362,13 +369,13 @@ fn incremental_snapshots_match_full_traversals() {
                         incremental,
                         ..AlgoProfOptions::default()
                     };
-                    let set = algoprof::profile_source_set_with(
-                        &src,
-                        &InstrumentOptions::default(),
+                    let config = algoprof::RunConfig {
+                        input: input.clone(),
                         options,
-                        &input,
-                    )
-                    .expect("profiles");
+                        ..algoprof::RunConfig::default()
+                    };
+                    let set = algoprof::profile(algoprof::Guest::Source(&src), &config)
+                        .expect("profiles");
                     render_set(&set)
                 };
                 assert!(

@@ -8,8 +8,8 @@
 use std::collections::BTreeMap;
 
 use algoprof::{
-    profile_source_with, record_source_with, render_set, AlgoProf, AlgoProfOptions,
-    AlgorithmicProfile, CostKey, EquivalenceCriterion,
+    profile, record_source_with, render_set, AlgoProf, AlgoProfOptions, AlgorithmicProfile,
+    CostKey, EquivalenceCriterion, Guest, RunConfig,
 };
 use algoprof_programs::{
     array_list_program, functional_sort_program, insertion_sort_program, GrowthPolicy,
@@ -84,8 +84,13 @@ fn assert_fanout_equals_separate_runs(name: &str, src: &str) {
         "{name}: teed recording diverges from a pure recording"
     );
     for (options, fanned_profile) in ablation_options().into_iter().zip(&fanned) {
-        let solo = profile_source_with(src, &instrument, options, &[])
-            .unwrap_or_else(|e| panic!("{name}: live profiling failed: {e}"));
+        let config = RunConfig {
+            options,
+            ..RunConfig::default()
+        };
+        let solo = profile(Guest::Source(src), &config)
+            .unwrap_or_else(|e| panic!("{name}: live profiling failed: {e}"))
+            .into_main();
         assert_eq!(
             *fanned_profile, solo,
             "{name}: fanned-out profile diverges under {:?}",
@@ -140,7 +145,7 @@ fn instruction_elision_is_invisible() {
         let program = compile(src)
             .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"))
             .instrument(&InstrumentOptions::default())
-            .fuse_default();
+            .fused();
 
         let mut alone = AlgoProf::new();
         let run = Interp::new(&program).run(&mut alone).expect("runs");
@@ -205,7 +210,7 @@ fn struct_access_totals_equal_their_per_type_sums() {
         let program = compile(src)
             .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"))
             .instrument(&InstrumentOptions::default())
-            .fuse_default();
+            .fused();
         let mut prof = AlgoProf::new();
         Interp::new(&program).run(&mut prof).expect("runs");
         let profile = prof.finish(&program);

@@ -4,14 +4,21 @@
 
 use algoprof::{AlgoProfOptions, AlgorithmicProfile, GroupingStrategy};
 use algoprof_programs::{table1_programs, LISTING5};
-use algoprof_vm::InstrumentOptions;
 
 fn profile_with(src: &str, grouping: GroupingStrategy) -> AlgorithmicProfile {
     let opts = AlgoProfOptions {
         grouping,
         ..AlgoProfOptions::default()
     };
-    algoprof::profile_source_with(src, &InstrumentOptions::default(), opts, &[]).expect("profiles")
+    algoprof::profile(
+        algoprof::Guest::Source(src),
+        &algoprof::RunConfig {
+            options: opts,
+            ..algoprof::RunConfig::default()
+        },
+    )
+    .expect("profiles")
+    .into_main()
 }
 
 fn same_algorithm(p: &AlgorithmicProfile, a: &str, b: &str) -> bool {

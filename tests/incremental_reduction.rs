@@ -12,7 +12,7 @@
 //! cached walk is reused, cannot change how many walks happen or what
 //! they visit unnoticed.
 
-use algoprof::{AlgoProf, AlgoProfOptions, IncrementalMode, SnapshotStats};
+use algoprof::{AlgoProf, AlgoProfOptions, Guest, IncrementalMode, RunConfig, SnapshotStats};
 use algoprof_programs::{
     array_list_program, sized_insertion_sort_array_program, sized_insertion_sort_program,
     GrowthPolicy, SortWorkload,
@@ -61,15 +61,12 @@ fn arraylist_growth_objects_traversed_shrink_at_least_5x() {
 /// way every user path compiles (instrumented with default options, then
 /// fused) and profiled with default options.
 fn sort_stats(src: &str, n: i64) -> SnapshotStats {
-    let program = compile(src)
-        .expect("compiles")
-        .instrument(&InstrumentOptions::default())
-        .fuse_default();
+    let config = RunConfig {
+        input: vec![n],
+        ..RunConfig::default()
+    };
     let mut profiler = AlgoProf::new();
-    Interp::new(&program)
-        .with_input(vec![n])
-        .run(&mut profiler)
-        .expect("runs");
+    algoprof::run(Guest::Source(src), &config, &mut profiler).expect("runs");
     profiler.snapshot_stats()
 }
 

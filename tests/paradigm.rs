@@ -5,14 +5,21 @@
 use algoprof::{AlgoProfOptions, AlgorithmicProfile, EquivalenceCriterion};
 use algoprof_fit::Model;
 use algoprof_programs::{functional_sort_program, insertion_sort_program, SortWorkload};
-use algoprof_vm::InstrumentOptions;
 
 fn profile_same_type(src: &str) -> AlgorithmicProfile {
     let opts = AlgoProfOptions {
         criterion: EquivalenceCriterion::SameType,
         ..AlgoProfOptions::default()
     };
-    algoprof::profile_source_with(src, &InstrumentOptions::default(), opts, &[]).expect("profiles")
+    algoprof::profile(
+        algoprof::Guest::Source(src),
+        &algoprof::RunConfig {
+            options: opts,
+            ..algoprof::RunConfig::default()
+        },
+    )
+    .expect("profiles")
+    .into_main()
 }
 
 #[test]

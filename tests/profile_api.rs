@@ -3,7 +3,6 @@
 
 use algoprof::{AlgoProfOptions, AlgorithmicProfile, CostMetric, EquivalenceCriterion};
 use algoprof_programs::{insertion_sort_program, SortWorkload};
-use algoprof_vm::InstrumentOptions;
 
 fn sort_profile() -> AlgorithmicProfile {
     let src = insertion_sort_program(SortWorkload::Random, 41, 10, 1);
@@ -57,16 +56,18 @@ fn same_array_criterion_profiles_arrays() {
     // footnote 1 warns about, observable end-to-end.
     let src =
         algoprof_programs::array_list_program(algoprof_programs::GrowthPolicy::ByOne, 17, 8, 1);
-    let fragmenting = algoprof::profile_source_with(
-        &src,
-        &InstrumentOptions::default(),
-        AlgoProfOptions {
-            criterion: EquivalenceCriterion::SameArray,
-            ..AlgoProfOptions::default()
+    let fragmenting = algoprof::profile(
+        algoprof::Guest::Source(&src),
+        &algoprof::RunConfig {
+            options: AlgoProfOptions {
+                criterion: EquivalenceCriterion::SameArray,
+                ..AlgoProfOptions::default()
+            },
+            ..algoprof::RunConfig::default()
         },
-        &[],
     )
-    .expect("profiles");
+    .expect("profiles")
+    .into_main();
     let merging = algoprof::profile_source(&src).expect("profiles");
     assert!(
         fragmenting.registry().inputs().len() > merging.registry().inputs().len(),

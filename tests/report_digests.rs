@@ -10,6 +10,10 @@
 //! fixed small input. The sized examples are also swept, so the sweep's
 //! text and JSON reports are pinned too.
 //!
+//! Fusion must not show in a report, so every job runs twice, fused (as
+//! the daemon runs it) and unfused, and both runs must match the same
+//! golden line.
+//!
 //! On a mismatch the test prints the entries that differ and the whole
 //! regenerated file. There is no switch that rewrites the golden file:
 //! replacing it is a deliberate edit, reviewed like any other.
@@ -130,9 +134,14 @@ fn examples() -> Vec<(String, String)> {
 }
 
 /// The SHA-256 of a job's text report, a NUL, and its JSON report (empty
-/// for profile jobs).
-fn digest(job: &JobSpec) -> String {
-    let output = job.execute().unwrap_or_else(|e| panic!("job fails: {e}"));
+/// for profile jobs). Fused, the job runs as a daemon worker executes it.
+fn digest(job: &JobSpec, fuse: bool) -> String {
+    let output = if fuse {
+        job.execute()
+    } else {
+        job.run(1, false, false).map(|result| result.render())
+    }
+    .unwrap_or_else(|e| panic!("job fails: {e}"));
     let mut bytes = output.text.into_bytes();
     bytes.push(0);
     bytes.extend_from_slice(output.json.unwrap_or_default().as_bytes());
@@ -142,7 +151,7 @@ fn digest(job: &JobSpec) -> String {
 /// The digest file's lines: `<program> <criterion>/<policy> <sha256>`
 /// for every profile job, then `<program> sweep/<policy> <sha256>` for
 /// each example swept under all four criteria.
-fn digest_lines() -> Vec<String> {
+fn digest_lines(fuse: bool) -> Vec<String> {
     let mut lines = Vec::new();
     for (name, source, input) in corpus() {
         for (policy_name, policy) in POLICIES {
@@ -159,7 +168,7 @@ fn digest_lines() -> Vec<String> {
                 };
                 lines.push(format!(
                     "{name} {criterion_name}/{policy_name} {}",
-                    digest(&job)
+                    digest(&job, fuse)
                 ));
             }
         }
@@ -185,7 +194,7 @@ fn digest_lines() -> Vec<String> {
             };
             lines.push(format!(
                 "example_{name} sweep/{policy_name} {}",
-                digest(&job)
+                digest(&job, fuse)
             ));
         }
     }
@@ -194,7 +203,12 @@ fn digest_lines() -> Vec<String> {
 
 #[test]
 fn every_report_matches_its_golden_digest() {
-    let lines = digest_lines();
+    for fuse in [true, false] {
+        check_against_golden(&digest_lines(fuse), fuse);
+    }
+}
+
+fn check_against_golden(lines: &[String], fuse: bool) {
     let golden: Vec<&str> = GOLDEN.lines().collect();
     let differing: Vec<String> = lines
         .iter()
@@ -208,11 +222,13 @@ fn every_report_matches_its_golden_digest() {
         .collect();
     if !differing.is_empty() || !stale.is_empty() {
         panic!(
-            "{} report digest(s) differ from tests/golden/report_digests.txt\n\
+            "{} report digest(s) differ from tests/golden/report_digests.txt \
+             with fusion {}\n\
              new or changed:\n{}\n\
              no longer produced:\n{}\n\
              full regenerated file:\n{}\n",
             differing.len().max(stale.len()),
+            if fuse { "on" } else { "off" },
             differing.join("\n"),
             stale.join("\n"),
             lines.join("\n"),

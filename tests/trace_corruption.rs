@@ -6,14 +6,26 @@
 //! Two damage models over a real fig5 recording (the array-backed list
 //! of Listing 6): every strict prefix of the byte stream, and a
 //! single-byte corruption at every offset under several flip patterns.
+//! A third check holds the replay drivers to one answer: seeded
+//! corruptions of every `examples/*.jay` recording must give the same
+//! profile, or the same error text, whether the trace is profiled whole
+//! or streamed in chunks of any size.
 
-use algoprof::{profile_trace, ProfileError};
+use algoprof::{
+    profile, record_source_with, Guest, ProfileError, ProfileSet, RunConfig, StreamingAnalysis,
+};
 use algoprof_programs::{array_list_program, GrowthPolicy};
+use algoprof_suite::testutil::TestRng;
 use algoprof_trace::read_header;
+use algoprof_vm::InstrumentOptions;
+
+fn profile_trace(trace: &[u8]) -> Result<ProfileSet, ProfileError> {
+    profile(Guest::Trace(trace), &RunConfig::default())
+}
 
 fn fig5_recording() -> Vec<u8> {
     let src = array_list_program(GrowthPolicy::ByOne, 17, 8, 1);
-    algoprof::record_source(&src).expect("records")
+    record_source_with(&src, &InstrumentOptions::default(), &[]).expect("records")
 }
 
 #[test]
@@ -80,4 +92,89 @@ fn truncated_and_empty_inputs_error() {
     for bytes in [&b""[..], &b"A"[..], &b"APTR"[..], &b"APT"[..]] {
         assert!(matches!(profile_trace(bytes), Err(ProfileError::Trace(_))));
     }
+}
+
+/// Input handed to every example's `readInput()`, as the CLI's
+/// `--input 12` would.
+const EXAMPLE_INPUT: i64 = 12;
+
+/// Corruptions made of each example recording.
+const CASES_PER_EXAMPLE: usize = 64;
+
+/// `examples/*.jay` recorded at [`EXAMPLE_INPUT`], sorted by file name.
+fn example_recordings() -> Vec<(String, Vec<u8>)> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/examples");
+    let mut out: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("examples directory")
+        .map(|e| e.expect("directory entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "jay"))
+        .map(|p| {
+            let source = std::fs::read_to_string(&p).expect("readable example");
+            let trace =
+                record_source_with(&source, &InstrumentOptions::default(), &[EXAMPLE_INPUT])
+                    .unwrap_or_else(|e| panic!("{}: recording failed: {e}", p.display()));
+            (p.display().to_string(), trace)
+        })
+        .collect();
+    out.sort();
+    out
+}
+
+/// `trace` fed to a [`StreamingAnalysis`] in `chunk`-byte pieces, stopping
+/// at the first error as the daemon and `analyze -` do.
+fn streamed(trace: &[u8], chunk: usize) -> Result<ProfileSet, String> {
+    let mut analysis = StreamingAnalysis::new(Default::default());
+    for piece in trace.chunks(chunk.max(1)) {
+        analysis.feed(piece).map_err(|e| e.to_string())?;
+    }
+    analysis
+        .finish()
+        .map(|report| report.profiles)
+        .map_err(|e| e.to_string())
+}
+
+#[test]
+fn batch_and_streaming_replay_agree_on_every_corruption() {
+    let mut rng = TestRng::new(0x0a9e_e21d);
+    let recordings = example_recordings();
+    assert!(recordings.len() >= 6, "every shipped example is covered");
+    let (mut cases, mut errors) = (0, 0);
+    for (name, trace) in &recordings {
+        let (_, events) = read_header(trace).expect("intact header");
+        let header_len = trace.len() - events.len();
+        for _ in 0..CASES_PER_EXAMPLE {
+            let mut bad = trace.clone();
+            // Mostly the event stream, sometimes the header; a quarter of
+            // the cases plant a premature End tag.
+            let pos = if rng.below(8) == 0 {
+                rng.range(0, trace.len())
+            } else {
+                rng.range(header_len, trace.len())
+            };
+            if rng.below(4) == 0 {
+                bad[pos] = 0x00;
+            } else {
+                bad[pos] ^= rng.range(1, 256) as u8;
+            }
+            let batch = profile_trace(&bad).map_err(|e| e.to_string());
+            for chunk in [bad.len(), 1, 7, 64] {
+                let streaming = streamed(&bad, chunk);
+                assert!(
+                    batch == streaming,
+                    "{name}, byte {pos}, {chunk}-byte chunks: batch gave {:?}, streaming {:?}",
+                    batch.as_ref().err(),
+                    streaming.as_ref().err(),
+                );
+            }
+            cases += 1;
+            errors += usize::from(batch.is_err());
+        }
+    }
+    assert!(cases >= 360, "only {cases} corruptions");
+    // Most single-byte corruptions are caught; a floor keeps the
+    // comparison from passing on error-free cases alone.
+    assert!(
+        errors >= cases / 2,
+        "only {errors} of {cases} corruptions errored"
+    );
 }

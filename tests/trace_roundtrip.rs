@@ -5,8 +5,7 @@
 //! central claim: execute once, analyze many.
 
 use algoprof::{
-    profile_source_with, profile_trace_with, record_source_with, AlgoProfOptions,
-    EquivalenceCriterion,
+    profile, record_source_with, AlgoProfOptions, EquivalenceCriterion, Guest, RunConfig,
 };
 use algoprof_programs::{
     array_list_program, functional_sort_program, insertion_sort_program, GrowthPolicy,
@@ -30,13 +29,16 @@ fn assert_roundtrip(name: &str, src: &str) {
     let trace = record_source_with(src, &instrument, &[])
         .unwrap_or_else(|e| panic!("{name}: recording failed: {e}"));
     for criterion in CRITERIA {
-        let options = AlgoProfOptions {
-            criterion,
-            ..AlgoProfOptions::default()
+        let config = RunConfig {
+            options: AlgoProfOptions {
+                criterion,
+                ..AlgoProfOptions::default()
+            },
+            ..RunConfig::default()
         };
-        let live = profile_source_with(src, &instrument, options, &[])
+        let live = profile(Guest::Source(src), &config)
             .unwrap_or_else(|e| panic!("{name}: live profiling failed: {e}"));
-        let replayed = profile_trace_with(&trace, options)
+        let replayed = profile(Guest::Trace(&trace), &config)
             .unwrap_or_else(|e| panic!("{name}: replay failed: {e}"));
         assert_eq!(
             live, replayed,
@@ -96,11 +98,16 @@ fn fig5_ablation_runs_from_a_single_recording() {
     let trace = record_source_with(&src, &instrument, &[]).expect("records");
     let mut node_counts = Vec::new();
     for criterion in CRITERIA {
-        let options = AlgoProfOptions {
-            criterion,
-            ..AlgoProfOptions::default()
+        let config = RunConfig {
+            options: AlgoProfOptions {
+                criterion,
+                ..AlgoProfOptions::default()
+            },
+            ..RunConfig::default()
         };
-        let profile = profile_trace_with(&trace, options).expect("replays");
+        let profile = profile(Guest::Trace(&trace), &config)
+            .expect("replays")
+            .into_main();
         assert!(
             !profile.algorithms().is_empty(),
             "{criterion:?}: no algorithms recovered from the trace"
