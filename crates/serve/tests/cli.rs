@@ -729,19 +729,40 @@ fn disasm_cfg_matches_golden_dot() {
     assert!(text.contains("prof_loop_entry"), "stdout: {text}");
 }
 
+/// `disasm --fused` of `program` (relative to this crate) must equal the
+/// fixture `golden` (under tests/fixtures) byte for byte.
+fn assert_disasm_fused_golden(program: &str, golden: &str, expected: &str) {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(program);
+    let out = algoprof(&["disasm", path.to_str().unwrap(), "--fused"]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert_eq!(
+        text, expected,
+        "disasm --fused of {program} drifted from tests/fixtures/{golden}; \
+         regenerate it if the change is intended"
+    );
+}
+
 #[test]
 fn disasm_fused_matches_golden() {
     // One line per dispatched instruction: a superinstruction prints its
     // mnemonic, then its constituents.
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden_cfg.jay");
-    let out = algoprof(&["disasm", fixture.to_str().unwrap(), "--fused"]);
-    assert!(out.status.success(), "stderr: {}", stderr(&out));
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    let golden = include_str!("fixtures/golden_fused.txt");
-    assert_eq!(
-        text, golden,
-        "disasm --fused drifted from tests/fixtures/golden_fused.txt; \
-         regenerate it if the change is intended"
+    assert_disasm_fused_golden(
+        "tests/fixtures/golden_cfg.jay",
+        "golden_fused.txt",
+        include_str!("fixtures/golden_fused.txt"),
+    );
+}
+
+#[test]
+fn disasm_fused_array_sort_matches_golden() {
+    // The array insertion sort's inner loop: both `a[j - 1]` reads are
+    // `load2_off_aload` and the `j = j - 1` latch is a subtracting
+    // `inc_jump`, 12 dispatches per iteration.
+    assert_disasm_fused_golden(
+        "../../examples/sized_insertion_sort_array.jay",
+        "golden_fused_array_sort.txt",
+        include_str!("fixtures/golden_fused_array_sort.txt"),
     );
 }
 

@@ -263,12 +263,12 @@ pub enum Instr {
     /// Fused `LoadLocal slot; AStore` — the slot holds the value, the
     /// index and array are on the stack (`arr[i] = local`).
     FusedLoadAStore(u16),
-    /// Fused `LoadLocal slot; ConstInt k; Add; StoreLocal slot; Jump
-    /// target` — a loop increment followed by its unconditional jump to
-    /// the back-edge block. The constant and target are narrowed to keep
-    /// the instruction word small; the peephole pass only emits this when
-    /// both fit.
-    FusedIncJump(u16, i32, u32),
+    /// Fused `LoadLocal slot; ConstInt k; Add|Sub; StoreLocal slot; Jump
+    /// target` — a loop latch `x = x ± k` followed by its unconditional
+    /// jump to the back-edge block. The `bool` selects `Sub`. The
+    /// constant and target are narrowed to keep the instruction word
+    /// small; the peephole pass only emits this when both fit.
+    FusedIncJump(u16, bool, i32, u32),
     /// Fused `LoadLocal a; LoadLocal b; GetField field; ArrayLen` — the
     /// `this.array.length` read with another operand (typically the index
     /// being range-checked) loaded first. Only fused for untracked fields
@@ -302,7 +302,16 @@ pub enum Instr {
     /// neither emit nor misattribute); the final `ALoad` still emits its
     /// array-read event.
     FusedLoadGetFieldALoad(u16, FieldId, u16),
+    /// Fused `LoadLocal arr; LoadLocal idx; ConstInt k; Add|Sub; ALoad` —
+    /// the offset read `arr[idx ± k]`. The `bool` selects `Sub`; the
+    /// constant is narrowed to `i32`. Only the final `ALoad` can fault
+    /// at a line or emit an event.
+    FusedLoadLoadOffALoad(u16, u16, bool, i32),
 }
+
+// Fusion must not widen the instruction word: every form's operands are
+// narrowed to fit beside the widest base operand (`ConstInt`'s `i64`).
+const _: () = assert!(std::mem::size_of::<Instr>() == 16);
 
 /// The logical opcode of a base instruction, without operands. This is
 /// what [`crate::event::Event::Instruction`] carries and what the
@@ -562,6 +571,14 @@ impl std::ops::DerefMut for Expansion {
     }
 }
 
+fn add_or_sub(sub: bool) -> Instr {
+    if sub {
+        Instr::Sub
+    } else {
+        Instr::Add
+    }
+}
+
 fn branch(jump_if: bool, t: usize) -> Instr {
     if jump_if {
         Instr::JumpIfTrue(t)
@@ -589,10 +606,10 @@ impl Instr {
             FusedLoadGetFieldLen(s, f) => Expansion::of([LoadLocal(s), GetField(f), ArrayLen]),
             FusedLoopBackJump(l, t) => Expansion::of([ProfLoopBack(l), Jump(t)]),
             FusedLoadAStore(s) => Expansion::of([LoadLocal(s), AStore]),
-            FusedIncJump(s, k, t) => Expansion::of([
+            FusedIncJump(s, sub, k, t) => Expansion::of([
                 LoadLocal(s),
                 ConstInt(k.into()),
-                Add,
+                add_or_sub(sub),
                 StoreLocal(s),
                 Jump(t as usize),
             ]),
@@ -622,6 +639,13 @@ impl Instr {
             FusedLoadGetFieldALoad(s, f, i) => {
                 Expansion::of([LoadLocal(s), GetField(f), LoadLocal(i), ALoad])
             }
+            FusedLoadLoadOffALoad(a, i, sub, k) => Expansion::of([
+                LoadLocal(a),
+                LoadLocal(i),
+                ConstInt(k.into()),
+                add_or_sub(sub),
+                ALoad,
+            ]),
             base => Expansion::of([base]),
         }
     }
@@ -649,6 +673,7 @@ impl Instr {
             Instr::FusedLoadCallVirtual(..) => "load_call_virtual",
             Instr::FusedNewDup(_) => "new_dup",
             Instr::FusedLoadGetFieldALoad(..) => "load_getfield_aload",
+            Instr::FusedLoadLoadOffALoad(..) => "load2_off_aload",
             _ => unreachable!("every base instruction has an opcode"),
         }
     }
@@ -960,9 +985,12 @@ mod tests {
         assert_eq!(lbj.targets(), Some(13));
         assert!(lbj.is_terminator());
         // So is the fused increment-and-jump loop latch.
-        let ij = Instr::FusedIncJump(0, 1, 21);
+        let ij = Instr::FusedIncJump(0, false, 1, 21);
         assert_eq!(ij.targets(), Some(21));
         assert!(ij.is_terminator());
+        let dj = Instr::FusedIncJump(0, true, 1, 3);
+        assert_eq!(dj.targets(), Some(3));
+        assert!(dj.is_terminator());
         // The two-load compare-and-branch falls through like any branch.
         let llcj = Instr::FusedLoadLoadCmpJump(0, 1, CmpKind::Lt, false, 17);
         assert_eq!(llcj.targets(), Some(17));
@@ -976,6 +1004,7 @@ mod tests {
             Instr::FusedLoadCallVirtual(0, FuncId(0)),
             Instr::FusedNewDup(ClassId(0)),
             Instr::FusedLoadGetFieldALoad(0, FieldId(0), 1),
+            Instr::FusedLoadLoadOffALoad(0, 1, true, 1),
         ] {
             assert_eq!(instr.targets(), None, "{instr:?}");
             assert!(!instr.is_terminator(), "{instr:?}");
@@ -999,13 +1028,33 @@ mod tests {
     fn expansions_carry_widened_operands() {
         use Instr as I;
         assert_eq!(
-            &*I::FusedIncJump(2, -3, 21).expand(),
+            &*I::FusedIncJump(2, false, -3, 21).expand(),
             &[
                 I::LoadLocal(2),
                 I::ConstInt(-3),
                 I::Add,
                 I::StoreLocal(2),
                 I::Jump(21)
+            ]
+        );
+        assert_eq!(
+            &*I::FusedIncJump(2, true, 1, 5).expand(),
+            &[
+                I::LoadLocal(2),
+                I::ConstInt(1),
+                I::Sub,
+                I::StoreLocal(2),
+                I::Jump(5)
+            ]
+        );
+        assert_eq!(
+            &*I::FusedLoadLoadOffALoad(0, 3, true, 1).expand(),
+            &[
+                I::LoadLocal(0),
+                I::LoadLocal(3),
+                I::ConstInt(1),
+                I::Sub,
+                I::ALoad
             ]
         );
         assert_eq!(

@@ -2,14 +2,21 @@
 //! opcode sequences into superinstructions.
 //!
 //! The patterns come from `algoprof opstats` over the listings/table1
-//! corpus (see `EXPERIMENTS.md`): local loads dominate the opcode mix,
-//! and the top pairs are load+load, load+const, compare+branch, the
-//! loop increment with its trailing jump, load+getfield, local-value
-//! astore, field+length, and the back-edge jump tail. Forms whose
-//! removal cost less than 2% of the dispatches on every benchmark
-//! workload were deleted (the ablation table in `EXPERIMENTS.md`).
-//! Fusing them collapses the dispatch-loop iterations those sequences
-//! cost without changing anything observable:
+//! corpus and the benchmark programs (see `EXPERIMENTS.md`): local
+//! loads dominate the opcode mix, and the top pairs are load+load,
+//! load+const, compare+branch, the loop latch `x = x ± k` with its
+//! trailing jump, load+getfield, local-value astore, field+length, the
+//! back-edge jump tail, and the offset array read `a[i ± k]`. Seventeen
+//! forms, by disassembly mnemonic: `load2`, `load_const`,
+//! `load_getfield`, `cmp_jump`, `load_getfield_len`, `loop_back_jump`,
+//! `load_astore`, `inc_jump` (adding or subtracting), `load2_getfield_len`,
+//! `load2_cmp_jump`, `load2_putfield`, `field_add`, `load_call_direct`,
+//! `load_call_virtual`, `new_dup`, `load_getfield_aload` and
+//! `load2_off_aload`. Forms whose removal cost less than 2% of the
+//! dispatches on every benchmark workload were deleted (the ablation
+//! table in `EXPERIMENTS.md`). Fusing them collapses the dispatch-loop
+//! iterations those sequences cost without changing anything
+//! observable:
 //!
 //! * each superinstruction emits one
 //!   [`Event::Instruction`](crate::event::Event::Instruction) per
@@ -92,6 +99,16 @@ fn cmp_kind(instr: Instr) -> Option<CmpKind> {
     }
 }
 
+/// `Some(true)` for `Sub`, `Some(false)` for `Add`: the flag the `± k`
+/// superinstructions carry.
+fn sub_flag(instr: Instr) -> Option<bool> {
+    match instr {
+        Instr::Add => Some(false),
+        Instr::Sub => Some(true),
+        _ => None,
+    }
+}
+
 /// Whether the base instruction `instr` can raise a runtime error
 /// attributed to its own source line.
 fn faults_at_line(instr: &Instr) -> bool {
@@ -150,27 +167,30 @@ fn match_pattern(
     let at = |i: usize| code.get(pc + i).copied();
     match at(0)? {
         Instr::LoadLocal(s) => {
-            // Longest first: inc-and-jump (5), 4- and 3-windows, then
-            // pairs.
+            // Longest first: the `x = x ± k; jump` latch (5), 4- and
+            // 3-windows, then pairs.
             if let (
                 Some(Instr::ConstInt(k)),
-                Some(Instr::Add),
+                Some(op),
                 Some(Instr::StoreLocal(s2)),
                 Some(Instr::Jump(t)),
             ) = (at(1), at(2), at(3), at(4))
             {
                 if s2 == s && max_len >= 5 {
-                    if let (Ok(ki), Ok(tu)) = (i32::try_from(k), u32::try_from(t)) {
-                        return Some((Instr::FusedIncJump(s, ki, tu), 5));
+                    if let (Some(sub), Ok(ki), Ok(tu)) =
+                        (sub_flag(op), i32::try_from(k), u32::try_from(t))
+                    {
+                        return Some((Instr::FusedIncJump(s, sub, ki, tu), 5));
                     }
                 }
             }
             if max_len < 2 {
                 return None;
             }
-            // Two leading loads: the field increment (6), the two-local
-            // length read / compare-and-branch (4), the field store (3),
-            // then the bare pair.
+            // Two leading loads: the field increment (6), the offset
+            // array read (5), the two-local length read /
+            // compare-and-branch (4), the field store (3), then the bare
+            // pair.
             if let Some(Instr::LoadLocal(b)) = at(1) {
                 if max_len >= 6 {
                     if let (
@@ -184,6 +204,15 @@ fn match_pattern(
                             if let Ok(ki) = i32::try_from(k) {
                                 return Some((Instr::FusedFieldAdd(s, b, f, ki), 6));
                             }
+                        }
+                    }
+                }
+                if max_len >= 5 {
+                    if let (Some(Instr::ConstInt(k)), Some(op), Some(Instr::ALoad)) =
+                        (at(2), at(3), at(4))
+                    {
+                        if let (Some(sub), Ok(ki)) = (sub_flag(op), i32::try_from(k)) {
+                            return Some((Instr::FusedLoadLoadOffALoad(s, b, sub, ki), 5));
                         }
                     }
                 }
@@ -431,20 +460,29 @@ mod tests {
             }
             int j = 0;
             while (j < 3) { j = j + 1; }
+            while (j > 1) { n.v = n.v + a[j - 1]; j = j - 1; }
             return n.v + a[j];
         } }
         class Node { int v; }";
         let (_, fused) = fused_of(src);
-        let mut seen = 0;
+        let mut seen = Vec::new();
         for instr in fused.functions.iter().flat_map(|f| &f.code) {
             let window = instr.expand();
             if window.len() > 1 {
                 let rebuilt = match_pattern(&window, 0, &|_| true, window.len());
                 assert_eq!(rebuilt, Some((*instr, window.len())));
-                seen += 1;
+                seen.push(instr.mnemonic());
             }
         }
-        assert!(seen >= 5, "only {seen} superinstructions");
+        assert!(seen.len() >= 5, "only {seen:?}");
+        for form in ["load2_off_aload", "inc_jump"] {
+            assert!(seen.contains(&form), "{form} missing from {seen:?}");
+        }
+        assert!(fused
+            .functions
+            .iter()
+            .flat_map(|f| &f.code)
+            .any(|i| matches!(i, Instr::FusedIncJump(_, true, ..))));
     }
 
     #[test]

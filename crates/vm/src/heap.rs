@@ -344,8 +344,31 @@ impl Heap {
     /// neither advances the epoch nor re-stamps the array, since no
     /// snapshot can observe it.
     pub fn set_elem(&mut self, r: ArrRef, idx: usize, value: Value) {
-        let old = self.arrays[r.0 as usize].elems[idx];
-        if old == value {
+        let old = std::mem::replace(&mut self.arrays[r.0 as usize].elems[idx], value);
+        self.journal_store(r, old, value);
+    }
+
+    /// [`Heap::set_elem`] with the bounds check folded into its one
+    /// element lookup: `Err(len)`, and nothing stored, when `idx` is out
+    /// of bounds.
+    #[inline]
+    pub fn try_set_elem(&mut self, r: ArrRef, idx: i64, value: Value) -> Result<(), usize> {
+        let elems = &mut self.arrays[r.0 as usize].elems;
+        let len = elems.len();
+        let slot = usize::try_from(idx)
+            .ok()
+            .and_then(|i| elems.get_mut(i))
+            .ok_or(len)?;
+        let old = std::mem::replace(slot, value);
+        self.journal_store(r, old, value);
+        Ok(())
+    }
+
+    /// Stamps array `r` and journals an element store of `new` over
+    /// `old`, unless the two are equal.
+    #[inline]
+    fn journal_store(&mut self, r: ArrRef, old: Value, new: Value) {
+        if old == new {
             return;
         }
         let stamp = self.bump_epoch();
@@ -354,12 +377,7 @@ impl Heap {
             self.log_base += self.write_log.len() as u64;
             self.write_log.clear();
         }
-        self.write_log.push(ArrayWrite {
-            arr: r,
-            old,
-            new: value,
-        });
-        self.arrays[r.0 as usize].elems[idx] = value;
+        self.write_log.push(ArrayWrite { arr: r, old, new });
     }
 }
 

@@ -631,21 +631,17 @@ impl<'p> Interp<'p> {
                         }
                     }
                 }
-                Instr::FusedIncJump(slot, k, t) => {
-                    // `Load; ConstInt; Add; StoreLocal` on one slot, then
-                    // the unconditional jump a loop body ends with when
-                    // the back-edge block is laid out elsewhere. The
-                    // constant is always an int, so the unfused `Add`
-                    // would type-check the loaded local second.
+                Instr::FusedIncJump(slot, sub, k, t) => {
+                    // `Load; ConstInt; Add|Sub; StoreLocal` on one slot,
+                    // then the unconditional jump a loop body ends with
+                    // when the back-edge block is laid out elsewhere. The
+                    // constant is always an int, so the unfused `Add` or
+                    // `Sub` would type-check the loaded local second.
                     let v = match values[cur.base + slot as usize] {
                         Value::Int(v) => v,
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "expected int, got {other}"
-                            )))
-                        }
+                        other => return Err(expected_int_err(other)),
                     };
-                    values[cur.base + slot as usize] = Value::Int(v.wrapping_add(k as i64));
+                    values[cur.base + slot as usize] = Value::Int(offset_by(v, sub, k));
                     cur.pc = t as usize;
                     if t as usize <= pc {
                         yield_point!();
@@ -661,19 +657,11 @@ impl<'p> Interp<'p> {
                         CmpKind::Lt | CmpKind::Le | CmpKind::Gt | CmpKind::Ge => {
                             let bi = match bv {
                                 Value::Int(v) => v,
-                                other => {
-                                    return Err(RuntimeError::Internal(format!(
-                                        "expected int, got {other}"
-                                    )))
-                                }
+                                other => return Err(expected_int_err(other)),
                             };
                             let ai = match av {
                                 Value::Int(v) => v,
-                                other => {
-                                    return Err(RuntimeError::Internal(format!(
-                                        "expected int, got {other}"
-                                    )))
-                                }
+                                other => return Err(expected_int_err(other)),
                             };
                             match kind {
                                 CmpKind::Lt => ai < bi,
@@ -758,11 +746,7 @@ impl<'p> Interp<'p> {
                     let fslot = program.field(fid).slot as usize;
                     let a = match self.heap.field(o2, fslot) {
                         Value::Int(v) => v,
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "expected int, got {other}"
-                            )))
-                        }
+                        other => return Err(expected_int_err(other)),
                     };
                     let sum = Value::Int(a.wrapping_add(k as i64));
                     let o1 = match values[cur.base + s1 as usize] {
@@ -807,15 +791,10 @@ impl<'p> Interp<'p> {
                         other => return Err(expected_int_err(other)),
                     };
                     let a = as_array(arr, line)?;
-                    let len = self.heap.array(a).elems.len();
-                    if idx < 0 || idx as usize >= len {
-                        return Err(RuntimeError::IndexOutOfBounds {
-                            index: idx,
-                            len,
-                            line,
-                        });
-                    }
-                    let v = self.heap.array(a).elems[idx as usize];
+                    let elems = &self.heap.array(a).elems;
+                    let Some(&v) = usize::try_from(idx).ok().and_then(|i| elems.get(i)) else {
+                        return Err(out_of_bounds_err(idx, elems.len(), line));
+                    };
                     values.push(v);
                     if program.track_arrays {
                         self.emit(sink, Event::ArrayRead { arr });
@@ -923,15 +902,32 @@ impl<'p> Interp<'p> {
                     let idx = pop_int(values, cur.floor)?;
                     let arr = pop(values, cur.floor)?;
                     let a = as_array(arr, line)?;
-                    let len = self.heap.array(a).elems.len();
-                    if idx < 0 || idx as usize >= len {
-                        return Err(RuntimeError::IndexOutOfBounds {
-                            index: idx,
-                            len,
-                            line,
-                        });
+                    // One lookup: `get` is the bounds check.
+                    let elems = &self.heap.array(a).elems;
+                    let Some(&v) = usize::try_from(idx).ok().and_then(|i| elems.get(i)) else {
+                        return Err(out_of_bounds_err(idx, elems.len(), line));
+                    };
+                    values.push(v);
+                    if program.track_arrays {
+                        self.emit(sink, Event::ArrayRead { arr });
                     }
-                    let v = self.heap.array(a).elems[idx as usize];
+                }
+                Instr::FusedLoadLoadOffALoad(s1, s2, sub, k) => {
+                    // `arr[idx ± k]` with arr and idx from locals. Fault
+                    // order mirrors the unfused sequence: the index
+                    // local's int check (at `Add`/`Sub`), then the array
+                    // and bounds checks on the wrapped index (at `ALoad`).
+                    let idx = match values[cur.base + s2 as usize] {
+                        Value::Int(v) => offset_by(v, sub, k),
+                        other => return Err(expected_int_err(other)),
+                    };
+                    let line = func.lines[pc];
+                    let arr = values[cur.base + s1 as usize];
+                    let a = as_array(arr, line)?;
+                    let elems = &self.heap.array(a).elems;
+                    let Some(&v) = usize::try_from(idx).ok().and_then(|i| elems.get(i)) else {
+                        return Err(out_of_bounds_err(idx, elems.len(), line));
+                    };
                     values.push(v);
                     if program.track_arrays {
                         self.emit(sink, Event::ArrayRead { arr });
@@ -946,15 +942,9 @@ impl<'p> Interp<'p> {
                     let idx = pop_int(values, cur.floor)?;
                     let arr = pop(values, cur.floor)?;
                     let a = as_array(arr, line)?;
-                    let len = self.heap.array(a).elems.len();
-                    if idx < 0 || idx as usize >= len {
-                        return Err(RuntimeError::IndexOutOfBounds {
-                            index: idx,
-                            len,
-                            line,
-                        });
-                    }
-                    self.heap.set_elem(a, idx as usize, value);
+                    self.heap
+                        .try_set_elem(a, idx, value)
+                        .map_err(|len| out_of_bounds_err(idx, len, line))?;
                     self.emit(
                         sink,
                         Event::ArrayWrite {
@@ -971,15 +961,9 @@ impl<'p> Interp<'p> {
                     let idx = pop_int(values, cur.floor)?;
                     let arr = pop(values, cur.floor)?;
                     let a = as_array(arr, line)?;
-                    let len = self.heap.array(a).elems.len();
-                    if idx < 0 || idx as usize >= len {
-                        return Err(RuntimeError::IndexOutOfBounds {
-                            index: idx,
-                            len,
-                            line,
-                        });
-                    }
-                    self.heap.set_elem(a, idx as usize, value);
+                    self.heap
+                        .try_set_elem(a, idx, value)
+                        .map_err(|len| out_of_bounds_err(idx, len, line))?;
                     self.emit(
                         sink,
                         Event::ArrayWrite {
@@ -1537,6 +1521,12 @@ fn expected_int_err(other: Value) -> RuntimeError {
 
 #[cold]
 #[inline(never)]
+fn out_of_bounds_err(index: i64, len: usize, line: u32) -> RuntimeError {
+    RuntimeError::IndexOutOfBounds { index, len, line }
+}
+
+#[cold]
+#[inline(never)]
 fn expected_bool_err(other: Value) -> RuntimeError {
     RuntimeError::Internal(format!("expected bool, got {other}"))
 }
@@ -1545,6 +1535,17 @@ fn expected_bool_err(other: Value) -> RuntimeError {
 #[inline(never)]
 fn expected_array_err(other: Value) -> RuntimeError {
     RuntimeError::Internal(format!("expected array, got {other}"))
+}
+
+/// `v + k`, or `v - k` when `sub` is set, wrapping like the `Add` and
+/// `Sub` the `± k` superinstructions stand for.
+#[inline]
+fn offset_by(v: i64, sub: bool, k: i32) -> i64 {
+    if sub {
+        v.wrapping_sub(k.into())
+    } else {
+        v.wrapping_add(k.into())
+    }
 }
 
 #[inline]

@@ -847,7 +847,7 @@ mod tests {
             vec![
                 Instr::ConstInt(0),
                 Instr::StoreLocal(0),
-                Instr::FusedIncJump(0, 1, 999),
+                Instr::FusedIncJump(0, false, 1, 999),
                 Instr::ConstInt(0),
                 Instr::RetVal,
             ],
@@ -895,6 +895,21 @@ mod tests {
     }
 
     #[test]
+    fn fused_offset_aload_on_int_local_is_rejected() {
+        let p = with_main_code(
+            "class Main { static int main() { int x = 0; return x; } }",
+            vec![
+                Instr::ConstInt(3),
+                Instr::StoreLocal(0),
+                Instr::FusedLoadLoadOffALoad(0, 0, true, 1),
+                Instr::RetVal,
+            ],
+        );
+        let e = verify(&p).expect_err("must reject");
+        assert!(e.message.contains("found int"), "{e}");
+    }
+
+    #[test]
     fn well_formed_superinstructions_verify() {
         // Hand-built `x = 5; while (x < 10) { x = x + 1 }` exercising the
         // arithmetic superinstruction shapes end to end.
@@ -905,9 +920,9 @@ mod tests {
                 Instr::StoreLocal(0),
                 Instr::FusedLoadConst(0, 10),
                 Instr::CmpJump(CmpKind::Lt, false, 5),
-                Instr::FusedIncJump(0, 1, 2),
+                Instr::FusedIncJump(0, false, 1, 2),
                 Instr::FusedLoadLoadCmpJump(0, 0, CmpKind::Eq, false, 7),
-                Instr::FusedIncJump(0, 0, 7),
+                Instr::FusedIncJump(0, true, 0, 7),
                 Instr::FusedLoadLoad(0, 0),
                 Instr::Pop,
                 Instr::RetVal,

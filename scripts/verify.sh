@@ -72,6 +72,19 @@ for prog in examples/*.jay; do
     ./target/release/algoprof disasm "$prog" --fused --cfg > /dev/null
 done
 
+echo "==> fused vs unfused failing run (out-of-bounds a[j - 1]): same stderr and exit code"
+fault=crates/serve/tests/fixtures/offset_read_fault.jay
+fused_code=0
+./target/release/algoprof --input 12 "$fault" > /dev/null 2> "$sweep_out/fault-fused.err" \
+    || fused_code=$?
+unfused_code=0
+ALGOPROF_NO_FUSE=1 ./target/release/algoprof --input 12 "$fault" > /dev/null \
+    2> "$sweep_out/fault-unfused.err" || unfused_code=$?
+test "$fused_code" -ne 0
+test "$fused_code" -eq "$unfused_code"
+cmp "$sweep_out/fault-fused.err" "$sweep_out/fault-unfused.err"
+grep -Fq 'index -1 out of bounds for length 12 at line 14' "$sweep_out/fault-fused.err"
+
 echo "==> multi-criterion sweeps, threaded programs too (determinism across -j and fusion)"
 for prog in sized_insertion_sort_array sized_insertion_sort producer_consumer parallel_sum; do
     sweep=(./target/release/algoprof sweep "examples/$prog.jay" --sizes 8,16,32

@@ -8,7 +8,8 @@
 
 use algoprof::{AlgoProf, AlgoProfOptions};
 use algoprof_programs::{
-    array_list_program, functional_sort_program, insertion_sort_program, table1_programs,
+    array_list_program, functional_sort_program, insertion_sort_program,
+    sized_insertion_sort_array_program, sized_insertion_sort_program, table1_programs,
     GrowthPolicy, SortWorkload, LISTING3, LISTING4, LISTING5,
 };
 use algoprof_suite::genprog::random_program;
@@ -16,6 +17,7 @@ use algoprof_suite::testutil::TestRng;
 use algoprof_trace::{TraceHeader, TraceRecorder};
 use algoprof_vm::{
     compile, verify, CompiledProgram, Event, EventCx, EventSink, Instr, InstrumentOptions, Interp,
+    NoopSink,
 };
 
 /// Records every event as rendered text, so two runs can be compared
@@ -33,9 +35,13 @@ impl EventSink for TextStream {
 }
 
 fn compiled(name: &str, src: &str) -> CompiledProgram {
+    compiled_with(name, src, &InstrumentOptions::default())
+}
+
+fn compiled_with(name: &str, src: &str, instrument: &InstrumentOptions) -> CompiledProgram {
     compile(src)
         .unwrap_or_else(|e| panic!("{name}: compile failed: {e}"))
-        .instrument(&InstrumentOptions::default())
+        .instrument(instrument)
 }
 
 fn count_superinstructions(p: &CompiledProgram) -> usize {
@@ -49,10 +55,21 @@ fn count_superinstructions(p: &CompiledProgram) -> usize {
 /// The whole differential: fused vs. unfused execution of `src` with
 /// `input` must agree on the event stream, the run outcome (value or
 /// error), the logical instruction count, the APTR recording bytes, and
-/// the finished profile — and fused must never dispatch more.
+/// the finished profile — and fused must never dispatch more. The
+/// stream holds one `Instruction` event per logical instruction, so a
+/// failing run's instruction count is compared through it.
 fn assert_fusion_invisible(name: &str, src: &str, input: &[i64]) {
-    let instrument = InstrumentOptions::default();
-    let plain = compiled(name, src);
+    assert_fusion_invisible_under(name, src, input, InstrumentOptions::default());
+}
+
+/// [`assert_fusion_invisible`] under the given instrumentation.
+fn assert_fusion_invisible_under(
+    name: &str,
+    src: &str,
+    input: &[i64],
+    instrument: InstrumentOptions,
+) {
+    let plain = compiled_with(name, src, &instrument);
     let fused = plain.fuse();
     verify(&fused).unwrap_or_else(|e| panic!("{name}: fused bytecode fails verify: {e}"));
 
@@ -89,6 +106,7 @@ fn assert_fusion_invisible(name: &str, src: &str, input: &[i64]) {
                 format!("{eb:?}"),
                 "{name}: runtime errors diverge"
             );
+            assert_eq!(ea.to_string(), eb.to_string(), "{name}: error text");
         }
         (ra, rb) => panic!("{name}: outcomes diverge: {ra:?} vs {rb:?}"),
     }
@@ -378,4 +396,249 @@ fn verify_agrees_on_fused_and_unfused_corruptions() {
         rejected >= 600,
         "only {rejected} of {checked} corruptions rejected"
     );
+}
+
+/// The superinstructions `src` fuses to under `instrument`.
+fn fused_forms(src: &str, instrument: &InstrumentOptions) -> Vec<Instr> {
+    compiled_with("forms", src, instrument)
+        .fuse()
+        .functions
+        .iter()
+        .flat_map(|f| f.code.iter().copied())
+        .filter(|i| i.expand().len() > 1)
+        .collect()
+}
+
+fn no_loop_events() -> InstrumentOptions {
+    InstrumentOptions {
+        loops: false,
+        ..InstrumentOptions::default()
+    }
+}
+
+#[test]
+fn offset_reads_fault_exactly_as_unfused() {
+    // `a[i ± k]` fuses to `load2_off_aload`; each case faults (or not)
+    // at the fused window's `ALoad`, which must report the same error,
+    // line and events as the unfused sequence.
+    let read = |expr: &str| {
+        format!(
+            "class Main {{
+                static int main() {{
+                    int n = readInput();
+                    int[] a = Main.make(n);
+                    int i = readInput();
+                    return {expr};
+                }}
+                static int[] make(int n) {{
+                    if (n < 0) {{ return null; }}
+                    return new int[n];
+                }}
+            }}"
+        )
+    };
+    let cases = [
+        (
+            read("a[i - 1]"),
+            [4, 0],
+            "index -1 out of bounds for length 4 at line 6",
+        ),
+        (
+            read("a[i + 1]"),
+            [4, 3],
+            "index 4 out of bounds for length 4 at line 6",
+        ),
+        (read("a[i - 2]"), [-1, 5], "null dereference at line 6"),
+        (
+            read("a[i - 1]"),
+            [4, i64::MIN],
+            "index 9223372036854775807 out of bounds for length 4 at line 6",
+        ),
+        (
+            read("a[i + 1]"),
+            [4, i64::MAX],
+            "index -9223372036854775808 out of bounds for length 4 at line 6",
+        ),
+        (read("a[i - 1]"), [4, 4], "ok"),
+    ];
+    for (src, input, outcome) in &cases {
+        let name = format!("{outcome} on input {input:?}");
+        let forms = fused_forms(src, &InstrumentOptions::default());
+        assert!(
+            forms
+                .iter()
+                .any(|i| matches!(i, Instr::FusedLoadLoadOffALoad(..))),
+            "{name}: no offset read fused in {forms:?}"
+        );
+        let run = Interp::new(&compiled(&name, src).fuse())
+            .with_input(input.to_vec())
+            .run(&mut TextStream::default());
+        assert_eq!(
+            run.map_or_else(|e| e.to_string(), |_| "ok".into()),
+            *outcome
+        );
+        assert_fusion_invisible(&name, src, input);
+    }
+
+    // The loop forms: the offset read runs every iteration and faults on
+    // the last one, after the stream has carried every read before it.
+    let loop_read = "class Main {
+        static int main() {
+            int n = readInput();
+            int[] a = new int[n];
+            for (int i = 0; i < n; i = i + 1) { a[i] = n - i; }
+            int s = 0;
+            int j = n;
+            while (j >= 0) {
+                s = a[j - 1] + s;
+                j = j - 1;
+            }
+            return s;
+        }
+    }";
+    for instrument in [InstrumentOptions::default(), no_loop_events()] {
+        let forms = fused_forms(loop_read, &instrument);
+        assert!(
+            forms
+                .iter()
+                .any(|i| matches!(i, Instr::FusedLoadLoadOffALoad(..)))
+                && forms
+                    .iter()
+                    .any(|i| matches!(i, Instr::FusedIncJump(_, true, _, _))),
+            "loop forms not fused: {forms:?}"
+        );
+        assert_fusion_invisible_under("descending a[j - 1]", loop_read, &[9], instrument);
+    }
+}
+
+#[test]
+fn decrement_latches_fuse_and_stay_invisible() {
+    // `x = x - k; jump` fuses to `inc_jump` with `sub`. The latch's jump
+    // is forward (to the back-edge block) when loops are instrumented
+    // and backward (straight to the header, a yield point) when they are
+    // not.
+    let src = "class Main {
+        static int main() {
+            int n = readInput();
+            int[] a = new int[n];
+            int x = n;
+            while (x > 0) {
+                a[x - 1] = x;
+                x = x - 2;
+            }
+            int s = 0;
+            int y = n;
+            while (y > 0) {
+                s = s + a[y - 1];
+                y = y - 1;
+            }
+            return s;
+        }
+    }";
+    for (name, instrument, backward) in [
+        ("forward latch", InstrumentOptions::default(), false),
+        ("backward latch", no_loop_events(), true),
+    ] {
+        let program = compiled_with(name, src, &instrument).fuse();
+        let latches: Vec<bool> = program
+            .functions
+            .iter()
+            .flat_map(|f| f.code.iter().enumerate())
+            .filter_map(|(pc, i)| match *i {
+                Instr::FusedIncJump(_, true, _, t) => Some(t as usize <= pc),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(latches, [backward, backward], "{name}");
+        assert_fusion_invisible_under(name, src, &[11], instrument);
+    }
+}
+
+/// Counts thread-switch events: how often the scheduler interleaved.
+struct ThreadSwitches(usize);
+
+impl EventSink for ThreadSwitches {
+    const READS_INSTRUCTIONS: bool = false;
+
+    fn event(&mut self, ev: &Event, _cx: &EventCx<'_>) {
+        self.0 += usize::from(matches!(ev, Event::ThreadSwitch { .. }));
+    }
+}
+
+#[test]
+fn decrement_latches_in_spawned_threads_keep_the_schedule() {
+    // Two workers count down over a shared array. Without loop events
+    // each worker's fused latch is its loop's only backward jump, so it
+    // is the quantum yield point that interleaves the threads; the
+    // schedule, and with it every thread-switch event, must not move.
+    let src = "class Main {
+        static int main() {
+            int n = readInput();
+            int[] a = new int[n];
+            int t1 = spawn down(a, n, 1);
+            int t2 = spawn down(a, n, 2);
+            return join t1 + join t2;
+        }
+        static int down(int[] a, int n, int k) {
+            int s = 0;
+            int x = n;
+            while (x > 0) {
+                a[x - 1] = a[x - 1] + k;
+                s = s + a[x - 1];
+                x = x - 1;
+            }
+            return s;
+        }
+    }";
+    for instrument in [InstrumentOptions::default(), no_loop_events()] {
+        let forms = fused_forms(src, &instrument);
+        assert!(
+            forms
+                .iter()
+                .any(|i| matches!(i, Instr::FusedIncJump(_, true, _, _))),
+            "no decrement latch fused in {forms:?}"
+        );
+        let mut switches = ThreadSwitches(0);
+        Interp::new(&compiled_with("threads", src, &instrument).fuse())
+            .with_input(vec![300])
+            .run(&mut switches)
+            .expect("threaded countdown runs");
+        assert!(switches.0 > 8, "only {} thread switches", switches.0);
+        assert_fusion_invisible_under("threaded countdown", src, &[300], instrument);
+    }
+}
+
+#[test]
+fn benchmark_sort_dispatch_counts_are_pinned() {
+    // The two live-profile benchmark programs at one size each: fused
+    // dispatches are what the superinstruction set saves, and logical
+    // instructions must not move with it. The array sort's inner loop
+    // is 12 dispatches for 29 instructions (two offset reads and the
+    // decrement latch fused); the list sort has neither idiom.
+    let cases = [
+        (
+            "reversed array sort",
+            sized_insertion_sort_array_program(SortWorkload::Reversed),
+            192,
+            (523_011, 225_803),
+        ),
+        (
+            "random list sort",
+            sized_insertion_sort_program(SortWorkload::Random),
+            132,
+            (256_534, 151_198),
+        ),
+    ];
+    for (name, src, n, counts) in cases {
+        let program = compiled(name, &src).fuse();
+        let run = Interp::new(&program)
+            .with_input(vec![n])
+            .run(&mut NoopSink)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            (run.instructions, run.dispatches),
+            counts,
+            "{name} at n = {n}"
+        );
+    }
 }
