@@ -127,16 +127,6 @@ impl CostFn {
         self.terms.is_empty() && self.widened.is_none()
     }
 
-    /// Whether every part of the bound carries an exact coefficient.
-    pub fn is_exact(&self) -> bool {
-        self.widened.is_none()
-    }
-
-    /// The widened tail's class, if any.
-    pub fn widened_class(&self) -> Option<ComplexityClass> {
-        self.widened
-    }
-
     fn push_term(&mut self, t: Term, coeff: f64) {
         if coeff.abs() <= EPS {
             return;
@@ -266,8 +256,8 @@ impl CostFn {
 
     /// Evaluates the **exact terms** at size `n` (`log` clamped at
     /// `n = 1`, matching the fitted basis). The widened tail is not
-    /// included — callers must check [`CostFn::is_exact`] (or tolerate
-    /// the missing `O(class)` slack) before treating this as a bound.
+    /// included, so a widened cost (rendered with a `+ O(class)` tail)
+    /// is not bounded by this value.
     pub fn eval_terms(&self, n: f64) -> f64 {
         let ln = if n > 1.0 { n.log2() } else { 0.0 };
         self.terms
@@ -283,16 +273,6 @@ impl CostFn {
                 v
             })
             .sum()
-    }
-
-    /// Renders the term list for JSON consumers:
-    /// `[[degree, log, coeff], ...]` in descending basis order.
-    pub fn term_triples(&self) -> Vec<(u32, bool, f64)> {
-        self.terms
-            .iter()
-            .rev()
-            .map(|(t, c)| (t.degree as u32, t.log, *c))
-            .collect()
     }
 }
 
@@ -798,10 +778,10 @@ mod tests {
         let log = CostFn::from_term(0, true, 1.0);
         let nlog = n.mul(&log);
         assert_eq!(nlog.class(), ComplexityClass::Linearithmic);
-        assert!(nlog.is_exact());
+        assert!(nlog.widened.is_none());
         // log · log saturates: the coefficient is surrendered.
         let loglog = log.mul(&log);
-        assert!(!loglog.is_exact());
+        assert!(loglog.widened.is_some());
         assert_eq!(loglog.class(), ComplexityClass::Logarithmic);
         // Past-cubic products widen to Unknown.
         let n3 = n2.mul(&n);

@@ -120,16 +120,6 @@ impl CctProfile {
             .sum()
     }
 
-    /// Total exclusive instruction count of every context matching
-    /// `needle`.
-    pub fn total_exclusive(&self, needle: &str) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|n| self.names[n.id.index()].contains(needle))
-            .map(|n| n.exclusive)
-            .sum()
-    }
-
     /// The methods ranked by total exclusive cost, hottest first.
     pub fn hottest_methods(&self) -> Vec<(String, u64)> {
         let mut by_method: std::collections::BTreeMap<String, u64> = Default::default();

@@ -84,29 +84,10 @@ pub struct Algorithm {
 }
 
 impl Algorithm {
-    /// The ⟨size, steps⟩ series for `input`, suitable for
-    /// [`algoprof_fit::best_fit`].
-    pub fn steps_series(&self, input: InputId) -> Vec<(f64, f64)> {
-        self.points
-            .iter()
-            .filter_map(|p| {
-                p.input_sizes
-                    .get(&input)
-                    .map(|&s| (s as f64, p.costs.steps() as f64))
-            })
-            .collect()
-    }
-
     /// Number of times the algorithm ran.
     pub fn invocation_count(&self) -> usize {
         self.points.len()
     }
-}
-
-/// Partitions the repetition tree into algorithms with the default
-/// input-sharing heuristic.
-pub fn group_algorithms(tree: &RepTree) -> Vec<Algorithm> {
-    group_algorithms_with(tree, None, GroupingStrategy::SharedInput)
 }
 
 /// Partitions the repetition tree into algorithms: a node joins its
@@ -349,7 +330,7 @@ mod tests {
     #[test]
     fn listing3_combined_cost_is_six_steps() {
         let tree = listing3_tree();
-        let algos = group_algorithms(&tree);
+        let algos = group_algorithms_with(&tree, None, GroupingStrategy::SharedInput);
         // Root (no inputs) and the fused nest.
         assert_eq!(algos.len(), 2);
         let nest = algos
@@ -360,6 +341,7 @@ mod tests {
         // 3 outer + (0+1+2) inner = 6 algorithmic steps (paper §2.6).
         assert_eq!(nest.points[0].costs.steps(), 6);
         assert_eq!(nest.points[0].input_sizes.get(&InputId(0)), Some(&5));
+        assert_eq!(nest.invocation_count(), 1);
     }
 
     #[test]
@@ -375,20 +357,7 @@ mod tests {
         tree.finalize_invocation(outer);
         tree.finalize_invocation(tree.root());
 
-        let algos = group_algorithms(&tree);
+        let algos = group_algorithms_with(&tree, None, GroupingStrategy::SharedInput);
         assert_eq!(algos.len(), 3, "root, outer, inner all separate");
-    }
-
-    #[test]
-    fn steps_series_extracts_points() {
-        let tree = listing3_tree();
-        let algos = group_algorithms(&tree);
-        let nest = algos
-            .iter()
-            .find(|a| a.members.len() == 2)
-            .expect("fused nest");
-        let series = nest.steps_series(InputId(0));
-        assert_eq!(series, vec![(5.0, 6.0)]);
-        assert_eq!(nest.invocation_count(), 1);
     }
 }

@@ -224,11 +224,6 @@ impl CostMap {
             .sum()
     }
 
-    /// Creations of one specific class.
-    pub fn creations_of(&self, class: ClassId) -> u64 {
-        self.get(CostKey::Creation { class })
-    }
-
     /// Classes allocated in this cost map.
     pub fn created_classes(&self) -> Vec<ClassId> {
         self.counts
@@ -304,7 +299,6 @@ mod tests {
         c.add(CostKey::Creation { class: ClassId(3) }, 4);
         c.add(CostKey::Creation { class: ClassId(5) }, 1);
         assert_eq!(c.creations(), 5);
-        assert_eq!(c.creations_of(ClassId(3)), 4);
         assert_eq!(c.created_classes(), vec![ClassId(3), ClassId(5)]);
     }
 

@@ -19,11 +19,51 @@
 //! fit, and an `Unknown` on either side makes no claim (`agrees: None`)
 //! rather than a spurious verdict.
 
+use std::collections::HashMap;
+
 use algoprof_analysis::{analyze_source, cost_map, CostFn};
-use algoprof_fit::{check_coefficient, CoeffCheck, CoeffVerdict, ComplexityClass};
+use algoprof_fit::{check_coefficient, CoeffCheck, CoeffVerdict, ComplexityClass, Fit};
 use algoprof_vm::error::CompileError;
 
 use crate::profile::AlgorithmicProfile;
+
+/// Static predictions of one source: asymptotic class and cost function
+/// per repetition name ([`cost_map`]).
+pub(crate) type Predictions = HashMap<String, (ComplexityClass, CostFn)>;
+
+/// One algorithm's static prediction judged against its dynamic fit: the
+/// part [`CrossCheck`] and [`SweepSeries`](crate::SweepSeries) share.
+pub(crate) struct Verdict {
+    /// Statically predicted class, when the analysis names the algorithm.
+    pub predicted: Option<ComplexityClass>,
+    /// The cost function behind the prediction.
+    pub cost: Option<CostFn>,
+    /// Class agreement; `None` when either side makes no claim.
+    pub agrees: Option<bool>,
+    /// Coefficient-level comparison of `cost`'s leading term against `fit`.
+    pub coeff: CoeffCheck,
+}
+
+/// The verdict rule: looks `name` up in `predictions`, judges the
+/// predicted class against `fit`'s ([`ComplexityClass::agrees_with`]),
+/// then compares coefficients ([`check_coefficient`]).
+pub(crate) fn verdict(predictions: &Predictions, name: &str, fit: Option<&Fit>) -> Verdict {
+    let (predicted, cost) = match predictions.get(name) {
+        Some((class, cost)) => (Some(*class), Some(cost.clone())),
+        None => (None, None),
+    };
+    let agrees = match (predicted, fit) {
+        (Some(p), Some(f)) => p.agrees_with(f.model.complexity_class()),
+        _ => None,
+    };
+    let coeff = check_coefficient(predicted, cost.as_ref().and_then(CostFn::leading), fit);
+    Verdict {
+        predicted,
+        cost,
+        agrees,
+        coeff,
+    }
+}
 
 /// The verdict for one algorithm: static prediction vs dynamic fit.
 #[derive(Debug, Clone, PartialEq)]
@@ -92,35 +132,23 @@ pub fn cross_validate(
 ) -> Result<Vec<CrossCheck>, CompileError> {
     let analysis = analyze_source(source)?;
     let predictions = cost_map(&analysis.predictions);
-
-    let mut out = Vec::new();
-    for algo in profile.algorithms() {
-        let name = profile.node_name(algo.root).to_string();
-        let (predicted, cost) = match predictions.get(&name) {
-            Some((class, cost)) => (Some(*class), Some(cost.clone())),
-            None => (None, None),
-        };
-        let fit = profile.fit_invocation_steps(algo.id);
-        let fitted = fit.as_ref().map(|f| f.model.complexity_class());
-        let agrees = match (predicted, fitted) {
-            (Some(p), Some(f)) => p.agrees_with(f),
-            _ => None,
-        };
-        let coeff = check_coefficient(
-            predicted,
-            cost.as_ref().and_then(|c| c.leading()),
-            fit.as_ref(),
-        );
-        out.push(CrossCheck {
-            name,
-            predicted,
-            cost,
-            fitted,
-            agrees,
-            coeff,
-        });
-    }
-    Ok(out)
+    Ok(profile
+        .algorithms()
+        .iter()
+        .map(|algo| {
+            let name = profile.node_name(algo.root).to_string();
+            let fit = profile.fit_invocation_steps(algo.id);
+            let v = verdict(&predictions, &name, fit.as_ref());
+            CrossCheck {
+                name,
+                predicted: v.predicted,
+                cost: v.cost,
+                fitted: fit.map(|f| f.model.complexity_class()),
+                agrees: v.agrees,
+                coeff: v.coeff,
+            }
+        })
+        .collect())
 }
 
 /// Renders cross-validation results as an aligned text block.
@@ -185,6 +213,53 @@ mod tests {
         assert_eq!(c.agrees, Some(true), "{c}");
         let text = render_cross_checks(&checks);
         assert!(text.contains("[agrees]"), "{text}");
+    }
+
+    #[test]
+    fn verdict_table() {
+        use algoprof_fit::{fit_model, Model};
+        use CoeffVerdict::{Agrees, Disagrees, Unverified};
+        use ComplexityClass::{Linear, Quadratic, Unknown};
+
+        let points: Vec<(f64, f64)> = (1..=8).map(|n| (n as f64, 2.0 * n as f64)).collect();
+        let fit = fit_model(&points, Model::Linear).expect("linear fit");
+        let predictions: Predictions = [
+            ("linear", Linear, CostFn::from_term(1, false, 2.0)),
+            ("quadratic", Quadratic, CostFn::from_term(2, false, 1.0)),
+            ("unknown", Unknown, CostFn::widened(Unknown)),
+        ]
+        .into_iter()
+        .map(|(name, class, cost)| (name.to_string(), (class, cost)))
+        .collect();
+
+        // (name, fitted?, predicted, agrees, coefficient verdict)
+        let table = [
+            ("absent", true, None, None, Unverified),
+            ("absent", false, None, None, Unverified),
+            ("unknown", true, Some(Unknown), None, Unverified),
+            ("unknown", false, Some(Unknown), None, Unverified),
+            ("linear", true, Some(Linear), Some(true), Agrees),
+            ("linear", false, Some(Linear), None, Unverified),
+            ("quadratic", true, Some(Quadratic), Some(false), Disagrees),
+            ("quadratic", false, Some(Quadratic), None, Unverified),
+        ];
+        for (name, fitted, predicted, agrees, coeff) in table {
+            let v = verdict(&predictions, name, fitted.then_some(&fit));
+            let case = format!("{name}, fitted {fitted}");
+            assert_eq!(v.predicted, predicted, "{case}");
+            assert_eq!(
+                v.cost,
+                predictions.get(name).map(|(_, c)| c.clone()),
+                "{case}"
+            );
+            assert_eq!(v.agrees, agrees, "{case}");
+            assert_eq!(v.coeff.verdict, coeff, "{case}");
+            if coeff == Unverified {
+                assert_eq!(v.coeff, CoeffCheck::unverified(), "{case}");
+            } else {
+                assert_eq!(v.coeff.fitted, Some(fit.coeff), "{case}");
+            }
+        }
     }
 
     #[test]

@@ -79,15 +79,8 @@ pub enum JobSpec {
 /// What a job computed, before rendering.
 #[derive(Debug)]
 pub enum JobResult {
-    /// A profile or analyze job: one profile per guest thread, and the
-    /// guest source they came from (an analyze job takes it from the
-    /// trace header), which `--check` cross-validates against.
-    Profiles {
-        /// The per-thread profiles.
-        set: ProfileSet,
-        /// The guest source text.
-        source: String,
-    },
+    /// A profile or analyze job: one profile per guest thread.
+    Profiles(ProfileSet),
     /// A sweep job's merged report.
     Sweep(SweepReport),
 }
@@ -97,7 +90,7 @@ impl JobResult {
     /// kind has, plus the JSON report for sweeps.
     pub fn render(&self) -> JobOutput {
         match self {
-            JobResult::Profiles { set, .. } => JobOutput {
+            JobResult::Profiles(set) => JobOutput {
                 text: crate::report::render_set(set),
                 json: None,
             },
@@ -178,10 +171,8 @@ impl JobSpec {
                     fuse,
                     ..RunConfig::default()
                 };
-                Ok(JobResult::Profiles {
-                    set: profile(Guest::Source(source), &config)?,
-                    source: source.clone(),
-                })
+                let set = profile(Guest::Source(source), &config)?;
+                Ok(JobResult::Profiles(set))
             }
             JobSpec::Sweep {
                 program,
@@ -206,13 +197,7 @@ impl JobSpec {
                     options: *options,
                     ..RunConfig::default()
                 };
-                let set = profile(Guest::Trace(trace), &config)?;
-                let (header, _) =
-                    algoprof_trace::read_header(trace).expect("the replay decoded this header");
-                Ok(JobResult::Profiles {
-                    set,
-                    source: header.source,
-                })
+                Ok(JobResult::Profiles(profile(Guest::Trace(trace), &config)?))
             }
         }
     }
@@ -230,6 +215,19 @@ impl JobSpec {
         // (nesting pools would oversubscribe). The daemon always fuses:
         // reports are the same either way.
         Ok(self.run(1, false, true)?.render())
+    }
+
+    /// The guest source the job runs: a profile or sweep job carries it,
+    /// an analyze job's trace embeds it in its header (decoded here).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProfileError::Trace`] when the trace header is malformed.
+    pub fn source(&self) -> Result<String, ProfileError> {
+        match self {
+            JobSpec::Profile { source, .. } | JobSpec::Sweep { source, .. } => Ok(source.clone()),
+            JobSpec::Analyze { trace, .. } => Ok(algoprof_trace::read_header(trace)?.0.source),
+        }
     }
 
     /// The content-address of this job: a SHA-256 over a canonical
@@ -457,11 +455,8 @@ mod tests {
                 );
             }
         }
-        // An analyze job hands back the source embedded in its trace.
-        let Ok(JobResult::Profiles { source, .. }) = specs[2].run(1, false, true) else {
-            panic!("an analyze job yields profiles");
-        };
-        assert_eq!(source, SRC);
+        // An analyze job's source is the one embedded in its trace.
+        assert_eq!(specs[2].source().expect("decodes"), SRC);
     }
 
     #[test]

@@ -202,18 +202,6 @@ impl AlgorithmicProfile {
         best_fit(&self.invocation_series(algo, CostMetric::Steps))
     }
 
-    /// Fits the best cost function for `algo`'s steps against `input`'s
-    /// size.
-    pub fn fit_steps(&self, algo: AlgorithmId, input: InputId) -> Option<Fit> {
-        best_fit(&self.series(algo, input, CostMetric::Steps))
-    }
-
-    /// Log–log power-law fit of steps vs input size (the empirical order
-    /// of growth).
-    pub fn fit_power_law(&self, algo: AlgorithmId, input: InputId) -> Option<PowerFit> {
-        algoprof_fit::fit_power_law(&self.series(algo, input, CostMetric::Steps))
-    }
-
     /// Power-law fit over the per-invocation series (see
     /// [`AlgorithmicProfile::invocation_series`]).
     pub fn fit_invocation_power_law(&self, algo: AlgorithmId) -> Option<PowerFit> {

@@ -212,11 +212,6 @@ impl AlgoProf {
         attr.on_remote_read(rep, r, program, heap);
     }
 
-    /// Number of guest threads seen so far (at least 1).
-    pub fn thread_count(&self) -> usize {
-        self.threads.len()
-    }
-
     /// The main thread's repetition tree built so far.
     pub fn tree(&self) -> &RepTree {
         self.threads[0].0.tree()

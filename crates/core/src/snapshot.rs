@@ -309,14 +309,6 @@ impl Snapshot {
             .filter(|k| !matches!(k, ElemKey::Int(_)))
     }
 
-    /// The primitive value keys of this snapshot.
-    pub fn int_keys(&self) -> impl Iterator<Item = i64> + '_ {
-        self.keys.iter().filter_map(|k| match k {
-            ElemKey::Int(v) => Some(*v),
-            _ => None,
-        })
-    }
-
     /// Whether two snapshots are equivalent under `criterion`.
     pub fn equivalent(&self, other: &Snapshot, criterion: EquivalenceCriterion) -> bool {
         match criterion {

@@ -25,20 +25,19 @@
 //! enters the report — so the text, JSON, and HTML renderings are
 //! byte-identical for every worker count.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use algoprof_analysis::{json_str, CostFn};
 use algoprof_fit::{
-    best_fit, check_coefficient, fit_power_law, CoeffCheck, CoeffVerdict, ComplexityClass, Fit,
-    PowerFit,
+    best_fit, fit_power_law, CoeffCheck, CoeffVerdict, ComplexityClass, Fit, PowerFit,
 };
 use algoprof_trace::{TraceHeader, TraceRecorder};
 use algoprof_vm::{
     compile_with_bodies, CompileError, CompiledProgram, Fanout, InstrumentOptions, Interp, Tee,
 };
 
+use crate::crossval::{verdict, Predictions};
 use crate::pool::{default_workers, run_indexed};
 use crate::profile::{AlgorithmicProfile, CostMetric, ProfileSet};
 use crate::profiler::{AlgoProf, AlgoProfOptions};
@@ -518,19 +517,7 @@ fn build_series(
         })
         .unwrap_or_default();
     let fit = best_fit(&points);
-    let (predicted, predicted_cost) = match predictions.get(name) {
-        Some((class, cost)) => (Some(*class), Some(cost.clone())),
-        None => (None, None),
-    };
-    let agrees = match (predicted, &fit) {
-        (Some(p), Some(f)) => p.agrees_with(f.model.complexity_class()),
-        _ => None,
-    };
-    let coeff = check_coefficient(
-        predicted,
-        predicted_cost.as_ref().and_then(|c| c.leading()),
-        fit.as_ref(),
-    );
+    let verdict = verdict(predictions, name, fit.as_ref());
     Some(SweepSeries {
         ablation: ablation.to_string(),
         program: program.to_string(),
@@ -540,16 +527,12 @@ fn build_series(
         fit,
         power_law: fit_power_law(&points),
         points,
-        predicted,
-        predicted_cost,
-        agrees,
-        coeff,
+        predicted: verdict.predicted,
+        predicted_cost: verdict.cost,
+        agrees: verdict.agrees,
+        coeff: verdict.coeff,
     })
 }
-
-/// Static predictions of one source: asymptotic class and cost function
-/// per repetition name.
-type Predictions = HashMap<String, (ComplexityClass, CostFn)>;
 
 /// The front end's products for one distinct source, shared by every job
 /// that runs it.

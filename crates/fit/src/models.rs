@@ -120,24 +120,6 @@ impl ComplexityClass {
         }
     }
 
-    /// Maps a fitted power-law exponent to the nearest polynomial class.
-    /// Logarithmic and linearithmic factors are not power laws, so this
-    /// rounds to the nearest integer degree; exponents past cubic are
-    /// outside the fitted basis and map to `Unknown`.
-    pub fn from_exponent(exponent: f64) -> ComplexityClass {
-        if !exponent.is_finite() || exponent >= 3.5 {
-            ComplexityClass::Unknown
-        } else if exponent < 0.5 {
-            ComplexityClass::Constant
-        } else if exponent < 1.5 {
-            ComplexityClass::Linear
-        } else if exponent < 2.5 {
-            ComplexityClass::Quadratic
-        } else {
-            ComplexityClass::Cubic
-        }
-    }
-
     /// The polynomial degree used for agreement checks: log factors do
     /// not change the degree (O(n log n) has degree 1), exponential and
     /// unknown have none.

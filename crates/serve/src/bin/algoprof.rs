@@ -57,7 +57,7 @@ use std::process::ExitCode;
 
 use algoprof::{
     AlgoProfOptions, CostMetric, Guest, JobError, JobResult, JobSpec, ProfileError, RunConfig,
-    StreamingAnalysis, SweepAblation,
+    StreamingAnalysis, StreamingReport, SweepAblation,
 };
 use algoprof_analysis::json_str;
 use algoprof_serve::api::{OptionTable, CRITERIA, GROUPINGS, SIZINGS, SNAPSHOT_POLICIES};
@@ -275,11 +275,15 @@ impl AnalysisArgs {
     /// selection. Single-threaded sets keep the exact pre-thread output;
     /// threaded sets get per-thread sections plus the merged view
     /// (text/HTML) or the cross-thread merged series (CSV). `--check` then
-    /// cross-validates static complexity predictions against the main
-    /// thread's dynamic fits and prints the verdicts (informational —
+    /// cross-validates the static predictions for `source()` against the
+    /// main thread's dynamic fits and prints the verdicts (informational —
     /// disagreement does not change the exit code; use `lint` for gating).
-    fn emit(&self, result: JobResult) -> Result<(), CliError> {
-        let JobResult::Profiles { set, source } = result else {
+    fn emit(
+        &self,
+        result: JobResult,
+        source: impl FnOnce() -> Result<String, ProfileError>,
+    ) -> Result<(), CliError> {
+        let JobResult::Profiles(set) = result else {
             unreachable!("profile and analyze jobs yield profiles");
         };
         if let Some(html_path) = &self.html {
@@ -311,7 +315,7 @@ impl AnalysisArgs {
             print!("{}", algoprof::render_set(&set));
         }
         if self.check {
-            let checks = algoprof::cross_validate(set.main(), &source)
+            let checks = algoprof::cross_validate(set.main(), &source()?)
                 .map_err(|e| CliError::Run(e.to_string()))?;
             print!("{}", algoprof::render_cross_checks(&checks));
         }
@@ -357,7 +361,8 @@ fn parse_args(args: &[String]) -> Result<AnalysisArgs, CliError> {
 /// The classic mode: compile, execute, and profile in one go.
 fn live_main(args: &[String]) -> Result<(), CliError> {
     let parsed = parse_args(args)?;
-    parsed.emit(parsed.profile_job()?.run(1, false, run_config().fuse)?)
+    let spec = parsed.profile_job()?;
+    parsed.emit(spec.run(1, false, run_config().fuse)?, || spec.source())
 }
 
 /// `algoprof record <prog.jay> -o <trace>`: execute once, save the trace.
@@ -422,20 +427,19 @@ fn parse_analyze_args(args: &[String]) -> Result<AnalysisArgs, CliError> {
 fn analyze_main(args: &[String]) -> Result<(), CliError> {
     let parsed = parse_analyze_args(args)?;
     let path = parsed.path("trace file")?;
-    let result = if path == "-" {
-        analyze_stdin(parsed.opts)?
-    } else {
-        let spec = JobSpec::Analyze {
-            trace: read_trace(path)?,
-            options: parsed.opts,
-        };
-        spec.run(1, false, run_config().fuse)?
+    if path == "-" {
+        let report = analyze_stdin(parsed.opts)?;
+        return parsed.emit(JobResult::Profiles(report.profiles), || Ok(report.source));
+    }
+    let spec = JobSpec::Analyze {
+        trace: read_trace(path)?,
+        options: parsed.opts,
     };
-    parsed.emit(result)
+    parsed.emit(spec.run(1, false, run_config().fuse)?, || spec.source())
 }
 
 /// Streams stdin into a [`StreamingAnalysis`] chunk by chunk.
-fn analyze_stdin(opts: AlgoProfOptions) -> Result<JobResult, CliError> {
+fn analyze_stdin(opts: AlgoProfOptions) -> Result<StreamingReport, CliError> {
     let mut analysis = StreamingAnalysis::new(opts);
     let mut stdin = std::io::stdin().lock();
     let mut buf = [0u8; 64 * 1024];
@@ -448,11 +452,7 @@ fn analyze_stdin(opts: AlgoProfOptions) -> Result<JobResult, CliError> {
         }
         analysis.feed(&buf[..n])?;
     }
-    let report = analysis.finish()?;
-    Ok(JobResult::Profiles {
-        set: report.profiles,
-        source: report.source,
-    })
+    Ok(analysis.finish()?)
 }
 
 /// `algoprof events <trace.aptr>`: decode a recording into one line per

@@ -80,11 +80,6 @@ impl ErasedType {
             _ => None,
         }
     }
-
-    /// Whether this type is an array at the top level.
-    pub fn is_array(&self) -> bool {
-        matches!(self, ErasedType::Array(_))
-    }
 }
 
 /// The comparison performed by a fused compare-and-branch
@@ -961,7 +956,6 @@ mod tests {
             Some(ClassId(5)),
         )))));
         assert_eq!(t.referent_class(), Some(ClassId(5)));
-        assert!(t.is_array());
         assert_eq!(ErasedType::Int.referent_class(), None);
     }
 

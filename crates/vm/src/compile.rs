@@ -8,14 +8,6 @@ use crate::hir::{HExpr, HFunction, HStmt};
 use crate::parser::parse;
 use crate::typeck::{check, erase, Ty, TypedProgram};
 
-/// Compilation configuration for [`compile_with_options`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompileOptions {
-    /// Run the constant-folding / simplification pass
-    /// ([`crate::opt`]) before code generation.
-    pub fold_constants: bool,
-}
-
 /// Compiles jay `source` all the way to an (uninstrumented) bytecode
 /// program.
 ///
@@ -45,25 +37,6 @@ pub fn compile_with_bodies(
     let typed = check(&parse(source)?)?;
     let program = lower(&typed);
     Ok((typed.bodies, program))
-}
-
-/// Like [`compile`], with optional optimization; also returns the
-/// optimizer's statistics.
-///
-/// # Errors
-///
-/// Same as [`compile`].
-pub fn compile_with_options(
-    source: &str,
-    options: &CompileOptions,
-) -> Result<(CompiledProgram, crate::opt::OptStats), CompileError> {
-    let mut typed = check(&parse(source)?)?;
-    let stats = if options.fold_constants {
-        crate::opt::fold_program(&mut typed.bodies)
-    } else {
-        crate::opt::OptStats::default()
-    };
-    Ok((lower(&typed), stats))
 }
 
 fn lower(typed: &TypedProgram) -> CompiledProgram {

@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use crate::bytecode::{ClassId, CompiledProgram, ElemKind, FieldId};
+use crate::bytecode::{ClassId, ElemKind};
 
 /// A reference to a heap object.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -37,14 +37,6 @@ impl Value {
     pub fn as_int(self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Returns the boolean payload, if this is a `Bool`.
-    pub fn as_bool(self) -> Option<bool> {
-        match self {
-            Value::Bool(v) => Some(v),
             _ => None,
         }
     }
@@ -381,12 +373,6 @@ impl Heap {
     }
 }
 
-/// Convenience: reads the field `fid` of `obj` given the program's layout.
-pub fn read_field(heap: &Heap, program: &CompiledProgram, obj: ObjRef, fid: FieldId) -> Value {
-    let slot = program.field(fid).slot as usize;
-    heap.field(obj, slot)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,7 +380,6 @@ mod tests {
     #[test]
     fn value_accessors() {
         assert_eq!(Value::Int(7).as_int(), Some(7));
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Null.as_int(), None);
         assert!(Value::Null.is_ref());
         assert!(!Value::Int(0).is_ref());

@@ -58,11 +58,6 @@ impl OpStats {
         self.freq[op.index()]
     }
 
-    /// Times the adjacent pair `(a, b)` executed.
-    pub fn pair_count(&self, a: Opcode, b: Opcode) -> u64 {
-        self.pairs[a.index() * Opcode::COUNT + b.index()]
-    }
-
     /// Folds another collector into this one (run-over-run aggregation).
     /// The pair cursor is not carried across runs.
     pub fn merge(&mut self, other: &OpStats) {
@@ -206,6 +201,10 @@ mod tests {
     use crate::instrument::InstrumentOptions;
     use crate::interp::Interp;
 
+    fn pair_count(stats: &OpStats, a: Opcode, b: Opcode) -> u64 {
+        stats.pairs[a.index() * Opcode::COUNT + b.index()]
+    }
+
     fn stats_of(src: &str) -> OpStats {
         let p = compile(src)
             .expect("compiles")
@@ -241,8 +240,8 @@ mod tests {
         );
         // The canonical increment `i = i + 1` executes load/const/add/store
         // every iteration; its pairs must rank near the top.
-        assert!(stats.pair_count(Opcode::LoadLocal, Opcode::ConstInt) >= 100);
-        assert!(stats.pair_count(Opcode::Add, Opcode::StoreLocal) >= 100);
+        assert!(pair_count(&stats, Opcode::LoadLocal, Opcode::ConstInt) >= 100);
+        assert!(pair_count(&stats, Opcode::Add, Opcode::StoreLocal) >= 100);
         let top = stats.top_pairs(10);
         assert!(top
             .iter()
@@ -261,7 +260,7 @@ mod tests {
         // no pair may join it to the callee's first opcode.
         for &op in Opcode::ALL {
             assert_eq!(
-                stats.pair_count(Opcode::CallStatic, op),
+                pair_count(&stats, Opcode::CallStatic, op),
                 0,
                 "pair (call_static, {}) spans a call boundary",
                 op.name()
@@ -277,8 +276,8 @@ mod tests {
         assert_eq!(b.total(), 2 * a.total());
         assert_eq!(b.count(Opcode::Add), 2 * a.count(Opcode::Add));
         assert_eq!(
-            b.pair_count(Opcode::ConstInt, Opcode::ConstInt),
-            2 * a.pair_count(Opcode::ConstInt, Opcode::ConstInt)
+            pair_count(&b, Opcode::ConstInt, Opcode::ConstInt),
+            2 * pair_count(&a, Opcode::ConstInt, Opcode::ConstInt)
         );
     }
 

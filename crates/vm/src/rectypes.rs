@@ -16,7 +16,7 @@
 //! classes*; a field is a *recursive field* when some class carrying it
 //! lies in the same cycle as the field's referent class.
 
-use crate::bytecode::{ClassId, CompiledProgram, FieldId};
+use crate::bytecode::CompiledProgram;
 use crate::callgraph::tarjan_scc;
 
 /// Result of the recursive-type analysis.
@@ -89,16 +89,6 @@ impl RecursiveTypes {
             recursive_field,
         }
     }
-
-    /// Whether `c` is part of a recursive type cycle.
-    pub fn is_recursive_class(&self, c: ClassId) -> bool {
-        self.recursive_class[c.index()]
-    }
-
-    /// Whether `f` is a recursive link field.
-    pub fn is_recursive_field(&self, f: FieldId) -> bool {
-        self.recursive_field[f.index()]
-    }
 }
 
 #[cfg(test)]
@@ -113,7 +103,7 @@ mod tests {
     }
 
     fn class_rec(p: &CompiledProgram, r: &RecursiveTypes, name: &str) -> bool {
-        r.is_recursive_class(p.class_by_name(name).expect("class exists"))
+        r.recursive_class[p.class_by_name(name).expect("class exists").index()]
     }
 
     fn field_rec(p: &CompiledProgram, r: &RecursiveTypes, class: &str, field: &str) -> bool {
@@ -124,7 +114,7 @@ mod tests {
             .iter()
             .find(|&&f| p.field(f).name == field)
             .expect("field exists");
-        r.is_recursive_field(fid)
+        r.recursive_field[fid.index()]
     }
 
     const MAIN: &str = "class Main { static int main() { return 0; } }";
