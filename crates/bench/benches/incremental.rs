@@ -4,16 +4,23 @@
 //! ([`algoprof::SnapshotStats`]) on the two listings whose re-measurement
 //! cost dominates: the ArrayList growth study (Listing 6) and the
 //! insertion sort of the running example (Listing 1). The counter report
-//! is printed once per workload before the timing runs; `objects` is the
-//! figure the incremental cache exists to shrink.
+//! is printed once per workload before the timing runs. `objects` counts
+//! the objects read from the heap: a structure redo reads every member,
+//! so on the sort it is the cache hits, not the redos, that keep it low;
+//! on the growth study the write-log replay keeps `elements` linear.
+//!
+//! A last group times one structure redo of an unmodified 131-node doubly
+//! linked list (the size of the benchmark's list sort) against a full
+//! walk of it; divide by 131 for the cost per member.
 
 use algoprof_bench::harness::Criterion;
 use algoprof_bench::{criterion_group, criterion_main};
 
+use algoprof::snapshot::{measure_structure, remeasure_structure, VisitMarks};
 use algoprof::{AlgoProf, AlgoProfOptions, IncrementalMode, SnapshotStats};
 use algoprof_programs::{array_list_program, insertion_sort_program, GrowthPolicy, SortWorkload};
 use algoprof_vm::instrument::MethodInstrumentation;
-use algoprof_vm::{compile, CompiledProgram, InstrumentOptions, Interp};
+use algoprof_vm::{compile, CompiledProgram, Heap, InstrumentOptions, Interp, Value};
 
 fn run_with(program: &CompiledProgram, incremental: IncrementalMode) -> SnapshotStats {
     let mut profiler = AlgoProf::with_options(AlgoProfOptions {
@@ -85,5 +92,45 @@ fn bench_insertion_sort(c: &mut Criterion) {
     bench_workload(c, "incremental_sort", &src, &InstrumentOptions::default());
 }
 
-criterion_group!(benches, bench_arraylist_growth, bench_insertion_sort);
+fn bench_redo_per_member(c: &mut Criterion) {
+    const MEMBERS: usize = 131;
+    // Instrumented, so `Node` and its links are recursive.
+    let program = compile(
+        "class Main { static int main() { return 0; } } class Node { Node next; Node prev; }",
+    )
+    .expect("compiles")
+    .instrument(&InstrumentOptions::default());
+    let node = program.class_by_name("Node").expect("declared");
+    let mut heap = Heap::new();
+    let nodes: Vec<_> = (0..MEMBERS).map(|_| heap.alloc_object(node, 2)).collect();
+    for w in nodes.windows(2) {
+        heap.set_field(w[0], 0, Value::Obj(w[1]));
+        heap.set_field(w[1], 1, Value::Obj(w[0]));
+    }
+    let mut marks = VisitMarks::default();
+    let mut stats = SnapshotStats::default();
+    let mut m = measure_structure(&program, &heap, nodes[0], &mut marks, &mut stats);
+    assert_eq!(m.snapshot.size, MEMBERS);
+    assert!(m.strongly_connected, "linked both ways");
+
+    let mut group = c.benchmark_group("incremental_redo_131_members");
+    group.bench_function("redo_unmodified", |b| {
+        b.iter(|| remeasure_structure(&program, &heap, &mut m, nodes[0], &mut marks, &mut stats))
+    });
+    group.bench_function("full_walk", |b| {
+        b.iter(|| {
+            measure_structure(&program, &heap, nodes[0], &mut marks, &mut stats)
+                .snapshot
+                .size
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_arraylist_growth,
+    bench_insertion_sort,
+    bench_redo_per_member
+);
 criterion_main!(benches);

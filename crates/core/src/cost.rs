@@ -78,6 +78,27 @@ pub enum CostKey {
     LockContention,
 }
 
+/// What kind of heap location an access touched: an array slot, or an
+/// object field (with the object's class when known).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AccessTarget {
+    Array,
+    Field(Option<ClassId>),
+}
+
+impl AccessTarget {
+    /// The key one `op` access of this target on `input` counts under. A
+    /// field access of known class counts only by type; its
+    /// `StructAccess` total is derived later ([`CostMap::fold_by_type`]).
+    pub fn key(self, input: InputId, op: AccessOp) -> CostKey {
+        match self {
+            AccessTarget::Array => CostKey::ArrayAccess { input, op },
+            AccessTarget::Field(Some(class)) => CostKey::StructAccessByType { input, class, op },
+            AccessTarget::Field(None) => CostKey::StructAccess { input, op },
+        }
+    }
+}
+
 /// A multiset of primitive-operation counts.
 ///
 /// Ordered map so reports are deterministic.

@@ -22,9 +22,9 @@ use algoprof_vm::{ClassId, CompiledProgram};
 use algoprof_vm::{Heap, Value};
 
 use crate::snapshot::{
-    measure_value, remeasure_structure, try_partial_array, ArraySizeStrategy, ElemKey, ElemKeyMap,
-    EquivalenceCriterion, IncrementalMode, Measurement, Snapshot, SnapshotKind, SnapshotStats,
-    VisitMarks,
+    measure_value, remeasure_structure, try_partial_array, ArraySizeStrategy, ElemKey,
+    EquivalenceCriterion, IncrementalMode, Measurement, RefTable, Snapshot, SnapshotKind,
+    SnapshotStats, VisitMarks,
 };
 
 /// Identifies one input of one or more algorithms.
@@ -124,7 +124,7 @@ impl InputInfo {
 #[derive(Debug, Clone, PartialEq)]
 pub struct InputRegistry {
     inputs: Vec<InputInfo>,
-    ref_map: ElemKeyMap<InputId>,
+    ref_map: RefTable<Option<InputId>>,
     criterion: EquivalenceCriterion,
     array_strategy: ArraySizeStrategy,
     incremental: IncrementalMode,
@@ -152,7 +152,7 @@ impl InputRegistry {
     ) -> Self {
         InputRegistry {
             inputs: Vec::new(),
-            ref_map: ElemKeyMap::default(),
+            ref_map: RefTable::default(),
             criterion,
             array_strategy,
             incremental,
@@ -167,6 +167,15 @@ impl InputRegistry {
     /// heap's stamps, which every thread's writes update.
     pub(crate) fn expect_foreign_writes(&mut self) {
         self.foreign_writes = true;
+    }
+
+    /// Whether [`InputRegistry::identify`] reads its candidates: only
+    /// the criteria that compare element values do.
+    pub(crate) fn reads_candidates(&self) -> bool {
+        matches!(
+            self.criterion,
+            EquivalenceCriterion::SomeElements | EquivalenceCriterion::AllElements
+        )
     }
 
     /// The configured array sizing strategy.
@@ -198,13 +207,14 @@ impl InputRegistry {
     /// Fast path: resolves a heap reference key previously seen in a
     /// snapshot.
     pub fn resolve_ref(&self, key: ElemKey) -> Option<InputId> {
-        self.ref_map.get(&key).copied()
+        self.ref_map.get(key)
     }
 
     /// Resolves measurement `m` to an existing or fresh input.
     /// `candidates` are the inputs accessed by the active repetition
     /// chain, used for matching that cannot rely on reference identity
-    /// (primitive arrays, AllElements, SameType).
+    /// (element values under SomeElements, AllElements); the other
+    /// criteria ignore them, so the profiler passes none.
     pub fn identify(&mut self, m: Measurement, candidates: &[InputId]) -> InputId {
         let found = self.match_existing(&m.snapshot, candidates);
         match found {
@@ -220,10 +230,8 @@ impl InputRegistry {
         match self.criterion {
             EquivalenceCriterion::SomeElements => {
                 // Reference identity first.
-                for key in snap.ref_keys() {
-                    if let Some(&id) = self.ref_map.get(&key) {
-                        return Some(id);
-                    }
+                if let Some(id) = snap.ref_keys().find_map(|key| self.ref_map.get(key)) {
+                    return Some(id);
                 }
                 // Value overlap against the active candidates only.
                 for &cand in candidates {
@@ -237,11 +245,7 @@ impl InputRegistry {
             }
             EquivalenceCriterion::AllElements => {
                 let mut seen: Vec<InputId> = candidates.to_vec();
-                for key in snap.ref_keys() {
-                    if let Some(&id) = self.ref_map.get(&key) {
-                        seen.push(id);
-                    }
-                }
+                seen.extend(snap.ref_keys().filter_map(|key| self.ref_map.get(key)));
                 seen.sort_unstable();
                 seen.dedup();
                 seen.into_iter().find(|&id| {
@@ -256,13 +260,13 @@ impl InputRegistry {
                         ElemKey::Arr(a) => Some(ElemKey::Arr(*a)),
                         _ => None,
                     })?;
-                    self.ref_map.get(&root).copied()
+                    self.ref_map.get(root)
                 }
                 // The paper notes SameArray only works for arrays;
                 // structures fall back to reference overlap.
-                SnapshotKind::Structure { .. } => snap
-                    .ref_keys()
-                    .find_map(|key| self.ref_map.get(&key).copied()),
+                SnapshotKind::Structure { .. } => {
+                    snap.ref_keys().find_map(|key| self.ref_map.get(key))
+                }
             },
             EquivalenceCriterion::SameType => self
                 .inputs
@@ -342,7 +346,7 @@ impl InputRegistry {
     /// owner, so the old owner is flagged `shared` and must validate its
     /// cache against per-container heap stamps instead.
     fn claim_key(&mut self, key: ElemKey, id: InputId) {
-        if let Some(prev) = self.ref_map.insert(key, id) {
+        if let Some(prev) = self.ref_map.set(key, Some(id)) {
             if prev != id {
                 self.inputs[prev.index()].shared = true;
             }
@@ -387,11 +391,10 @@ impl InputRegistry {
     ///    false-dirties from writes that resolved here but hit another
     ///    overlapping structure).
     /// 3. *Redo* — for an object `r` and a cached structure, from any
-    ///    root: walk from `r`, reading from the heap only the edge lists
-    ///    of new members and modified containers, and the cached lists of
-    ///    the rest (see [`remeasure_structure`]). For the cached array's
-    ///    own root: replay the heap's element-store journal (see
-    ///    [`try_partial_array`]).
+    ///    root: walk from `r` over the heap, keeping the cached snapshot
+    ///    when the members did not change (see [`remeasure_structure`]).
+    ///    For the cached array's own root: replay the heap's
+    ///    element-store journal (see [`try_partial_array`]).
     /// 4. *Full walk* — an array that the replay cannot bring up to
     ///    date, or no cached measurement of the right kind.
     ///
@@ -416,7 +419,7 @@ impl InputRegistry {
         let info = &self.inputs[id.index()];
         let reusable = m.walks_alike_from(root);
         let clean = !self.foreign_writes && !info.shared && info.dirty_epoch <= m.epoch;
-        let uncached = match r {
+        let added = match r {
             // Layer 1: nothing resolving to this input was written.
             _ if reusable && clean => {
                 self.stats.cache_hits += 1;
@@ -434,8 +437,8 @@ impl InputRegistry {
                 }
                 Vec::new()
             }
-            // Layer 3: structures walk from `r` over the cached edge
-            // lists; arrays replay the heap's element-store journal.
+            // Layer 3: structures walk again from `r`; arrays replay the
+            // heap's element-store journal.
             Value::Obj(start) if matches!(m.snapshot.kind, SnapshotKind::Structure { .. }) => {
                 remeasure_structure(
                     program,
@@ -462,7 +465,7 @@ impl InputRegistry {
             self.record_measurement(id, m);
         } else {
             self.store_measurement(id, m);
-            for key in uncached {
+            for key in added {
                 self.claim_key(key, id);
             }
         }

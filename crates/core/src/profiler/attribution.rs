@@ -9,22 +9,14 @@
 //! (§3.4). It navigates the repetition tree only through the
 //! [`RepetitionStage`] handed to each call.
 
-use algoprof_vm::{ClassId, CompiledProgram, Heap, Value};
+use algoprof_vm::{CompiledProgram, Heap, Value};
 
-use crate::cost::{AccessOp, CostKey};
+use crate::cost::{AccessOp, AccessTarget, CostKey};
 use crate::inputs::{InputId, InputRegistry};
 use crate::snapshot::{ElemKey, SnapshotStats};
 
 use super::repetition::RepetitionStage;
 use super::{AlgoProfOptions, SnapshotPolicy};
-
-/// What kind of heap location an access event touched: an array slot,
-/// or an object field (with the object's class when known).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AccessTarget {
-    Array,
-    Field(Option<ClassId>),
-}
 
 /// Identifies inputs and records access/size observations.
 #[derive(Debug)]
@@ -98,14 +90,19 @@ impl AttributionStage {
         }
         let m = self.registry.measure_unidentified(program, heap, r)?;
         let size = m.snapshot.size_under(self.registry.array_strategy());
-        let candidates = rep.chain_candidates();
+        let candidates = if self.registry.reads_candidates() {
+            rep.chain_candidates()
+        } else {
+            Vec::new()
+        };
         let id = self.registry.identify(m, &candidates);
         Some((id, Some(size)))
     }
 
     /// Records an access observation of `input` through `r` on the
-    /// current node's active invocation, counting it under `access` when
-    /// the access is this thread's own. One record lookup serves both.
+    /// current node's active invocation, counting it as an `access` of
+    /// its target when the access is this thread's own. One record lookup
+    /// serves both.
     #[allow(clippy::too_many_arguments)]
     fn observe(
         &mut self,
@@ -115,15 +112,15 @@ impl AttributionStage {
         input: InputId,
         r: Value,
         measured: Option<usize>,
-        access: Option<CostKey>,
+        access: Option<(AccessTarget, AccessOp)>,
     ) {
         let every_access = self.snapshot_policy == SnapshotPolicy::EveryAccess;
         let cur = rep
             .current_mut()
             .expect("the current node has an active invocation");
         let (record, opened) = cur.inputs.find_or_insert(input);
-        if let Some(key) = access {
-            record.count(key);
+        if let Some((target, op)) = access {
+            record.count(target, op);
         }
 
         // First access in this invocation (or every access, under that
@@ -202,15 +199,7 @@ impl AttributionStage {
         if op == AccessOp::Write {
             self.registry.mark_dirty(input, heap.epoch());
         }
-        // One count per access: a field access of known class counts
-        // only by type, and finalizing the invocation folds those counts
-        // into its `StructAccess` totals (`CostMap::fold_by_type`).
-        let key = match target {
-            AccessTarget::Array => CostKey::ArrayAccess { input, op },
-            AccessTarget::Field(Some(class)) => CostKey::StructAccessByType { input, class, op },
-            AccessTarget::Field(None) => CostKey::StructAccess { input, op },
-        };
-        self.observe(rep, program, heap, input, r, measured, Some(key));
+        self.observe(rep, program, heap, input, r, measured, Some((target, op)));
     }
 
     /// A cross-thread read of data this thread wrote last (Coppa et

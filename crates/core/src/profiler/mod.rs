@@ -49,15 +49,15 @@ pub mod repetition;
 
 use algoprof_vm::{CompiledProgram, Event, EventCx, EventSink, ThreadId, Value};
 
-use crate::cost::{AccessOp, CostKey};
+use crate::cost::{AccessOp, AccessTarget, CostKey};
 use crate::inputs::InputRegistry;
 use crate::profile::{AlgorithmicProfile, ProfileSet};
 use crate::reptree::RepTree;
 use crate::snapshot::{
-    ArraySizeStrategy, ElemKey, ElemKeyMap, EquivalenceCriterion, IncrementalMode, SnapshotStats,
+    ArraySizeStrategy, ElemKey, EquivalenceCriterion, IncrementalMode, RefTable, SnapshotStats,
 };
 
-pub use attribution::{AccessTarget, AttributionStage};
+pub use attribution::AttributionStage;
 pub use repetition::RepetitionStage;
 
 /// When structure snapshots are taken (paper §3.4).
@@ -131,9 +131,9 @@ pub struct AlgoProf {
     cur: usize,
     /// Last thread to write each heap location (allocation counts as a
     /// write), recorded only once a second pipeline exists. Drives the
-    /// cross-thread read rule; a location with no entry was last written
-    /// by the main thread.
-    last_writer: ElemKeyMap<usize>,
+    /// cross-thread read rule; a location never recorded reads as 0, the
+    /// main thread.
+    last_writer: RefTable<usize>,
 }
 
 impl AlgoProf {
@@ -149,7 +149,7 @@ impl AlgoProf {
             opts,
             threads: vec![(RepetitionStage::new(), AttributionStage::new(&opts))],
             cur: 0,
-            last_writer: ElemKeyMap::default(),
+            last_writer: RefTable::default(),
         }
     }
 
@@ -176,10 +176,10 @@ impl AlgoProf {
     /// the main pipeline is the only one, every write is the main
     /// thread's, so nothing is recorded: every location is allocated
     /// through an `ObjectAlloc` / `ArrayAlloc` event, so any location
-    /// without an entry was last written by the main thread.
+    /// never recorded was last written by the main thread.
     fn note_write(&mut self, key: ElemKey) {
         if self.threads.len() > 1 {
-            self.last_writer.insert(key, self.cur);
+            self.last_writer.set(key, self.cur);
         }
     }
 
@@ -201,7 +201,7 @@ impl AlgoProf {
             Value::Arr(a) => ElemKey::Arr(a),
             _ => return,
         };
-        let w = self.last_writer.get(&key).copied().unwrap_or(0);
+        let w = self.last_writer.get(key);
         if w == self.cur || w >= self.threads.len() {
             return;
         }

@@ -17,7 +17,7 @@ use std::fmt;
 
 use algoprof_vm::{FuncId, LoopId, Value};
 
-use crate::cost::{CostKey, CostMap};
+use crate::cost::{AccessOp, AccessTarget, CostKey, CostMap};
 use crate::inputs::InputId;
 
 /// Index of a node within its [`RepTree`].
@@ -129,8 +129,9 @@ impl ActiveInvocation {
             costs.add(key, n);
         }
         for record in self.inputs.iter() {
-            for &(key, n) in &record.counts {
-                costs.add(key, n);
+            for &(target, [reads, writes]) in &record.counts {
+                costs.add(target.key(record.input, AccessOp::Read), reads);
+                costs.add(target.key(record.input, AccessOp::Write), writes);
             }
         }
         costs.fold_by_type();
@@ -160,11 +161,11 @@ pub struct InputRecord {
     pub max_size: usize,
     /// Last reference accessed (the exit re-measurement starts here).
     pub last_ref: Option<Value>,
-    /// Access counts on this input, one entry per [`CostKey`]. A field
-    /// access of known class is counted only as
-    /// [`CostKey::StructAccessByType`]; its `StructAccess` total appears
-    /// when the invocation is finalized.
-    pub counts: Vec<(CostKey, u64)>,
+    /// Access counts on this input: `[reads, writes]` per access
+    /// target, so the reads and writes of one class share an entry.
+    /// Finalizing the invocation turns each into its [`CostKey`]s
+    /// ([`AccessTarget::key`]).
+    pub counts: Vec<(AccessTarget, [u64; 2])>,
 }
 
 impl InputRecord {
@@ -179,9 +180,16 @@ impl InputRecord {
         }
     }
 
-    /// Counts one access under `key`.
-    pub fn count(&mut self, key: CostKey) {
-        bump_in(&mut self.counts, key);
+    /// Counts one `op` access of `target`.
+    pub fn count(&mut self, target: AccessTarget, op: AccessOp) {
+        let at = match self.counts.iter().position(|&(t, _)| t == target) {
+            Some(at) => at,
+            None => {
+                self.counts.push((target, [0, 0]));
+                self.counts.len() - 1
+            }
+        };
+        self.counts[at].1[usize::from(op == AccessOp::Write)] += 1;
     }
 
     fn observation(&self) -> InputObservation {

@@ -9,8 +9,8 @@
 
 use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
-use std::ops::{AddAssign, Range};
+use std::hash::{BuildHasher, Hasher};
+use std::ops::AddAssign;
 use std::sync::OnceLock;
 
 use algoprof_vm::bytecode::ElemKind;
@@ -32,51 +32,11 @@ pub enum ElemKey {
     Int(i64),
 }
 
-/// A multiply-rotate hasher (FxHash's mixing step) for [`ElemKey`]
-/// maps, which the profiler probes on every field and array access.
-/// Reference keys are heap indices the VM hands out in sequence, so a
-/// keyed, collision-resistant hash buys nothing here.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ElemKeyHasher(u64);
-
-impl ElemKeyHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for ElemKeyHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
-}
-
-/// A hash map keyed by [`ElemKey`] under [`ElemKeyHasher`].
-pub type ElemKeyMap<V> = HashMap<ElemKey, V, BuildHasherDefault<ElemKeyHasher>>;
-
 /// The multiset of an array measurement's element keys
 /// ([`Measurement::elem_counts`]). Its `Int` keys are values the guest
-/// chose, and [`ElemKeyHasher`]'s low bits depend only on a key's low
-/// bits: a guest storing multiples of 2³² would put every key in one
-/// probe chain. So this map hashes under [`SeededState`] instead.
+/// chose, so a hash whose low bits depend only on a key's low bits would
+/// let a guest storing multiples of 2³² put every key in one probe
+/// chain. So this map hashes under [`SeededState`].
 pub type ElemCounts = HashMap<ElemKey, usize, SeededState>;
 
 /// Builds [`SeededHasher`]s from one random seed per process, so a guest
@@ -136,89 +96,163 @@ impl Hasher for SeededHasher {
     }
 }
 
-/// One generation stamp, and a value, per heap object and per array,
-/// indexed by [`ObjRef`] / [`ArrRef`]. Starting a new generation
-/// forgets every entry at once, so setting an entry costs one store and
-/// a lookup one load. The tables grow to the heap's size when a
-/// generation starts.
-#[derive(Debug, Default, Clone)]
-struct Stamped<T> {
-    generation: u32,
-    objects: Vec<(u32, T)>,
-    arrays: Vec<(u32, T)>,
+/// One value per heap object and per array, indexed by [`ObjRef`] /
+/// [`ArrRef`] slot. The heap hands slots out densely and never reuses
+/// one, so a lookup is one load. A slot never set reads as
+/// `T::default()`; the table grows to the largest slot set, so two
+/// tables given the same writes are equal.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub(crate) struct RefTable<T> {
+    objects: Vec<T>,
+    arrays: Vec<T>,
 }
 
-impl<T: Copy + Default> Stamped<T> {
-    /// Starts a generation over `heap`: no entry is set afterwards.
-    fn begin(&mut self, heap: &Heap) {
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            // Wrapped: stamps from 2^32 generations ago would read as set.
-            self.objects.fill((0, T::default()));
-            self.arrays.fill((0, T::default()));
-            self.generation = 1;
+impl<T: Copy + Default> RefTable<T> {
+    /// The entry of object slot `index`, or of array slot `index` when
+    /// `array`; grows the table to hold it.
+    fn slot(&mut self, array: bool, index: u32) -> &mut T {
+        let (slots, i) = match array {
+            false => (&mut self.objects, index as usize),
+            true => (&mut self.arrays, index as usize),
+        };
+        if i >= slots.len() {
+            slots.resize(i + 1, T::default());
         }
-        if self.objects.len() < heap.object_count() {
-            self.objects.resize(heap.object_count(), (0, T::default()));
+        &mut slots[i]
+    }
+
+    /// The value of `key` (the default for a primitive key).
+    pub(crate) fn get(&self, key: ElemKey) -> T {
+        let slot = match key {
+            ElemKey::Obj(o) => self.objects.get(o.0 as usize),
+            ElemKey::Arr(a) => self.arrays.get(a.0 as usize),
+            ElemKey::Int(_) => None,
+        };
+        slot.copied().unwrap_or_default()
+    }
+
+    /// Sets `key` to `value` and returns its previous value. Primitive
+    /// keys are never set.
+    pub(crate) fn set(&mut self, key: ElemKey, value: T) -> T {
+        let slot = match key {
+            ElemKey::Obj(o) => self.slot(false, o.0),
+            ElemKey::Arr(a) => self.slot(true, a.0),
+            ElemKey::Int(_) => return T::default(),
+        };
+        std::mem::replace(slot, value)
+    }
+}
+
+/// What a walk knew of a key when it first reached it (see [`Stamped`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mark {
+    /// Reached before in this walk.
+    Visited,
+    /// Not reached before, and a key of the cached measurement.
+    Cached,
+    /// Not reached before, and no cached key.
+    Unmarked,
+}
+
+/// The marks of one walk: a generation stamp per heap object and per
+/// array. Each walk takes two stamps, one for the keys of the cached
+/// measurement it redoes and one for the keys it visits, so starting a
+/// walk forgets every mark at once, marking costs one store and a test
+/// one load.
+#[derive(Debug, Default, Clone)]
+struct Stamped {
+    generation: u32,
+    stamps: RefTable<u32>,
+}
+
+impl Stamped {
+    /// Starts a walk: no key is marked afterwards.
+    fn begin(&mut self) {
+        self.generation = match self.generation.checked_add(2) {
+            Some(generation) => generation,
+            None => {
+                // Wrapped: stamps from 2^31 walks ago would read as set.
+                self.stamps = RefTable::default();
+                2
+            }
+        };
+    }
+
+    /// Marks `key` as a key of the cached measurement.
+    fn mark_cached(&mut self, key: ElemKey) {
+        self.stamps.set(key, self.generation - 1);
+    }
+
+    /// Marks `key` visited, and says what it was before.
+    fn visit(&mut self, key: WalkKey) -> Mark {
+        let stamp = self.stamps.slot(key.is_array(), key.index());
+        let before = std::mem::replace(stamp, self.generation);
+        if before == self.generation {
+            Mark::Visited
+        } else if before == self.generation - 1 {
+            Mark::Cached
+        } else {
+            Mark::Unmarked
         }
-        if self.arrays.len() < heap.array_count() {
-            self.arrays.resize(heap.array_count(), (0, T::default()));
+    }
+}
+
+/// A reference key in the form a structure walk handles it: the heap
+/// slot, with [`WalkKey::ARRAY`] set for an array. It orders as the
+/// [`ElemKey`] it stands for (objects before arrays, then by slot), and
+/// compares in one instruction, which the sorted edge lists need.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct WalkKey(u64);
+
+impl WalkKey {
+    const ARRAY: u64 = 1 << 32;
+
+    /// The key of a reference value.
+    fn of(v: Value) -> Option<WalkKey> {
+        match v {
+            Value::Obj(o) => Some(WalkKey(u64::from(o.0))),
+            Value::Arr(a) => Some(WalkKey(WalkKey::ARRAY | u64::from(a.0))),
+            _ => None,
         }
     }
 
-    /// Sets `key` to `value`; true when it was not yet set in this
-    /// generation. Primitive keys are never set.
-    fn set(&mut self, key: ElemKey, value: T) -> bool {
-        let entry = match key {
-            ElemKey::Obj(o) => &mut self.objects[o.0 as usize],
-            ElemKey::Arr(a) => &mut self.arrays[a.0 as usize],
-            ElemKey::Int(_) => return false,
-        };
-        let fresh = entry.0 != self.generation;
-        *entry = (self.generation, value);
-        fresh
+    fn is_array(self) -> bool {
+        self.0 & WalkKey::ARRAY != 0
     }
 
-    /// The value `key` was set to in this generation, if it was.
-    fn get(&self, key: ElemKey) -> Option<T> {
-        let (stamp, value) = match key {
-            ElemKey::Obj(o) => self.objects[o.0 as usize],
-            ElemKey::Arr(a) => self.arrays[a.0 as usize],
-            ElemKey::Int(_) => return None,
-        };
-        (stamp == self.generation).then_some(value)
+    fn index(self) -> u32 {
+        self.0 as u32
+    }
+
+    fn elem_key(self) -> ElemKey {
+        match self.is_array() {
+            false => ElemKey::Obj(ObjRef(self.index())),
+            true => ElemKey::Arr(ArrRef(self.index())),
+        }
     }
 }
 
 /// Scratch space for structure walks, meant to be owned by whoever walks
-/// repeatedly (the input registry) so its allocations are reused.
-///
-/// It holds the visit marks of the current walk, an index of the cached
-/// measurement's containers (each marked key maps to its position in
-/// [`Measurement::containers`]), and the walk's member, discoverer,
-/// container and edge buffers. The marks and the index have their own
-/// generations, so both are live during one walk.
+/// repeatedly (the input registry) so its allocations are reused: the
+/// marks of the current walk, and its member, edge and new-member
+/// buffers.
 #[derive(Debug, Default, Clone)]
 pub struct VisitMarks {
-    visited: Stamped<()>,
-    index: Stamped<u32>,
+    marks: Stamped,
     walk: WalkBuffers,
 }
 
 /// The buffers one structure walk fills (see [`VisitMarks`]).
 #[derive(Debug, Default, Clone)]
 struct WalkBuffers {
-    /// Members in the order they were reached; also the queue.
-    members: Vec<ElemKey>,
-    /// `discoverers[i]` is the member whose edge first reached
-    /// `members[i]` (the root discovers itself).
-    discoverers: Vec<ElemKey>,
-    /// Containers in the order they were visited, with ranges into
-    /// `edges`.
-    containers: Vec<ContainerRecord>,
-    edges: Vec<ElemKey>,
-    /// Members that are not containers of the cached measurement.
-    uncached: Vec<ElemKey>,
+    /// Members in the order they were reached, each with the member
+    /// whose edge first reached it (the root discovers itself); also the
+    /// queue.
+    members: Vec<(WalkKey, WalkKey)>,
+    /// The sorted outgoing edges of the member being visited.
+    edges: Vec<WalkKey>,
+    /// Members that are not keys of the cached measurement.
+    added: Vec<WalkKey>,
 }
 
 /// Marks are scratch state between walks, not part of any result, so
@@ -347,8 +381,9 @@ impl Snapshot {
 /// of its last write (see `algoprof_vm::Heap::epoch`). A cached
 /// [`Measurement`] whose traversed containers are all unmodified since
 /// it was taken is still exact, so the traversal can be skipped. When
-/// some changed, a structure is walked again over the cached edge lists
-/// of the unmodified ones, and an array replays its journalled stores.
+/// some changed, a structure is walked again over the heap, keeping the
+/// cached snapshot when the members did not change, and an array
+/// replays its journalled stores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IncrementalMode {
     /// Always re-traverse (the paper's original behaviour).
@@ -369,12 +404,11 @@ pub struct SnapshotStats {
     pub full_walks: u64,
     /// Measurements answered entirely from cache.
     pub cache_hits: u64,
-    /// Measurements answered by a walk over cached edge lists (for
-    /// arrays, by a replay of the write log).
+    /// Measurements answered by a structure walk that redoes a cached
+    /// one (for arrays, by a replay of the write log).
     pub partial_redos: u64,
-    /// Objects visited by traversals (full walks and partial redos). A
-    /// structure walk counts only the members whose edges it reads from
-    /// the heap, not those whose cached edge lists it reuses.
+    /// Objects read from the heap by traversals (full walks and partial
+    /// redos).
     pub objects_traversed: u64,
     /// Arrays visited by traversals, counted like objects.
     pub arrays_traversed: u64,
@@ -409,22 +443,6 @@ impl AddAssign for SnapshotStats {
     }
 }
 
-/// One container (object or array) visited by a traversal, with the
-/// outgoing references the traversal followed out of it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ContainerRecord {
-    /// The container itself.
-    pub key: ElemKey,
-    /// Where, in [`Measurement::edges`], the non-null references the
-    /// traversal followed out of this container (recursive fields for
-    /// objects, elements for ref arrays) are stored, sorted so the
-    /// walk's back-edge check can binary-search them.
-    pub edges: Range<u32>,
-    /// Non-null references counted inside this container when it is an
-    /// array (contributes to [`Snapshot::refs_traversed`]).
-    pub array_refs: usize,
-}
-
 /// A [`Snapshot`] plus everything needed to decide later whether a
 /// traversal can reuse it: the root, the heap epoch it reflects, the
 /// containers whose mutation would invalidate it, and whether a walk
@@ -438,15 +456,11 @@ pub struct Measurement {
     /// Heap epoch this measurement reflects: it is exact as long as no
     /// container was stamped after this epoch.
     pub epoch: u64,
-    /// Containers whose mutation invalidates the snapshot, sorted by
-    /// key. For structures these are the visited objects and ref-kind
-    /// arrays (primitive arrays contribute only their identity, which
-    /// element stores cannot change); for arrays, every visited array.
-    pub containers: Vec<ContainerRecord>,
-    /// The containers' outgoing edges, one range per container (see
-    /// [`ContainerRecord::edges`]), in the order the walk visited them.
-    /// Every edge belongs to exactly one container's range.
-    pub edges: Vec<ElemKey>,
+    /// Containers whose mutation invalidates the snapshot, sorted. For
+    /// structures these are the visited objects and ref-kind arrays
+    /// (primitive arrays contribute only their identity, which element
+    /// stores cannot change); for arrays, every visited array.
+    pub containers: Vec<ElemKey>,
     /// Position in the heap's array write log when this measurement was
     /// taken (see `Heap::log_pos`). [`try_partial_array`] replays the
     /// entries journalled since then instead of re-scanning elements.
@@ -472,32 +486,21 @@ impl Measurement {
     /// and for synthetic registry population.
     pub fn detached(snapshot: Snapshot) -> Measurement {
         let root = snapshot.ref_keys().next().unwrap_or(ElemKey::Int(0));
-        let containers = snapshot
-            .ref_keys()
-            .map(|key| ContainerRecord {
-                key,
-                edges: 0..0,
-                array_refs: 0,
-            })
-            .collect();
+        let containers = snapshot.ref_keys().collect();
         Measurement {
             snapshot,
             root,
             epoch: 0,
             containers,
-            edges: Vec::new(),
             log_pos: u64::MAX,
             elem_counts: ElemCounts::default(),
             strongly_connected: false,
         }
     }
 
-    /// Finds the container record for `key`, if the traversal visited it.
-    pub fn container(&self, key: ElemKey) -> Option<&ContainerRecord> {
-        self.containers
-            .binary_search_by(|c| c.key.cmp(&key))
-            .ok()
-            .map(|i| &self.containers[i])
+    /// Whether the traversal visited `key` as a container.
+    pub fn has_container(&self, key: ElemKey) -> bool {
+        self.containers.binary_search(&key).is_ok()
     }
 
     /// Whether a walk from `root` finds the members a walk from
@@ -510,7 +513,7 @@ impl Measurement {
         self.root == root
             || (self.strongly_connected
                 && matches!(root, ElemKey::Obj(_))
-                && self.container(root).is_some())
+                && self.has_container(root))
     }
 
     /// Whether every container is unmodified since `self.epoch` — i.e.
@@ -519,7 +522,7 @@ impl Measurement {
     pub fn still_exact(&self, heap: &Heap) -> bool {
         self.containers
             .iter()
-            .all(|c| stamp(heap, c.key) <= self.epoch)
+            .all(|&key| stamp(heap, key) <= self.epoch)
     }
 }
 
@@ -532,61 +535,59 @@ fn stamp(heap: &Heap, key: ElemKey) -> u64 {
     }
 }
 
-/// Appends the sorted outgoing-edge multiset of one container to
-/// `edges`, as the structure traversal sees it: recursive-field
-/// references for objects, elements for ref arrays, and counts the
-/// heap read into `stats`. Returns the number of references counted
-/// inside an array (0 for objects), or `None` for a primitive array: it
-/// is a member of a structure but not a container of it, since its
-/// element stores cannot change a structure snapshot.
+/// Fills `edges` with the sorted outgoing-edge multiset of one
+/// container, as the structure traversal sees it: recursive-field
+/// references for objects, elements for ref arrays, and counts the heap
+/// read into `stats`. Returns the number of references counted inside
+/// an array (0 for objects), or `None` for a primitive array: it is a
+/// member of a structure but not a container of it, since its element
+/// stores cannot change a structure snapshot.
 fn scan_container(
     program: &CompiledProgram,
     heap: &Heap,
-    key: ElemKey,
-    edges: &mut Vec<ElemKey>,
+    key: WalkKey,
+    edges: &mut Vec<WalkKey>,
     stats: &mut SnapshotStats,
 ) -> Option<usize> {
-    let from = edges.len();
-    let refs = |v: &Value| match *v {
-        Value::Obj(c) => Some(ElemKey::Obj(c)),
-        Value::Arr(c) => Some(ElemKey::Arr(c)),
-        _ => None,
-    };
-    let array_refs = match key {
-        ElemKey::Obj(o) => {
-            stats.objects_traversed += 1;
-            let layout = &program.class(heap.object(o).class).field_layout;
-            for (v, &fid) in heap.fields(o).iter().zip(layout) {
-                if program.field(fid).is_recursive {
-                    edges.extend(refs(v));
-                }
-            }
-            0
+    edges.clear();
+    let array_refs = if key.is_array() {
+        let arr = heap.array(ArrRef(key.index()));
+        stats.arrays_traversed += 1;
+        stats.elements_scanned += arr.elems.len() as u64;
+        if arr.elem != ElemKind::Ref {
+            return None;
         }
-        ElemKey::Arr(a) => {
-            let arr = heap.array(a);
-            stats.arrays_traversed += 1;
-            stats.elements_scanned += arr.elems.len() as u64;
-            if arr.elem != ElemKind::Ref {
-                return None;
+        edges.extend(arr.elems.iter().filter_map(|&v| WalkKey::of(v)));
+        edges.len()
+    } else {
+        let o = ObjRef(key.index());
+        stats.objects_traversed += 1;
+        let layout = &program.class(heap.object(o).class).field_layout;
+        for (&v, &fid) in heap.fields(o).iter().zip(layout) {
+            match WalkKey::of(v) {
+                Some(key) if program.field(fid).is_recursive => edges.push(key),
+                _ => {}
             }
-            edges.extend(arr.elems.iter().filter_map(refs));
-            edges.len() - from
         }
-        ElemKey::Int(_) => return None,
+        0
     };
-    edges[from..].sort_unstable();
+    // Two edges (a doubly linked node) are ordered without a branch.
+    if let [x, y] = edges[..] {
+        edges[0] = x.min(y);
+        edges[1] = x.max(y);
+    } else {
+        edges.sort_unstable();
+    }
     Some(array_refs)
 }
 
 /// Whether `key` can be a member of a structure: objects of recursive
 /// classes and arrays (the structure membership rule of paper §3.4).
-fn joins_structure(program: &CompiledProgram, heap: &Heap, key: ElemKey) -> bool {
-    match key {
-        ElemKey::Obj(o) => program.class(heap.object(o).class).is_recursive,
-        ElemKey::Arr(_) => true,
-        ElemKey::Int(_) => false,
-    }
+fn joins_structure(program: &CompiledProgram, heap: &Heap, key: WalkKey) -> bool {
+    key.is_array()
+        || program
+            .class(heap.object(ObjRef(key.index())).class)
+            .is_recursive
 }
 
 /// Takes a snapshot of the recursive structure reachable from `start`
@@ -604,8 +605,8 @@ pub fn snapshot_structure(program: &CompiledProgram, heap: &Heap, start: ObjRef)
     .snapshot
 }
 
-/// Like [`snapshot_structure`], but also records the walk's containers,
-/// edges and epoch for later incremental reuse, and counts the work into
+/// Like [`snapshot_structure`], but also records the walk's containers
+/// and epoch for later incremental reuse, and counts the work into
 /// `stats` as a full walk. `marks` is scratch space, reused across calls.
 pub fn measure_structure(
     program: &CompiledProgram,
@@ -630,11 +631,11 @@ pub fn measure_structure(
 }
 
 /// Brings the structure measurement `m` up to date as a walk from
-/// `start`, reading from the heap only the edge lists of members that
-/// are not unmodified containers of `m`, and counts it into `stats` as a
+/// `start` over the current heap, and counts it into `stats` as a
 /// partial redo. Afterwards `m` equals what [`measure_structure`] from
-/// `start` returns. Returns the members that were not containers of `m`
-/// (new members, and primitive arrays, which are never containers).
+/// `start` returns; when the walk finds exactly `m`'s keys, `m`'s
+/// snapshot is kept rather than rebuilt. Returns the members that were
+/// not keys of `m`.
 ///
 /// # Panics
 ///
@@ -653,18 +654,22 @@ pub fn remeasure_structure(
     );
     walk_structure(program, heap, start, m, true, marks, stats);
     stats.partial_redos += 1;
-    std::mem::take(&mut marks.walk.uncached)
+    marks.walk.added.iter().map(|key| key.elem_key()).collect()
 }
 
 /// The structure walk: one breadth-first pass from `start` under the
 /// membership rule of paper §3.4, which makes `m` its measurement. Each
 /// member is marked when first reached, so the member list doubles as
-/// the queue. A member's edge list is its sorted outgoing references.
-/// With `reuse`, it is copied from `m` when the member is a container of
-/// `m` stamped no later than `m.epoch`; otherwise it is read from the
-/// heap (and counted into `stats`). Either way it is the current heap's,
-/// so the walk reaches what a walk over the heap reaches, in the same
-/// order, and `m` ends up as a full walk from `start` would leave it.
+/// the queue, and its sorted outgoing references, read from the heap,
+/// are followed in order.
+///
+/// With `redo`, `m`'s containers are marked first, so each member is
+/// also told apart as one of `m`'s keys or a new one (a primitive
+/// array, a key but never a container, is looked up in the key set).
+/// When there is no new member
+/// and as many members as keys, the members are `m`'s keys, and `m`'s
+/// containers and snapshot, every field of which but `refs_traversed`
+/// is a function of the members, are kept.
 ///
 /// The walk also checks that every non-root member has an edge back to
 /// the member that discovered it. Following those edges leads from any
@@ -676,102 +681,74 @@ fn walk_structure(
     heap: &Heap,
     start: ObjRef,
     m: &mut Measurement,
-    reuse: bool,
+    redo: bool,
     marks: &mut VisitMarks,
     stats: &mut SnapshotStats,
 ) {
-    marks.visited.begin(heap);
-    let cached = reuse.then_some(&*m);
-    if let Some(m) = cached {
-        marks.index.begin(heap);
-        for (i, c) in m.containers.iter().enumerate() {
-            marks.index.set(c.key, i as u32);
+    let (marks, b) = (&mut marks.marks, &mut marks.walk);
+    marks.begin();
+    if redo {
+        for &key in &m.containers {
+            marks.mark_cached(key);
         }
     }
-    let mut b = std::mem::take(&mut marks.walk);
     b.members.clear();
-    b.discoverers.clear();
-    b.containers.clear();
-    b.edges.clear();
-    b.uncached.clear();
-    let root = ElemKey::Obj(start);
-    if marks.visited.set(root, ()) && joins_structure(program, heap, root) {
-        b.members.push(root);
-        b.discoverers.push(root);
-    }
+    b.added.clear();
+    let mut reach = |key: WalkKey, discoverer: WalkKey, b: &mut WalkBuffers| {
+        let mark = marks.visit(key);
+        if mark != Mark::Visited && joins_structure(program, heap, key) {
+            b.members.push((key, discoverer));
+            if redo && mark == Mark::Unmarked {
+                b.added.push(key);
+            }
+        }
+    };
+    let root = WalkKey(u64::from(start.0));
+    reach(root, root, b);
+    let mut edges = std::mem::take(&mut b.edges);
     let mut strongly_connected = true;
+    let mut primitive_members = 0;
     let mut refs_traversed = 0;
     let mut next = 0;
-    while let Some(&key) = b.members.get(next) {
+    while let Some(&(key, discoverer)) = b.members.get(next) {
         next += 1;
-        let from = b.edges.len();
-        let record = cached.and_then(|m| Some((m, &m.containers[marks.index.get(key)? as usize])));
-        let array_refs = match record {
-            Some((m, c)) if stamp(heap, key) <= m.epoch => {
-                b.edges
-                    .extend_from_slice(&m.edges[c.edges.start as usize..c.edges.end as usize]);
-                c.array_refs
-            }
-            _ => {
-                if cached.is_some() && record.is_none() {
-                    b.uncached.push(key);
-                }
-                let Some(array_refs) = scan_container(program, heap, key, &mut b.edges, stats)
-                else {
-                    strongly_connected = false;
-                    continue;
-                };
-                array_refs
-            }
+        let Some(array_refs) = scan_container(program, heap, key, &mut edges, stats) else {
+            strongly_connected = false;
+            primitive_members += 1;
+            continue;
         };
         if strongly_connected && next > 1 {
-            strongly_connected = b.edges[from..]
-                .binary_search(&b.discoverers[next - 1])
-                .is_ok();
+            strongly_connected = edges.binary_search(&discoverer).is_ok();
         }
-        for &child in &b.edges[from..] {
-            if marks.visited.set(child, ()) && joins_structure(program, heap, child) {
-                b.members.push(child);
-                b.discoverers.push(key);
-            }
+        for &child in &edges {
+            reach(child, key, b);
         }
         refs_traversed += array_refs;
-        b.containers.push(ContainerRecord {
-            key,
-            edges: from as u32..b.edges.len() as u32,
-            array_refs,
-        });
+    }
+    b.edges = edges;
+    if redo && primitive_members > 0 {
+        b.added
+            .retain(|key| !m.snapshot.keys.contains(&key.elem_key()));
     }
 
-    // Every member but the uncached ones is a container of `cached`, so
-    // a key of it; if the uncached ones are keys too, the member set is a
-    // subset of the key set, and equal to it when the sizes match.
-    let same_members = cached.is_some()
-        && b.members.len() == m.snapshot.keys.len()
-        && b.uncached.iter().all(|k| m.snapshot.keys.contains(k));
-    if same_members {
-        // Keep the sorted containers and the snapshot, whose every field
-        // but `refs_traversed` is a function of the members; only point
-        // each container at its new edge range.
-        for c in &b.containers {
-            let i = marks.index.get(c.key).expect("a cached container") as usize;
-            m.containers[i].edges = c.edges.clone();
-            m.containers[i].array_refs = c.array_refs;
-        }
-    } else {
-        b.containers.sort_unstable_by_key(|c| c.key);
-        std::mem::swap(&mut m.containers, &mut b.containers);
-        // Members are the containers plus any primitive arrays; without
-        // the latter, the sorted containers already give the sorted keys.
-        m.snapshot.keys = if b.members.len() == m.containers.len() {
-            m.containers.iter().map(|c| c.key).collect()
-        } else {
-            b.members.iter().copied().collect()
-        };
+    let same_members = redo && b.added.is_empty() && b.members.len() == m.snapshot.keys.len();
+    if !same_members {
+        let mut sorted: Vec<WalkKey> = b.members.iter().map(|&(key, _)| key).collect();
+        sorted.sort_unstable();
+        m.snapshot.keys = sorted.iter().map(|key| key.elem_key()).collect();
+        m.containers.clear();
+        m.containers.extend(
+            sorted
+                .iter()
+                .filter(|key| {
+                    !key.is_array() || heap.array(ArrRef(key.index())).elem == ElemKind::Ref
+                })
+                .map(|key| key.elem_key()),
+        );
         let mut class_counts: Vec<(ClassId, usize)> = Vec::new();
-        for &key in &b.members {
-            if let ElemKey::Obj(o) = key {
-                let class = heap.object(o).class;
+        for &(key, _) in &b.members {
+            if !key.is_array() {
+                let class = heap.object(ObjRef(key.index())).class;
                 match class_counts.iter_mut().find(|(c, _)| *c == class) {
                     Some((_, n)) => *n += 1,
                     None => class_counts.push((class, 1)),
@@ -786,12 +763,10 @@ fn walk_structure(
         m.snapshot.unique_size = size;
     }
     m.snapshot.refs_traversed = refs_traversed;
-    std::mem::swap(&mut m.edges, &mut b.edges);
-    m.root = root;
+    m.root = root.elem_key();
     m.epoch = heap.epoch();
     m.log_pos = heap.log_pos();
     m.strongly_connected = strongly_connected;
-    marks.walk = b;
 }
 
 /// Takes a snapshot of `arr`, recursing into nested arrays (a
@@ -811,8 +786,6 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
     let mut self_ref = false;
     let mut refs_traversed = 0usize;
     let root_elem = heap.array(arr).elem;
-    let mut containers = Vec::new();
-    let mut edges = Vec::new();
     let mut elem_counts = ElemCounts::default();
 
     let mut queue = vec![arr];
@@ -825,8 +798,6 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
         let array = heap.array(a);
         capacity += array.elems.len();
         stats.elements_scanned += array.elems.len() as u64;
-        let from = edges.len();
-        let mut array_refs = 0usize;
         match array.elem {
             ElemKind::Int | ElemKind::Bool => {
                 for &e in &array.elems {
@@ -847,14 +818,10 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
                             *elem_counts.entry(ElemKey::Obj(o)).or_insert(0) += 1;
                             refs_traversed += 1;
                             stats.objects_traversed += 1;
-                            edges.push(ElemKey::Obj(o));
-                            array_refs += 1;
                         }
                         Value::Arr(child) => {
                             self_ref |= child == arr;
                             refs_traversed += 1;
-                            edges.push(ElemKey::Arr(child));
-                            array_refs += 1;
                             queue.push(child);
                         }
                         _ => {}
@@ -862,16 +829,9 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
                 }
             }
         }
-        edges[from..].sort_unstable();
-        containers.push(ContainerRecord {
-            key: ElemKey::Arr(a),
-            edges: from as u32..edges.len() as u32,
-            array_refs,
-        });
     }
-    containers.sort_unstable_by_key(|c| c.key);
     stats.full_walks += 1;
-    stats.arrays_traversed += containers.len() as u64;
+    stats.arrays_traversed += seen.len() as u64;
 
     Measurement {
         snapshot: Snapshot {
@@ -887,8 +847,7 @@ pub fn measure_array(heap: &Heap, arr: ArrRef, stats: &mut SnapshotStats) -> Mea
         },
         root: ElemKey::Arr(arr),
         epoch: heap.epoch(),
-        containers,
-        edges,
+        containers: seen.into_iter().map(ElemKey::Arr).collect(),
         log_pos: heap.log_pos(),
         elem_counts,
         strongly_connected: false,
@@ -919,10 +878,6 @@ fn elem_key_of(v: Value) -> Option<ElemKey> {
 /// to a full walk — when the log window is gone or when any journalled
 /// write on a traversed container stores or removes a nested array
 /// (that changes which containers the traversal must visit).
-///
-/// Container `edges`/`array_refs` records are *not* maintained here:
-/// the array path never consults them (replay revalidates via the log
-/// and the stamps alone).
 pub fn try_partial_array(
     heap: &Heap,
     m: &mut Measurement,
@@ -933,13 +888,13 @@ pub fn try_partial_array(
     }
     let entries = heap.array_writes_since(m.log_pos)?;
     if entries.iter().any(|w| {
-        m.container(ElemKey::Arr(w.arr)).is_some()
+        m.has_container(ElemKey::Arr(w.arr))
             && (matches!(w.old, Value::Arr(_)) || matches!(w.new, Value::Arr(_)))
     }) {
         return None;
     }
     for &w in entries {
-        if m.container(ElemKey::Arr(w.arr)).is_none() {
+        if !m.has_container(ElemKey::Arr(w.arr)) {
             continue;
         }
         stats.elements_scanned += 1;
@@ -1248,19 +1203,13 @@ mod tests {
 
     #[test]
     fn element_multiset_spreads_keys_that_differ_only_in_high_bits() {
-        // Multiples of 2^32 share every low bit, so the unseeded
-        // `ElemKeyHasher` gives them one bucket of 64; the seeded hash
-        // must spread them like random keys (~40 distinct buckets).
-        let buckets = |state: &dyn Fn(ElemKey) -> u64| {
-            (0..64i64)
-                .map(|k| state(ElemKey::Int(k << 32)) & 63)
-                .collect::<BTreeSet<_>>()
-                .len()
-        };
-        let unseeded = BuildHasherDefault::<ElemKeyHasher>::default();
-        assert_eq!(buckets(&|k| unseeded.hash_one(k)), 1);
+        // Multiples of 2^32 share every low bit; the seeded hash must
+        // spread them over 64 buckets like random keys (~40 distinct).
         let seeded = SeededState::default();
-        assert!(buckets(&|k| seeded.hash_one(k)) >= 24);
+        let buckets = (0..64i64)
+            .map(|k| seeded.hash_one(ElemKey::Int(k << 32)) & 63)
+            .collect::<BTreeSet<_>>();
+        assert!(buckets.len() >= 24);
     }
 
     #[test]
@@ -1276,13 +1225,16 @@ mod tests {
             } }
             class Node { Node next; }"#);
         let want = snapshot_structure(&p, &heap, ObjRef(3));
-        // Stamps of generation 1 left from 2^32 walks ago must not read
-        // as marked once the generation wraps back to 1.
+        // Stamps left from 2^31 walks ago must not read as marked once
+        // the generation wraps back to 2.
+        let mut stamps = RefTable::default();
+        for o in 0..heap.object_count() {
+            stamps.set(ElemKey::Obj(ObjRef(o as u32)), 2);
+        }
         let mut marks = VisitMarks {
-            visited: Stamped {
-                generation: u32::MAX,
-                objects: vec![(1, ()); heap.object_count()],
-                arrays: Vec::new(),
+            marks: Stamped {
+                generation: u32::MAX - 1,
+                stamps,
             },
             ..VisitMarks::default()
         };
@@ -1296,11 +1248,11 @@ mod tests {
             );
             assert_eq!(m.snapshot, want);
         }
-        assert_eq!(marks.visited.generation, 2, "wrapped past zero");
+        assert_eq!(marks.marks.generation, 4, "wrapped past zero");
     }
 
     #[test]
-    fn partial_structure_edge_list_stays_linear() {
+    fn partial_structure_redo_returns_each_new_child() {
         let (p, mut heap) = run(r#"class Main { static int main() {
                 Node root = new Node(200);
                 return 0;
@@ -1314,14 +1266,12 @@ mod tests {
         let mut stats = SnapshotStats::default();
         let mut marks = VisitMarks::default();
         let mut m = measure_structure(&p, &heap, root, &mut marks, &mut stats);
-        // Each store grows the child array's edge list by one.
+        // Each store adds one child, and the redo returns just it.
         for i in 0..200 {
             let kid = heap.alloc_object(node, 1);
             heap.set_elem(kids, i, Value::Obj(kid));
             let added = remeasure_structure(&p, &heap, &mut m, root, &mut marks, &mut stats);
             assert_eq!(added, [ElemKey::Obj(kid)]);
-            let live: usize = m.containers.iter().map(|c| c.edges.len()).sum();
-            assert_eq!(m.edges.len(), live, "every edge belongs to a container");
         }
         let fresh = measure_structure(&p, &heap, root, &mut marks, &mut SnapshotStats::default());
         assert_eq!(m, fresh);

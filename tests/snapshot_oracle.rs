@@ -26,18 +26,21 @@
 //! taken from, is allowed only for a strongly connected structure: a
 //! doubly linked list is re-measured from random members under
 //! `IncrementalMode::Differential`, which checks every reuse against a
-//! fresh walk. Every other re-measurement from an object is a walk over
-//! the cached edge lists (`remeasure_structure`), which must never be a
-//! full walk and must equal a fresh walk from the requested root:
-//! snapshot, root, strongly connected flag and edge lists. It is checked
-//! on a singly linked list re-measured from a non-root member, a cut
-//! back link, a member `int[]`, a list grown by one node, seeded relinks
-//! within the members of singly and doubly linked lists, rings and trees
-//! with `Tree[]` children (some keeping every member, some losing a
-//! part), and four further cases: a detached segment, a removal plus a
-//! new node, an `int[]` member next to a relink, and a root outside the
-//! measurement. A root that is an array of the structure is measured by
-//! an array walk, so it alone walks in full.
+//! fresh walk. Every other re-measurement from an object is a redo
+//! (`remeasure_structure`): a walk over the heap that keeps the cached
+//! snapshot when the members did not change. It must never count as a
+//! full walk, must equal a fresh walk from the requested root (snapshot,
+//! root, strongly connected flag, containers), and must return exactly
+//! the members that were not cached keys. It is checked on a singly
+//! linked list re-measured from a non-root member, a cut back link, a
+//! member `int[]`, a list grown by one node, seeded relinks within the
+//! members of singly and doubly linked lists, rings and trees with
+//! `Tree[]` children (some keeping every member, some losing a part),
+//! seeded growth by new nodes and arrays, and four further cases: a
+//! detached segment, a removal plus a new node, an `int[]` member next
+//! to a relink, and a root outside the measurement. A root that is an
+//! array of the structure is measured by an array walk, so it alone
+//! walks in full.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -66,7 +69,8 @@ class Item { int v; }
 "#;
 
 /// The program (instrumented, so recursive classes and fields are
-/// marked) and its three classes.
+/// marked; compiled alone, no class is recursive and every structure
+/// walk is empty) and its three classes.
 struct Decls {
     program: CompiledProgram,
     node: ClassId,
@@ -537,9 +541,9 @@ fn is_cache_hit(delta: SnapshotStats) -> bool {
 }
 
 /// Re-measures input `id` from `root` after the heap changed, and
-/// checks that the registry answered with a walk over the cached edge
-/// lists rather than a full walk, and that the measurement it kept equals
-/// a fresh walk from `root`. Returns the size.
+/// checks that the registry answered with a redo rather than a full
+/// walk, and that the measurement it kept equals a fresh walk from
+/// `root`. Returns the size.
 fn assert_redone(
     d: &Decls,
     heap: &Heap,
@@ -740,18 +744,6 @@ fn array_member_of_a_strongly_connected_structure_walks_again() {
     assert_eq!(size, 2, "the array's capacity");
 }
 
-/// Each container's key and sorted outgoing edges.
-fn edge_lists(m: &Measurement) -> Vec<(ElemKey, Vec<ElemKey>)> {
-    m.containers
-        .iter()
-        .map(|c| {
-            let mut edges = m.edges[c.edges.start as usize..c.edges.end as usize].to_vec();
-            edges.sort_unstable();
-            (c.key, edges)
-        })
-        .collect()
-}
-
 /// Whether a redo kept the members of the measurement it brought up to
 /// date.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -760,11 +752,44 @@ enum Outcome {
     LostMembers,
 }
 
-/// Brings `m` up to date for a walk from `root` after relinks within
-/// its members, and checks that the answer equals a fresh walk from
-/// `root` in every respect that a later reuse depends on. `marks` is
-/// shared with the fresh walk and across calls, as the registry shares
-/// its own.
+/// Brings `m` up to date for a walk from `root` by a redo, and checks
+/// that the answer equals a fresh walk from `root` in every respect that
+/// a later reuse depends on, and that the redo returned exactly the
+/// members the oracle finds that were not keys of `m`. `marks` is shared
+/// with the fresh walk and across calls, as the registry shares its own.
+/// Returns the keys `m` had before.
+fn checked_redo(
+    d: &Decls,
+    heap: &Heap,
+    m: &mut Measurement,
+    root: ObjRef,
+    marks: &mut VisitMarks,
+) -> BTreeSet<ElemKey> {
+    let fresh = measure_structure(&d.program, heap, root, marks, &mut SnapshotStats::default());
+    let cached = m.snapshot.keys.clone();
+    let mut stats = SnapshotStats::default();
+    let added = remeasure_structure(&d.program, heap, m, root, marks, &mut stats);
+    assert_eq!(m.snapshot, fresh.snapshot, "snapshot from {root:?}");
+    assert_eq!(m.root, fresh.root);
+    assert_eq!(
+        m.strongly_connected, fresh.strongly_connected,
+        "strongly connected flag from {root:?}"
+    );
+    assert_eq!(m.containers, fresh.containers, "containers from {root:?}");
+    assert_eq!((stats.full_walks, stats.partial_redos), (0, 1));
+    let want: Vec<ElemKey> = oracle_structure(&d.program, heap, root)
+        .keys
+        .difference(&cached)
+        .copied()
+        .collect();
+    let mut got = added.clone();
+    got.sort_unstable();
+    assert_eq!(got, want, "new members from {root:?}: {added:?}");
+    cached
+}
+
+/// Redoes `m` from `root` after relinks within its members
+/// ([`checked_redo`]), and says whether it kept them all.
 fn redo_or_walk(
     d: &Decls,
     heap: &Heap,
@@ -772,21 +797,11 @@ fn redo_or_walk(
     root: ObjRef,
     marks: &mut VisitMarks,
 ) -> Outcome {
-    let fresh = measure_structure(&d.program, heap, root, marks, &mut SnapshotStats::default());
-    let members = m.snapshot.keys.clone();
-    let mut stats = SnapshotStats::default();
-    remeasure_structure(&d.program, heap, m, root, marks, &mut stats);
-    assert_eq!(m.snapshot, fresh.snapshot, "snapshot from {root:?}");
-    assert_eq!(m.root, fresh.root);
-    assert_eq!(
-        m.strongly_connected, fresh.strongly_connected,
-        "strongly connected flag from {root:?}"
-    );
-    assert_eq!(edge_lists(m), edge_lists(&fresh), "edges from {root:?}");
-    assert_eq!((stats.full_walks, stats.partial_redos), (0, 1));
+    let members = checked_redo(d, heap, m, root, marks);
+    let fresh = &m.snapshot;
     // Relinks within the members cannot add any.
-    assert!(fresh.snapshot.keys.is_subset(&members), "new members");
-    if fresh.snapshot.keys == members {
+    assert!(fresh.keys.is_subset(&members), "new members");
+    if fresh.keys == members {
         Outcome::KeptMembers
     } else {
         Outcome::LostMembers
@@ -1030,6 +1045,78 @@ fn rewire_redo_equals_a_fresh_walk_on_trees_with_child_arrays() {
     assert_outcomes(&seen, 100, 50);
 }
 
+/// Redoes growing lists: each round hangs fresh nodes, `int[]` arrays
+/// or `Node` chains off random members, sometimes relinks members, and
+/// redoes from a random member or from a fresh node linked to one. The
+/// redo must return exactly the members that were not cached keys.
+#[test]
+fn redo_returns_the_members_that_were_not_cached_keys() {
+    let d = Decls::new();
+    let (next, prev, children) = (
+        d.slot(d.node, "next"),
+        d.slot(d.node, "prev"),
+        d.slot(d.tree, "children"),
+    );
+    let mut marks = VisitMarks::default();
+    let mut added = 0;
+    for seed in 0..16 {
+        let mut rng = TestRng::new(1300 + seed);
+        let mut heap = Heap::new();
+        let order: Vec<ObjRef> = (0..rng.range(2, 30))
+            .map(|_| d.alloc(&mut heap, d.node))
+            .collect();
+        link(&d, &mut heap, &order, seed % 2 == 1);
+        let mut m = measure_structure(
+            &d.program,
+            &heap,
+            order[0],
+            &mut marks,
+            &mut SnapshotStats::default(),
+        );
+        for _ in 0..30 {
+            let members: Vec<ObjRef> = object_members(&m)
+                .into_iter()
+                .filter(|&o| heap.object(o).class == d.node)
+                .collect();
+            let slot = if rng.chance(1, 2) { next } else { prev };
+            let at = *rng.pick(&members);
+            let grown = match rng.below(4) {
+                // A fresh node, linked back half of the time.
+                0 => {
+                    let fresh = d.alloc(&mut heap, d.node);
+                    if rng.chance(1, 2) {
+                        heap.set_field(fresh, prev, Value::Obj(at));
+                    }
+                    Value::Obj(fresh)
+                }
+                // An `int[]`: a member with no edges.
+                1 => Value::Arr(heap.alloc_array(ElemKind::Int, rng.range(0, 3))),
+                // A `Tree` holding a `Tree[]` that holds a member.
+                2 => {
+                    let tree = d.alloc(&mut heap, d.tree);
+                    let kids = heap.alloc_array(ElemKind::Ref, 2);
+                    heap.set_elem(kids, 0, Value::Obj(*rng.pick(&members)));
+                    heap.set_field(tree, children, Value::Arr(kids));
+                    Value::Obj(tree)
+                }
+                // A relink within the members.
+                _ => Value::Obj(*rng.pick(&members)),
+            };
+            heap.set_field(at, slot, grown);
+            let root = if rng.chance(1, 4) {
+                let outside = d.alloc(&mut heap, d.node);
+                heap.set_field(outside, next, Value::Obj(*rng.pick(&members)));
+                outside
+            } else {
+                *rng.pick(&members)
+            };
+            let cached = checked_redo(&d, &heap, &mut m, root, &mut marks);
+            added += m.snapshot.keys.difference(&cached).count();
+        }
+    }
+    assert!(added >= 200, "only {added} new members");
+}
+
 /// A doubly linked list registered from its head.
 fn registered_list(
     d: &Decls,
@@ -1044,8 +1131,8 @@ fn registered_list(
 }
 
 /// Relinks that change the members, or add one that is not a container,
-/// or re-measure from outside the members: each is answered by a walk
-/// over the cached edge lists that equals a fresh walk.
+/// or re-measure from outside the members: each is answered by a redo
+/// that equals a fresh walk.
 #[test]
 fn rewire_negative_controls_walk_again() {
     let d = Decls::new();
