@@ -71,7 +71,7 @@ pub use compose::{cost_map, prediction_map, Composer, FeatureCost, Prediction, P
 pub use costfn::{CostFn, Feature, InductionVar, OpCounts, TripCount};
 pub use diag::{Code, Diagnostic, Level, Span};
 pub use interval::Interval;
-pub use report::{json_str, render_json, render_text};
+pub use report::{render_json, render_text};
 
 /// The complete result of analyzing one program.
 #[derive(Debug, Clone)]

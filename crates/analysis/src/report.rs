@@ -6,6 +6,8 @@
 
 use std::fmt::Write as _;
 
+use algoprof_vm::json_str;
+
 use crate::compose::PredictionKind;
 use crate::diag::Level;
 use crate::Analysis;
@@ -95,36 +97,4 @@ pub fn render_json(analysis: &Analysis, file: &str) -> String {
     out.push_str("  ]\n");
     out.push_str("}\n");
     out
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("plain"), "\"plain\"");
-    }
 }

@@ -4,7 +4,9 @@
 //! ([`algoprof::SnapshotStats`]) on the two listings whose re-measurement
 //! cost dominates: the ArrayList growth study (Listing 6) and the
 //! insertion sort of the running example (Listing 1). The counter report
-//! is printed once per workload before the timing runs. `objects` counts
+//! is printed once per workload after its timing runs, from their last
+//! iteration, so under `ALGOPROF_BENCH_QUICK` each configuration runs
+//! once (the from-scratch growth study takes ~15 s). `objects` counts
 //! the objects read from the heap: a structure redo reads every member,
 //! so on the sort it is the cache hits, not the redos, that keep it low;
 //! on the growth study the write-log replay keeps `elements` linear.
@@ -54,21 +56,23 @@ fn report(label: &str, full: &SnapshotStats, inc: &SnapshotStats) {
 fn bench_workload(c: &mut Criterion, group_name: &str, src: &str, opts: &InstrumentOptions) {
     let program = compile(src).expect("compiles").instrument(opts);
 
-    let full = run_with(&program, IncrementalMode::Disabled);
-    let inc = run_with(&program, IncrementalMode::Enabled);
-    println!("group {group_name} (traversal work)");
-    report("reduction", &full, &inc);
-
+    let mut stats = [SnapshotStats::default(); 2];
     let mut group = c.benchmark_group(group_name);
-    for (name, mode) in [
+    let modes = [
         ("full", IncrementalMode::Disabled),
         ("incremental", IncrementalMode::Enabled),
-    ] {
+    ];
+    for ((name, mode), last) in modes.into_iter().zip(&mut stats) {
         group.bench_function(name, |b| {
-            b.iter(|| run_with(&program, mode).traversal_work())
+            b.iter(|| {
+                *last = run_with(&program, mode);
+                last.traversal_work()
+            })
         });
     }
     group.finish();
+    println!("group {group_name} (traversal work)");
+    report("reduction", &stats[0], &stats[1]);
 }
 
 fn bench_arraylist_growth(c: &mut Criterion) {

@@ -4,7 +4,6 @@
 
 use std::fmt::Write as _;
 
-use crate::algorithms::AlgorithmId;
 use crate::profile::{AlgorithmicProfile, CostMetric, ProfileSet};
 
 /// Shared page head for profile reports.
@@ -72,7 +71,8 @@ fn profile_body(profile: &AlgorithmicProfile, out: &mut String) {
             escape(profile.node_name(algo.root)),
             escape(&profile.describe_algorithm(algo.id)),
         );
-        if let Some(fit) = profile.fit_invocation_steps(algo.id) {
+        let fit = profile.fit_invocation_steps(algo.id);
+        if let Some(fit) = &fit {
             let _ = writeln!(
                 out,
                 "<p class=\"meta\">fitted: {} &nbsp; [{}]</p>",
@@ -80,71 +80,8 @@ fn profile_body(profile: &AlgorithmicProfile, out: &mut String) {
                 fit.model.big_o(),
             );
         }
-        out.push_str(&scatter_svg(profile, algo.id, &series));
+        out.push_str(&scatter_svg(&series, fit.as_ref()));
     }
-}
-
-/// An SVG scatter plot of `series` with the fitted curve overlaid.
-fn scatter_svg(profile: &AlgorithmicProfile, algo: AlgorithmId, series: &[(f64, f64)]) -> String {
-    const W: f64 = 520.0;
-    const H: f64 = 320.0;
-    const PAD: f64 = 45.0;
-
-    let max_x = series.iter().map(|p| p.0).fold(1.0f64, f64::max);
-    let max_y = series.iter().map(|p| p.1).fold(1.0f64, f64::max);
-    let sx = |x: f64| PAD + x / max_x * (W - 2.0 * PAD);
-    let sy = |y: f64| H - PAD - y / max_y * (H - 2.0 * PAD);
-
-    let mut svg = format!(
-        "<svg width=\"{W}\" height=\"{H}\" viewBox=\"0 0 {W} {H}\" \
-         xmlns=\"http://www.w3.org/2000/svg\">\n"
-    );
-    // Axes.
-    let _ = writeln!(
-        svg,
-        "  <line x1=\"{PAD}\" y1=\"{0}\" x2=\"{1}\" y2=\"{0}\" stroke=\"#333\"/>\n\
-         \x20 <line x1=\"{PAD}\" y1=\"{PAD}\" x2=\"{PAD}\" y2=\"{0}\" stroke=\"#333\"/>",
-        H - PAD,
-        W - PAD,
-    );
-    // Axis labels.
-    let _ = writeln!(
-        svg,
-        "  <text x=\"{}\" y=\"{}\" font-size=\"11\" text-anchor=\"middle\">input size (max {max_x})</text>\n\
-         \x20 <text x=\"12\" y=\"{}\" font-size=\"11\" transform=\"rotate(-90 12 {})\" text-anchor=\"middle\">steps (max {max_y})</text>",
-        W / 2.0,
-        H - 10.0,
-        H / 2.0,
-        H / 2.0,
-    );
-
-    // Fitted curve, sampled at 64 points.
-    if let Some(fit) = profile.fit_invocation_steps(algo) {
-        let mut d = String::new();
-        for i in 0..=64 {
-            let x = max_x * i as f64 / 64.0;
-            let y = fit.predict(x).clamp(0.0, max_y * 1.05);
-            let cmd = if i == 0 { 'M' } else { 'L' };
-            let _ = write!(d, "{cmd}{:.1},{:.1} ", sx(x), sy(y.min(max_y)));
-        }
-        let _ = writeln!(
-            svg,
-            "  <path d=\"{d}\" fill=\"none\" stroke=\"#c33\" stroke-width=\"1.5\"/>"
-        );
-    }
-
-    // Points.
-    for &(x, y) in series {
-        let _ = writeln!(
-            svg,
-            "  <circle cx=\"{:.1}\" cy=\"{:.1}\" r=\"2.5\" fill=\"#246\" fill-opacity=\"0.75\"/>",
-            sx(x),
-            sy(y)
-        );
-    }
-
-    svg.push_str("</svg>\n");
-    svg
 }
 
 /// Renders a sweep report as a standalone HTML page: the job table plus
@@ -264,17 +201,17 @@ pub fn render_sweep_html(report: &crate::sweep::SweepReport) -> String {
                 pred.big_o(),
             );
         }
-        out.push_str(&sweep_scatter_svg(&s.points, s.fit.as_ref()));
+        out.push_str(&scatter_svg(&s.points, s.fit.as_ref()));
     }
 
     out.push_str("</body></html>\n");
     out
 }
 
-/// An SVG scatter plot of merged sweep points with an optional fitted
-/// curve — the standalone sibling of [`scatter_svg`], which needs a full
-/// profile.
-fn sweep_scatter_svg(series: &[(f64, f64)], fit: Option<&algoprof_fit::Fit>) -> String {
+/// An SVG scatter plot of ⟨input size, steps⟩ `series`, with the fitted
+/// curve overlaid when there is one: a profile's per-invocation points or
+/// a sweep's merged points.
+fn scatter_svg(series: &[(f64, f64)], fit: Option<&algoprof_fit::Fit>) -> String {
     const W: f64 = 520.0;
     const H: f64 = 320.0;
     const PAD: f64 = 45.0;
@@ -288,6 +225,7 @@ fn sweep_scatter_svg(series: &[(f64, f64)], fit: Option<&algoprof_fit::Fit>) -> 
         "<svg width=\"{W}\" height=\"{H}\" viewBox=\"0 0 {W} {H}\" \
          xmlns=\"http://www.w3.org/2000/svg\">\n"
     );
+    // Axes and their labels.
     let _ = writeln!(
         svg,
         "  <line x1=\"{PAD}\" y1=\"{0}\" x2=\"{1}\" y2=\"{0}\" stroke=\"#333\"/>\n\
@@ -304,6 +242,7 @@ fn sweep_scatter_svg(series: &[(f64, f64)], fit: Option<&algoprof_fit::Fit>) -> 
         H / 2.0,
         H / 2.0,
     );
+    // Fitted curve, sampled at 64 points.
     if let Some(fit) = fit {
         let mut d = String::new();
         for i in 0..=64 {
@@ -317,6 +256,7 @@ fn sweep_scatter_svg(series: &[(f64, f64)], fit: Option<&algoprof_fit::Fit>) -> 
             "  <path d=\"{d}\" fill=\"none\" stroke=\"#c33\" stroke-width=\"1.5\"/>"
         );
     }
+    // Points.
     for &(x, y) in series {
         let _ = writeln!(
             svg,
@@ -389,7 +329,8 @@ mod tests {
             .algorithm_by_root_name("Main.main:loop1")
             .expect("construction loop");
         let series = p.invocation_series(algo.id, CostMetric::Steps);
-        let svg = scatter_svg(&p, algo.id, &series);
+        let fit = p.fit_invocation_steps(algo.id);
+        let svg = scatter_svg(&series, fit.as_ref());
         assert_eq!(svg.matches("<circle").count(), series.len());
         assert_eq!(svg.matches("<path").count(), 1, "one fitted curve");
     }

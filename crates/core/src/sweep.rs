@@ -28,13 +28,14 @@
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use algoprof_analysis::{json_str, CostFn};
+use algoprof_analysis::CostFn;
 use algoprof_fit::{
     best_fit, fit_power_law, CoeffCheck, CoeffVerdict, ComplexityClass, Fit, PowerFit,
 };
 use algoprof_trace::{TraceHeader, TraceRecorder};
 use algoprof_vm::{
-    compile_with_bodies, CompileError, CompiledProgram, Fanout, InstrumentOptions, Interp, Tee,
+    compile_with_bodies, json_str, CompileError, CompiledProgram, Fanout, InstrumentOptions,
+    Interp, Tee,
 };
 
 use crate::crossval::{verdict, Predictions};

@@ -59,9 +59,9 @@ use algoprof::{
     AlgoProfOptions, CostMetric, Guest, JobError, JobResult, JobSpec, ProfileError, RunConfig,
     StreamingAnalysis, StreamingReport, SweepAblation,
 };
-use algoprof_analysis::json_str;
 use algoprof_serve::api::{OptionTable, CRITERIA, GROUPINGS, SIZINGS, SNAPSHOT_POLICIES};
 use algoprof_serve::{client, Server, ServerAddr, ServerConfig};
+use algoprof_vm::json_str;
 
 const USAGE: &str = "usage: algoprof [--criterion some|all|array|type] [--sizing capacity|unique] \
      [--snapshots firstlast|every] [--grouping input|indexflow|method] \

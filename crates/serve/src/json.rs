@@ -11,6 +11,8 @@
 
 use std::fmt;
 
+use algoprof_vm::write_json_str;
+
 /// A JSON value. Numbers are `f64` (the protocol only carries sizes,
 /// counts and ids that fit exactly).
 #[derive(Debug, Clone, PartialEq)]
@@ -102,7 +104,7 @@ impl Json {
                     let _ = fmt::Write::write_fmt(out, format_args!("{n}"));
                 }
             }
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => write_json_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -119,7 +121,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_json_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -127,24 +129,6 @@ impl Json {
             }
         }
     }
-}
-
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = fmt::Write::write_fmt(out, format_args!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Parses one JSON document; trailing non-whitespace is an error.

@@ -323,7 +323,11 @@ impl<S: EventSink> EventSink for Fanout<S> {
     }
 }
 
-fn json_escape(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a quoted JSON string: quotes, backslashes and
+/// control characters escaped. The one JSON string escaper of the
+/// workspace (event, sweep, lint and daemon JSON all use it).
+pub fn write_json_str(out: &mut String, s: &str) {
+    out.push('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -337,6 +341,14 @@ fn json_escape(out: &mut String, s: &str) {
             c => out.push(c),
         }
     }
+    out.push('"');
+}
+
+/// `s` as a quoted JSON string ([`write_json_str`]).
+pub fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    write_json_str(&mut out, s);
+    out
 }
 
 fn json_value(out: &mut String, v: Value) {
@@ -484,9 +496,8 @@ impl Event {
         let mut out = String::with_capacity(64);
         let _ = write!(out, "{{\"event\": \"{}\"", self.name());
         let str_field = |out: &mut String, key: &str, val: &str| {
-            let _ = write!(out, ", \"{key}\": \"");
-            json_escape(out, val);
-            out.push('"');
+            let _ = write!(out, ", \"{key}\": ");
+            write_json_str(out, val);
         };
         match *self {
             Event::MethodEntry { func } | Event::MethodExit { func } => {
@@ -572,6 +583,13 @@ impl Event {
 mod tests {
     use super::*;
     use crate::compile::compile;
+
+    #[test]
+    fn json_escaping() {
+        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(json_str("plain"), "\"plain\"");
+        assert_eq!(json_str("\u{1}\t"), "\"\\u0001\\t\"");
+    }
 
     /// Appends `(tag, event name)` per event so delivery order is visible.
     struct Recording<'a> {

@@ -17,7 +17,7 @@
 
 use std::collections::HashMap;
 
-use crate::bytecode::{CmpKind, CompiledProgram, FuncId, Instr, LoopId, Opcode};
+use crate::bytecode::{ClassId, CmpKind, CompiledProgram, FieldId, FuncId, Instr, LoopId};
 use crate::error::RuntimeError;
 use crate::event::{Event, EventCx, EventSink, ThreadId};
 use crate::heap::{ArrRef, Heap, ObjRef, Value};
@@ -505,6 +505,14 @@ impl<'p> Interp<'p> {
     /// opcode heat from `algoprof opstats` over the listings/table1
     /// corpus: local/constant traffic and fused compare-and-branch first,
     /// calls and exceptional control flow last.
+    ///
+    /// Each base operation is written once, as a helper taking its
+    /// operands as values (`get_field`, `put_field`, `load_elem`,
+    /// `store_elem`, `array_len`, `new_object`, `virtual_target`,
+    /// `compare!`, `call!`). A base arm pops its operands and calls its
+    /// helper; a superinstruction's arm calls its constituents' helpers in
+    /// constituent order, so its faults and events fall exactly as the
+    /// unfused sequence's do.
     fn execute<S: EventSink>(
         &mut self,
         mut cur: Frame,
@@ -524,6 +532,14 @@ impl<'p> Interp<'p> {
         let fuel_limit = self.fuel.unwrap_or(u64::MAX);
         let mut instructions = self.instructions;
 
+        // Ends the slice with `exit`, flushing the counters to `self`.
+        macro_rules! exit_slice {
+            ($exit:expr) => {{
+                self.instructions = instructions;
+                self.dispatches = dispatches;
+                return Ok(($exit, cur));
+            }};
+        }
         // Preemption check, placed at yield points only: taken backward
         // jumps, call dispatches, and lock operations. These are
         // properties of the *logical* instruction stream (identical
@@ -536,9 +552,75 @@ impl<'p> Interp<'p> {
                 if let Some(q) = quantum.as_mut() {
                     *q -= 1;
                     if *q == 0 {
-                        self.instructions = instructions;
-                        self.dispatches = dispatches;
-                        return Ok((SliceExit::Quantum, cur));
+                        exit_slice!(SliceExit::Quantum);
+                    }
+                }
+            };
+        }
+        // A taken jump to `t`; a backward one is a yield point.
+        macro_rules! jump {
+            ($t:expr) => {{
+                let t = $t as usize;
+                let backward = t < cur.pc;
+                cur.pc = t;
+                if backward {
+                    yield_point!();
+                }
+            }};
+        }
+        // The call transfer for a call to `m`: its arguments, on top of
+        // the value stack from slot `base` on, become the first locals of
+        // `callee`. A call is a yield point.
+        macro_rules! call {
+            ($m:expr, |$base:ident| $callee:expr) => {{
+                let $base = arg_base(values, cur.floor, program.func($m).n_params)?;
+                let callee =
+                    self.make_frame(frames.len() + 1, $callee, $base, loops.len(), values, sink)?;
+                frames.push(cur);
+                cur = callee;
+                func = program.func(cur.func);
+                yield_point!();
+            }};
+        }
+        // `a kind b` for a `CmpKind`. The ordered kinds check `b`, then
+        // `a`, for ints, and each operand expression is evaluated just
+        // before its check: popping arms keep the unfused pop-and-check
+        // order.
+        macro_rules! compare {
+            ($kind:expr, $a:expr, $b:expr) => {
+                match $kind {
+                    CmpKind::Eq | CmpKind::Ne => {
+                        let b = $b;
+                        ($a == b) == matches!($kind, CmpKind::Eq)
+                    }
+                    kind => {
+                        let b = as_int($b)?;
+                        let a = as_int($a)?;
+                        match kind {
+                            CmpKind::Lt => a < b,
+                            CmpKind::Le => a <= b,
+                            CmpKind::Gt => a > b,
+                            _ => a >= b,
+                        }
+                    }
+                }
+            };
+        }
+        // A local of the executing frame.
+        macro_rules! local {
+            ($slot:expr) => {
+                values[cur.base + $slot as usize]
+            };
+        }
+        // The instruction events of constituents `range` of `instr`. The
+        // sink is asked first, so a sink ignoring instruction events
+        // never has the expansion built (~8% of `live_array_sort`
+        // throughput when it was).
+        macro_rules! instruction_events {
+            ($instr:expr, $range:expr) => {
+                if S::READS_INSTRUCTIONS {
+                    for op in $instr.expand()[$range].iter().filter_map(Instr::opcode) {
+                        self.emit(sink, Event::Instruction { func: cur.func, op });
                     }
                 }
             };
@@ -557,292 +639,90 @@ impl<'p> Interp<'p> {
                 return Err(RuntimeError::OutOfFuel);
             }
             dispatches += 1;
-            if let Instr::FusedLoopBackJump(l, _) = instr {
-                // The back-edge event falls *between* this
-                // superinstruction's two instruction events, exactly as
-                // unfused execution interleaves them.
-                let f = cur.func;
-                self.emit(
-                    sink,
-                    Event::Instruction {
-                        func: f,
-                        op: Opcode::ProfLoopBack,
-                    },
-                );
-                self.emit(sink, Event::LoopBackEdge { l });
-                self.emit(
-                    sink,
-                    Event::Instruction {
-                        func: f,
-                        op: Opcode::Jump,
-                    },
-                );
-            } else if S::READS_INSTRUCTIONS && !matches!(instr, Instr::FusedNewDup(_)) {
-                // `FusedNewDup` emits its own events in its arm: the
-                // allocation event falls between its two instruction
-                // events, as in unfused execution. The sink is asked
-                // here, not only in `emit`, so that a sink ignoring
-                // instruction events never has the expansion built
-                // (~8% of `live_array_sort` throughput when it was).
-                for op in instr.expand().iter().filter_map(Instr::opcode) {
-                    self.emit(sink, Event::Instruction { func: cur.func, op });
-                }
+            if S::READS_INSTRUCTIONS && !interleaves(instr) {
+                instruction_events!(instr, ..);
             }
             cur.pc = pc + 1;
 
             match instr {
                 Instr::LoadLocal(slot) => {
-                    let v = values[cur.base + slot as usize];
+                    let v = local!(slot);
                     values.push(v);
                 }
                 Instr::FusedLoadLoad(a, b) => {
-                    let va = values[cur.base + a as usize];
-                    let vb = values[cur.base + b as usize];
+                    let (va, vb) = (local!(a), local!(b));
                     values.push(va);
                     values.push(vb);
                 }
                 Instr::FusedLoadConst(slot, k) => {
-                    let v = values[cur.base + slot as usize];
+                    let v = local!(slot);
                     values.push(v);
                     values.push(Value::Int(k));
                 }
                 Instr::CmpJump(kind, jump_if, t) => {
-                    let r = match kind {
-                        CmpKind::Lt | CmpKind::Le | CmpKind::Gt | CmpKind::Ge => {
-                            let b = pop_int(values, cur.floor)?;
-                            let a = pop_int(values, cur.floor)?;
-                            match kind {
-                                CmpKind::Lt => a < b,
-                                CmpKind::Le => a <= b,
-                                CmpKind::Gt => a > b,
-                                _ => a >= b,
-                            }
-                        }
-                        CmpKind::Eq | CmpKind::Ne => {
-                            let b = pop(values, cur.floor)?;
-                            let a = pop(values, cur.floor)?;
-                            (a == b) == matches!(kind, CmpKind::Eq)
-                        }
-                    };
-                    if r == jump_if {
-                        cur.pc = t;
-                        if t <= pc {
-                            yield_point!();
-                        }
+                    if compare!(kind, pop(values, cur.floor)?, pop(values, cur.floor)?) == jump_if {
+                        jump!(t);
                     }
                 }
                 Instr::FusedIncJump(slot, sub, k, t) => {
-                    // `Load; ConstInt; Add|Sub; StoreLocal` on one slot,
-                    // then the unconditional jump a loop body ends with
-                    // when the back-edge block is laid out elsewhere. The
-                    // constant is always an int, so the unfused `Add` or
-                    // `Sub` would type-check the loaded local second.
-                    let v = match values[cur.base + slot as usize] {
-                        Value::Int(v) => v,
-                        other => return Err(expected_int_err(other)),
-                    };
-                    values[cur.base + slot as usize] = Value::Int(offset_by(v, sub, k));
-                    cur.pc = t as usize;
-                    if t as usize <= pc {
-                        yield_point!();
-                    }
+                    // `Load; ConstInt; Add|Sub; StoreLocal; Jump` on one
+                    // slot. The constant is an int, so `Add`/`Sub` only
+                    // checks the loaded local.
+                    let v = as_int(local!(slot))?;
+                    local!(slot) = Value::Int(offset_by(v, sub, k));
+                    jump!(t);
                 }
                 Instr::FusedLoadLoadCmpJump(a, b, kind, jump_if, t) => {
-                    // Both comparison operands come from locals; the
-                    // unfused `Cmp` pops (and type-checks) the right
-                    // operand `b` first.
-                    let bv = values[cur.base + b as usize];
-                    let av = values[cur.base + a as usize];
-                    let r = match kind {
-                        CmpKind::Lt | CmpKind::Le | CmpKind::Gt | CmpKind::Ge => {
-                            let bi = match bv {
-                                Value::Int(v) => v,
-                                other => return Err(expected_int_err(other)),
-                            };
-                            let ai = match av {
-                                Value::Int(v) => v,
-                                other => return Err(expected_int_err(other)),
-                            };
-                            match kind {
-                                CmpKind::Lt => ai < bi,
-                                CmpKind::Le => ai <= bi,
-                                CmpKind::Gt => ai > bi,
-                                _ => ai >= bi,
-                            }
-                        }
-                        CmpKind::Eq | CmpKind::Ne => (av == bv) == matches!(kind, CmpKind::Eq),
-                    };
-                    if r == jump_if {
-                        cur.pc = t as usize;
-                        if t as usize <= pc {
-                            yield_point!();
-                        }
+                    if compare!(kind, local!(a), local!(b)) == jump_if {
+                        jump!(t);
                     }
                 }
                 Instr::FusedLoadLoadGetFieldLen(s1, s2, fid) => {
                     // `LoadLocal s1; LoadLocal s2; GetField; ArrayLen`:
                     // s1's value stays on the stack under the length.
-                    // Fused only for untracked fields on one source line.
                     let line = func.lines[pc];
-                    let first = values[cur.base + s1 as usize];
-                    let o = match values[cur.base + s2 as usize] {
-                        Value::Obj(o) => o,
-                        Value::Null => return Err(RuntimeError::NullDeref { line }),
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "getfield on non-object {other}"
-                            )))
-                        }
-                    };
-                    let fslot = program.field(fid).slot as usize;
-                    let v = self.heap.field(o, fslot);
-                    let a = as_array(v, line)?;
-                    let len = self.heap.array(a).elems.len();
+                    instruction_events!(instr, ..3);
+                    let arr = self.get_field(local!(s2), fid, line, sink)?;
+                    instruction_events!(instr, 3..);
+                    let len = self.array_len(arr, line)?;
+                    let first = local!(s1);
                     values.push(first);
-                    values.push(Value::Int(len as i64));
+                    values.push(len);
                 }
                 Instr::FusedLoadLoadPutField(s1, s2, fid) => {
                     // `obj.field = local`: s1 is the object, s2 the value.
-                    // The write event comes from the final `PutField`.
                     let line = func.lines[pc];
-                    let value = values[cur.base + s2 as usize];
-                    let obj = values[cur.base + s1 as usize];
-                    let o = match obj {
-                        Value::Obj(o) => o,
-                        Value::Null => return Err(RuntimeError::NullDeref { line }),
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "putfield on non-object {other}"
-                            )))
-                        }
-                    };
-                    let fslot = program.field(fid).slot as usize;
-                    self.heap.set_field(o, fslot, value);
-                    self.emit(
-                        sink,
-                        Event::FieldWrite {
-                            obj: o,
-                            field: fid,
-                            value,
-                            tracked: program.field(fid).track_access,
-                        },
-                    );
+                    self.put_field(local!(s1), fid, local!(s2), line, sink)?;
                 }
                 Instr::FusedFieldAdd(s1, s2, fid, k) => {
                     // `s1.f = s2.f + k` with no stack traffic at all.
-                    // Fused only for untracked fields on one source line;
-                    // faults keep the unfused order (read-side null check
-                    // before write-side).
                     let line = func.lines[pc];
-                    let o2 = match values[cur.base + s2 as usize] {
-                        Value::Obj(o) => o,
-                        Value::Null => return Err(RuntimeError::NullDeref { line }),
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "getfield on non-object {other}"
-                            )))
-                        }
-                    };
-                    let fslot = program.field(fid).slot as usize;
-                    let a = match self.heap.field(o2, fslot) {
-                        Value::Int(v) => v,
-                        other => return Err(expected_int_err(other)),
-                    };
-                    let sum = Value::Int(a.wrapping_add(k as i64));
-                    let o1 = match values[cur.base + s1 as usize] {
-                        Value::Obj(o) => o,
-                        Value::Null => return Err(RuntimeError::NullDeref { line }),
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "putfield on non-object {other}"
-                            )))
-                        }
-                    };
-                    self.heap.set_field(o1, fslot, sum);
-                    self.emit(
-                        sink,
-                        Event::FieldWrite {
-                            obj: o1,
-                            field: fid,
-                            value: sum,
-                            tracked: program.field(fid).track_access,
-                        },
-                    );
+                    instruction_events!(instr, ..3);
+                    let v = self.get_field(local!(s2), fid, line, sink)?;
+                    instruction_events!(instr, 3..5);
+                    let sum = Value::Int(offset_by(as_int(v)?, false, k));
+                    instruction_events!(instr, 5..);
+                    self.put_field(local!(s1), fid, sum, line, sink)?;
                 }
                 Instr::FusedLoadGetFieldALoad(s1, fid, s2) => {
                     // `obj.field[idx]` with obj and idx from locals.
-                    // Fused only for untracked fields on one source line;
-                    // fault order mirrors the unfused sequence (field
-                    // null check, index type check, array checks).
                     let line = func.lines[pc];
-                    let o = match values[cur.base + s1 as usize] {
-                        Value::Obj(o) => o,
-                        Value::Null => return Err(RuntimeError::NullDeref { line }),
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "getfield on non-object {other}"
-                            )))
-                        }
-                    };
-                    let fslot = program.field(fid).slot as usize;
-                    let arr = self.heap.field(o, fslot);
-                    let idx = match values[cur.base + s2 as usize] {
-                        Value::Int(v) => v,
-                        other => return Err(expected_int_err(other)),
-                    };
-                    let a = as_array(arr, line)?;
-                    let elems = &self.heap.array(a).elems;
-                    let Some(&v) = usize::try_from(idx).ok().and_then(|i| elems.get(i)) else {
-                        return Err(out_of_bounds_err(idx, elems.len(), line));
-                    };
+                    instruction_events!(instr, ..2);
+                    let arr = self.get_field(local!(s1), fid, line, sink)?;
+                    instruction_events!(instr, 2..);
+                    let v = self.load_elem(arr, as_int(local!(s2))?, line, sink)?;
                     values.push(v);
-                    if program.track_arrays {
-                        self.emit(sink, Event::ArrayRead { arr });
-                    }
                 }
                 Instr::FusedNewDup(cid) => {
-                    // Events are emitted here, not in the prelude: the
-                    // allocation event falls between the two instruction
-                    // events exactly as unfused execution interleaves
-                    // them.
-                    let f = cur.func;
-                    self.emit(
-                        sink,
-                        Event::Instruction {
-                            func: f,
-                            op: Opcode::New,
-                        },
-                    );
-                    let obj = self.heap.alloc_object_from(
-                        cid,
-                        program
-                            .class(cid)
-                            .field_layout
-                            .iter()
-                            .map(|&fid| default_field_value(&program.field(fid).ty)),
-                    );
-                    self.emit(
-                        sink,
-                        Event::ObjectAlloc {
-                            obj,
-                            class: cid,
-                            tracked: program.class(cid).track_alloc,
-                        },
-                    );
-                    self.emit(
-                        sink,
-                        Event::Instruction {
-                            func: f,
-                            op: Opcode::Dup,
-                        },
-                    );
-                    values.push(Value::Obj(obj));
-                    values.push(Value::Obj(obj));
+                    instruction_events!(instr, ..1);
+                    let obj = Value::Obj(self.new_object(cid, sink));
+                    instruction_events!(instr, 1..);
+                    values.push(obj);
+                    values.push(obj);
                 }
                 Instr::ConstInt(v) => values.push(Value::Int(v)),
                 Instr::StoreLocal(slot) => {
-                    let v = pop(values, cur.floor)?;
-                    values[cur.base + slot as usize] = v;
+                    local!(slot) = pop(values, cur.floor)?;
                 }
                 Instr::Add | Instr::Sub | Instr::Mul => {
                     let b = pop_int(values, cur.floor)?;
@@ -854,216 +734,93 @@ impl<'p> Interp<'p> {
                     };
                     values.push(Value::Int(r));
                 }
-                Instr::CmpLt | Instr::CmpLe | Instr::CmpGt | Instr::CmpGe => {
-                    let b = pop_int(values, cur.floor)?;
-                    let a = pop_int(values, cur.floor)?;
-                    let r = match instr {
-                        Instr::CmpLt => a < b,
-                        Instr::CmpLe => a <= b,
-                        Instr::CmpGt => a > b,
-                        _ => a >= b,
+                Instr::CmpLt
+                | Instr::CmpLe
+                | Instr::CmpGt
+                | Instr::CmpGe
+                | Instr::CmpEq
+                | Instr::CmpNe => {
+                    let kind = match instr {
+                        Instr::CmpLt => CmpKind::Lt,
+                        Instr::CmpLe => CmpKind::Le,
+                        Instr::CmpGt => CmpKind::Gt,
+                        Instr::CmpGe => CmpKind::Ge,
+                        Instr::CmpEq => CmpKind::Eq,
+                        _ => CmpKind::Ne,
                     };
+                    let r = compare!(kind, pop(values, cur.floor)?, pop(values, cur.floor)?);
                     values.push(Value::Bool(r));
                 }
-                Instr::CmpEq | Instr::CmpNe => {
-                    let b = pop(values, cur.floor)?;
-                    let a = pop(values, cur.floor)?;
-                    let eq = a == b;
-                    values.push(Value::Bool(if matches!(instr, Instr::CmpEq) {
-                        eq
-                    } else {
-                        !eq
-                    }));
-                }
-                Instr::Jump(t) => {
-                    cur.pc = t;
-                    if t <= pc {
-                        yield_point!();
-                    }
-                }
+                Instr::Jump(t) => jump!(t),
                 Instr::JumpIfFalse(t) => {
                     if !pop_bool(values, cur.floor)? {
-                        cur.pc = t;
-                        if t <= pc {
-                            yield_point!();
-                        }
+                        jump!(t);
                     }
                 }
                 Instr::JumpIfTrue(t) => {
                     if pop_bool(values, cur.floor)? {
-                        cur.pc = t;
-                        if t <= pc {
-                            yield_point!();
-                        }
+                        jump!(t);
                     }
                 }
                 Instr::ALoad => {
                     let line = func.lines[pc];
                     let idx = pop_int(values, cur.floor)?;
                     let arr = pop(values, cur.floor)?;
-                    let a = as_array(arr, line)?;
-                    // One lookup: `get` is the bounds check.
-                    let elems = &self.heap.array(a).elems;
-                    let Some(&v) = usize::try_from(idx).ok().and_then(|i| elems.get(i)) else {
-                        return Err(out_of_bounds_err(idx, elems.len(), line));
-                    };
+                    let v = self.load_elem(arr, idx, line, sink)?;
                     values.push(v);
-                    if program.track_arrays {
-                        self.emit(sink, Event::ArrayRead { arr });
-                    }
                 }
                 Instr::FusedLoadLoadOffALoad(s1, s2, sub, k) => {
-                    // `arr[idx ± k]` with arr and idx from locals. Fault
-                    // order mirrors the unfused sequence: the index
-                    // local's int check (at `Add`/`Sub`), then the array
-                    // and bounds checks on the wrapped index (at `ALoad`).
-                    let idx = match values[cur.base + s2 as usize] {
-                        Value::Int(v) => offset_by(v, sub, k),
-                        other => return Err(expected_int_err(other)),
-                    };
-                    let line = func.lines[pc];
-                    let arr = values[cur.base + s1 as usize];
-                    let a = as_array(arr, line)?;
-                    let elems = &self.heap.array(a).elems;
-                    let Some(&v) = usize::try_from(idx).ok().and_then(|i| elems.get(i)) else {
-                        return Err(out_of_bounds_err(idx, elems.len(), line));
-                    };
+                    // `arr[idx ± k]` with arr and idx from locals: the
+                    // index local's int check (at `Add`/`Sub`), then the
+                    // element read on the wrapped index (at `ALoad`).
+                    let idx = offset_by(as_int(local!(s2))?, sub, k);
+                    let v = self.load_elem(local!(s1), idx, func.lines[pc], sink)?;
                     values.push(v);
-                    if program.track_arrays {
-                        self.emit(sink, Event::ArrayRead { arr });
-                    }
                 }
                 Instr::FusedLoadAStore(slot) => {
                     // `LoadLocal slot; AStore`: the slot holds the value,
-                    // index and array are on the stack. Unfused `AStore`
-                    // pops value, then index, then array.
+                    // index and array are on the stack.
                     let line = func.lines[pc];
-                    let value = values[cur.base + slot as usize];
                     let idx = pop_int(values, cur.floor)?;
                     let arr = pop(values, cur.floor)?;
-                    let a = as_array(arr, line)?;
-                    self.heap
-                        .try_set_elem(a, idx, value)
-                        .map_err(|len| out_of_bounds_err(idx, len, line))?;
-                    self.emit(
-                        sink,
-                        Event::ArrayWrite {
-                            arr: a,
-                            index: idx as usize,
-                            value,
-                            tracked: program.track_arrays,
-                        },
-                    );
+                    self.store_elem(arr, idx, local!(slot), line, sink)?;
                 }
                 Instr::AStore => {
                     let line = func.lines[pc];
                     let value = pop(values, cur.floor)?;
                     let idx = pop_int(values, cur.floor)?;
                     let arr = pop(values, cur.floor)?;
-                    let a = as_array(arr, line)?;
-                    self.heap
-                        .try_set_elem(a, idx, value)
-                        .map_err(|len| out_of_bounds_err(idx, len, line))?;
-                    self.emit(
-                        sink,
-                        Event::ArrayWrite {
-                            arr: a,
-                            index: idx as usize,
-                            value,
-                            tracked: program.track_arrays,
-                        },
-                    );
+                    self.store_elem(arr, idx, value, line, sink)?;
                 }
                 Instr::FusedLoadGetField(slot, fid) => {
-                    // `LoadLocal slot; GetField fid` — the common
-                    // `this.field` / `local.field` read.
-                    let line = func.lines[pc];
-                    let obj = values[cur.base + slot as usize];
-                    let o = match obj {
-                        Value::Obj(o) => o,
-                        Value::Null => return Err(RuntimeError::NullDeref { line }),
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "getfield on non-object {other}"
-                            )))
-                        }
-                    };
-                    let fslot = program.field(fid).slot as usize;
-                    let v = self.heap.field(o, fslot);
+                    let v = self.get_field(local!(slot), fid, func.lines[pc], sink)?;
                     values.push(v);
-                    if program.field(fid).track_access {
-                        self.emit(sink, Event::FieldRead { obj, field: fid });
-                    }
                 }
                 Instr::FusedLoadGetFieldLen(slot, fid) => {
-                    // `LoadLocal slot; GetField fid; ArrayLen` — same as
-                    // above with the receiver read straight from a local.
                     let line = func.lines[pc];
-                    let obj = values[cur.base + slot as usize];
-                    let o = match obj {
-                        Value::Obj(o) => o,
-                        Value::Null => return Err(RuntimeError::NullDeref { line }),
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "getfield on non-object {other}"
-                            )))
-                        }
-                    };
-                    let fslot = program.field(fid).slot as usize;
-                    let v = self.heap.field(o, fslot);
-                    let a = as_array(v, line)?;
-                    let len = self.heap.array(a).elems.len();
-                    values.push(Value::Int(len as i64));
+                    instruction_events!(instr, ..2);
+                    let arr = self.get_field(local!(slot), fid, line, sink)?;
+                    instruction_events!(instr, 2..);
+                    let len = self.array_len(arr, line)?;
+                    values.push(len);
                 }
-                Instr::FusedLoopBackJump(_, t) => {
-                    // Events (including the interleaved back edge) were
-                    // emitted above; all that is left is the transfer.
-                    cur.pc = t;
-                    yield_point!();
+                Instr::FusedLoopBackJump(l, t) => {
+                    instruction_events!(instr, ..1);
+                    self.emit(sink, Event::LoopBackEdge { l });
+                    instruction_events!(instr, 1..);
+                    jump!(t);
                 }
                 Instr::GetField(fid) => {
                     let line = func.lines[pc];
                     let obj = pop(values, cur.floor)?;
-                    let o = match obj {
-                        Value::Obj(o) => o,
-                        Value::Null => return Err(RuntimeError::NullDeref { line }),
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "getfield on non-object {other}"
-                            )))
-                        }
-                    };
-                    let slot = program.field(fid).slot as usize;
-                    let v = self.heap.field(o, slot);
+                    let v = self.get_field(obj, fid, line, sink)?;
                     values.push(v);
-                    if program.field(fid).track_access {
-                        self.emit(sink, Event::FieldRead { obj, field: fid });
-                    }
                 }
                 Instr::PutField(fid) => {
                     let line = func.lines[pc];
                     let value = pop(values, cur.floor)?;
                     let obj = pop(values, cur.floor)?;
-                    let o = match obj {
-                        Value::Obj(o) => o,
-                        Value::Null => return Err(RuntimeError::NullDeref { line }),
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "putfield on non-object {other}"
-                            )))
-                        }
-                    };
-                    let slot = program.field(fid).slot as usize;
-                    self.heap.set_field(o, slot, value);
-                    self.emit(
-                        sink,
-                        Event::FieldWrite {
-                            obj: o,
-                            field: fid,
-                            value,
-                            tracked: program.field(fid).track_access,
-                        },
-                    );
+                    self.put_field(obj, fid, value, line, sink)?;
                 }
                 Instr::ProfLoopBack(l) => {
                     self.emit(sink, Event::LoopBackEdge { l });
@@ -1122,28 +879,12 @@ impl<'p> Interp<'p> {
                 Instr::ArrayLen => {
                     let line = func.lines[pc];
                     let arr = pop(values, cur.floor)?;
-                    let a = as_array(arr, line)?;
-                    let len = self.heap.array(a).elems.len();
-                    values.push(Value::Int(len as i64));
+                    let len = self.array_len(arr, line)?;
+                    values.push(len);
                 }
                 Instr::New(cid) => {
-                    let obj = self.heap.alloc_object_from(
-                        cid,
-                        program
-                            .class(cid)
-                            .field_layout
-                            .iter()
-                            .map(|&fid| default_field_value(&program.field(fid).ty)),
-                    );
+                    let obj = self.new_object(cid, sink);
                     values.push(Value::Obj(obj));
-                    self.emit(
-                        sink,
-                        Event::ObjectAlloc {
-                            obj,
-                            class: cid,
-                            tracked: program.class(cid).track_alloc,
-                        },
-                    );
                 }
                 Instr::NewArray(elem) => {
                     let line = func.lines[pc];
@@ -1163,88 +904,22 @@ impl<'p> Interp<'p> {
                     );
                 }
                 Instr::FusedLoadCallDirect(slot, m) => {
-                    let v = values[cur.base + slot as usize];
+                    let v = local!(slot);
                     values.push(v);
-                    let n_args = program.func(m).n_params as usize;
-                    let base = arg_base(values, cur.floor, n_args)?;
-                    let callee =
-                        self.make_frame(frames.len() + 1, m, base, loops.len(), values, sink)?;
-                    frames.push(cur);
-                    cur = callee;
-                    func = program.func(cur.func);
-                    yield_point!();
+                    call!(m, |base| m);
                 }
                 Instr::FusedLoadCallVirtual(slot, m) => {
-                    let v = values[cur.base + slot as usize];
+                    let v = local!(slot);
                     values.push(v);
                     let line = func.lines[pc];
-                    let decl = program.func(m);
-                    let n_args = decl.n_params as usize;
-                    let base = arg_base(values, cur.floor, n_args)?;
-                    let o = match values[base] {
-                        Value::Obj(o) => o,
-                        Value::Null => return Err(RuntimeError::NullDeref { line }),
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "virtual call on non-object {other}"
-                            )))
-                        }
-                    };
-                    let vslot = decl.vslot.ok_or_else(|| {
-                        RuntimeError::Internal(format!(
-                            "virtual call to {} without vslot",
-                            decl.name
-                        ))
-                    })? as usize;
-                    let class = self.heap.object(o).class;
-                    let target = program.class(class).vtable[vslot];
-                    let callee =
-                        self.make_frame(frames.len() + 1, target, base, loops.len(), values, sink)?;
-                    frames.push(cur);
-                    cur = callee;
-                    func = program.func(cur.func);
-                    yield_point!();
+                    call!(m, |base| self.virtual_target(m, values[base], line)?);
                 }
-                Instr::CallStatic(m) | Instr::CallDirect(m) => {
-                    // Arguments are passed straight from the caller's
-                    // operand stack — no intermediate allocation.
-                    let n_args = program.func(m).n_params as usize;
-                    let base = arg_base(values, cur.floor, n_args)?;
-                    let callee =
-                        self.make_frame(frames.len() + 1, m, base, loops.len(), values, sink)?;
-                    frames.push(cur);
-                    cur = callee;
-                    func = program.func(cur.func);
-                    yield_point!();
-                }
+                // Arguments are passed straight from the caller's operand
+                // stack — no intermediate allocation.
+                Instr::CallStatic(m) | Instr::CallDirect(m) => call!(m, |base| m),
                 Instr::CallVirtual(m) => {
                     let line = func.lines[pc];
-                    let decl = program.func(m);
-                    let n_args = decl.n_params as usize;
-                    let base = arg_base(values, cur.floor, n_args)?;
-                    let o = match values[base] {
-                        Value::Obj(o) => o,
-                        Value::Null => return Err(RuntimeError::NullDeref { line }),
-                        other => {
-                            return Err(RuntimeError::Internal(format!(
-                                "virtual call on non-object {other}"
-                            )))
-                        }
-                    };
-                    let vslot = decl.vslot.ok_or_else(|| {
-                        RuntimeError::Internal(format!(
-                            "virtual call to {} without vslot",
-                            decl.name
-                        ))
-                    })? as usize;
-                    let class = self.heap.object(o).class;
-                    let target = program.class(class).vtable[vslot];
-                    let callee =
-                        self.make_frame(frames.len() + 1, target, base, loops.len(), values, sink)?;
-                    frames.push(cur);
-                    cur = callee;
-                    func = program.func(cur.func);
-                    yield_point!();
+                    call!(m, |base| self.virtual_target(m, values[base], line)?);
                 }
                 Instr::Ret | Instr::RetVal => {
                     let value = if matches!(instr, Instr::RetVal) {
@@ -1264,9 +939,7 @@ impl<'p> Interp<'p> {
                             }
                         }
                         None => {
-                            self.instructions = instructions;
-                            self.dispatches = dispatches;
-                            return Ok((SliceExit::Done(value), cur));
+                            exit_slice!(SliceExit::Done(value));
                         }
                     }
                 }
@@ -1283,14 +956,14 @@ impl<'p> Interp<'p> {
                     }
                     let v = *values.last().expect("floor check implies non-empty");
                     // `null` passes every reference cast (as in Java).
-                    if !matches!(v, Value::Null) && !self.matches_kind(kind, v) {
+                    if !matches!(v, Value::Null) && !self.catch_matches(kind, v) {
                         return Err(RuntimeError::ClassCast { line });
                     }
                 }
                 Instr::InstanceOfOp(kind) => {
                     let v = pop(values, cur.floor)?;
                     // `null instanceof T` is false (as in Java).
-                    let r = !matches!(v, Value::Null) && self.matches_kind(kind, v);
+                    let r = !matches!(v, Value::Null) && self.catch_matches(kind, v);
                     values.push(Value::Bool(r));
                 }
                 Instr::ReadInput => {
@@ -1317,8 +990,7 @@ impl<'p> Interp<'p> {
                     // thread's first locals; the handle is the new
                     // thread's id. The slice ends so the scheduler can
                     // register the thread (it runs next in rotation).
-                    let n_args = program.func(m).n_params as usize;
-                    let base = arg_base(values, cur.floor, n_args)?;
+                    let base = arg_base(values, cur.floor, program.func(m).n_params)?;
                     let args: Vec<Value> = values.split_off(base);
                     let tid = self.next_tid;
                     self.next_tid += 1;
@@ -1330,9 +1002,7 @@ impl<'p> Interp<'p> {
                             func: m,
                         },
                     );
-                    self.instructions = instructions;
-                    self.dispatches = dispatches;
-                    return Ok((SliceExit::Spawned { tid, func: m, args }, cur));
+                    exit_slice!(SliceExit::Spawned { tid, func: m, args });
                 }
                 Instr::JoinThread => {
                     let line = func.lines[pc];
@@ -1342,9 +1012,7 @@ impl<'p> Interp<'p> {
                     }
                     // The pc is already past the join; the scheduler
                     // pushes the target's result when it is available.
-                    self.instructions = instructions;
-                    self.dispatches = dispatches;
-                    return Ok((SliceExit::Join { target: h as u32 }, cur));
+                    exit_slice!(SliceExit::Join { target: h as u32 });
                 }
                 Instr::Lock => {
                     let line = func.lines[pc];
@@ -1352,18 +1020,18 @@ impl<'p> Interp<'p> {
                     let key = lock_key(v, line)?;
                     let me = self.cur_thread.0;
                     match self.locks.get(&key).copied() {
-                        None => {
-                            self.locks.insert(key, (me, 1));
-                            self.emit(
-                                sink,
-                                Event::LockAcquire {
-                                    obj: v,
-                                    contended: false,
-                                },
-                            );
-                            yield_point!();
+                        Some((owner, _)) if owner != me => {
+                            // Held by another thread: the wait event is
+                            // the profiler's contention-attribution hook
+                            // (cost accrues to *this*, blocked, thread).
+                            // The pc is already past the Lock; the
+                            // scheduler acquires on wake-up and emits the
+                            // contended LockAcquire.
+                            self.emit(sink, Event::LockWait { obj: v });
+                            exit_slice!(SliceExit::LockBlocked { key, obj: v });
                         }
-                        Some((owner, depth)) if owner == me => {
+                        held => {
+                            let depth = held.map_or(0, |(_, depth)| depth);
                             self.locks.insert(key, (me, depth + 1));
                             self.emit(
                                 sink,
@@ -1373,18 +1041,6 @@ impl<'p> Interp<'p> {
                                 },
                             );
                             yield_point!();
-                        }
-                        Some(_) => {
-                            // Held by another thread: the wait event is
-                            // the profiler's contention-attribution hook
-                            // (cost accrues to *this*, blocked, thread).
-                            // The pc is already past the Lock; the
-                            // scheduler acquires on wake-up and emits the
-                            // contended LockAcquire.
-                            self.emit(sink, Event::LockWait { obj: v });
-                            self.instructions = instructions;
-                            self.dispatches = dispatches;
-                            return Ok((SliceExit::LockBlocked { key, obj: v }, cur));
                         }
                     }
                 }
@@ -1407,9 +1063,7 @@ impl<'p> Interp<'p> {
                                 // slice so the scheduler can hand it over
                                 // (see `SliceExit::LockHandoff` for why
                                 // waiting for the quantum can livelock).
-                                self.instructions = instructions;
-                                self.dispatches = dispatches;
-                                return Ok((SliceExit::LockHandoff, cur));
+                                exit_slice!(SliceExit::LockHandoff);
                             }
                             yield_point!();
                         }
@@ -1418,6 +1072,146 @@ impl<'p> Interp<'p> {
                 }
             }
         }
+    }
+
+    /// `GetField fid` on `obj`: the receiver check, the read, and a
+    /// tracked field's `FieldRead` event.
+    #[inline(always)]
+    fn get_field<S: EventSink>(
+        &self,
+        obj: Value,
+        fid: FieldId,
+        line: u32,
+        sink: &mut S,
+    ) -> Result<Value, RuntimeError> {
+        let o = as_object(obj, line, "getfield")?;
+        let field = self.program.field(fid);
+        let v = self.heap.field(o, field.slot as usize);
+        if field.track_access {
+            self.emit(sink, Event::FieldRead { obj, field: fid });
+        }
+        Ok(v)
+    }
+
+    /// `PutField fid` of `value` on `obj`: the receiver check, the write,
+    /// and its `FieldWrite` event.
+    #[inline(always)]
+    fn put_field<S: EventSink>(
+        &mut self,
+        obj: Value,
+        fid: FieldId,
+        value: Value,
+        line: u32,
+        sink: &mut S,
+    ) -> Result<(), RuntimeError> {
+        let o = as_object(obj, line, "putfield")?;
+        let field = self.program.field(fid);
+        self.heap.set_field(o, field.slot as usize, value);
+        self.emit(
+            sink,
+            Event::FieldWrite {
+                obj: o,
+                field: fid,
+                value,
+                tracked: field.track_access,
+            },
+        );
+        Ok(())
+    }
+
+    /// `ALoad` of `arr[idx]`: the array and bounds checks (one lookup:
+    /// `get` is the bounds check), the read, and its `ArrayRead` event.
+    #[inline(always)]
+    fn load_elem<S: EventSink>(
+        &self,
+        arr: Value,
+        idx: i64,
+        line: u32,
+        sink: &mut S,
+    ) -> Result<Value, RuntimeError> {
+        let elems = &self.heap.array(as_array(arr, line)?).elems;
+        let Some(&v) = usize::try_from(idx).ok().and_then(|i| elems.get(i)) else {
+            return Err(out_of_bounds_err(idx, elems.len(), line));
+        };
+        if self.program.track_arrays {
+            self.emit(sink, Event::ArrayRead { arr });
+        }
+        Ok(v)
+    }
+
+    /// `AStore` of `value` to `arr[idx]`: the array and bounds checks, the
+    /// write, and its `ArrayWrite` event.
+    #[inline(always)]
+    fn store_elem<S: EventSink>(
+        &mut self,
+        arr: Value,
+        idx: i64,
+        value: Value,
+        line: u32,
+        sink: &mut S,
+    ) -> Result<(), RuntimeError> {
+        let a = as_array(arr, line)?;
+        self.heap
+            .try_set_elem(a, idx, value)
+            .map_err(|len| out_of_bounds_err(idx, len, line))?;
+        self.emit(
+            sink,
+            Event::ArrayWrite {
+                arr: a,
+                index: idx as usize,
+                value,
+                tracked: self.program.track_arrays,
+            },
+        );
+        Ok(())
+    }
+
+    /// `ArrayLen` of `arr`.
+    #[inline(always)]
+    fn array_len(&self, arr: Value, line: u32) -> Result<Value, RuntimeError> {
+        let len = self.heap.array(as_array(arr, line)?).elems.len();
+        Ok(Value::Int(len as i64))
+    }
+
+    /// `New cid`: an object with every field at its default, and its
+    /// `ObjectAlloc` event.
+    #[inline(always)]
+    fn new_object<S: EventSink>(&mut self, cid: ClassId, sink: &mut S) -> ObjRef {
+        let program = self.program;
+        let class = program.class(cid);
+        let obj = self.heap.alloc_object_from(
+            cid,
+            class
+                .field_layout
+                .iter()
+                .map(|&fid| default_field_value(&program.field(fid).ty)),
+        );
+        self.emit(
+            sink,
+            Event::ObjectAlloc {
+                obj,
+                class: cid,
+                tracked: class.track_alloc,
+            },
+        );
+        obj
+    }
+
+    /// The method a `CallVirtual m` on `receiver` dispatches to: the
+    /// receiver check, then the receiver class's vtable entry.
+    #[inline(always)]
+    fn virtual_target(
+        &self,
+        m: FuncId,
+        receiver: Value,
+        line: u32,
+    ) -> Result<FuncId, RuntimeError> {
+        let o = as_object(receiver, line, "virtual call")?;
+        let decl = self.program.func(m);
+        let vslot = decl.vslot.ok_or_else(|| {
+            RuntimeError::Internal(format!("virtual call to {} without vslot", decl.name))
+        })?;
+        Ok(self.program.class(self.heap.object(o).class).vtable[vslot as usize])
     }
 
     /// Unwinds `value` through the frame stack, emitting loop/method exit
@@ -1488,10 +1282,6 @@ impl<'p> Interp<'p> {
             },
         }
     }
-
-    fn matches_kind(&self, kind: CatchKind, value: Value) -> bool {
-        self.catch_matches(kind, value)
-    }
 }
 
 /// The value a freshly allocated field of type `ty` holds (`0`, `false`,
@@ -1537,6 +1327,34 @@ fn expected_array_err(other: Value) -> RuntimeError {
     RuntimeError::Internal(format!("expected array, got {other}"))
 }
 
+#[cold]
+#[inline(never)]
+fn non_object_err(op: &str, other: Value) -> RuntimeError {
+    RuntimeError::Internal(format!("{op} on non-object {other}"))
+}
+
+/// Whether an event or a fault can fall between `instr`'s constituents.
+/// This is the one place fusion meets the instruction-event stream: the
+/// back-edge event of `loop_back_jump`, the allocation event of
+/// `new_dup`, and the receiver check of the mid-window `GetField` in the
+/// field-length, field-element and field-increment forms. Such an arm
+/// emits its constituents' instruction events itself, each before that
+/// constituent's work, so events and faults fall as in unfused
+/// execution; every other instruction has them all emitted before its
+/// arm runs.
+#[inline(always)]
+fn interleaves(instr: Instr) -> bool {
+    matches!(
+        instr,
+        Instr::FusedLoopBackJump(..)
+            | Instr::FusedNewDup(_)
+            | Instr::FusedLoadGetFieldLen(..)
+            | Instr::FusedLoadLoadGetFieldLen(..)
+            | Instr::FusedLoadGetFieldALoad(..)
+            | Instr::FusedFieldAdd(..)
+    )
+}
+
 /// `v + k`, or `v - k` when `sub` is set, wrapping like the `Add` and
 /// `Sub` the `± k` superinstructions stand for.
 #[inline]
@@ -1556,12 +1374,17 @@ fn pop(values: &mut Vec<Value>, floor: usize) -> Result<Value, RuntimeError> {
     Ok(values.pop().expect("floor check implies non-empty"))
 }
 
-#[inline]
-fn pop_int(values: &mut Vec<Value>, floor: usize) -> Result<i64, RuntimeError> {
-    match pop(values, floor)? {
+#[inline(always)]
+fn as_int(v: Value) -> Result<i64, RuntimeError> {
+    match v {
         Value::Int(v) => Ok(v),
         other => Err(expected_int_err(other)),
     }
+}
+
+#[inline]
+fn pop_int(values: &mut Vec<Value>, floor: usize) -> Result<i64, RuntimeError> {
+    as_int(pop(values, floor)?)
 }
 
 #[inline]
@@ -1572,8 +1395,19 @@ fn pop_bool(values: &mut Vec<Value>, floor: usize) -> Result<bool, RuntimeError>
     }
 }
 
-#[inline]
-fn as_array(v: Value, line: u32) -> Result<crate::heap::ArrRef, RuntimeError> {
+/// The receiver check of a field access or virtual call `op`.
+#[inline(always)]
+fn as_object(v: Value, line: u32, op: &str) -> Result<ObjRef, RuntimeError> {
+    match v {
+        Value::Obj(o) => Ok(o),
+        Value::Null => Err(RuntimeError::NullDeref { line }),
+        other => Err(non_object_err(op, other)),
+    }
+}
+
+/// The array check of an element access or length.
+#[inline(always)]
+fn as_array(v: Value, line: u32) -> Result<ArrRef, RuntimeError> {
     match v {
         Value::Arr(a) => Ok(a),
         Value::Null => Err(RuntimeError::NullDeref { line }),
@@ -1583,10 +1417,10 @@ fn as_array(v: Value, line: u32) -> Result<crate::heap::ArrRef, RuntimeError> {
 
 /// Index of the first of `n` call arguments on the shared value stack,
 /// given the calling frame's operand floor.
-fn arg_base(values: &[Value], floor: usize, n: usize) -> Result<usize, RuntimeError> {
+fn arg_base(values: &[Value], floor: usize, n: u16) -> Result<usize, RuntimeError> {
     values
         .len()
-        .checked_sub(n)
+        .checked_sub(n.into())
         .filter(|&b| b >= floor)
         .ok_or_else(|| RuntimeError::Internal("operand stack underflow in call".into()))
 }

@@ -73,7 +73,9 @@ pub use bytecode::{
 pub use compile::{compile, compile_with_bodies};
 pub use disasm::{disassemble, disassemble_cfg, disassemble_function};
 pub use error::{CompileError, RuntimeError};
-pub use event::{Event, EventCx, EventSink, Fanout, NoopSink, Tee, ThreadId};
+pub use event::{
+    json_str, write_json_str, Event, EventCx, EventSink, Fanout, NoopSink, Tee, ThreadId,
+};
 pub use heap::{ArrRef, ArrayWrite, Heap, ObjRef, Value};
 pub use instrument::{
     AllocInstrumentation, FieldInstrumentation, InstrumentOptions, MethodInstrumentation,
