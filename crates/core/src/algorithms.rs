@@ -290,7 +290,8 @@ mod tests {
     /// activation.
     fn observe(tree: &mut RepTree, node: NodeId, input: InputId, size: usize) {
         let cur = tree.node_mut(node).current_mut().expect("node active");
-        let (record, _) = cur.inputs.find_or_insert(input);
+        let (at, _) = cur.inputs.find_or_insert(input);
+        let record = cur.inputs.at_mut(at);
         record.first_size = size;
         record.exit_size = size;
         record.max_size = size;

@@ -49,7 +49,7 @@ pub mod repetition;
 
 use algoprof_vm::{CompiledProgram, Event, EventCx, EventSink, ThreadId, Value};
 
-use crate::cost::{AccessOp, AccessTarget, CostKey};
+use crate::cost::{AccessOp, CostKey};
 use crate::inputs::InputRegistry;
 use crate::profile::{AlgorithmicProfile, ProfileSet};
 use crate::reptree::RepTree;
@@ -159,6 +159,14 @@ impl AlgoProf {
         (&mut t.0, &mut t.1)
     }
 
+    /// The current thread's repetition stage, its hit table flushed:
+    /// the current invocation is about to change.
+    fn flushed(&mut self) -> &mut RepetitionStage {
+        let (rep, attr) = self.pipeline();
+        attr.flush(rep);
+        rep
+    }
+
     /// Makes sure a pipeline slot exists for `thread`.
     fn ensure_thread(&mut self, thread: ThreadId) {
         while self.threads.len() <= thread.index() {
@@ -205,14 +213,13 @@ impl AlgoProf {
         if w == self.cur || w >= self.threads.len() {
             return;
         }
-        let (rep, attr) = {
-            let t = &mut self.threads[w];
-            (&mut t.0, &mut t.1)
-        };
+        let (rep, attr) = &mut self.threads[w];
         attr.on_remote_read(rep, r, program, heap);
     }
 
-    /// The main thread's repetition tree built so far.
+    /// The main thread's repetition tree built so far. The access counts
+    /// of an invocation in flight lag until its next loop or method entry
+    /// or exit; finished invocations are complete.
     pub fn tree(&self) -> &RepTree {
         self.threads[0].0.tree()
     }
@@ -249,7 +256,8 @@ impl AlgoProf {
         ProfileSet::new(
             threads
                 .into_iter()
-                .map(|(rep, attr)| {
+                .map(|(mut rep, mut attr)| {
+                    attr.flush(&mut rep);
                     AlgorithmicProfile::build_with(
                         rep.into_finalized_tree(),
                         attr.into_registry(),
@@ -274,16 +282,17 @@ impl EventSink for AlgoProf {
     fn event(&mut self, ev: &Event, cx: &EventCx<'_>) {
         let (program, heap) = (cx.program, cx.heap);
         match *ev {
-            Event::LoopEntry { l } => self.pipeline().0.enter_loop(l),
+            Event::LoopEntry { l } => self.flushed().enter_loop(l),
             Event::LoopBackEdge { .. } => self.pipeline().0.bump(CostKey::Step),
             Event::LoopExit { .. } => {
                 let (rep, attr) = self.pipeline();
                 attr.remeasure_inputs(rep, program, heap);
                 rep.exit_loop();
             }
-            Event::MethodEntry { func } => self.pipeline().0.enter_method(func),
+            Event::MethodEntry { func } => self.flushed().enter_method(func),
             Event::MethodExit { .. } => {
                 let (rep, attr) = self.pipeline();
+                attr.flush(rep);
                 if rep.leave_method_frame() {
                     attr.remeasure_inputs(rep, program, heap);
                     rep.finalize_current();
@@ -292,39 +301,26 @@ impl EventSink for AlgoProf {
             }
             Event::FieldRead { obj, .. } => {
                 self.credit_remote_writer(obj, program, heap);
-                let class = match obj {
-                    Value::Obj(o) => Some(heap.object(o).class),
-                    _ => None,
-                };
-                let target = AccessTarget::Field(class);
                 let (rep, attr) = self.pipeline();
-                attr.on_access(rep, obj, AccessOp::Read, target, program, heap);
+                attr.on_access(rep, obj, AccessOp::Read, true, program, heap);
             }
             Event::FieldWrite { obj, tracked, .. } => {
                 self.note_write(ElemKey::Obj(obj));
                 if tracked {
-                    let target = AccessTarget::Field(Some(heap.object(obj).class));
                     let (rep, attr) = self.pipeline();
-                    attr.on_access(rep, Value::Obj(obj), AccessOp::Write, target, program, heap);
+                    attr.on_access(rep, Value::Obj(obj), AccessOp::Write, true, program, heap);
                 }
             }
             Event::ArrayRead { arr } => {
                 self.credit_remote_writer(arr, program, heap);
                 let (rep, attr) = self.pipeline();
-                attr.on_access(rep, arr, AccessOp::Read, AccessTarget::Array, program, heap);
+                attr.on_access(rep, arr, AccessOp::Read, false, program, heap);
             }
             Event::ArrayWrite { arr, tracked, .. } => {
                 self.note_write(ElemKey::Arr(arr));
                 if tracked {
                     let (rep, attr) = self.pipeline();
-                    attr.on_access(
-                        rep,
-                        Value::Arr(arr),
-                        AccessOp::Write,
-                        AccessTarget::Array,
-                        program,
-                        heap,
-                    );
+                    attr.on_access(rep, Value::Arr(arr), AccessOp::Write, false, program, heap);
                 }
             }
             Event::ObjectAlloc {

@@ -12,7 +12,7 @@
 //! activation. Invocation ordinals are assigned at start, so parent
 //! links remain exact even when nested activations finish first.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use algoprof_vm::{FuncId, LoopId, Value};
@@ -180,8 +180,9 @@ impl InputRecord {
         }
     }
 
-    /// Counts one `op` access of `target`.
-    pub fn count(&mut self, target: AccessTarget, op: AccessOp) {
+    /// Counts one `op` access of `target`; returns the index of
+    /// `target`'s entry in [`InputRecord::counts`].
+    pub fn count(&mut self, target: AccessTarget, op: AccessOp) -> usize {
         let at = match self.counts.iter().position(|&(t, _)| t == target) {
             Some(at) => at,
             None => {
@@ -190,6 +191,7 @@ impl InputRecord {
             }
         };
         self.counts[at].1[usize::from(op == AccessOp::Write)] += 1;
+        at
     }
 
     fn observation(&self) -> InputObservation {
@@ -205,35 +207,59 @@ impl InputRecord {
 /// until the exit re-measurement sorts them.
 /// Most invocations touch one or two inputs, and consecutive accesses
 /// mostly touch the same one, so lookup tries the most recently used
-/// record first and then scans.
+/// record first, then scans, or past `InputRecords::INDEXED` records
+/// asks an index by input.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct InputRecords {
     records: Vec<InputRecord>,
     recent: usize,
+    /// Each record's position by input, once there are enough records.
+    index: HashMap<InputId, usize>,
 }
 
 impl InputRecords {
-    /// The record of `input`, opened (all sizes 0) if there is none yet;
-    /// the flag is `true` when it was just opened.
-    pub fn find_or_insert(&mut self, input: InputId) -> (&mut InputRecord, bool) {
+    /// The record count up to which lookup scans.
+    const INDEXED: usize = 8;
+
+    /// The position of `input`'s record, opened (all sizes 0) if there
+    /// is none yet; the flag is `true` when it was just opened.
+    pub fn find_or_insert(&mut self, input: InputId) -> (usize, bool) {
         let found = match self.records.get(self.recent) {
             Some(r) if r.input == input => Some(self.recent),
-            _ => self.records.iter().position(|r| r.input == input),
+            _ if self.index.is_empty() => self.records.iter().position(|r| r.input == input),
+            _ => self.index.get(&input).copied(),
         };
         let (at, opened) = match found {
             Some(at) => (at, false),
             None => {
                 self.records.push(InputRecord::new(input));
+                self.index_new();
                 (self.records.len() - 1, true)
             }
         };
         self.recent = at;
-        (&mut self.records[at], opened)
+        (at, opened)
+    }
+
+    /// The record at position `at` (see [`InputRecords::find_or_insert`]).
+    pub fn at_mut(&mut self, at: usize) -> &mut InputRecord {
+        &mut self.records[at]
+    }
+
+    /// Indexes the records not yet indexed, once there are enough.
+    fn index_new(&mut self) {
+        if self.records.len() > Self::INDEXED {
+            let from = self.index.len();
+            let new = self.records[from..].iter().enumerate();
+            self.index.extend(new.map(|(i, r)| (r.input, from + i)));
+        }
     }
 
     /// Every record, mutably, after sorting them into `InputId` order.
     pub fn by_input_mut(&mut self) -> impl Iterator<Item = &mut InputRecord> + '_ {
         self.records.sort_unstable_by_key(|r| r.input);
+        self.index.clear();
+        self.index_new();
         self.records.iter_mut()
     }
 
@@ -461,6 +487,26 @@ impl Default for RepTree {
 mod tests {
     use super::*;
     use crate::cost::CostKey;
+
+    #[test]
+    fn records_are_found_in_any_order_past_the_index_threshold() {
+        // 53 is coprime to 150, so this visits every id once, out of order.
+        let ids: Vec<u32> = (0..150).map(|i| i * 53 % 150).collect();
+        let mut records = InputRecords::default();
+        for (at, &id) in ids.iter().enumerate() {
+            assert_eq!(records.find_or_insert(InputId(id)), (at, true));
+        }
+        for (at, &id) in ids.iter().enumerate().rev() {
+            assert_eq!(records.find_or_insert(InputId(id)), (at, false));
+        }
+        // Sorting moves every record; lookup follows.
+        let sorted: Vec<InputId> = records.by_input_mut().map(|r| r.input).collect();
+        assert_eq!(sorted, (0..150).map(InputId).collect::<Vec<_>>());
+        for id in [149, 0, 77, 8, 9] {
+            assert_eq!(records.find_or_insert(InputId(id)), (id as usize, false));
+        }
+        assert_eq!(records.find_or_insert(InputId(150)), (150, true));
+    }
 
     #[test]
     fn new_tree_has_active_root() {
