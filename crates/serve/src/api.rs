@@ -117,12 +117,11 @@ pub fn options_from_json(value: Option<&Json>) -> Result<AlgoProfOptions, String
 }
 
 fn hex_encode(bytes: &[u8]) -> String {
-    let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        use std::fmt::Write;
-        write!(s, "{b:02x}").expect("writing to a String cannot fail");
-    }
-    s
+    let digit = |n: u8| char::from(b"0123456789abcdef"[usize::from(n)]);
+    bytes
+        .iter()
+        .flat_map(|b| [digit(b >> 4), digit(b & 15)])
+        .collect()
 }
 
 fn hex_decode(text: &str) -> Result<Vec<u8>, String> {
@@ -132,8 +131,11 @@ fn hex_decode(text: &str) -> Result<Vec<u8>, String> {
     text.as_bytes()
         .chunks_exact(2)
         .map(|pair| {
-            u8::from_str_radix(std::str::from_utf8(pair).expect("ascii"), 16)
-                .map_err(|_| format!("bad hex byte {:?}", String::from_utf8_lossy(pair)))
+            // A pair can split a multi-byte character: an error, too.
+            std::str::from_utf8(pair)
+                .ok()
+                .and_then(|pair| u8::from_str_radix(pair, 16).ok())
+                .ok_or_else(|| format!("bad hex byte {:?}", String::from_utf8_lossy(pair)))
         })
         .collect()
 }
@@ -357,6 +359,7 @@ mod tests {
             ),
             (r#"{"kind":"analyze","trace_hex":"abc"}"#, "odd-length"),
             (r#"{"kind":"analyze","trace_hex":"zz"}"#, "bad hex"),
+            (r#"{"kind":"analyze","trace_hex":"a\u00e9a"}"#, "bad hex"),
         ];
         for (wire, needle) in cases {
             let err = job_from_json(&parse(wire).expect("parses")).unwrap_err();

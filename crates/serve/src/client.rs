@@ -86,49 +86,25 @@ pub struct StreamReport {
     pub bytes: u64,
 }
 
-enum Conn {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
+/// A connected transport: TCP or a Unix socket.
+trait Conn: Read + Write {}
 
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
+impl<T: Read + Write> Conn for T {}
 
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
-fn connect(addr: &ServerAddr) -> Result<Conn, ClientError> {
+fn connect(addr: &ServerAddr) -> Result<Box<dyn Conn>, ClientError> {
     match addr {
-        ServerAddr::Tcp(spec) => TcpStream::connect(spec)
-            .map(Conn::Tcp)
-            .map_err(|e| ClientError(format!("cannot connect to {spec}: {e}"))),
+        ServerAddr::Tcp(spec) => match TcpStream::connect(spec) {
+            Ok(stream) => Ok(Box::new(stream)),
+            Err(e) => Err(ClientError(format!("cannot connect to {spec}: {e}"))),
+        },
         #[cfg(unix)]
-        ServerAddr::Unix(path) => UnixStream::connect(path)
-            .map(Conn::Unix)
-            .map_err(|e| ClientError(format!("cannot connect to {}: {e}", path.display()))),
+        ServerAddr::Unix(path) => match UnixStream::connect(path) {
+            Ok(stream) => Ok(Box::new(stream)),
+            Err(e) => Err(ClientError(format!(
+                "cannot connect to {}: {e}",
+                path.display()
+            ))),
+        },
         #[cfg(not(unix))]
         ServerAddr::Unix(path) => Err(ClientError(format!(
             "unix sockets are unsupported on this platform ({})",

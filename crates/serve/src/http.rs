@@ -234,6 +234,19 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
+/// Sends `head` followed by `body` with a single `write_all`, then
+/// flushes. The transports are unbuffered sockets, where every separate
+/// write goes out as its own segment and wakes the peer.
+fn send(w: &mut impl Write, head: std::fmt::Arguments, body: &[&[u8]]) -> io::Result<()> {
+    let mut message = Vec::with_capacity(160 + body.iter().map(|b| b.len()).sum::<usize>());
+    message.write_fmt(head)?;
+    for part in body {
+        message.extend_from_slice(part);
+    }
+    w.write_all(&message)?;
+    w.flush()
+}
+
 /// Writes a complete response (Content-Length framing, connection
 /// closing after it).
 pub fn write_response(
@@ -242,37 +255,38 @@ pub fn write_response(
     content_type: &str,
     body: &[u8],
 ) -> io::Result<()> {
-    write!(
+    send(
         w,
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        status,
-        reason(status),
-        content_type,
-        body.len()
-    )?;
-    w.write_all(body)?;
-    w.flush()
+        format_args!(
+            "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+            reason(status),
+            body.len()
+        ),
+        &[body],
+    )
 }
 
 /// Writes a complete request with a Content-Length body.
 pub fn write_request(w: &mut impl Write, method: &str, path: &str, body: &[u8]) -> io::Result<()> {
-    write!(
+    send(
         w,
-        "{} {} HTTP/1.1\r\nhost: algoprof\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
-        method,
-        path,
-        body.len()
-    )?;
-    w.write_all(body)?;
-    w.flush()
+        format_args!(
+            "{method} {path} HTTP/1.1\r\nhost: algoprof\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+            body.len()
+        ),
+        &[body],
+    )
 }
 
 /// Starts a chunked-body request; follow with [`write_chunk`] calls and
 /// one [`finish_chunks`].
 pub fn write_chunked_request_head(w: &mut impl Write, method: &str, path: &str) -> io::Result<()> {
-    write!(
+    send(
         w,
-        "{method} {path} HTTP/1.1\r\nhost: algoprof\r\ncontent-type: application/octet-stream\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n"
+        format_args!(
+            "{method} {path} HTTP/1.1\r\nhost: algoprof\r\ncontent-type: application/octet-stream\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n"
+        ),
+        &[],
     )
 }
 
@@ -281,9 +295,7 @@ pub fn write_chunk(w: &mut impl Write, data: &[u8]) -> io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
-    write!(w, "{:x}\r\n", data.len())?;
-    w.write_all(data)?;
-    w.write_all(b"\r\n")
+    send(w, format_args!("{:x}\r\n", data.len()), &[data, b"\r\n"])
 }
 
 /// Terminates a chunked body.

@@ -131,33 +131,39 @@ impl Json {
     }
 }
 
-/// Parses one JSON document; trailing non-whitespace is an error.
+/// Deepest array/object nesting [`parse`] accepts. The protocol nests
+/// three levels; the cap keeps a hostile body from overflowing the
+/// stack of the connection thread that parses it.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON document; trailing non-whitespace is an error, and
+/// so is nesting deeper than [`MAX_DEPTH`]. Time is linear in the
+/// length of `text`.
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
-    let value = p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.bytes.get(self.pos) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -169,21 +175,26 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// One value inside `depth` open arrays and objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
+            Some(b'[' | b'{') if depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -196,7 +207,7 @@ impl Parser<'_> {
         while let Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9') = self.peek() {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("bad number {text:?} at byte {start}"))
@@ -206,13 +217,23 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one piece:
+            // both are ASCII, so the run is whole UTF-8 scalars.
+            let rest = &self.text.as_bytes()[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err("unterminated string".into()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The backslash of one escape.
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -225,7 +246,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or("truncated \\u escape")?;
                             let code = u32::from_str_radix(
@@ -242,19 +264,11 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -264,7 +278,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -277,7 +291,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -291,7 +305,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             members.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -349,6 +363,43 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).expect_err("too deep");
+        assert!(err.contains("nesting deeper than 64"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(parse(&objects).is_err());
+        // Far past the cap: an error, not a stack overflow.
+        assert!(parse(&"[".repeat(20_000)).is_err());
+    }
+
+    #[test]
+    fn a_one_mebibyte_string_parses_in_linear_time() {
+        let payload: String = "0123456789abcdef\u{e9}\u{65e5}\u{1f642}"
+            .chars()
+            .cycle()
+            .take(1 << 20)
+            .collect();
+        let doc = format!("{{\"trace_hex\":\"{payload}\\n\"}}");
+        let start = std::time::Instant::now();
+        let value = parse(&doc).expect("parses");
+        let elapsed = start.elapsed();
+        assert_eq!(
+            value.get("trace_hex").and_then(Json::as_str),
+            Some(format!("{payload}\n").as_str())
+        );
+        // Linear parsing takes milliseconds even in a debug build;
+        // re-validating the rest of the input per character takes
+        // minutes.
+        assert!(elapsed.as_secs() < 5, "1 MiB string took {elapsed:?}");
     }
 
     #[test]

@@ -100,11 +100,62 @@ impl Server {
     pub fn start(addr: &str, config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
-        let state = new_state(&config, Box::new(move || drop(TcpStream::connect(local))))?;
+        Server::launch(
+            Some(local),
+            &config,
+            Box::new(move || drop(TcpStream::connect(local))),
+            move || listener.accept().map(|(stream, _)| stream),
+            None,
+        )
+    }
+
+    /// Binds a Unix domain socket at `path` (replacing a stale one) and
+    /// starts accepting.
+    #[cfg(unix)]
+    pub fn start_unix(path: &std::path::Path, config: ServerConfig) -> io::Result<Server> {
+        // A previous daemon that died uncleanly leaves the socket file
+        // behind; binding would fail with AddrInUse.
+        let _ = std::fs::remove_file(path);
+        let listener = UnixListener::bind(path)?;
+        let wake_path = path.to_path_buf();
+        Server::launch(
+            None,
+            &config,
+            Box::new(move || drop(UnixStream::connect(&wake_path))),
+            move || listener.accept().map(|(stream, _)| stream),
+            Some(path.to_path_buf()),
+        )
+    }
+
+    /// Starts the accept loop of either transport: one thread per
+    /// connection until a stop request and the `wake` connection that
+    /// follows it. `socket_file` is removed once every connection has
+    /// finished.
+    fn launch<S: Read + Write + Send + 'static>(
+        addr: Option<SocketAddr>,
+        config: &ServerConfig,
+        wake: Box<dyn Fn() + Send + Sync>,
+        mut accept: impl FnMut() -> io::Result<S> + Send + 'static,
+        socket_file: Option<PathBuf>,
+    ) -> io::Result<Server> {
+        let workers = if config.workers == 0 {
+            default_workers()
+        } else {
+            config.workers
+        };
+        let state = Arc::new(ServerState {
+            jobs: Mutex::new(HashMap::new()),
+            next_id: AtomicU64::new(0),
+            cache: ResultCache::new(config.cache_dir.clone())?,
+            pool: WorkerPool::new(workers, config.queue_capacity),
+            stop: AtomicBool::new(false),
+            wake,
+        });
         let accept_state = Arc::clone(&state);
         let accept = std::thread::spawn(move || {
             let mut conns = Vec::new();
-            for stream in listener.incoming() {
+            loop {
+                let stream = accept();
                 if accept_state.stop.load(Ordering::SeqCst) {
                     break;
                 }
@@ -122,49 +173,12 @@ impl Server {
             for handle in conns {
                 let _ = handle.join();
             }
+            if let Some(path) = socket_file {
+                let _ = std::fs::remove_file(path);
+            }
         });
         Ok(Server {
-            addr: Some(local),
-            state,
-            accept: Some(accept),
-        })
-    }
-
-    /// Binds a Unix domain socket at `path` (replacing a stale one) and
-    /// starts accepting.
-    #[cfg(unix)]
-    pub fn start_unix(path: &std::path::Path, config: ServerConfig) -> io::Result<Server> {
-        // A previous daemon that died uncleanly leaves the socket file
-        // behind; binding would fail with AddrInUse.
-        let _ = std::fs::remove_file(path);
-        let listener = UnixListener::bind(path)?;
-        let wake_path = path.to_path_buf();
-        let state = new_state(
-            &config,
-            Box::new(move || drop(UnixStream::connect(&wake_path))),
-        )?;
-        let accept_state = Arc::clone(&state);
-        let sock_path = path.to_path_buf();
-        let accept = std::thread::spawn(move || {
-            let mut conns = Vec::new();
-            for stream in listener.incoming() {
-                if accept_state.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let conn_state = Arc::clone(&accept_state);
-                conns.push(std::thread::spawn(move || {
-                    handle_connection(stream, &conn_state)
-                }));
-                reap_finished(&mut conns);
-            }
-            for handle in conns {
-                let _ = handle.join();
-            }
-            let _ = std::fs::remove_file(&sock_path);
-        });
-        Ok(Server {
-            addr: None,
+            addr,
             state,
             accept: Some(accept),
         })
@@ -199,25 +213,6 @@ fn reap_finished(conns: &mut Vec<std::thread::JoinHandle<()>>) {
     if conns.len() >= 64 {
         conns.retain(|h| !h.is_finished());
     }
-}
-
-fn new_state(
-    config: &ServerConfig,
-    wake: Box<dyn Fn() + Send + Sync>,
-) -> io::Result<Arc<ServerState>> {
-    let workers = if config.workers == 0 {
-        default_workers()
-    } else {
-        config.workers
-    };
-    Ok(Arc::new(ServerState {
-        jobs: Mutex::new(HashMap::new()),
-        next_id: AtomicU64::new(0),
-        cache: ResultCache::new(config.cache_dir.clone())?,
-        pool: WorkerPool::new(workers, config.queue_capacity),
-        stop: AtomicBool::new(false),
-        wake,
-    }))
 }
 
 /// One request/response exchange per connection (`Connection: close`).
@@ -580,6 +575,18 @@ mod tests {
         assert!(err.to_string().contains("bad JSON"), "{err}");
         let err = client::status(&addr, "j999").expect_err("rejected");
         assert!(err.to_string().contains("no such job"), "{err}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_deeply_nested_body_is_a_400_and_the_daemon_survives() {
+        let server = Server::start("127.0.0.1:0", ServerConfig::default()).expect("starts");
+        let addr = ServerAddr::Tcp(server.addr().expect("tcp").to_string());
+        let body = "[".repeat(20_000);
+        let err = client::submit_raw(&addr, body.as_bytes()).expect_err("rejected");
+        assert!(err.to_string().contains("server answered 400"), "{err}");
+        assert!(err.to_string().contains("nesting deeper than"), "{err}");
+        client::health(&addr).expect("still answers");
         server.shutdown();
     }
 

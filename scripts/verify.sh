@@ -177,6 +177,14 @@ cmp "$sweep_out/oneshot.txt" "$sweep_out/served-profile.txt"
 ./target/release/algoprof submit --addr "$serve_addr" --wait analyze \
     "$sweep_out/sized_insertion_sort.aptr" > "$sweep_out/served-analyze.txt"
 cmp "$sweep_out/oneshot-analyze.txt" "$sweep_out/served-analyze.txt"
+# A 2.5 MB trace (5 MB of hex in the submit body): parsing the body is
+# linear in its length, so the round trip takes well under a second.
+./target/release/algoprof record examples/sized_insertion_sort.jay \
+    --input 400 -o "$sweep_out/sort400.aptr" > /dev/null
+./target/release/algoprof analyze "$sweep_out/sort400.aptr" > "$sweep_out/oneshot-400.txt"
+timeout 60 ./target/release/algoprof submit --addr "$serve_addr" --wait analyze \
+    "$sweep_out/sort400.aptr" > "$sweep_out/served-400.txt"
+cmp "$sweep_out/oneshot-400.txt" "$sweep_out/served-400.txt"
 ./target/release/algoprof submit --addr "$serve_addr" sweep \
     examples/sized_arraylist.jay --sizes 8,16,32,64 | grep -q "cache hit"
 ./target/release/algoprof submit --addr "$serve_addr" cache-stats \
