@@ -19,7 +19,8 @@
 //! Both front doors run a job the same way: the one-shot CLI builds a
 //! [`JobSpec`] for every job-shaped subcommand and calls
 //! [`JobSpec::run`], exactly as a daemon worker does (through
-//! [`JobSpec::execute`]). Only rendering differs: the daemon renders the
+//! [`JobSpec::execute_in`], which takes each program from the daemon's
+//! [`ProgramCache`]). Only rendering differs: the daemon renders the
 //! [`JobResult`] into a [`JobOutput`], the CLI renders it locally
 //! (`--csv`, `--html`, `--check`, `--json`). So a daemon round-trip is
 //! byte-identical to `algoprof sweep --json` / `algoprof <prog>` output
@@ -30,7 +31,8 @@ use std::fmt;
 use crate::hash::Sha256;
 use crate::profile::ProfileSet;
 use crate::profiler::AlgoProfOptions;
-use crate::run::{profile, Guest, ProfileError, RunConfig};
+use crate::programs::ProgramCache;
+use crate::run::{profile_in, Guest, ProfileError, RunConfig};
 use crate::sweep::{sweep, SweepAblation, SweepConfig, SweepError, SweepJob, SweepReport};
 
 /// Bump when the canonical encoding hashed by [`JobSpec::cache_key`] or
@@ -158,6 +160,20 @@ impl JobSpec {
     /// Returns [`JobError`] when the guest fails to compile or run, or a
     /// trace is malformed.
     pub fn run(&self, workers: usize, progress: bool, fuse: bool) -> Result<JobResult, JobError> {
+        self.run_in(None, workers, progress, fuse)
+    }
+
+    /// [`JobSpec::run`], taking profile and analyze jobs' programs from
+    /// `programs` when the caller keeps a [`ProgramCache`]. A sweep
+    /// always prepares its program itself: its static analysis needs the
+    /// typed bodies, which a cached program no longer has.
+    fn run_in(
+        &self,
+        programs: Option<&ProgramCache>,
+        workers: usize,
+        progress: bool,
+        fuse: bool,
+    ) -> Result<JobResult, JobError> {
         match self {
             JobSpec::Profile {
                 source,
@@ -171,7 +187,7 @@ impl JobSpec {
                     fuse,
                     ..RunConfig::default()
                 };
-                let set = profile(Guest::Source(source), &config)?;
+                let set = profile_in(programs, Guest::Source(source), &config)?;
                 Ok(JobResult::Profiles(set))
             }
             JobSpec::Sweep {
@@ -197,7 +213,8 @@ impl JobSpec {
                     options: *options,
                     ..RunConfig::default()
                 };
-                Ok(JobResult::Profiles(profile(Guest::Trace(trace), &config)?))
+                let set = profile_in(programs, Guest::Trace(trace), &config)?;
+                Ok(JobResult::Profiles(set))
             }
         }
     }
@@ -205,15 +222,28 @@ impl JobSpec {
     /// Runs and renders the job as a daemon worker does, producing output
     /// byte-identical to the one-shot CLI for the same inputs.
     /// Deterministic: the same spec always yields the same [`JobOutput`],
-    /// which is the property the content cache relies on.
+    /// which is the property the content cache relies on. Profile and
+    /// analyze jobs take their program from `programs`; compilation is
+    /// deterministic, so the output is the one [`JobSpec::execute`]
+    /// gives.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`JobSpec::run`].
+    pub fn execute_in(&self, programs: &ProgramCache) -> Result<JobOutput, JobError> {
+        // One pool worker runs the whole job; an inner sweep stays serial
+        // (nesting pools would oversubscribe). The daemon always fuses:
+        // reports are the same either way.
+        Ok(self.run_in(Some(programs), 1, false, true)?.render())
+    }
+
+    /// [`JobSpec::execute_in`] without a cache: every program is
+    /// prepared afresh, so the output is the same.
     ///
     /// # Errors
     ///
     /// Same as [`JobSpec::run`].
     pub fn execute(&self) -> Result<JobOutput, JobError> {
-        // One pool worker runs the whole job; an inner sweep stays serial
-        // (nesting pools would oversubscribe). The daemon always fuses:
-        // reports are the same either way.
         Ok(self.run(1, false, true)?.render())
     }
 
@@ -287,6 +317,7 @@ impl JobSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::profile;
     use crate::snapshot::EquivalenceCriterion;
     use algoprof_vm::InstrumentOptions;
 
@@ -457,6 +488,42 @@ mod tests {
         }
         // An analyze job's source is the one embedded in its trace.
         assert_eq!(specs[2].source().expect("decodes"), SRC);
+    }
+
+    /// Profile jobs at several sizes share one fused program and an
+    /// analyze job of the same source one unfused program; a sweep
+    /// prepares its own. Every answer equals the uncached one.
+    #[test]
+    fn execute_in_a_program_cache_equals_execute() {
+        let programs = ProgramCache::new();
+        let mut specs: Vec<JobSpec> = (4..8)
+            .map(|n| JobSpec::Profile {
+                program: format!("prog-{n}.jay"),
+                source: SIZED_SRC.into(),
+                input: vec![n],
+                options: AlgoProfOptions::default(),
+            })
+            .collect();
+        for n in [3, 5] {
+            let trace =
+                crate::run::record_source_with(SIZED_SRC, &InstrumentOptions::default(), &[n])
+                    .expect("records");
+            specs.push(JobSpec::Analyze {
+                trace,
+                options: AlgoProfOptions::default(),
+            });
+        }
+        specs.push(sweep_spec(&[4, 8]));
+        for spec in &specs {
+            assert_eq!(
+                spec.execute_in(&programs).expect("executes"),
+                spec.execute().expect("executes"),
+                "{} job",
+                spec.kind()
+            );
+        }
+        let stats = programs.stats();
+        assert_eq!((stats.entries, stats.misses, stats.hits), (2, 2, 4));
     }
 
     #[test]

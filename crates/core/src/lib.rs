@@ -59,6 +59,7 @@ pub mod jobs;
 pub mod pool;
 pub mod profile;
 pub mod profiler;
+pub mod programs;
 pub mod report;
 pub mod reptree;
 pub mod run;
@@ -80,6 +81,7 @@ pub use profile::{
     CostMetric, ProfileSet,
 };
 pub use profiler::{AlgoProf, AlgoProfOptions, SnapshotPolicy};
+pub use programs::{prepare, ProgramCache, ProgramCacheStats};
 pub use report::{render as render_report, render_merged, render_set};
 pub use reptree::{Invocation, NodeId, RepKind, RepNode, RepTree};
 pub use run::{profile, profile_source, record_source_with, run, Guest, ProfileError, RunConfig};

@@ -7,14 +7,16 @@
 //! wrapper.
 
 use std::fmt;
+use std::sync::Arc;
 
 use algoprof_trace::{read_header, TraceError, TraceHeader, TraceRecorder, TraceReplayer};
 use algoprof_vm::{
-    compile, CompileError, CompiledProgram, EventSink, InstrumentOptions, Interp, RuntimeError,
+    CompileError, CompiledProgram, EventSink, InstrumentOptions, Interp, RuntimeError,
 };
 
 use crate::profile::{AlgorithmicProfile, ProfileSet};
 use crate::profiler::{AlgoProf, AlgoProfOptions};
+use crate::programs::{program_for, ProgramCache};
 
 /// Why [`profile_source`] failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,15 +138,21 @@ pub fn run<S: EventSink>(
     guest: Guest<'_>,
     config: &RunConfig,
     sink: &mut S,
-) -> Result<CompiledProgram, ProfileError> {
+) -> Result<Arc<CompiledProgram>, ProfileError> {
+    run_in(None, guest, config, sink)
+}
+
+/// [`run`], taking the program from `programs` when the caller keeps a
+/// [`ProgramCache`].
+pub(crate) fn run_in<S: EventSink>(
+    programs: Option<&ProgramCache>,
+    guest: Guest<'_>,
+    config: &RunConfig,
+    sink: &mut S,
+) -> Result<Arc<CompiledProgram>, ProfileError> {
     match guest {
         Guest::Source(source) => {
-            let program = compile(source)?.instrument(&config.instrument);
-            let program = if config.fuse {
-                program.fused()
-            } else {
-                program
-            };
+            let program = program_for(programs, source, &config.instrument, config.fuse)?;
             Interp::new(&program)
                 .with_input(config.input.clone())
                 .run(sink)?;
@@ -152,7 +160,7 @@ pub fn run<S: EventSink>(
         }
         Guest::Trace(trace) => {
             let (header, events) = read_header(trace)?;
-            let program = recorded_program(&header)?;
+            let program = recorded_program(programs, &header)?;
             TraceReplayer::new().replay(&program, events, sink)?;
             Ok(program)
         }
@@ -161,8 +169,11 @@ pub fn run<S: EventSink>(
 
 /// The program a trace's events resolve against: its embedded source
 /// compiled under its recorded instrumentation (unfused: nothing runs).
-pub(crate) fn recorded_program(header: &TraceHeader) -> Result<CompiledProgram, CompileError> {
-    Ok(compile(&header.source)?.instrument(&header.instrument))
+pub(crate) fn recorded_program(
+    programs: Option<&ProgramCache>,
+    header: &TraceHeader,
+) -> Result<Arc<CompiledProgram>, CompileError> {
+    program_for(programs, &header.source, &header.instrument, false)
 }
 
 /// Runs `guest` under `config` into an [`AlgoProf`] and returns one
@@ -173,8 +184,18 @@ pub(crate) fn recorded_program(header: &TraceHeader) -> Result<CompiledProgram, 
 ///
 /// Same as [`run`].
 pub fn profile(guest: Guest<'_>, config: &RunConfig) -> Result<ProfileSet, ProfileError> {
+    profile_in(None, guest, config)
+}
+
+/// [`profile`], taking the program from `programs` when the caller
+/// keeps a [`ProgramCache`].
+pub(crate) fn profile_in(
+    programs: Option<&ProgramCache>,
+    guest: Guest<'_>,
+    config: &RunConfig,
+) -> Result<ProfileSet, ProfileError> {
     let mut profiler = AlgoProf::with_options(config.options);
-    let program = run(guest, config, &mut profiler)?;
+    let program = run_in(programs, guest, config, &mut profiler)?;
     Ok(profiler.finish_set(&program))
 }
 

@@ -23,6 +23,7 @@
 //! [`finish`]: StreamingAnalysis::finish
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use algoprof_fit::{Fit, PowerFit, StreamingFit};
 use algoprof_trace::IncrementalReplayer;
@@ -31,6 +32,7 @@ use algoprof_vm::CompiledProgram;
 use crate::inputs::{InputKind, InputRegistry};
 use crate::profile::ProfileSet;
 use crate::profiler::{AlgoProf, AlgoProfOptions};
+use crate::programs::ProgramCache;
 use crate::reptree::{Invocation, NodeId};
 use crate::run::{recorded_program, ProfileError};
 
@@ -77,19 +79,36 @@ pub struct StreamingReport {
 
 /// Push-style trace analysis; see the module docs.
 #[derive(Debug)]
-pub struct StreamingAnalysis {
+pub struct StreamingAnalysis<'p> {
     options: AlgoProfOptions,
+    /// Where the trace's recorded program comes from, if the caller
+    /// keeps a cache.
+    programs: Option<&'p ProgramCache>,
     inc: IncrementalReplayer,
-    program: Option<CompiledProgram>,
+    program: Option<Arc<CompiledProgram>>,
     profiler: Option<AlgoProf>,
     fits: BTreeMap<usize, NodeFitState>,
 }
 
-impl StreamingAnalysis {
-    /// An analysis awaiting its first chunk.
+impl StreamingAnalysis<'static> {
+    /// An analysis awaiting its first chunk, which prepares the trace's
+    /// program itself.
     pub fn new(options: AlgoProfOptions) -> Self {
+        StreamingAnalysis::start(options, None)
+    }
+}
+
+impl<'p> StreamingAnalysis<'p> {
+    /// An analysis awaiting its first chunk that takes the trace's
+    /// program from `programs`.
+    pub fn with_programs(options: AlgoProfOptions, programs: &'p ProgramCache) -> Self {
+        StreamingAnalysis::start(options, Some(programs))
+    }
+
+    fn start(options: AlgoProfOptions, programs: Option<&'p ProgramCache>) -> Self {
         StreamingAnalysis {
             options,
+            programs,
             inc: IncrementalReplayer::new(),
             program: None,
             profiler: None,
@@ -110,7 +129,7 @@ impl StreamingAnalysis {
         self.inc.feed(chunk);
         if self.program.is_none() {
             if let Some(header) = self.inc.header()? {
-                let program = recorded_program(header)?;
+                let program = recorded_program(self.programs, header)?;
                 self.profiler = Some(AlgoProf::with_options(self.options));
                 self.program = Some(program);
             }

@@ -757,12 +757,8 @@ fn disasm_main(args: &[String]) -> Result<(), CliError> {
         ));
     };
     let source = read_file(path)?;
-    let mut program = algoprof_vm::compile(&source)
-        .map_err(|e| CliError::Run(e.to_string()))?
-        .instrument(&algoprof_vm::InstrumentOptions::default());
-    if fused {
-        program = program.fuse();
-    }
+    let program = algoprof::prepare(&source, &algoprof_vm::InstrumentOptions::default(), fused)
+        .map_err(|e| CliError::Run(e.to_string()))?;
     if cfg {
         print!("{}", algoprof_vm::disassemble_cfg(&program));
     } else {
@@ -1064,10 +1060,15 @@ fn submit_main(args: &[String]) -> Result<(), CliError> {
                 ));
             }
             reject_extra_args(&rest, "cache-stats")?;
-            let stats = client::cache_stats(&server).map_err(|e| CliError::Run(e.to_string()))?;
+            let (stats, programs) =
+                client::all_cache_stats(&server).map_err(|e| CliError::Run(e.to_string()))?;
             println!(
                 "cache entries {} hits {} misses {} stores {}",
                 stats.entries, stats.hits, stats.misses, stats.stores
+            );
+            println!(
+                "program cache entries {} hits {} misses {} evictions {}",
+                programs.entries, programs.hits, programs.misses, programs.evictions
             );
             Ok(())
         }

@@ -12,7 +12,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use algoprof::{JobOutput, JobSpec};
+use algoprof::{JobOutput, JobSpec, ProgramCacheStats};
 
 use crate::api::job_to_json;
 use crate::cache::CacheStats;
@@ -233,21 +233,37 @@ pub fn stream_trace(
     })
 }
 
-/// Fetches the cache counters.
+/// Fetches the result-cache counters.
 pub fn cache_stats(addr: &ServerAddr) -> Result<CacheStats, ClientError> {
+    all_cache_stats(addr).map(|(results, _)| results)
+}
+
+/// Fetches the result-cache and the program-cache counters in one
+/// request.
+pub fn all_cache_stats(addr: &ServerAddr) -> Result<(CacheStats, ProgramCacheStats), ClientError> {
     let value = exchange(addr, "GET", "/api/v1/cache/stats", b"")?;
-    let num = |key: &str| -> Result<u64, ClientError> {
+    let lacks = |key: &str| ClientError(format!("server answer lacks {key:?}"));
+    let num = |value: &Json, key: &str| {
         value
             .get(key)
             .and_then(Json::as_u64)
-            .ok_or_else(|| ClientError(format!("server answer lacks {key:?}")))
+            .ok_or_else(|| lacks(key))
     };
-    Ok(CacheStats {
-        entries: num("entries")?,
-        hits: num("hits")?,
-        misses: num("misses")?,
-        stores: num("stores")?,
-    })
+    let programs = value.get("programs").ok_or_else(|| lacks("programs"))?;
+    Ok((
+        CacheStats {
+            entries: num(&value, "entries")?,
+            hits: num(&value, "hits")?,
+            misses: num(&value, "misses")?,
+            stores: num(&value, "stores")?,
+        },
+        ProgramCacheStats {
+            entries: num(programs, "entries")?,
+            hits: num(programs, "hits")?,
+            misses: num(programs, "misses")?,
+            evictions: num(programs, "evictions")?,
+        },
+    ))
 }
 
 /// Asks the daemon whether it is alive.

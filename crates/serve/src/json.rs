@@ -244,28 +244,47 @@ impl Parser<'_> {
                         Some(b't') => out.push('\t'),
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .text
-                                .as_bytes()
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            // Surrogate pairs are not needed by this
-                            // protocol; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
+                        Some(b'u') => out.push(self.unicode_escape()?),
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
                 }
             }
         }
+    }
+
+    /// Decodes the `\uXXXX` escape whose `u` is at `self.pos`, or the
+    /// surrogate pair `\uXXXX\uXXXX` it starts, and leaves `self.pos`
+    /// on its last hex digit. A lone surrogate is an error.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let start = self.pos - 1;
+        let bad = || format!("bad \\u escape at byte {start}");
+        let unit = self.hex4(self.pos + 1).ok_or_else(bad)?;
+        self.pos += 4;
+        let code = match unit {
+            0xD800..=0xDBFF => {
+                let low = match self.text.as_bytes().get(self.pos + 1..self.pos + 3) {
+                    Some(b"\\u") => self.hex4(self.pos + 3).ok_or_else(bad)?,
+                    _ => return Err(bad()),
+                };
+                if !(0xDC00..=0xDFFF).contains(&low) {
+                    return Err(bad());
+                }
+                self.pos += 6;
+                0x1_0000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+            }
+            0xDC00..=0xDFFF => return Err(bad()),
+            _ => unit,
+        };
+        Ok(char::from_u32(code).expect("a BMP scalar or a decoded surrogate pair"))
+    }
+
+    /// The four ASCII hex digits at `at` as a UTF-16 code unit.
+    fn hex4(&self, at: usize) -> Option<u32> {
+        let digits = self.text.as_bytes().get(at..at + 4)?;
+        digits
+            .iter()
+            .try_fold(0, |unit, &b| Some(unit * 16 + char::from(b).to_digit(16)?))
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, String> {
@@ -347,6 +366,60 @@ mod tests {
         assert_eq!(arr[0].as_u64(), Some(1));
         assert_eq!(arr[1].as_f64(), Some(-2.5));
         assert_eq!(arr[2].as_str(), Some("xA\n"));
+    }
+
+    #[test]
+    fn a_surrogate_pair_decodes_to_one_character() {
+        let escaped = parse("\"p\\ud83d\\ude42.jay\"").expect("parses");
+        let raw = parse("\"p\u{1f642}.jay\"").expect("parses");
+        assert_eq!(escaped, Json::Str("p\u{1f642}.jay".into()));
+        assert_eq!(escaped, raw);
+        // Upper-case digits, and the largest scalar.
+        assert_eq!(
+            parse("\"\\uD83D\\uDE42\\udbff\\udfff\"").expect("parses"),
+            Json::Str("\u{1f642}\u{10ffff}".into())
+        );
+    }
+
+    #[test]
+    fn a_lone_surrogate_is_rejected() {
+        for bad in [
+            "\"\\ud83d\"",
+            "\"\\ud83dx\"",
+            "\"\\ud83d\\n\"",
+            "\"\\ud83d\\u0041\"",
+            "\"\\ud83d\\ud83d\"",
+            "\"\\ude42\"",
+            "\"\\ude42\\ud83d\"",
+            "\"\\ud83d\\ude4\"",
+        ] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.starts_with("bad \\u escape at byte"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_u_escape_takes_exactly_four_hex_digits() {
+        for bad in [
+            "\"\\u+070\"",
+            "\"\\u-070\"",
+            "\"\\u 070\"",
+            "\"\\u07\"",
+            "\"\\u00g0\"",
+            "\"\\u\u{e9}00\"",
+            "\"\\u",
+        ] {
+            let err = parse(bad).expect_err(bad);
+            assert!(err.starts_with("bad \\u escape"), "{bad}: {err}");
+        }
+        assert_eq!(
+            parse("{\"kind\":\"\\u+070rofile\"}").map_err(|e| e.contains("bad \\u escape")),
+            Err(true)
+        );
+        assert_eq!(
+            parse("\"\\u00e9\\u00E9\""),
+            Ok(Json::Str("\u{e9}\u{e9}".into()))
+        );
     }
 
     #[test]

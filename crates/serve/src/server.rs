@@ -9,7 +9,7 @@
 //! | POST   | `/api/v1/jobs`        | submit a job (JSON [`JobSpec`])       |
 //! | GET    | `/api/v1/jobs/<id>`   | poll status / fetch the result        |
 //! | POST   | `/api/v1/stream`      | upload an APTR trace, analyzed as it arrives |
-//! | GET    | `/api/v1/cache/stats` | cache counters                        |
+//! | GET    | `/api/v1/cache/stats` | result- and program-cache counters    |
 //! | GET    | `/api/v1/health`      | liveness probe                        |
 //! | POST   | `/api/v1/shutdown`    | graceful stop (drains accepted jobs)  |
 //!
@@ -20,6 +20,11 @@
 //! job's content address, so identical resubmissions — from any client,
 //! at any `--workers` — return byte-identical output without
 //! re-execution.
+//!
+//! Execution takes each program from the daemon's [`ProgramCache`]:
+//! profile jobs, analyze jobs and trace uploads of a source the daemon
+//! has already compiled (under the same instrumentation and fusion) run
+//! the kept program instead of compiling it again.
 //!
 //! [`JobSpec`]: algoprof::JobSpec
 
@@ -32,7 +37,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use algoprof::{default_workers, JobOutput, StreamingAnalysis, WorkerPool};
+use algoprof::{default_workers, JobOutput, ProgramCache, StreamingAnalysis, WorkerPool};
 
 use crate::api::{job_from_json, options_from_json};
 use crate::cache::ResultCache;
@@ -80,6 +85,7 @@ struct ServerState {
     jobs: Mutex<HashMap<u64, JobRecord>>,
     next_id: AtomicU64,
     cache: ResultCache,
+    programs: ProgramCache,
     pool: WorkerPool,
     stop: AtomicBool,
     /// Wakes the (blocking) accept loop so it observes `stop`.
@@ -147,6 +153,7 @@ impl Server {
             jobs: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(0),
             cache: ResultCache::new(config.cache_dir.clone())?,
+            programs: ProgramCache::new(),
             pool: WorkerPool::new(workers, config.queue_capacity),
             stop: AtomicBool::new(false),
             wake,
@@ -268,6 +275,7 @@ fn route<R: BufRead>(reader: &mut R, state: &Arc<ServerState>) -> io::Result<(u1
         }
         ("GET", "/api/v1/cache/stats") => {
             let stats = state.cache.stats();
+            let programs = state.programs.stats();
             Ok((
                 200,
                 Json::obj(vec![
@@ -275,6 +283,15 @@ fn route<R: BufRead>(reader: &mut R, state: &Arc<ServerState>) -> io::Result<(u1
                     ("hits", Json::Num(stats.hits as f64)),
                     ("misses", Json::Num(stats.misses as f64)),
                     ("stores", Json::Num(stats.stores as f64)),
+                    (
+                        "programs",
+                        Json::obj(vec![
+                            ("entries", Json::Num(programs.entries as f64)),
+                            ("hits", Json::Num(programs.hits as f64)),
+                            ("misses", Json::Num(programs.misses as f64)),
+                            ("evictions", Json::Num(programs.evictions as f64)),
+                        ]),
+                    ),
                 ]),
             ))
         }
@@ -338,7 +355,7 @@ fn submit(state: &Arc<ServerState>, body: &[u8]) -> (u16, Json) {
     let job_state = Arc::clone(state);
     let submitted = state.pool.try_submit(move || {
         set_state(&job_state, id, JobState::Running);
-        match spec.execute() {
+        match spec.execute_in(&job_state.programs) {
             Ok(output) => {
                 let output = Arc::new(output);
                 job_state.cache.put(&cache_key, Arc::clone(&output));
@@ -414,7 +431,9 @@ fn job_status(state: &Arc<ServerState>, id: &str) -> (u16, Json) {
 
 /// The streaming path: the APTR body is fed into [`StreamingAnalysis`]
 /// chunk by chunk as it is read off the socket, so replay and online
-/// fitting overlap the upload instead of waiting for it.
+/// fitting overlap the upload instead of waiting for it. The trace's
+/// program comes from the daemon's program cache; the result is not
+/// cached (an upload has no job spec to key it by).
 fn stream_analyze<R: BufRead>(
     state: &Arc<ServerState>,
     reader: &mut R,
@@ -425,7 +444,7 @@ fn stream_analyze<R: BufRead>(
         Ok(options) => options,
         Err(e) => return (400, error_json(&e)),
     };
-    let mut analysis = StreamingAnalysis::new(options);
+    let mut analysis = StreamingAnalysis::with_programs(options, &state.programs);
     let mut trace_error: Option<String> = None;
     let streamed = http::read_body_streaming(reader, kind, |chunk| {
         if trace_error.is_none() {
@@ -447,7 +466,6 @@ fn stream_analyze<R: BufRead>(
         Ok(report) => report,
         Err(e) => return (400, error_json(&e.to_string())),
     };
-    let _ = state; // reserved: streaming results are not cached (no stable job spec)
     (
         200,
         Json::obj(vec![

@@ -4,7 +4,8 @@
 //!
 //! Round trips: random documents survive `to_string_compact` → `parse`,
 //! and random strings survive every way of writing them (raw bytes,
-//! short escapes, `\u` escapes in either case) side by side. The
+//! short escapes, `\u` escapes in either case, surrogate pairs outside
+//! the Basic Multilingual Plane) side by side. The
 //! strings mix multi-byte UTF-8, raw control characters and the
 //! characters that need escapes, because the parser copies the runs
 //! between escapes in one piece and those runs end next to each of them.
@@ -106,9 +107,17 @@ fn encode_variously(rng: &mut Rng, s: &str) -> String {
                 write!(out, "\\u{:04x}", c as u32).expect("String write")
             }
             _ if (c as u32) < 0x1_0000 => write!(out, "\\u{:04X}", c as u32).expect("String write"),
-            // Outside the BMP: raw only (the protocol has no surrogate
-            // pairs), and never a quote or a backslash.
-            _ => out.push(c),
+            // Outside the BMP: a surrogate pair, in either case.
+            _ => {
+                let mut units = [0; 2];
+                for unit in c.encode_utf16(&mut units) {
+                    if rng.below(2) == 0 {
+                        write!(out, "\\u{unit:04x}").expect("String write");
+                    } else {
+                        write!(out, "\\u{unit:04X}").expect("String write");
+                    }
+                }
+            }
         }
     }
     out.push('"');

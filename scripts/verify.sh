@@ -185,10 +185,26 @@ cmp "$sweep_out/oneshot-analyze.txt" "$sweep_out/served-analyze.txt"
 timeout 60 ./target/release/algoprof submit --addr "$serve_addr" --wait analyze \
     "$sweep_out/sort400.aptr" > "$sweep_out/served-400.txt"
 cmp "$sweep_out/oneshot-400.txt" "$sweep_out/served-400.txt"
+# One source at two sizes and as a streamed trace: the daemon compiles
+# it once per fusion setting and answers byte-identically.
+for n in 24 32; do
+    ./target/release/algoprof --input "$n" examples/sized_insertion_sort.jay \
+        > "$sweep_out/oneshot-sort$n.txt"
+    ./target/release/algoprof submit --addr "$serve_addr" --wait profile \
+        --input "$n" examples/sized_insertion_sort.jay > "$sweep_out/served-sort$n.txt"
+    cmp "$sweep_out/oneshot-sort$n.txt" "$sweep_out/served-sort$n.txt"
+done
+./target/release/algoprof record examples/sized_insertion_sort.jay \
+    --input 24 -o "$sweep_out/sort24.aptr" > /dev/null
+./target/release/algoprof analyze "$sweep_out/sort24.aptr" > "$sweep_out/oneshot-sort24.aptr.txt"
+curl -sS --fail --data-binary @"$sweep_out/sort24.aptr" "http://$serve_addr/api/v1/stream" \
+    | jq -j .text > "$sweep_out/streamed-sort24.txt"
+cmp "$sweep_out/oneshot-sort24.aptr.txt" "$sweep_out/streamed-sort24.txt"
 ./target/release/algoprof submit --addr "$serve_addr" sweep \
     examples/sized_arraylist.jay --sizes 8,16,32,64 | grep -q "cache hit"
-./target/release/algoprof submit --addr "$serve_addr" cache-stats \
-    | grep -Eq "hits [1-9]"
+./target/release/algoprof submit --addr "$serve_addr" cache-stats > "$sweep_out/cache-stats.txt"
+grep -Eq "^cache entries [0-9]+ hits [1-9]" "$sweep_out/cache-stats.txt"
+grep -Eq "^program cache entries [0-9]+ hits [1-9]" "$sweep_out/cache-stats.txt"
 ./target/release/algoprof submit --addr "$serve_addr" shutdown
 wait "$serve_pid"
 
