@@ -1,11 +1,14 @@
 //! Blocking client for the serve protocol, used by `algoprof submit`,
 //! the end-to-end tests, and the throughput benchmark.
 //!
-//! One connection per request ([`crate::http`] framing); results come
-//! back as plain structs so callers never touch JSON.
+//! Requests go over persistent connections ([`crate::http`] framing):
+//! each thread keeps its idle connection to each daemon address and
+//! sends its next request there. Results come back as plain structs so
+//! callers never touch JSON.
 
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::io::{self, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
@@ -20,7 +23,7 @@ use crate::http;
 use crate::json::{self, Json};
 
 /// Where the daemon listens.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServerAddr {
     /// `host:port`.
     Tcp(String),
@@ -87,38 +90,168 @@ pub struct StreamReport {
 }
 
 /// A connected transport: TCP or a Unix socket.
-trait Conn: Read + Write {}
+trait Conn: Read + Write {
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()>;
+}
 
-impl<T: Read + Write> Conn for T {}
+impl Conn for TcpStream {
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        TcpStream::set_nonblocking(self, nonblocking)
+    }
+}
 
-fn connect(addr: &ServerAddr) -> Result<Box<dyn Conn>, ClientError> {
-    match addr {
+#[cfg(unix)]
+impl Conn for UnixStream {
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        UnixStream::set_nonblocking(self, nonblocking)
+    }
+}
+
+type Connection = BufReader<Box<dyn Conn>>;
+
+/// Writes one request on a connection.
+type SendRequest<'a> = dyn FnMut(&mut Box<dyn Conn>) -> Result<(), ClientError> + 'a;
+
+/// Idle connections a thread keeps, to as many daemon addresses; the
+/// least recently used goes first.
+const MAX_KEPT: usize = 8;
+
+thread_local! {
+    /// This thread's idle connections, one per daemon address, least
+    /// recently used first.
+    static KEPT: RefCell<Vec<(ServerAddr, Connection)>> = const { RefCell::new(Vec::new()) };
+}
+
+fn take_kept(addr: &ServerAddr) -> Option<Connection> {
+    KEPT.try_with(|kept| {
+        let mut kept = kept.borrow_mut();
+        let i = kept.iter().position(|(a, _)| a == addr)?;
+        Some(kept.remove(i).1)
+    })
+    .ok()
+    .flatten()
+}
+
+fn keep(addr: &ServerAddr, conn: Connection) {
+    let _ = KEPT.try_with(|kept| {
+        let mut kept = kept.borrow_mut();
+        if kept.len() >= MAX_KEPT {
+            kept.remove(0);
+        }
+        kept.push((addr.clone(), conn));
+    });
+}
+
+fn connect(addr: &ServerAddr) -> Result<Connection, ClientError> {
+    let conn: Box<dyn Conn> = match addr {
         ServerAddr::Tcp(spec) => match TcpStream::connect(spec) {
-            Ok(stream) => Ok(Box::new(stream)),
-            Err(e) => Err(ClientError(format!("cannot connect to {spec}: {e}"))),
+            Ok(stream) => {
+                stream.set_nodelay(true)?;
+                Box::new(stream)
+            }
+            Err(e) => return Err(ClientError(format!("cannot connect to {spec}: {e}"))),
         },
         #[cfg(unix)]
         ServerAddr::Unix(path) => match UnixStream::connect(path) {
-            Ok(stream) => Ok(Box::new(stream)),
-            Err(e) => Err(ClientError(format!(
-                "cannot connect to {}: {e}",
-                path.display()
-            ))),
+            Ok(stream) => Box::new(stream),
+            Err(e) => {
+                return Err(ClientError(format!(
+                    "cannot connect to {}: {e}",
+                    path.display()
+                )))
+            }
         },
         #[cfg(not(unix))]
-        ServerAddr::Unix(path) => Err(ClientError(format!(
-            "unix sockets are unsupported on this platform ({})",
-            path.display()
-        ))),
+        ServerAddr::Unix(path) => {
+            return Err(ClientError(format!(
+                "unix sockets are unsupported on this platform ({})",
+                path.display()
+            )))
+        }
+    };
+    Ok(BufReader::new(conn))
+}
+
+/// Sends one request with `send` and reads the answer, on this thread's
+/// idle connection to `addr` if it keeps one. The daemon may have closed
+/// a kept connection while it sat idle (at its idle deadline, or when it
+/// stopped): when a kept connection fails before the first byte of the
+/// answer, the request goes once more on a fresh connection, if
+/// `resendable()` says it can still be sent whole. The connection is
+/// kept for the next request unless the answer said `connection: close`.
+fn round_trip(
+    addr: &ServerAddr,
+    send: &mut SendRequest,
+    resendable: &dyn Fn() -> bool,
+) -> Result<http::Response, ClientError> {
+    if let Some(mut conn) = take_kept(addr) {
+        match attempt(&mut conn, send) {
+            Ok(response) => return Ok(keep_unless_closed(addr, conn, response)),
+            Err((true, _)) if resendable() => {}
+            Err((_, e)) => return Err(e),
+        }
+    }
+    let mut conn = connect(addr)?;
+    let response = attempt(&mut conn, send).map_err(|(_, e)| e)?;
+    Ok(keep_unless_closed(addr, conn, response))
+}
+
+/// One request and its answer on `conn`. A failure says whether it came
+/// before any byte of the answer.
+fn attempt(
+    conn: &mut Connection,
+    send: &mut SendRequest,
+) -> Result<http::Response, (bool, ClientError)> {
+    send(conn.get_mut()).map_err(|e| (true, e))?;
+    match conn.fill_buf() {
+        Ok([]) => {
+            let closed = io::Error::new(io::ErrorKind::UnexpectedEof, "connection closed");
+            return Err((true, closed.into()));
+        }
+        Err(e) => return Err((true, e.into())),
+        Ok(_) => {}
+    }
+    http::read_response(conn).map_err(|e| (false, e.into()))
+}
+
+fn keep_unless_closed(
+    addr: &ServerAddr,
+    conn: Connection,
+    response: http::Response,
+) -> http::Response {
+    if !response.close {
+        keep(addr, conn);
+    }
+    response
+}
+
+/// Drops this thread's kept connection to `addr` if the daemon has
+/// closed it (or sent anything unasked), so that an upload, which
+/// cannot be sent twice once it has read from its source, does not
+/// start on it.
+fn drop_kept_if_closed(addr: &ServerAddr) {
+    let Some(mut conn) = take_kept(addr) else {
+        return;
+    };
+    let open = conn.buffer().is_empty() && {
+        let stream = conn.get_mut();
+        stream.set_nonblocking(true).is_ok()
+            && matches!(stream.read(&mut [0]), Err(e) if e.kind() == io::ErrorKind::WouldBlock)
+            && stream.set_nonblocking(false).is_ok()
+    };
+    if open {
+        keep(addr, conn);
     }
 }
 
 /// Sends one request and parses the JSON answer; non-2xx statuses carry
 /// their `error` member back as the failure message.
 fn exchange(addr: &ServerAddr, method: &str, path: &str, body: &[u8]) -> Result<Json, ClientError> {
-    let mut conn = connect(addr)?;
-    http::write_request(&mut conn, method, path, body)?;
-    let response = http::read_response(&mut BufReader::new(conn))?;
+    let response = round_trip(
+        addr,
+        &mut |conn| Ok(http::write_request(conn, method, path, body)?),
+        &|| true,
+    )?;
     parse_answer(&response)
 }
 
@@ -205,25 +338,29 @@ pub fn stream_trace(
     trace: &mut impl Read,
     query: &str,
 ) -> Result<StreamReport, ClientError> {
-    let mut conn = connect(addr)?;
     let path = if query.is_empty() {
         "/api/v1/stream".to_owned()
     } else {
         format!("/api/v1/stream?{query}")
     };
-    http::write_chunked_request_head(&mut conn, "POST", &path)?;
+    drop_kept_if_closed(addr);
+    let started = Cell::new(false);
     let mut buf = [0u8; 32 * 1024];
-    loop {
-        let n = trace
-            .read(&mut buf)
-            .map_err(|e| ClientError(format!("cannot read trace: {e}")))?;
-        if n == 0 {
-            break;
+    let mut send = |conn: &mut Box<dyn Conn>| {
+        http::write_chunked_request_head(conn, "POST", &path)?;
+        started.set(true);
+        loop {
+            let n = trace
+                .read(&mut buf)
+                .map_err(|e| ClientError(format!("cannot read trace: {e}")))?;
+            if n == 0 {
+                break;
+            }
+            http::write_chunk(conn, &buf[..n])?;
         }
-        http::write_chunk(&mut conn, &buf[..n])?;
-    }
-    http::finish_chunks(&mut conn)?;
-    let response = http::read_response(&mut BufReader::new(conn))?;
+        Ok(http::finish_chunks(conn)?)
+    };
+    let response = round_trip(addr, &mut send, &|| !started.get())?;
     let value = parse_answer(&response)?;
     Ok(StreamReport {
         text: required_str(&value, "text")?,

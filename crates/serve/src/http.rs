@@ -4,11 +4,12 @@
 //! any `Read + Write` transport (TCP or Unix socket).
 //!
 //! The repo is offline, so like the JSON codec next door this is a
-//! from-scratch implementation rather than a dependency. Every
-//! connection carries exactly one request/response exchange
-//! (`Connection: close` semantics): the daemon is a job queue, not a
-//! web server, and one-shot connections keep the framing trivial to
-//! reason about.
+//! from-scratch implementation rather than a dependency. Connections
+//! are persistent, as HTTP/1.1 makes them by default: a connection
+//! carries one exchange after another until either side says
+//! `connection: close` (or the request is HTTP/1.0). Every response is
+//! framed by `Content-Length`, so a client knows where each answer ends
+//! without waiting for the connection to close.
 
 use std::io::{self, BufRead, Write};
 
@@ -26,6 +27,8 @@ pub struct Request {
     pub method: String,
     /// Path including any query string, exactly as sent.
     pub path: String,
+    /// `HTTP/1.x`, exactly as sent.
+    pub version: String,
     /// Header name/value pairs; names lowercased.
     pub headers: Vec<(String, String)>,
 }
@@ -38,6 +41,17 @@ impl Request {
             .find(|(k, _)| k == name)
             .map(|(_, v)| v.as_str())
     }
+
+    /// Whether the client lets the connection carry another request
+    /// after this one: HTTP/1.1 without `connection: close`.
+    pub fn keep_alive(&self) -> bool {
+        self.version != "HTTP/1.0" && !says_close(self.header("connection"))
+    }
+}
+
+/// Whether a `connection` header value holds the `close` option.
+fn says_close(connection: Option<&str>) -> bool {
+    connection.is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case("close")))
 }
 
 /// A parsed response (client side).
@@ -45,6 +59,9 @@ impl Request {
 pub struct Response {
     pub status: u16,
     pub body: Vec<u8>,
+    /// The server closes the connection after this response: it said
+    /// `connection: close`, or its body ran to the end of the stream.
+    pub close: bool,
 }
 
 /// How a message body is framed.
@@ -122,6 +139,7 @@ pub fn read_request(r: &mut impl BufRead) -> io::Result<Option<Request>> {
     Ok(Some(Request {
         method: method.to_owned(),
         path: path.to_owned(),
+        version: version.to_owned(),
         headers,
     }))
 }
@@ -247,20 +265,22 @@ fn send(w: &mut impl Write, head: std::fmt::Arguments, body: &[&[u8]]) -> io::Re
     w.flush()
 }
 
-/// Writes a complete response (Content-Length framing, connection
-/// closing after it).
+/// Writes a complete response (Content-Length framing), saying
+/// `connection: close` when it is the connection's last.
 pub fn write_response(
     w: &mut impl Write,
     status: u16,
     content_type: &str,
     body: &[u8],
+    close: bool,
 ) -> io::Result<()> {
     send(
         w,
         format_args!(
-            "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+            "HTTP/1.1 {status} {}\r\ncontent-type: {content_type}\r\ncontent-length: {}\r\n{}\r\n",
             reason(status),
-            body.len()
+            body.len(),
+            if close { "connection: close\r\n" } else { "" },
         ),
         &[body],
     )
@@ -271,7 +291,7 @@ pub fn write_request(w: &mut impl Write, method: &str, path: &str, body: &[u8]) 
     send(
         w,
         format_args!(
-            "{method} {path} HTTP/1.1\r\nhost: algoprof\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n",
+            "{method} {path} HTTP/1.1\r\nhost: algoprof\r\ncontent-type: application/json\r\ncontent-length: {}\r\n\r\n",
             body.len()
         ),
         &[body],
@@ -284,7 +304,7 @@ pub fn write_chunked_request_head(w: &mut impl Write, method: &str, path: &str) 
     send(
         w,
         format_args!(
-            "{method} {path} HTTP/1.1\r\nhost: algoprof\r\ncontent-type: application/octet-stream\r\ntransfer-encoding: chunked\r\nconnection: close\r\n\r\n"
+            "{method} {path} HTTP/1.1\r\nhost: algoprof\r\ncontent-type: application/octet-stream\r\ntransfer-encoding: chunked\r\n\r\n"
         ),
         &[],
     )
@@ -319,6 +339,12 @@ pub fn read_response(r: &mut impl BufRead) -> io::Result<Response> {
         .parse()
         .map_err(|_| bad(format!("bad status code {code:?}")))?;
     let headers = read_headers(r)?;
+    let mut close = says_close(
+        headers
+            .iter()
+            .find(|(k, _)| k == "connection")
+            .map(|(_, v)| v.as_str()),
+    );
     let length = headers
         .iter()
         .find(|(k, _)| k == "content-length")
@@ -336,9 +362,14 @@ pub fn read_response(r: &mut impl BufRead) -> io::Result<Response> {
         }
         None => {
             r.read_to_end(&mut body)?;
+            close = true;
         }
     }
-    Ok(Response { status, body })
+    Ok(Response {
+        status,
+        body,
+        close,
+    })
 }
 
 #[cfg(test)]
@@ -424,10 +455,16 @@ mod tests {
     #[test]
     fn response_round_trip() {
         let mut wire = Vec::new();
-        write_response(&mut wire, 202, "application/json", b"{\"ok\":true}").expect("writes");
-        let resp = read_response(&mut BufReader::new(&wire[..])).expect("reads");
+        write_response(&mut wire, 202, "application/json", b"{\"ok\":true}", false)
+            .expect("writes");
+        write_response(&mut wire, 400, "application/json", b"{}", true).expect("writes");
+        let mut r = BufReader::new(&wire[..]);
+        let resp = read_response(&mut r).expect("reads");
         assert_eq!(resp.status, 202);
         assert_eq!(resp.body, b"{\"ok\":true}");
+        assert!(!resp.close);
+        let last = read_response(&mut r).expect("reads the second");
+        assert_eq!((last.status, last.close), (400, true));
     }
 
     #[test]

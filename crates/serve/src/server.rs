@@ -21,6 +21,13 @@
 //! at any `--workers` — return byte-identical output without
 //! re-execution.
 //!
+//! Connections are persistent: one thread per connection answers its
+//! requests in turn until the client closes it, a request asks to
+//! close, a `400` or an unread body leaves it unframed, or it sits idle
+//! for [`IDLE_TIMEOUT`]. Beyond [`MAX_CONNECTIONS`] the accept thread
+//! answers a 503 itself. Shutdown closes the read side of idle
+//! connections and lets busy ones finish their response.
+//!
 //! Execution takes each program from the daemon's [`ProgramCache`]:
 //! profile jobs, analyze jobs and trace uploads of a source the daemon
 //! has already compiled (under the same instrumentation and fusion) run
@@ -30,12 +37,13 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use algoprof::{default_workers, JobOutput, ProgramCache, StreamingAnalysis, WorkerPool};
 
@@ -43,6 +51,14 @@ use crate::api::{job_from_json, options_from_json};
 use crate::cache::ResultCache;
 use crate::http;
 use crate::json::{self, Json};
+
+/// Connections the daemon serves at once. The accept thread answers
+/// one more with a 503 and closes it, without starting a thread.
+pub const MAX_CONNECTIONS: usize = 64;
+
+/// How long a connection may sit idle between two requests before the
+/// daemon closes it.
+pub const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
@@ -90,7 +106,48 @@ struct ServerState {
     stop: AtomicBool,
     /// Wakes the (blocking) accept loop so it observes `stop`.
     wake: Box<dyn Fn() + Send + Sync>,
+    /// Connections accepted since the start, refused ones included.
+    accepted: AtomicU64,
+    /// The open connections; `closed` is notified as each one ends.
+    open: Mutex<Vec<Arc<Slot>>>,
+    closed: Condvar,
 }
+
+/// One open connection, as the accept loop sees it.
+struct Slot {
+    /// Waiting for a request, as opposed to reading or answering one.
+    idle: AtomicBool,
+    /// Closes the connection's read side, through a clone of its stream.
+    close_read: Box<dyn Fn() + Send + Sync>,
+}
+
+/// What the daemon needs of an accepted stream besides reading and
+/// writing it.
+trait Transport: Read + Write + Send + Sync + Sized + 'static {
+    fn try_clone(&self) -> io::Result<Self>;
+    fn shutdown(&self, how: Shutdown) -> io::Result<()>;
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
+}
+
+macro_rules! transport {
+    ($stream:ty) => {
+        impl Transport for $stream {
+            fn try_clone(&self) -> io::Result<Self> {
+                <$stream>::try_clone(self)
+            }
+            fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+                <$stream>::shutdown(self, how)
+            }
+            fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+                <$stream>::set_read_timeout(self, timeout)
+            }
+        }
+    };
+}
+
+transport!(TcpStream);
+#[cfg(unix)]
+transport!(UnixStream);
 
 /// A running daemon. [`Server::start`] returns immediately; callers
 /// embed it (tests, benchmarks) or [`Server::join`] it (the CLI).
@@ -110,7 +167,11 @@ impl Server {
             Some(local),
             &config,
             Box::new(move || drop(TcpStream::connect(local))),
-            move || listener.accept().map(|(stream, _)| stream),
+            move || {
+                let (stream, _) = listener.accept()?;
+                stream.set_nodelay(true)?;
+                Ok(stream)
+            },
             None,
         )
     }
@@ -137,7 +198,7 @@ impl Server {
     /// connection until a stop request and the `wake` connection that
     /// follows it. `socket_file` is removed once every connection has
     /// finished.
-    fn launch<S: Read + Write + Send + 'static>(
+    fn launch<S: Transport>(
         addr: Option<SocketAddr>,
         config: &ServerConfig,
         wake: Box<dyn Fn() + Send + Sync>,
@@ -157,29 +218,36 @@ impl Server {
             pool: WorkerPool::new(workers, config.queue_capacity),
             stop: AtomicBool::new(false),
             wake,
+            accepted: AtomicU64::new(0),
+            open: Mutex::new(Vec::new()),
+            closed: Condvar::new(),
         });
         let accept_state = Arc::clone(&state);
         let accept = std::thread::spawn(move || {
-            let mut conns = Vec::new();
+            let state = accept_state;
             loop {
                 let stream = accept();
-                if accept_state.stop.load(Ordering::SeqCst) {
+                if state.stop.load(Ordering::SeqCst) {
                     break;
                 }
-                let Ok(stream) = stream else { continue };
-                let conn_state = Arc::clone(&accept_state);
-                conns.push(std::thread::spawn(move || {
-                    handle_connection(stream, &conn_state)
-                }));
-                reap_finished(&mut conns);
+                if let Ok(stream) = stream {
+                    state.accepted.fetch_add(1, Ordering::Relaxed);
+                    admit(&state, stream);
+                }
             }
-            // Every accepted connection finishes its response before the
-            // accept thread (and with it the daemon) exits — otherwise
-            // the shutdown acknowledgement itself can be cut off
-            // mid-write when the process dies.
-            for handle in conns {
-                let _ = handle.join();
+            // An idle connection waits for a request that will not come:
+            // closing its read side ends it. A busy one finishes its
+            // response before the accept thread (and with it the daemon)
+            // exits — otherwise the shutdown acknowledgement itself can
+            // be cut off mid-write when the process dies.
+            let mut open = state.open.lock().expect("connection table");
+            for slot in open.iter().filter(|s| s.idle.load(Ordering::SeqCst)) {
+                (slot.close_read)();
             }
+            while !open.is_empty() {
+                open = state.closed.wait(open).expect("connection table");
+            }
+            drop(open);
             if let Some(path) = socket_file {
                 let _ = std::fs::remove_file(path);
             }
@@ -194,6 +262,17 @@ impl Server {
     /// The bound TCP address (None for Unix-socket servers).
     pub fn addr(&self) -> Option<SocketAddr> {
         self.addr
+    }
+
+    /// Connections accepted since the daemon started, counting those
+    /// refused beyond [`MAX_CONNECTIONS`].
+    pub fn connections_accepted(&self) -> u64 {
+        self.state.accepted.load(Ordering::Relaxed)
+    }
+
+    /// Connections open now.
+    pub fn open_connections(&self) -> usize {
+        self.state.open.lock().expect("connection table").len()
     }
 
     /// Blocks until a shutdown request stops the accept loop, then
@@ -213,35 +292,117 @@ impl Server {
     }
 }
 
-/// Keeps the live-connection handle list from growing without bound on
-/// a long-lived daemon (polling clients open thousands of short
-/// connections).
-fn reap_finished(conns: &mut Vec<std::thread::JoinHandle<()>>) {
-    if conns.len() >= 64 {
-        conns.retain(|h| !h.is_finished());
+/// Starts a thread serving `stream`, or, with [`MAX_CONNECTIONS`]
+/// already open, answers it with a 503 from the accept thread.
+fn admit<S: Transport>(state: &Arc<ServerState>, mut stream: S) {
+    let mut open = state.open.lock().expect("connection table");
+    if open.len() >= MAX_CONNECTIONS {
+        drop(open);
+        let refusal = error_json("too many connections, try again");
+        let _ = respond(&mut stream, 503, &refusal, true);
+        return;
+    }
+    let Ok(clone) = stream.try_clone() else {
+        return;
+    };
+    let slot = Arc::new(Slot {
+        idle: AtomicBool::new(false),
+        close_read: Box::new(move || drop(clone.shutdown(Shutdown::Read))),
+    });
+    open.push(Arc::clone(&slot));
+    drop(open);
+    // Dropped when the thread ends, however it ends, or with the
+    // closure if the thread cannot start.
+    let opened = Opened {
+        state: Arc::clone(state),
+        slot,
+    };
+    let _ = std::thread::Builder::new()
+        .spawn(move || handle_connection(stream, &opened.slot, &opened.state));
+}
+
+/// Takes its connection off the open list when dropped.
+struct Opened {
+    state: Arc<ServerState>,
+    slot: Arc<Slot>,
+}
+
+impl Drop for Opened {
+    fn drop(&mut self) {
+        let mut open = self.state.open.lock().expect("connection table");
+        open.retain(|s| !Arc::ptr_eq(s, &self.slot));
+        self.state.closed.notify_all();
     }
 }
 
-/// One request/response exchange per connection (`Connection: close`).
-fn handle_connection<T: Read + Write>(stream: T, state: &Arc<ServerState>) {
+/// Serves one connection's requests in turn until the client or the
+/// daemon ends it (see docs/SERVE.md, "Wire protocol").
+fn handle_connection<S: Transport>(stream: S, slot: &Slot, state: &Arc<ServerState>) {
+    let _ = stream.set_read_timeout(Some(IDLE_TIMEOUT));
     let mut reader = BufReader::new(stream);
-    let (status, body) = match route(&mut reader, state) {
-        Ok(response) => response,
-        // Peer closed without sending a request (e.g. the shutdown
-        // self-wake): nothing to answer.
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return,
-        Err(e) => (400, error_json(&e.to_string())),
-    };
-    let _ = http::write_response(
-        reader.get_mut(),
-        status,
-        "application/json",
-        body.to_string_compact().as_bytes(),
-    );
+    loop {
+        // Shutdown closes the read side of each connection it finds
+        // idle; one that turns idle after shutdown began sees `stop`.
+        slot.idle.store(true, Ordering::SeqCst);
+        if state.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        // End of stream, the idle deadline, or the read side closed:
+        // the connection ends without an answer.
+        if !matches!(reader.fill_buf(), Ok(buf) if !buf.is_empty()) {
+            break;
+        }
+        slot.idle.store(false, Ordering::SeqCst);
+        let (status, answer, keep_alive) = serve_request(&mut reader, state);
+        let close = !keep_alive || state.stop.load(Ordering::SeqCst);
+        if respond(reader.get_mut(), status, &answer, close).is_err() || close {
+            break;
+        }
+    }
     if state.stop.load(Ordering::SeqCst) {
-        // Shutdown was requested on this connection: wake the accept
-        // loop now that the acknowledgement is on the wire.
+        // Shutdown was requested, perhaps on this connection: wake the
+        // accept loop now that the acknowledgement is on the wire.
         (state.wake)();
+    }
+}
+
+fn respond(w: &mut impl Write, status: u16, answer: &Json, close: bool) -> io::Result<()> {
+    let body = answer.to_string_compact();
+    http::write_response(w, status, "application/json", body.as_bytes(), close)
+}
+
+/// Reads and answers one request. Returns the status, the answer, and
+/// whether the connection may carry another request: not after a 400,
+/// a request that asked to close, or one whose body went unread.
+fn serve_request<S: Transport>(
+    reader: &mut BufReader<S>,
+    state: &Arc<ServerState>,
+) -> (u16, Json, bool) {
+    let head = http::read_request(reader).and_then(|request| {
+        let request = request.ok_or(io::ErrorKind::UnexpectedEof)?;
+        let kind = http::body_kind(&request)?;
+        Ok((request, kind))
+    });
+    let (request, kind) = match head {
+        Ok(head) => head,
+        Err(e) => return (400, error_json(&e.to_string()), false),
+    };
+    // A trace streamed while it is recorded may pause for longer than
+    // the idle deadline between two chunks.
+    let has_body = kind != http::BodyKind::Empty;
+    if has_body {
+        let _ = reader.get_ref().set_read_timeout(None);
+    }
+    let routed = route(&request, kind, reader, state);
+    if has_body {
+        let _ = reader.get_ref().set_read_timeout(Some(IDLE_TIMEOUT));
+    }
+    match routed {
+        Ok((status, answer, read_body)) => {
+            let keep_alive = status != 400 && request.keep_alive() && (read_body || !has_body);
+            (status, answer, keep_alive)
+        }
+        Err(e) => (400, error_json(&e.to_string()), false),
     }
 }
 
@@ -249,34 +410,36 @@ fn error_json(message: &str) -> Json {
     Json::obj(vec![("error", Json::Str(message.into()))])
 }
 
-fn route<R: BufRead>(reader: &mut R, state: &Arc<ServerState>) -> io::Result<(u16, Json)> {
-    let Some(request) = http::read_request(reader)? else {
-        // Peer connected and closed without a request (e.g. the
-        // shutdown self-wake); nothing to answer.
-        return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "no request"));
-    };
+/// Answers a request whose head is read: the status, the answer, and
+/// whether the handler read the body to its end.
+fn route<R: BufRead>(
+    request: &http::Request,
+    kind: http::BodyKind,
+    reader: &mut R,
+    state: &Arc<ServerState>,
+) -> io::Result<(u16, Json, bool)> {
     let (path, query) = match request.path.split_once('?') {
         Some((p, q)) => (p, q),
         None => (request.path.as_str(), ""),
     };
-    match (request.method.as_str(), path) {
+    let (status, answer) = match (request.method.as_str(), path) {
         ("POST", "/api/v1/jobs") => {
-            let kind = http::body_kind(&request)?;
             let body = http::read_body(reader, kind)?;
-            Ok(submit(state, &body))
+            let (status, answer) = submit(state, &body);
+            return Ok((status, answer, true));
+        }
+        ("POST", "/api/v1/stream") => {
+            let (status, answer) = stream_analyze(state, reader, kind, query);
+            return Ok((status, answer, true));
         }
         ("GET", _) if path.starts_with("/api/v1/jobs/") => {
             let id = &path["/api/v1/jobs/".len()..];
-            Ok(job_status(state, id))
-        }
-        ("POST", "/api/v1/stream") => {
-            let kind = http::body_kind(&request)?;
-            Ok(stream_analyze(state, reader, kind, query))
+            job_status(state, id)
         }
         ("GET", "/api/v1/cache/stats") => {
             let stats = state.cache.stats();
             let programs = state.programs.stats();
-            Ok((
+            (
                 200,
                 Json::obj(vec![
                     ("entries", Json::Num(stats.entries as f64)),
@@ -293,16 +456,17 @@ fn route<R: BufRead>(reader: &mut R, state: &Arc<ServerState>) -> io::Result<(u1
                         ]),
                     ),
                 ]),
-            ))
+            )
         }
-        ("GET", "/api/v1/health") => Ok((200, Json::obj(vec![("ok", Json::Bool(true))]))),
+        ("GET", "/api/v1/health") => (200, Json::obj(vec![("ok", Json::Bool(true))])),
         ("POST", "/api/v1/shutdown") => {
             state.stop.store(true, Ordering::SeqCst);
-            Ok((200, Json::obj(vec![("ok", Json::Bool(true))])))
+            (200, Json::obj(vec![("ok", Json::Bool(true))]))
         }
-        ("POST" | "GET", _) => Ok((404, error_json(&format!("no such endpoint {path:?}")))),
-        (method, _) => Ok((405, error_json(&format!("unsupported method {method:?}")))),
-    }
+        ("POST" | "GET", _) => (404, error_json(&format!("no such endpoint {path:?}"))),
+        (method, _) => (405, error_json(&format!("unsupported method {method:?}"))),
+    };
+    Ok((status, answer, false))
 }
 
 fn submit(state: &Arc<ServerState>, body: &[u8]) -> (u16, Json) {

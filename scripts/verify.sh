@@ -205,7 +205,11 @@ cmp "$sweep_out/oneshot-sort24.aptr.txt" "$sweep_out/streamed-sort24.txt"
 ./target/release/algoprof submit --addr "$serve_addr" cache-stats > "$sweep_out/cache-stats.txt"
 grep -Eq "^cache entries [0-9]+ hits [1-9]" "$sweep_out/cache-stats.txt"
 grep -Eq "^program cache entries [0-9]+ hits [1-9]" "$sweep_out/cache-stats.txt"
-./target/release/algoprof submit --addr "$serve_addr" shutdown
+# The daemon stops within seconds even with idle connections open; a
+# stop that hangs fails here rather than at the job's time limit.
+timeout 10 ./target/release/algoprof submit --addr "$serve_addr" shutdown
+timeout 10 sh -c 'while kill -0 "$1" 2>/dev/null; do sleep 0.1; done' _ "$serve_pid" \
+    || { kill "$serve_pid"; echo "verify: the daemon did not stop" >&2; exit 1; }
 wait "$serve_pid"
 
 echo "==> threaded smoke (per-thread trees, determinism across -j and fusion)"
