@@ -91,6 +91,28 @@ impl TestRng {
     }
 }
 
+/// `set`'s `Debug` form with the entries of every `elem_counts` map in
+/// sorted order: that map is hashed with a per-process seed, so its
+/// entries print in a different order from run to run. Tests pin the
+/// SHA-256 of this text.
+pub fn canonical_profile_debug(set: &algoprof::ProfileSet) -> String {
+    const MAP: &str = "elem_counts: {";
+    let text = format!("{set:?}");
+    let mut out = String::new();
+    let mut rest = text.as_str();
+    while let Some(at) = rest.find(MAP) {
+        let (head, tail) = rest.split_at(at + MAP.len());
+        out.push_str(head);
+        let end = tail.find('}').expect("the map is closed");
+        let mut entries: Vec<&str> = tail[..end].split(", ").collect();
+        entries.sort_unstable();
+        out.push_str(&entries.join(", "));
+        rest = &tail[end..];
+    }
+    out.push_str(rest);
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::TestRng;

@@ -25,6 +25,7 @@ use algoprof::{
     profile, record_source_with, sha256_hex, AlgoProfOptions, EquivalenceCriterion, Guest,
     ProfileSet, RunConfig,
 };
+use algoprof_suite::testutil::canonical_profile_debug;
 
 /// Profiles `src` under `criterion` fused, unfused and replayed from a
 /// recording, asserts the three sets are equal, and returns the fused
@@ -84,27 +85,6 @@ fn invocation_lines(set: &ProfileSet) -> Vec<String> {
     out
 }
 
-/// `set`'s `Debug` form with the entries of every `elem_counts` map in
-/// sorted order: that map is hashed with a per-process seed, so its
-/// entries print in a different order from run to run.
-fn canonical_debug(set: &ProfileSet) -> String {
-    const MAP: &str = "elem_counts: {";
-    let text = format!("{set:?}");
-    let mut out = String::new();
-    let mut rest = text.as_str();
-    while let Some(at) = rest.find(MAP) {
-        let (head, tail) = rest.split_at(at + MAP.len());
-        out.push_str(head);
-        let end = tail.find('}').expect("the map is closed");
-        let mut entries: Vec<&str> = tail[..end].split(", ").collect();
-        entries.sort_unstable();
-        out.push_str(&entries.join(", "));
-        rest = &tail[end..];
-    }
-    out.push_str(rest);
-    out
-}
-
 /// Asserts the pinned digest of `set`'s canonical `Debug` form and that every
 /// `expected` line is one of its invocation lines; prints the lines on
 /// failure.
@@ -118,7 +98,7 @@ fn assert_pinned(set: &ProfileSet, digest: &str, expected: &[&str]) {
         );
     }
     assert_eq!(
-        sha256_hex(canonical_debug(set).as_bytes()),
+        sha256_hex(canonical_profile_debug(set).as_bytes()),
         digest,
         "profile set differs from the pinned one:\n{dump}"
     );
