@@ -183,7 +183,7 @@ impl<'a> Facts<'a> {
     fn walk_stmt(&mut self, stmt: &'a HStmt) {
         match stmt {
             HStmt::Expr(e) => self.walk_expr(e),
-            HStmt::StoreLocal { slot, value } => {
+            HStmt::StoreLocal { slot, value, .. } => {
                 if let Some(v) = self.stores.get_mut(*slot as usize) {
                     v.push(value);
                 }
@@ -452,7 +452,7 @@ impl<'a> LoopEffects<'a> {
     fn stmt(&mut self, stmt: &'a HStmt, depth: u32) {
         match stmt {
             HStmt::Expr(e) => self.expr(e),
-            HStmt::StoreLocal { slot, value } => {
+            HStmt::StoreLocal { slot, value, .. } => {
                 self.stored_locals.insert(*slot);
                 self.local_stores.push((*slot, value));
                 self.expr(value);
@@ -696,7 +696,7 @@ impl<'a> Collector<'a> {
     fn stmt(&mut self, stmt: &'a HStmt) {
         match stmt {
             HStmt::Expr(e) => self.expr(e),
-            HStmt::StoreLocal { slot, value } => {
+            HStmt::StoreLocal { slot, value, .. } => {
                 self.expr(value);
                 if let Some(r) = self.reaching.get_mut(*slot as usize) {
                     *r = Some(value);

@@ -24,9 +24,11 @@
 //! Connections are persistent: one thread per connection answers its
 //! requests in turn until the client closes it, a request asks to
 //! close, a `400` or an unread body leaves it unframed, or it sits idle
-//! for [`IDLE_TIMEOUT`]. Beyond [`MAX_CONNECTIONS`] the accept thread
-//! answers a 503 itself. Shutdown closes the read side of idle
-//! connections and lets busy ones finish their response.
+//! for [`IDLE_TIMEOUT`]. A request body that makes no progress for
+//! [`BODY_TIMEOUT`] is a `400`. Beyond [`MAX_CONNECTIONS`] the accept
+//! thread answers a 503 itself. Shutdown closes the read side of every
+//! connection that is reading from its client, between requests or
+//! within one, and lets the others finish their response.
 //!
 //! Execution takes each program from the daemon's [`ProgramCache`]:
 //! profile jobs, analyze jobs and trace uploads of a source the daemon
@@ -59,6 +61,12 @@ pub const MAX_CONNECTIONS: usize = 64;
 /// How long a connection may sit idle between two requests before the
 /// daemon closes it.
 pub const IDLE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// How long a request body may go without a byte arriving before the
+/// daemon answers 400 and closes the connection. Longer than
+/// [`IDLE_TIMEOUT`], because a trace streamed while it is recorded may
+/// pause between two chunks.
+pub const BODY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Daemon tuning knobs.
 #[derive(Debug, Clone)]
@@ -115,8 +123,9 @@ struct ServerState {
 
 /// One open connection, as the accept loop sees it.
 struct Slot {
-    /// Waiting for a request, as opposed to reading or answering one.
-    idle: AtomicBool,
+    /// Reading from the client: waiting for a request or reading one, as
+    /// opposed to writing its answer.
+    reading: AtomicBool,
     /// Closes the connection's read side, through a clone of its stream.
     close_read: Box<dyn Fn() + Send + Sync>,
 }
@@ -235,13 +244,15 @@ impl Server {
                     admit(&state, stream);
                 }
             }
-            // An idle connection waits for a request that will not come:
-            // closing its read side ends it. A busy one finishes its
-            // response before the accept thread (and with it the daemon)
+            // A connection reading from its client may wait for bytes
+            // that will not come (an idle client, or one stalled
+            // mid-body): closing its read side ends the wait, and a
+            // request cut short is answered 400. One writing its answer
+            // finishes before the accept thread (and with it the daemon)
             // exits — otherwise the shutdown acknowledgement itself can
             // be cut off mid-write when the process dies.
             let mut open = state.open.lock().expect("connection table");
-            for slot in open.iter().filter(|s| s.idle.load(Ordering::SeqCst)) {
+            for slot in open.iter().filter(|s| s.reading.load(Ordering::SeqCst)) {
                 (slot.close_read)();
             }
             while !open.is_empty() {
@@ -306,7 +317,7 @@ fn admit<S: Transport>(state: &Arc<ServerState>, mut stream: S) {
         return;
     };
     let slot = Arc::new(Slot {
-        idle: AtomicBool::new(false),
+        reading: AtomicBool::new(false),
         close_read: Box::new(move || drop(clone.shutdown(Shutdown::Read))),
     });
     open.push(Arc::clone(&slot));
@@ -342,8 +353,9 @@ fn handle_connection<S: Transport>(stream: S, slot: &Slot, state: &Arc<ServerSta
     let mut reader = BufReader::new(stream);
     loop {
         // Shutdown closes the read side of each connection it finds
-        // idle; one that turns idle after shutdown began sees `stop`.
-        slot.idle.store(true, Ordering::SeqCst);
+        // reading; one that starts reading after shutdown began sees
+        // `stop`.
+        slot.reading.store(true, Ordering::SeqCst);
         if state.stop.load(Ordering::SeqCst) {
             break;
         }
@@ -352,8 +364,8 @@ fn handle_connection<S: Transport>(stream: S, slot: &Slot, state: &Arc<ServerSta
         if !matches!(reader.fill_buf(), Ok(buf) if !buf.is_empty()) {
             break;
         }
-        slot.idle.store(false, Ordering::SeqCst);
         let (status, answer, keep_alive) = serve_request(&mut reader, state);
+        slot.reading.store(false, Ordering::SeqCst);
         let close = !keep_alive || state.stop.load(Ordering::SeqCst);
         if respond(reader.get_mut(), status, &answer, close).is_err() || close {
             break;
@@ -388,10 +400,10 @@ fn serve_request<S: Transport>(
         Err(e) => return (400, error_json(&e.to_string()), false),
     };
     // A trace streamed while it is recorded may pause for longer than
-    // the idle deadline between two chunks.
+    // the idle deadline between two chunks, but not forever.
     let has_body = kind != http::BodyKind::Empty;
     if has_body {
-        let _ = reader.get_ref().set_read_timeout(None);
+        let _ = reader.get_ref().set_read_timeout(Some(BODY_TIMEOUT));
     }
     let routed = route(&request, kind, reader, state);
     if has_body {

@@ -693,7 +693,7 @@ fn disasm_fused_shows_superinstructions() {
     assert!(plain.status.success(), "stderr: {}", stderr(&plain));
     let plain_text = String::from_utf8_lossy(&plain.stdout).into_owned();
     assert!(
-        !plain_text.contains("inc_local") && !plain_text.contains("inc_jump"),
+        !plain_text.contains("inc_loop_back"),
         "stdout: {plain_text}"
     );
 
@@ -701,7 +701,7 @@ fn disasm_fused_shows_superinstructions() {
     assert!(fused.status.success(), "stderr: {}", stderr(&fused));
     let fused_text = String::from_utf8_lossy(&fused.stdout).into_owned();
     assert!(
-        fused_text.contains("inc_local") || fused_text.contains("inc_jump"),
+        fused_text.contains("inc_loop_back"),
         "fused disasm should show the loop-increment superinstruction: {fused_text}"
     );
 
@@ -756,9 +756,11 @@ fn disasm_fused_matches_golden() {
 
 #[test]
 fn disasm_fused_array_sort_matches_golden() {
-    // The array insertion sort's inner loop: both `a[j - 1]` reads are
-    // `load2_off_aload` and the `j = j - 1` latch is a subtracting
-    // `inc_jump`, 12 dispatches per iteration.
+    // The array insertion sort's inner loop: its `&&` condition is two
+    // compare-and-branches (`cmp_jump`, `load_cmp_jump`), both
+    // `a[j - 1]` reads are `load2_off_aload`, and the `j = j - 1` latch
+    // with its inline back edge is a subtracting `inc_loop_back`: 8
+    // dispatches per iteration.
     assert_disasm_fused_golden(
         "../../examples/sized_insertion_sort_array.jay",
         "golden_fused_array_sort.txt",

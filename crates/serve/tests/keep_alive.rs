@@ -2,7 +2,7 @@
 //! thread's requests share one connection, the client opens a fresh one
 //! (sending a request again at most once) whenever the daemon has ended
 //! the old one, the daemon caps its connections, and shutdown does not
-//! wait on connections that sit idle.
+//! wait on connections that sit idle or stall mid-body.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -11,7 +11,7 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use algoprof::{record_source_with, AlgoProfOptions, JobSpec};
-use algoprof_serve::server::{IDLE_TIMEOUT, MAX_CONNECTIONS};
+use algoprof_serve::server::{BODY_TIMEOUT, IDLE_TIMEOUT, MAX_CONNECTIONS};
 use algoprof_serve::{client, http, ResultCache, Server, ServerAddr, ServerConfig};
 
 const LIST: &str = "class Main { static int main() {
@@ -389,4 +389,99 @@ fn stopping_a_tcp_daemon_does_not_wait_on_idle_connections() {
 fn stopping_a_unix_socket_daemon_does_not_wait_on_idle_connections() {
     stop_with_an_idle_connection_held(Transport::Unix, false);
     stop_with_an_idle_connection_held(Transport::Unix, true);
+}
+
+#[test]
+fn a_client_stalled_mid_body_holds_up_neither_health_nor_the_stop() {
+    let (server, addr) = start(Transport::Tcp, "stalled", ServerConfig::default());
+    let ServerAddr::Tcp(tcp) = &addr else {
+        unreachable!("a TCP daemon")
+    };
+    // A submission that announces 10 body bytes and sends 2.
+    let mut stalled = TcpStream::connect(tcp).expect("connects");
+    stalled
+        .write_all(
+            b"POST /api/v1/jobs HTTP/1.1\r\nhost: localhost\r\ncontent-length: 10\r\n\r\n{\"",
+        )
+        .expect("sends a head and 2 of 10 body bytes");
+    std::thread::sleep(Duration::from_millis(200));
+    client::health(&addr).expect("health answers while a body stalls");
+
+    let stopping = Instant::now();
+    client::shutdown(&addr).expect("shutdown acknowledged");
+    let (done, stopped) = mpsc::channel();
+    std::thread::spawn(move || {
+        server.join();
+        let _ = done.send(());
+    });
+    stopped
+        .recv_timeout(STOP_BOUND)
+        .expect("the daemon exits while a client stalls mid-body");
+    assert!(stopping.elapsed() < STOP_BOUND);
+
+    // The stalled request is refused or the connection simply ends.
+    stalled
+        .set_read_timeout(Some(STOP_BOUND))
+        .expect("read timeout");
+    let mut answer = Vec::new();
+    stalled
+        .read_to_end(&mut answer)
+        .expect("the daemon closed the stalled connection");
+    assert!(
+        answer.is_empty() || answer.starts_with(b"HTTP/1.1 400"),
+        "{}",
+        String::from_utf8_lossy(&answer)
+    );
+}
+
+/// A trace source that hands out its first half, then pauses once for
+/// `pause` before the rest.
+struct Paused<'a> {
+    rest: &'a [u8],
+    half: usize,
+    pause: Option<Duration>,
+}
+
+impl Read for Paused<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.half == 0 {
+            if let Some(pause) = self.pause.take() {
+                std::thread::sleep(pause);
+            }
+        }
+        let piece = if self.half > 0 {
+            self.half
+        } else {
+            self.rest.len()
+        };
+        let n = piece.min(buf.len());
+        buf[..n].copy_from_slice(&self.rest[..n]);
+        self.rest = &self.rest[n..];
+        self.half = self.half.saturating_sub(n);
+        Ok(n)
+    }
+}
+
+#[test]
+fn an_upload_pausing_past_the_idle_deadline_within_the_body_deadline_succeeds() {
+    let pause = IDLE_TIMEOUT + Duration::from_secs(1);
+    assert!(pause < BODY_TIMEOUT);
+    let (server, addr) = start(Transport::Tcp, "paused", ServerConfig::default());
+    let trace = list_trace();
+    let expected = JobSpec::Analyze {
+        trace: trace.clone(),
+        options: AlgoProfOptions::default(),
+    }
+    .execute()
+    .expect("analyzes")
+    .text;
+    let mut paused = Paused {
+        rest: &trace,
+        half: trace.len() / 2,
+        pause: Some(pause),
+    };
+    let report = client::stream_trace(&addr, &mut paused, "").expect("the upload is answered");
+    assert_eq!(report.bytes, trace.len() as u64);
+    assert_eq!(report.text, expected);
+    server.shutdown();
 }

@@ -258,12 +258,6 @@ pub enum Instr {
     /// Fused `LoadLocal slot; AStore` — the slot holds the value, the
     /// index and array are on the stack (`arr[i] = local`).
     FusedLoadAStore(u16),
-    /// Fused `LoadLocal slot; ConstInt k; Add|Sub; StoreLocal slot; Jump
-    /// target` — a loop latch `x = x ± k` followed by its unconditional
-    /// jump to the back-edge block. The `bool` selects `Sub`. The
-    /// constant and target are narrowed to keep the instruction word
-    /// small; the peephole pass only emits this when both fit.
-    FusedIncJump(u16, bool, i32, u32),
     /// Fused `LoadLocal a; LoadLocal b; GetField field; ArrayLen` — the
     /// `this.array.length` read with another operand (typically the index
     /// being range-checked) loaded first. Only fused for untracked fields
@@ -302,6 +296,21 @@ pub enum Instr {
     /// constant is narrowed to `i32`. Only the final `ALoad` can fault
     /// at a line or emit an event.
     FusedLoadLoadOffALoad(u16, u16, bool, i32),
+    /// Fused `LoadLocal slot; ConstInt k; Add|Sub; StoreLocal slot;
+    /// ProfLoopBack loop; Jump target` — a loop latch `x = x ± k` with
+    /// its inline back edge and the backward jump to the loop header.
+    /// The `bool` selects `Sub`. The constant and target are narrowed to
+    /// keep the instruction word small; the peephole pass only emits this
+    /// when both fit. The back-edge event falls between the store and the
+    /// jump.
+    FusedIncLoopBack(u16, bool, i32, LoopId, u32),
+    /// Fused `LoadLocal slot; Cmp*; JumpIf*` — a test of the value on the
+    /// stack against a local (`a[j - 1] > key`). Target narrowed to
+    /// `u32`.
+    FusedLoadCmpJump(u16, CmpKind, bool, u32),
+    /// Fused `ConstNull; Cmp*; JumpIf*` — a null test of the value on
+    /// the stack (`x != null`). Target narrowed to `u32`.
+    FusedNullCmpJump(CmpKind, bool, u32),
 }
 
 // Fusion must not widen the instruction word: every form's operands are
@@ -601,13 +610,6 @@ impl Instr {
             FusedLoadGetFieldLen(s, f) => Expansion::of([LoadLocal(s), GetField(f), ArrayLen]),
             FusedLoopBackJump(l, t) => Expansion::of([ProfLoopBack(l), Jump(t)]),
             FusedLoadAStore(s) => Expansion::of([LoadLocal(s), AStore]),
-            FusedIncJump(s, sub, k, t) => Expansion::of([
-                LoadLocal(s),
-                ConstInt(k.into()),
-                add_or_sub(sub),
-                StoreLocal(s),
-                Jump(t as usize),
-            ]),
             FusedLoadLoadGetFieldLen(a, b, f) => {
                 Expansion::of([LoadLocal(a), LoadLocal(b), GetField(f), ArrayLen])
             }
@@ -641,6 +643,20 @@ impl Instr {
                 add_or_sub(sub),
                 ALoad,
             ]),
+            FusedIncLoopBack(s, sub, k, l, t) => Expansion::of([
+                LoadLocal(s),
+                ConstInt(k.into()),
+                add_or_sub(sub),
+                StoreLocal(s),
+                ProfLoopBack(l),
+                Jump(t as usize),
+            ]),
+            FusedLoadCmpJump(s, kind, jump_if, t) => {
+                Expansion::of([LoadLocal(s), kind.instr(), branch(jump_if, t as usize)])
+            }
+            FusedNullCmpJump(kind, jump_if, t) => {
+                Expansion::of([ConstNull, kind.instr(), branch(jump_if, t as usize)])
+            }
             base => Expansion::of([base]),
         }
     }
@@ -659,7 +675,6 @@ impl Instr {
             Instr::FusedLoadGetFieldLen(..) => "load_getfield_len",
             Instr::FusedLoopBackJump(..) => "loop_back_jump",
             Instr::FusedLoadAStore(_) => "load_astore",
-            Instr::FusedIncJump(..) => "inc_jump",
             Instr::FusedLoadLoadGetFieldLen(..) => "load2_getfield_len",
             Instr::FusedLoadLoadCmpJump(..) => "load2_cmp_jump",
             Instr::FusedLoadLoadPutField(..) => "load2_putfield",
@@ -669,6 +684,9 @@ impl Instr {
             Instr::FusedNewDup(_) => "new_dup",
             Instr::FusedLoadGetFieldALoad(..) => "load_getfield_aload",
             Instr::FusedLoadLoadOffALoad(..) => "load2_off_aload",
+            Instr::FusedIncLoopBack(..) => "inc_loop_back",
+            Instr::FusedLoadCmpJump(..) => "load_cmp_jump",
+            Instr::FusedNullCmpJump(..) => "null_cmp_jump",
             _ => unreachable!("every base instruction has an opcode"),
         }
     }
@@ -978,17 +996,26 @@ mod tests {
         let lbj = Instr::FusedLoopBackJump(LoopId(2), 13);
         assert_eq!(lbj.targets(), Some(13));
         assert!(lbj.is_terminator());
-        // So is the fused increment-and-jump loop latch.
-        let ij = Instr::FusedIncJump(0, false, 1, 21);
-        assert_eq!(ij.targets(), Some(21));
-        assert!(ij.is_terminator());
-        let dj = Instr::FusedIncJump(0, true, 1, 3);
-        assert_eq!(dj.targets(), Some(3));
-        assert!(dj.is_terminator());
-        // The two-load compare-and-branch falls through like any branch.
-        let llcj = Instr::FusedLoadLoadCmpJump(0, 1, CmpKind::Lt, false, 17);
-        assert_eq!(llcj.targets(), Some(17));
-        assert!(!llcj.is_terminator());
+        // So is the fused loop latch with its inline back edge.
+        let ilb = Instr::FusedIncLoopBack(0, false, 1, LoopId(1), 21);
+        assert_eq!(ilb.targets(), Some(21));
+        assert!(ilb.is_terminator());
+        let dlb = Instr::FusedIncLoopBack(0, true, 1, LoopId(1), 3);
+        assert_eq!(dlb.targets(), Some(3));
+        assert!(dlb.is_terminator());
+        // The load and null compare-and-branch forms fall through like
+        // any branch.
+        for (instr, t) in [
+            (
+                Instr::FusedLoadLoadCmpJump(0, 1, CmpKind::Lt, false, 17),
+                17,
+            ),
+            (Instr::FusedLoadCmpJump(0, CmpKind::Gt, false, 11), 11),
+            (Instr::FusedNullCmpJump(CmpKind::Ne, true, 5), 5),
+        ] {
+            assert_eq!(instr.targets(), Some(t), "{instr:?}");
+            assert!(!instr.is_terminator(), "{instr:?}");
+        }
         // Straight-line superinstructions neither branch nor terminate.
         for instr in [
             Instr::FusedLoadLoadGetFieldLen(0, 1, FieldId(0)),
@@ -1022,24 +1049,34 @@ mod tests {
     fn expansions_carry_widened_operands() {
         use Instr as I;
         assert_eq!(
-            &*I::FusedIncJump(2, false, -3, 21).expand(),
+            &*I::FusedIncLoopBack(2, false, -3, LoopId(4), 21).expand(),
             &[
                 I::LoadLocal(2),
                 I::ConstInt(-3),
                 I::Add,
                 I::StoreLocal(2),
+                I::ProfLoopBack(LoopId(4)),
                 I::Jump(21)
             ]
         );
         assert_eq!(
-            &*I::FusedIncJump(2, true, 1, 5).expand(),
+            &*I::FusedIncLoopBack(2, true, 1, LoopId(0), 5).expand(),
             &[
                 I::LoadLocal(2),
                 I::ConstInt(1),
                 I::Sub,
                 I::StoreLocal(2),
+                I::ProfLoopBack(LoopId(0)),
                 I::Jump(5)
             ]
+        );
+        assert_eq!(
+            &*I::FusedLoadCmpJump(3, CmpKind::Gt, false, 9).expand(),
+            &[I::LoadLocal(3), I::CmpGt, I::JumpIfFalse(9)]
+        );
+        assert_eq!(
+            &*I::FusedNullCmpJump(CmpKind::Ne, true, 2).expand(),
+            &[I::ConstNull, I::CmpNe, I::JumpIfTrue(2)]
         );
         assert_eq!(
             &*I::FusedLoadLoadOffALoad(0, 3, true, 1).expand(),

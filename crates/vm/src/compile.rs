@@ -167,6 +167,58 @@ impl<'a> Codegen<'a> {
         };
     }
 
+    /// Patches every jump in `jumps` to `target`.
+    fn patch_all(&mut self, jumps: Vec<usize>, target: usize) {
+        for at in jumps {
+            self.patch(at, target);
+        }
+    }
+
+    /// Emits `cond` as jumping code: control jumps when `cond` is
+    /// `jump_if` and falls through otherwise. `&&`, `||` and `!` become
+    /// branches, so no boolean is pushed for them; any other condition
+    /// is pushed as a value and tested by one conditional jump. The
+    /// operands are evaluated left to right, and a right operand only
+    /// when the left one does not decide. Returns the jumps to patch to
+    /// the target.
+    fn branch(&mut self, cond: &HExpr, jump_if: bool) -> Vec<usize> {
+        match cond {
+            HExpr::Unary {
+                op: UnOp::Not,
+                expr,
+            } => self.branch(expr, !jump_if),
+            HExpr::Binary {
+                op: op @ (BinOp::And | BinOp::Or),
+                lhs,
+                rhs,
+                ..
+            } => {
+                // The left value that decides the whole: false for `&&`,
+                // true for `||`.
+                let decides = *op == BinOp::Or;
+                if jump_if == decides {
+                    let mut jumps = self.branch(lhs, decides);
+                    jumps.extend(self.branch(rhs, decides));
+                    jumps
+                } else {
+                    let decided = self.branch(lhs, decides);
+                    let jumps = self.branch(rhs, jump_if);
+                    let skip = self.here();
+                    self.patch_all(decided, skip);
+                    jumps
+                }
+            }
+            _ => {
+                self.expr(cond);
+                vec![self.emit(if jump_if {
+                    Instr::JumpIfTrue(0)
+                } else {
+                    Instr::JumpIfFalse(0)
+                })]
+            }
+        }
+    }
+
     fn stmts(&mut self, stmts: &[HStmt]) {
         for s in stmts {
             self.stmt(s);
@@ -181,8 +233,10 @@ impl<'a> Codegen<'a> {
                     self.emit(Instr::Pop);
                 }
             }
-            HStmt::StoreLocal { slot, value } => {
+            HStmt::StoreLocal { slot, value, line } => {
+                self.current_line = *line;
                 self.expr(value);
+                self.current_line = *line;
                 self.emit(Instr::StoreLocal(*slot));
             }
             HStmt::StoreField {
@@ -211,16 +265,15 @@ impl<'a> Codegen<'a> {
                 self.emit(Instr::AStore);
             }
             HStmt::If { cond, then, els } => {
-                self.expr(cond);
-                let to_else = self.emit(Instr::JumpIfFalse(0));
+                let to_else = self.branch(cond, false);
                 self.stmts(then);
                 if els.is_empty() {
                     let end = self.here();
-                    self.patch(to_else, end);
+                    self.patch_all(to_else, end);
                 } else {
                     let over_else = self.emit(Instr::Jump(0));
                     let else_start = self.here();
-                    self.patch(to_else, else_start);
+                    self.patch_all(to_else, else_start);
                     self.stmts(els);
                     let end = self.here();
                     self.patch(over_else, end);
@@ -234,8 +287,7 @@ impl<'a> Codegen<'a> {
             } => {
                 self.current_line = *line;
                 let cond_label = self.here();
-                self.expr(cond);
-                let to_end = self.emit(Instr::JumpIfFalse(0));
+                let to_end = self.branch(cond, false);
                 self.loop_stack.push(LoopCtx {
                     break_patches: Vec::new(),
                     continue_patches: Vec::new(),
@@ -246,7 +298,7 @@ impl<'a> Codegen<'a> {
                 self.current_line = *line;
                 self.emit(Instr::Jump(cond_label));
                 let end = self.here();
-                self.patch(to_end, end);
+                self.patch_all(to_end, end);
                 let ctx = self.loop_stack.pop().expect("loop context pushed above");
                 for at in ctx.break_patches {
                     self.patch(at, end);
@@ -431,25 +483,16 @@ impl<'a> Codegen<'a> {
                 });
             }
             HExpr::Binary { op, lhs, rhs, line } => match op {
-                BinOp::And => {
-                    self.expr(lhs);
-                    let to_false = self.emit(Instr::JumpIfFalse(0));
+                BinOp::And | BinOp::Or => {
+                    // The right operand's value, unless the left one
+                    // decides: then the deciding constant.
+                    let decides = *op == BinOp::Or;
+                    let decided = self.branch(lhs, decides);
                     self.expr(rhs);
                     let over = self.emit(Instr::Jump(0));
-                    let false_label = self.here();
-                    self.patch(to_false, false_label);
-                    self.emit(Instr::ConstBool(false));
-                    let end = self.here();
-                    self.patch(over, end);
-                }
-                BinOp::Or => {
-                    self.expr(lhs);
-                    let to_true = self.emit(Instr::JumpIfTrue(0));
-                    self.expr(rhs);
-                    let over = self.emit(Instr::Jump(0));
-                    let true_label = self.here();
-                    self.patch(to_true, true_label);
-                    self.emit(Instr::ConstBool(true));
+                    let decided_label = self.here();
+                    self.patch_all(decided, decided_label);
+                    self.emit(Instr::ConstBool(decides));
                     let end = self.here();
                     self.patch(over, end);
                 }

@@ -150,6 +150,14 @@ fn branch_sense(instr: Instr) -> Option<(bool, usize)> {
     }
 }
 
+/// A comparison followed by a conditional jump whose target fits the
+/// narrowed `u32` operand: the kind, the branch sense and the target.
+fn cmp_branch(cmp: Option<Instr>, branch: Option<Instr>) -> Option<(CmpKind, bool, u32)> {
+    let kind = cmp_kind(cmp?)?;
+    let (jump_if, t) = branch_sense(branch?)?;
+    Some((kind, jump_if, u32::try_from(t).ok()?))
+}
+
 /// The longest superinstruction of at most `max_len` base instructions
 /// starting at `pc`, if any pattern matches. Returned with its window
 /// length. The caller re-invokes with a smaller `max_len` when a window
@@ -167,20 +175,21 @@ fn match_pattern(
     let at = |i: usize| code.get(pc + i).copied();
     match at(0)? {
         Instr::LoadLocal(s) => {
-            // Longest first: the `x = x ± k; jump` latch (5), 4- and
-            // 3-windows, then pairs.
+            // Longest first: the `x = x ± k` latch with its inline back
+            // edge (6), 4- and 3-windows, then pairs.
             if let (
                 Some(Instr::ConstInt(k)),
                 Some(op),
                 Some(Instr::StoreLocal(s2)),
+                Some(Instr::ProfLoopBack(l)),
                 Some(Instr::Jump(t)),
-            ) = (at(1), at(2), at(3), at(4))
+            ) = (at(1), at(2), at(3), at(4), at(5))
             {
-                if s2 == s && max_len >= 5 {
+                if s2 == s && max_len >= 6 {
                     if let (Some(sub), Ok(ki), Ok(tu)) =
                         (sub_flag(op), i32::try_from(k), u32::try_from(t))
                     {
-                        return Some((Instr::FusedIncJump(s, sub, ki, tu), 5));
+                        return Some((Instr::FusedIncLoopBack(s, sub, ki, l, tu), 6));
                     }
                 }
             }
@@ -222,17 +231,8 @@ fn match_pattern(
                             return Some((Instr::FusedLoadLoadGetFieldLen(s, b, f), 4));
                         }
                     }
-                    if let (Some(cmp), Some(branch)) = (at(2), at(3)) {
-                        if let (Some(kind), Some((jump_if, t))) =
-                            (cmp_kind(cmp), branch_sense(branch))
-                        {
-                            if let Ok(tu) = u32::try_from(t) {
-                                return Some((
-                                    Instr::FusedLoadLoadCmpJump(s, b, kind, jump_if, tu),
-                                    4,
-                                ));
-                            }
-                        }
+                    if let Some((kind, jump_if, t)) = cmp_branch(at(2), at(3)) {
+                        return Some((Instr::FusedLoadLoadCmpJump(s, b, kind, jump_if, t), 4));
                     }
                 }
                 if max_len >= 3 {
@@ -257,6 +257,9 @@ fn match_pattern(
                         return Some((Instr::FusedLoadGetFieldLen(s, f), 3));
                     }
                 }
+                if let Some((kind, jump_if, t)) = cmp_branch(at(1), at(2)) {
+                    return Some((Instr::FusedLoadCmpJump(s, kind, jump_if, t), 3));
+                }
             }
             match at(1)? {
                 Instr::ConstInt(k) => Some((Instr::FusedLoadConst(s, k), 2)),
@@ -274,6 +277,10 @@ fn match_pattern(
             } else {
                 None
             }
+        }
+        Instr::ConstNull if max_len >= 3 => {
+            let (kind, jump_if, t) = cmp_branch(at(1), at(2))?;
+            Some((Instr::FusedNullCmpJump(kind, jump_if, t), 3))
         }
         Instr::ProfLoopBack(l) => {
             if let Instr::Jump(t) = at(1)? {
@@ -429,7 +436,7 @@ mod tests {
             .functions
             .iter()
             .flat_map(|f| &f.code)
-            .any(|i| matches!(i, Instr::FusedIncJump(..))));
+            .any(|i| matches!(i, Instr::FusedIncLoopBack(..))));
 
         let mut a = Recorder::default();
         let mut b = Recorder::default();
@@ -461,6 +468,8 @@ mod tests {
             int j = 0;
             while (j < 3) { j = j + 1; }
             while (j > 1) { n.v = n.v + a[j - 1]; j = j - 1; }
+            Node m = n;
+            while (m != null && a[j] > j) { m = null; }
             return n.v + a[j];
         } }
         class Node { int v; }";
@@ -475,14 +484,19 @@ mod tests {
             }
         }
         assert!(seen.len() >= 5, "only {seen:?}");
-        for form in ["load2_off_aload", "inc_jump"] {
+        for form in [
+            "load2_off_aload",
+            "inc_loop_back",
+            "load_cmp_jump",
+            "null_cmp_jump",
+        ] {
             assert!(seen.contains(&form), "{form} missing from {seen:?}");
         }
         assert!(fused
             .functions
             .iter()
             .flat_map(|f| &f.code)
-            .any(|i| matches!(i, Instr::FusedIncJump(_, true, ..))));
+            .any(|i| matches!(i, Instr::FusedIncLoopBack(_, true, ..))));
     }
 
     #[test]

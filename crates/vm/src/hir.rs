@@ -49,6 +49,8 @@ pub enum HStmt {
         slot: LocalSlot,
         /// Value to store.
         value: HExpr,
+        /// Source line of the statement.
+        line: u32,
     },
     /// `obj.field = value`.
     StoreField {

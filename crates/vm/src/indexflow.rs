@@ -106,7 +106,7 @@ impl Walker {
             // targets loops that *increment* the index), so a store whose
             // local the immediately following loop also updates is treated
             // as that loop's initializer and skipped here.
-            if let HStmt::StoreLocal { slot, value } = s {
+            if let HStmt::StoreLocal { slot, value, .. } = s {
                 let next_loop_updates = matches!(
                     stmts.get(i + 1),
                     Some(HStmt::Loop { update, .. })
@@ -124,7 +124,7 @@ impl Walker {
     fn walk_stmt(&mut self, stmt: &HStmt) {
         match stmt {
             HStmt::Expr(e) => self.walk_expr(e),
-            HStmt::StoreLocal { slot, value } => {
+            HStmt::StoreLocal { slot, value, .. } => {
                 self.note_assign(*slot);
                 self.walk_expr(value);
             }

@@ -267,6 +267,17 @@ fn instrument_loops(func: &mut Function, all_loops: &mut Vec<LoopInfo>) {
         new_lines.push(func.decl_line);
     }
 
+    // A backward jump whose edge carries only back-edge markers gets
+    // them inline, in front of it, instead of a trampoline: the jump
+    // stays the edge's one taken backward jump (a scheduler yield
+    // point), after the same events. Every other instrumented edge is
+    // split by a trampoline.
+    let back_edge_only = |u: usize, v: usize| {
+        edge_instrs
+            .get(&(u, v))
+            .is_some_and(|seq| seq.iter().all(|i| matches!(i, Instr::ProfLoopBack(_))))
+    };
+
     for (b, block) in cfg.blocks.iter().enumerate() {
         block_new_start[b] = new_code.len();
         #[allow(clippy::needless_range_loop)] // `i` is an instruction index used for both tables
@@ -283,6 +294,15 @@ fn instrument_loops(func: &mut Function, all_loops: &mut Vec<LoopInfo>) {
                 }
             };
             match func.code[i] {
+                Instr::Jump(t) if t <= i && back_edge_only(b, cfg.block_of[t]) => {
+                    let v = cfg.block_of[t];
+                    for instr in &edge_instrs[&(b, v)] {
+                        new_code.push(*instr);
+                        new_lines.push(line);
+                    }
+                    new_code.push(Instr::Jump(block_new_start[v]));
+                    new_lines.push(line);
+                }
                 Instr::Jump(t) => {
                     pending_jumps.push((new_code.len(), b, block_target(t)));
                     new_code.push(Instr::Jump(usize::MAX));

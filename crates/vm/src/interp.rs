@@ -664,16 +664,30 @@ impl<'p> Interp<'p> {
                         jump!(t);
                     }
                 }
-                Instr::FusedIncJump(slot, sub, k, t) => {
-                    // `Load; ConstInt; Add|Sub; StoreLocal; Jump` on one
-                    // slot. The constant is an int, so `Add`/`Sub` only
-                    // checks the loaded local.
-                    let v = as_int(local!(slot))?;
-                    local!(slot) = Value::Int(offset_by(v, sub, k));
-                    jump!(t);
-                }
                 Instr::FusedLoadLoadCmpJump(a, b, kind, jump_if, t) => {
                     if compare!(kind, local!(a), local!(b)) == jump_if {
+                        jump!(t);
+                    }
+                }
+                Instr::FusedIncLoopBack(slot, sub, k, l, t) => {
+                    // The `x = x ± k` latch, its back-edge event, then
+                    // the backward jump. The constant is an int, so
+                    // `Add`/`Sub` only checks the loaded local.
+                    instruction_events!(instr, ..3);
+                    let v = as_int(local!(slot))?;
+                    instruction_events!(instr, 3..5);
+                    local!(slot) = Value::Int(offset_by(v, sub, k));
+                    self.emit(sink, Event::LoopBackEdge { l });
+                    instruction_events!(instr, 5..);
+                    jump!(t);
+                }
+                Instr::FusedLoadCmpJump(slot, kind, jump_if, t) => {
+                    if compare!(kind, pop(values, cur.floor)?, local!(slot)) == jump_if {
+                        jump!(t);
+                    }
+                }
+                Instr::FusedNullCmpJump(kind, jump_if, t) => {
+                    if compare!(kind, pop(values, cur.floor)?, Value::Null) == jump_if {
                         jump!(t);
                     }
                 }
@@ -1335,7 +1349,7 @@ fn non_object_err(op: &str, other: Value) -> RuntimeError {
 
 /// Whether an event or a fault can fall between `instr`'s constituents.
 /// This is the one place fusion meets the instruction-event stream: the
-/// back-edge event of `loop_back_jump`, the allocation event of
+/// back-edge event of `loop_back_jump` and `inc_loop_back`, the allocation event of
 /// `new_dup`, and the receiver check of the mid-window `GetField` in the
 /// field-length, field-element and field-increment forms. Such an arm
 /// emits its constituents' instruction events itself, each before that
@@ -1347,6 +1361,7 @@ fn interleaves(instr: Instr) -> bool {
     matches!(
         instr,
         Instr::FusedLoopBackJump(..)
+            | Instr::FusedIncLoopBack(..)
             | Instr::FusedNewDup(_)
             | Instr::FusedLoadGetFieldLen(..)
             | Instr::FusedLoadLoadGetFieldLen(..)

@@ -790,7 +790,11 @@ impl<'a> BodyChecker<'a> {
                     return Err(err(format!("duplicate variable {name}"), *span));
                 }
                 let slot = self.alloc_slot(name, ty);
-                out.push(HStmt::StoreLocal { slot, value });
+                out.push(HStmt::StoreLocal {
+                    slot,
+                    value,
+                    line: span.line,
+                });
             }
             Stmt::Assign {
                 target,
@@ -802,7 +806,11 @@ impl<'a> BodyChecker<'a> {
                     Expr::Var(name, vspan) => {
                         if let Some((slot, ty)) = self.lookup_local(name) {
                             self.require_assignable(&vty, &ty, *span)?;
-                            out.push(HStmt::StoreLocal { slot, value: hv });
+                            out.push(HStmt::StoreLocal {
+                                slot,
+                                value: hv,
+                                line: span.line,
+                            });
                         } else if !self.sig().is_static {
                             // Implicit this.field = v
                             let recv = self.this_ty();

@@ -841,13 +841,14 @@ mod tests {
     }
 
     #[test]
-    fn fused_inc_jump_target_out_of_range_is_rejected() {
+    fn fused_load_cmp_jump_target_out_of_range_is_rejected() {
         let p = with_main_code(
             "class Main { static int main() { int x = 0; return x; } }",
             vec![
                 Instr::ConstInt(0),
                 Instr::StoreLocal(0),
-                Instr::FusedIncJump(0, false, 1, 999),
+                Instr::ConstInt(1),
+                Instr::FusedLoadCmpJump(0, CmpKind::Lt, false, 999),
                 Instr::ConstInt(0),
                 Instr::RetVal,
             ],
@@ -911,18 +912,25 @@ mod tests {
 
     #[test]
     fn well_formed_superinstructions_verify() {
-        // Hand-built `x = 5; while (x < 10) { x = x + 1 }` exercising the
-        // arithmetic superinstruction shapes end to end.
+        // Hand-built `x = 5; while (x < 10) { x = x + 1 }` and three
+        // tests that skip to the end, exercising the compare-and-branch
+        // superinstruction shapes end to end.
         let p = with_main_code(
             "class Main { static int main() { int x = 0; return x; } }",
             vec![
                 Instr::ConstInt(5),
                 Instr::StoreLocal(0),
                 Instr::FusedLoadConst(0, 10),
-                Instr::CmpJump(CmpKind::Lt, false, 5),
-                Instr::FusedIncJump(0, false, 1, 2),
-                Instr::FusedLoadLoadCmpJump(0, 0, CmpKind::Eq, false, 7),
-                Instr::FusedIncJump(0, true, 0, 7),
+                Instr::CmpJump(CmpKind::Lt, false, 8),
+                Instr::FusedLoadConst(0, 1),
+                Instr::Add,
+                Instr::StoreLocal(0),
+                Instr::Jump(2),
+                Instr::FusedLoadLoadCmpJump(0, 0, CmpKind::Eq, false, 13),
+                Instr::ConstInt(3),
+                Instr::FusedLoadCmpJump(0, CmpKind::Gt, true, 13),
+                Instr::ConstNull,
+                Instr::FusedNullCmpJump(CmpKind::Eq, false, 13),
                 Instr::FusedLoadLoad(0, 0),
                 Instr::Pop,
                 Instr::RetVal,

@@ -67,6 +67,17 @@ ALGOPROF_NO_FUSE=1 ./target/release/algoprof sweep examples/sized_insertion_sort
     --sizes 8,16,32,64 -j 1 --quiet --json "$sweep_out/sortnf.json" > "$sweep_out/sortnf.txt"
 cmp "$sweep_out/sort1.json" "$sweep_out/sortnf.json"
 cmp "$sweep_out/sort1.txt" "$sweep_out/sortnf.txt"
+# The array sort's `&&` loop condition and latch, and the threaded
+# examples' schedules (yield points), under the compare-and-branch and
+# inline back-edge forms.
+for prog in sized_insertion_sort_array producer_consumer parallel_sum; do
+    ./target/release/algoprof sweep "examples/$prog.jay" --sizes 8,16,32 -j 1 --quiet \
+        --json "$sweep_out/$prog-f.json" > "$sweep_out/$prog-f.txt"
+    ALGOPROF_NO_FUSE=1 ./target/release/algoprof sweep "examples/$prog.jay" --sizes 8,16,32 \
+        -j 1 --quiet --json "$sweep_out/$prog-nf.json" > "$sweep_out/$prog-nf.txt"
+    cmp "$sweep_out/$prog-f.json" "$sweep_out/$prog-nf.json"
+    cmp "$sweep_out/$prog-f.txt" "$sweep_out/$prog-nf.txt"
+done
 
 echo "==> fused vs unfused live reports and fused disassembly, every shipped example"
 for prog in examples/*.jay; do

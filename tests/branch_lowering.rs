@@ -347,3 +347,36 @@ fn loop_conditions_with_and_keep_the_schedule_of_two_threads() {
         },
     );
 }
+
+#[test]
+fn the_compare_and_branch_and_latch_forms_fire_on_the_corpus() {
+    // Jumping-code conditions expose `load_cmp_jump` and
+    // `null_cmp_jump`, and inline back edges `inc_loop_back`; each must
+    // be fused somewhere in the corpus or in the shipped array sort,
+    // whose `a[j - 1] > key` is the `load_cmp_jump` of the benchmark.
+    let array_sort = include_str!("../examples/sized_insertion_sort_array.jay");
+    let mut fired = std::collections::BTreeMap::new();
+    for src in [
+        CONDITIONS,
+        VALUES,
+        NULL_GUARDS,
+        SIDE_EFFECTS,
+        THREADS,
+        array_sort,
+    ] {
+        for instr in program(src, true).functions.iter().flat_map(|f| &f.code) {
+            *fired.entry(instr.mnemonic()).or_insert(0) += 1;
+        }
+    }
+    for (form, floor) in [
+        ("inc_loop_back", 5),
+        ("load_cmp_jump", 1),
+        ("null_cmp_jump", 4),
+    ] {
+        let n = fired.get(form).copied().unwrap_or(0);
+        assert!(
+            n >= floor,
+            "{form} fused {n} times, under {floor}: {fired:?}"
+        );
+    }
+}

@@ -249,17 +249,17 @@ fn fusion_preserves_loop_ordinals() {
     for src in &srcs {
         let plain = compiled("loop_ordinals", src);
         let fused = plain.fuse();
+        // A superinstruction carries its loop markers in its expansion.
         let loops = |p: &CompiledProgram| -> Vec<Instr> {
             p.functions
                 .iter()
                 .flat_map(|f| &f.code)
-                .filter_map(|i| match i {
-                    Instr::ProfLoopEntry(_) | Instr::ProfLoopBack(_) | Instr::ProfLoopExit(_) => {
-                        Some(*i)
-                    }
-                    // A fused back-edge jump still carries its loop id.
-                    Instr::FusedLoopBackJump(l, _) => Some(Instr::ProfLoopBack(*l)),
-                    _ => None,
+                .flat_map(|i| i.expand().to_vec())
+                .filter(|i| {
+                    matches!(
+                        i,
+                        Instr::ProfLoopEntry(_) | Instr::ProfLoopBack(_) | Instr::ProfLoopExit(_)
+                    )
                 })
                 .collect()
         };
@@ -501,11 +501,16 @@ fn offset_reads_fault_exactly_as_unfused() {
         assert!(
             forms
                 .iter()
-                .any(|i| matches!(i, Instr::FusedLoadLoadOffALoad(..)))
-                && forms
-                    .iter()
-                    .any(|i| matches!(i, Instr::FusedIncJump(_, true, _, _))),
-            "loop forms not fused: {forms:?}"
+                .any(|i| matches!(i, Instr::FusedLoadLoadOffALoad(..))),
+            "offset read not fused: {forms:?}"
+        );
+        // The decrement latch fuses with its inline back edge.
+        assert_eq!(
+            forms
+                .iter()
+                .any(|i| matches!(i, Instr::FusedIncLoopBack(_, true, ..))),
+            instrument.loops,
+            "latch fused only with loop events: {forms:?}"
         );
         assert_fusion_invisible_under("descending a[j - 1]", loop_read, &[9], instrument);
     }
@@ -620,10 +625,10 @@ fn fused_forms_fault_exactly_as_unfused() {
 
 #[test]
 fn decrement_latches_fuse_and_stay_invisible() {
-    // `x = x - k; jump` fuses to `inc_jump` with `sub`. The latch's jump
-    // is forward (to the back-edge block) when loops are instrumented
-    // and backward (straight to the header, a yield point) when they are
-    // not.
+    // With loop events, `x = x - k` and the back edge written inline
+    // after it fuse to `inc_loop_back` with `sub`, whose jump is
+    // backward, straight to the header (a yield point). Without loop
+    // events the latch's bare jump is not fused with it.
     let src = "class Main {
         static int main() {
             int n = readInput();
@@ -642,21 +647,21 @@ fn decrement_latches_fuse_and_stay_invisible() {
             return s;
         }
     }";
-    for (name, instrument, backward) in [
-        ("forward latch", InstrumentOptions::default(), false),
-        ("backward latch", no_loop_events(), true),
+    for (name, instrument, latches) in [
+        ("latch with its back edge", InstrumentOptions::default(), 2),
+        ("bare latch", no_loop_events(), 0),
     ] {
         let program = compiled_with(name, src, &instrument).fuse();
-        let latches: Vec<bool> = program
+        let backward: Vec<bool> = program
             .functions
             .iter()
             .flat_map(|f| f.code.iter().enumerate())
             .filter_map(|(pc, i)| match *i {
-                Instr::FusedIncJump(_, true, _, t) => Some(t as usize <= pc),
+                Instr::FusedIncLoopBack(_, true, _, _, t) => Some(t as usize <= pc),
                 _ => None,
             })
             .collect();
-        assert_eq!(latches, [backward, backward], "{name}");
+        assert_eq!(backward, vec![true; latches], "{name}");
         assert_fusion_invisible_under(name, src, &[11], instrument);
     }
 }
@@ -674,10 +679,11 @@ impl EventSink for ThreadSwitches {
 
 #[test]
 fn decrement_latches_in_spawned_threads_keep_the_schedule() {
-    // Two workers count down over a shared array. Without loop events
-    // each worker's fused latch is its loop's only backward jump, so it
-    // is the quantum yield point that interleaves the threads; the
-    // schedule, and with it every thread-switch event, must not move.
+    // Two workers count down over a shared array. Each worker's latch
+    // jump is its loop's only backward jump, so it is the quantum yield
+    // point that interleaves the threads; fused with its inline back
+    // edge or not, the schedule, and with it every thread-switch event,
+    // must not move.
     let src = "class Main {
         static int main() {
             int n = readInput();
@@ -699,11 +705,12 @@ fn decrement_latches_in_spawned_threads_keep_the_schedule() {
     }";
     for instrument in [InstrumentOptions::default(), no_loop_events()] {
         let forms = fused_forms(src, &instrument);
-        assert!(
+        assert_eq!(
             forms
                 .iter()
-                .any(|i| matches!(i, Instr::FusedIncJump(_, true, _, _))),
-            "no decrement latch fused in {forms:?}"
+                .any(|i| matches!(i, Instr::FusedIncLoopBack(_, true, ..))),
+            instrument.loops,
+            "decrement latch fused only with loop events: {forms:?}"
         );
         let mut switches = ThreadSwitches(0);
         Interp::new(&compiled_with("threads", src, &instrument).fuse())
@@ -720,20 +727,22 @@ fn benchmark_sort_dispatch_counts_are_pinned() {
     // The two live-profile benchmark programs at one size each: fused
     // dispatches are what the superinstruction set saves, and logical
     // instructions must not move with it. The array sort's inner loop
-    // is 12 dispatches for 29 instructions (two offset reads and the
-    // decrement latch fused); the list sort has neither idiom.
+    // is 8 dispatches for 26 instructions (its `&&` condition two
+    // compare-and-branches, two offset reads, and the decrement latch
+    // fused with its inline back edge); the list sort's null tests fuse
+    // to `null_cmp_jump`.
     let cases = [
         (
             "reversed array sort",
             sized_insertion_sort_array_program(SortWorkload::Reversed),
             192,
-            (523_011, 225_803),
+            (485_574, 151_694),
         ),
         (
             "random list sort",
             sized_insertion_sort_program(SortWorkload::Random),
             132,
-            (256_534, 151_198),
+            (246_941, 122_697),
         ),
     ];
     for (name, src, n, counts) in cases {
