@@ -410,7 +410,7 @@ fn a_client_stalled_mid_body_holds_up_neither_health_nor_the_stop() {
     let stopping = Instant::now();
     client::shutdown(&addr).expect("shutdown acknowledged");
     let (done, stopped) = mpsc::channel();
-    std::thread::spawn(move || {
+    let joining = std::thread::spawn(move || {
         server.join();
         let _ = done.send(());
     });
@@ -418,6 +418,7 @@ fn a_client_stalled_mid_body_holds_up_neither_health_nor_the_stop() {
         .recv_timeout(STOP_BOUND)
         .expect("the daemon exits while a client stalls mid-body");
     assert!(stopping.elapsed() < STOP_BOUND);
+    joining.join().expect("the joining thread");
 
     // The stalled request is refused or the connection simply ends.
     stalled

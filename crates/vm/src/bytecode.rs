@@ -251,9 +251,10 @@ pub enum Instr {
     /// would otherwise reorder against the constituents' instruction
     /// events).
     FusedLoadGetFieldLen(u16, FieldId),
-    /// Fused `ProfLoopBack loop; Jump target` — the back-edge tail every
-    /// loop iteration executes. Emits the back-edge event, then jumps;
-    /// the loop id survives fusion, keeping indexflow ordinals intact.
+    /// Fused `ProfLoopBack loop; Jump target` — an inline back edge whose
+    /// latch is not `x = x ± k` (`x = x.next`, say), or a back-edge
+    /// trampoline. Emits the back-edge event, then jumps; the loop id
+    /// survives fusion, keeping indexflow ordinals intact.
     FusedLoopBackJump(LoopId, usize),
     /// Fused `LoadLocal slot; AStore` — the slot holds the value, the
     /// index and array are on the stack (`arr[i] = local`).

@@ -300,12 +300,8 @@ impl<'a> Codegen<'a> {
                 let end = self.here();
                 self.patch_all(to_end, end);
                 let ctx = self.loop_stack.pop().expect("loop context pushed above");
-                for at in ctx.break_patches {
-                    self.patch(at, end);
-                }
-                for at in ctx.continue_patches {
-                    self.patch(at, update_label);
-                }
+                self.patch_all(ctx.break_patches, end);
+                self.patch_all(ctx.continue_patches, update_label);
             }
             HStmt::Return { value, line } => {
                 self.current_line = *line;

@@ -5,18 +5,21 @@
 //! corpus and the benchmark programs (see `EXPERIMENTS.md`): local
 //! loads dominate the opcode mix, and the top pairs are load+load,
 //! load+const, compare+branch, the loop latch `x = x ± k` with its
-//! trailing jump, load+getfield, local-value astore, field+length, the
-//! back-edge jump tail, and the offset array read `a[i ± k]`. Seventeen
+//! inline back edge, load+getfield, local-value astore, field+length,
+//! the back-edge jump tail, and the offset array read `a[i ± k]`.
+//! Conditions compile to jumping code, so each test of an `&&`/`||`
+//! chain is a compare-and-branch against a local or `null`. Nineteen
 //! forms, by disassembly mnemonic: `load2`, `load_const`,
 //! `load_getfield`, `cmp_jump`, `load_getfield_len`, `loop_back_jump`,
-//! `load_astore`, `inc_jump` (adding or subtracting), `load2_getfield_len`,
-//! `load2_cmp_jump`, `load2_putfield`, `field_add`, `load_call_direct`,
-//! `load_call_virtual`, `new_dup`, `load_getfield_aload` and
-//! `load2_off_aload`. Forms whose removal cost less than 2% of the
-//! dispatches on every benchmark workload were deleted (the ablation
-//! table in `EXPERIMENTS.md`). Fusing them collapses the dispatch-loop
-//! iterations those sequences cost without changing anything
-//! observable:
+//! `load_astore`, `load2_getfield_len`, `load2_cmp_jump`,
+//! `load2_putfield`, `field_add`, `load_call_direct`,
+//! `load_call_virtual`, `new_dup`, `load_getfield_aload`,
+//! `load2_off_aload`, `inc_loop_back` (adding or subtracting),
+//! `load_cmp_jump` and `null_cmp_jump`. Forms whose removal cost less
+//! than 2% of the dispatches on every benchmark workload were deleted
+//! (the ablation tables in `EXPERIMENTS.md`). Fusing them collapses the
+//! dispatch-loop iterations those sequences cost without changing
+//! anything observable:
 //!
 //! * each superinstruction emits one
 //!   [`Event::Instruction`](crate::event::Event::Instruction) per
@@ -31,9 +34,10 @@
 //!   untracked (no read event to reorder) and every constituent shares
 //!   one source line (null-dereference attribution unchanged);
 //! * `ProfLoopEntry`/`ProfLoopExit` pseudo-instructions are never fused,
-//!   and the fused back-edge jump carries its
-//!   [`LoopId`](crate::bytecode::LoopId) verbatim, so loop ordinals stay
-//!   paired with the `indexflow` hints;
+//!   and the fused back-edge forms (`loop_back_jump`, `inc_loop_back`)
+//!   carry their [`LoopId`](crate::bytecode::LoopId) verbatim and emit
+//!   the back-edge event between their constituents, so loop ordinals
+//!   stay paired with the `indexflow` hints;
 //! * a window is only fused when no branch or handler boundary targets
 //!   its interior, and all jump targets / handler ranges are remapped
 //!   through the old→new pc map afterwards.

@@ -5,7 +5,9 @@
 //! * **loop entry / back edge / exit** — natural loops are detected on the
 //!   bytecode CFG via dominators; profile pseudo-instructions are inserted
 //!   on the loop's entry, back, and exit edges (splitting jump edges with
-//!   trampoline blocks and extending fall-through blocks in place);
+//!   trampoline blocks and extending fall-through blocks in place). A
+//!   backward jump whose edge carries only back-edge markers gets them
+//!   inline, in front of it, so a loop latch costs no trampoline jump;
 //! * **method entries and exits** — restricted by default to methods that
 //!   may participate in recursion (call-graph SCC analysis, reference
 //!   \[21\]);
