@@ -404,6 +404,9 @@ fn a_client_stalled_mid_body_holds_up_neither_health_nor_the_stop() {
             b"POST /api/v1/jobs HTTP/1.1\r\nhost: localhost\r\ncontent-length: 10\r\n\r\n{\"",
         )
         .expect("sends a head and 2 of 10 body bytes");
+    // Gives the daemon time to start reading the body. The checks below
+    // hold whether or not it has; at the parent, the stop hangs once it
+    // has.
     std::thread::sleep(Duration::from_millis(200));
     client::health(&addr).expect("health answers while a body stalls");
 

@@ -1349,9 +1349,10 @@ fn non_object_err(op: &str, other: Value) -> RuntimeError {
 
 /// Whether an event or a fault can fall between `instr`'s constituents.
 /// This is the one place fusion meets the instruction-event stream: the
-/// back-edge event of `loop_back_jump` and `inc_loop_back`, the allocation event of
-/// `new_dup`, and the receiver check of the mid-window `GetField` in the
-/// field-length, field-element and field-increment forms. Such an arm
+/// back-edge event of `loop_back_jump` and `inc_loop_back`, the
+/// allocation event of `new_dup`, and the receiver check of the
+/// mid-window `GetField` in the field-length, field-element and
+/// field-increment forms. Such an arm
 /// emits its constituents' instruction events itself, each before that
 /// constituent's work, so events and faults fall as in unfused
 /// execution; every other instruction has them all emitted before its
