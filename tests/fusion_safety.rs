@@ -34,6 +34,21 @@ impl EventSink for TextStream {
     }
 }
 
+/// [`TextStream`] for a sink that does not read `Instruction` events, so
+/// the interpreter runs the fused arms themselves.
+#[derive(Default)]
+struct NonReadingStream {
+    lines: Vec<String>,
+}
+
+impl EventSink for NonReadingStream {
+    const READS_INSTRUCTIONS: bool = false;
+
+    fn event(&mut self, ev: &Event, cx: &EventCx<'_>) {
+        self.lines.push(ev.render_text(cx.program));
+    }
+}
+
 fn compiled(name: &str, src: &str) -> CompiledProgram {
     compiled_with(name, src, &InstrumentOptions::default())
 }
@@ -109,6 +124,47 @@ fn assert_fusion_invisible_under(
             assert_eq!(ea.to_string(), eb.to_string(), "{name}: error text");
         }
         (ra, rb) => panic!("{name}: outcomes diverge: {ra:?} vs {rb:?}"),
+    }
+
+    // Under a sink that ignores instruction events the fused arms run:
+    // the unfused stream without its instruction lines, the same
+    // outcome and the same error.
+    let mut c = NonReadingStream::default();
+    let rc = Interp::new(&fused).with_input(input.to_vec()).run(&mut c);
+    let others: Vec<&String> = a
+        .lines
+        .iter()
+        .filter(|line| !line.starts_with("instruction "))
+        .collect();
+    assert!(
+        c.lines.iter().eq(others),
+        "{name}: non-reading event streams diverge"
+    );
+    match (&ra, &rc) {
+        (Ok(ra), Ok(rc)) => {
+            assert_eq!(
+                ra.return_value, rc.return_value,
+                "{name}: non-reading return"
+            );
+            assert_eq!(ra.output, rc.output, "{name}: non-reading output");
+            assert_eq!(
+                ra.instructions, rc.instructions,
+                "{name}: non-reading count"
+            );
+        }
+        (Err(ea), Err(ec)) => {
+            assert_eq!(
+                format!("{ea:?}"),
+                format!("{ec:?}"),
+                "{name}: non-reading runtime errors diverge"
+            );
+            assert_eq!(
+                ea.to_string(),
+                ec.to_string(),
+                "{name}: non-reading error text"
+            );
+        }
+        (ra, rc) => panic!("{name}: non-reading outcomes diverge: {ra:?} vs {rc:?}"),
     }
 
     // APTR recordings must be byte-identical (only successful runs
