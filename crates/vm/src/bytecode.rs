@@ -84,7 +84,7 @@ impl ErasedType {
 
 /// The comparison performed by a fused compare-and-branch
 /// superinstruction. `Lt..Ge` take two ints; `Eq`/`Ne` are polymorphic,
-/// exactly like the base [`Instr::CmpLt`]..[`Instr::CmpNe`] family.
+/// exactly like the base comparison each stands for ([`CmpKind::instr`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CmpKind {
     /// `<` on ints.
@@ -101,439 +101,309 @@ pub enum CmpKind {
     Ne,
 }
 
-impl CmpKind {
-    /// The base comparison instruction this kind stands for.
-    pub fn instr(self) -> Instr {
-        match self {
-            CmpKind::Lt => Instr::CmpLt,
-            CmpKind::Le => Instr::CmpLe,
-            CmpKind::Gt => Instr::CmpGt,
-            CmpKind::Ge => Instr::CmpGe,
-            CmpKind::Eq => Instr::CmpEq,
-            CmpKind::Ne => Instr::CmpNe,
+/// Defines the instruction set from one table: every base instruction
+/// once, with its operands, its mnemonic and (for the comparisons) the
+/// [`CmpKind`] it stands for; then every superinstruction once, with its
+/// operands and mnemonic. Generates [`Instr`], [`Opcode`] with
+/// [`Opcode::COUNT`], [`Opcode::ALL`] and [`Opcode::name`],
+/// [`Instr::opcode`], [`Instr::mnemonic`], and the two directions of the
+/// comparison mapping, [`CmpKind::instr`] and [`CmpKind::of`]. A
+/// superinstruction's constituents are defined by [`Instr::expand`].
+macro_rules! instruction_set {
+    (
+        base {
+            $( $(#[$bdoc:meta])* $base:ident $(($($bop:ty),+))? = $bname:literal
+               $(, cmp $kind:ident)?; )+
         }
-    }
+        fused {
+            $( $(#[$fdoc:meta])* $fused:ident($($fop:ty),+) = $fname:literal; )+
+        }
+    ) => {
+        /// One bytecode instruction. Jump targets are absolute instruction
+        /// indices within the owning function.
+        ///
+        /// The variants after [`Instr::ProfLoopExit`] are
+        /// **superinstructions** introduced by the profile-guided peephole
+        /// pass ([`crate::fuse`]); the compiler never emits them directly.
+        /// Each one stands for the base sequence [`Instr::expand`] returns
+        /// and is observationally identical to it: its arm raises the same
+        /// faults and emits the same non-instruction events in the same
+        /// order, and the interpreter counts, fuels and reports one logical
+        /// instruction per constituent (stepping through the expansion
+        /// where a sink reads instruction events or fuel runs short), so
+        /// profiles and event streams are byte-identical with fusion on or
+        /// off — only the number of dispatches changes.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum Instr {
+            $( $(#[$bdoc])* $base $(($($bop),+))?, )+
+            $( $(#[$fdoc])* $fused($($fop),+), )+
+        }
+
+        /// The logical opcode of a base instruction, without operands. This
+        /// is what [`crate::event::Event::Instruction`] carries and what the
+        /// opcode-statistics sink counts: superinstructions expand to the
+        /// base opcodes they replace (see [`Instr::expand`]), so the logical
+        /// opcode stream is identical with fusion on or off.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        #[repr(u8)]
+        pub enum Opcode {
+            $( #[doc = concat!("`", $bname, "`.")] $base, )+
+        }
+
+        impl Opcode {
+            /// Number of opcodes (for dense counter tables).
+            pub const COUNT: usize = [$($bname),+].len();
+
+            /// Every opcode, in [`Opcode::index`] order.
+            pub const ALL: &'static [Opcode; Opcode::COUNT] = &[$(Opcode::$base),+];
+
+            /// The opcode's stable, lower-snake-case name (matches the
+            /// disassembler's mnemonics).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Opcode::$base => $bname,)+
+                }
+            }
+        }
+
+        impl Instr {
+            /// The logical opcode of a base instruction, or `None` for a
+            /// superinstruction (each of its constituents has one).
+            pub fn opcode(&self) -> Option<Opcode> {
+                match self {
+                    $(Instr::$base { .. } => Some(Opcode::$base),)+
+                    _ => None,
+                }
+            }
+
+            /// The instruction's name in disassembly: a base instruction's
+            /// is its [`Opcode::name`].
+            pub fn mnemonic(&self) -> &'static str {
+                match self {
+                    $(Instr::$base { .. } => $bname,)+
+                    $(Instr::$fused { .. } => $fname,)+
+                }
+            }
+        }
+
+        impl CmpKind {
+            /// The base comparison instruction this kind stands for.
+            pub fn instr(self) -> Instr {
+                match self {
+                    $($(CmpKind::$kind => Instr::$base,)?)+
+                }
+            }
+
+            /// The kind a base comparison instruction stands for, or `None`
+            /// for any other instruction.
+            #[inline]
+            pub fn of(instr: Instr) -> Option<CmpKind> {
+                match instr {
+                    $($(Instr::$base => Some(CmpKind::$kind),)?)+
+                    _ => None,
+                }
+            }
+        }
+    };
 }
 
-/// One bytecode instruction. Jump targets are absolute instruction indices
-/// within the owning function.
-///
-/// The `Fused*`/`CmpJump` variants at the end are
-/// **superinstructions** introduced by the profile-guided peephole pass
-/// ([`crate::fuse`]); the compiler never emits them directly. Each one is
-/// observationally identical to the base sequence it replaces: it emits
-/// one [`crate::event::Event::Instruction`] per constituent opcode (see
-/// [`Instr::expand`]) and counts every constituent toward the
-/// instruction total, so profiles and event streams are byte-identical
-/// with fusion on or off — only the number of dispatches changes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Instr {
-    /// Push an integer constant.
-    ConstInt(i64),
-    /// Push a boolean constant.
-    ConstBool(bool),
-    /// Push `null`.
-    ConstNull,
-    /// Push the value of a local slot.
-    LoadLocal(u16),
-    /// Pop into a local slot.
-    StoreLocal(u16),
-    /// Duplicate the top of stack.
-    Dup,
-    /// Discard the top of stack.
-    Pop,
-    /// Integer addition (wrapping).
-    Add,
-    /// Integer subtraction (wrapping).
-    Sub,
-    /// Integer multiplication (wrapping).
-    Mul,
-    /// Integer division; raises a guest-visible error on zero.
-    Div,
-    /// Integer remainder; raises on zero.
-    Rem,
-    /// Integer negation.
-    Neg,
-    /// Boolean negation.
-    Not,
-    /// `<` on ints.
-    CmpLt,
-    /// `<=` on ints.
-    CmpLe,
-    /// `>` on ints.
-    CmpGt,
-    /// `>=` on ints.
-    CmpGe,
-    /// `==` on ints, booleans, or references.
-    CmpEq,
-    /// `!=` on ints, booleans, or references.
-    CmpNe,
-    /// Unconditional jump.
-    Jump(usize),
-    /// Pop a boolean; jump when false.
-    JumpIfFalse(usize),
-    /// Pop a boolean; jump when true.
-    JumpIfTrue(usize),
-    /// Allocate an instance of the class with zeroed fields; push the
-    /// reference. Emits an allocation event when the class is
-    /// alloc-instrumented.
-    New(ClassId),
-    /// Pop an object reference; push the field value. Emits a structure
-    /// read event when the field is instrumented.
-    GetField(FieldId),
-    /// Pop value then object reference; store into the field. Emits a
-    /// structure write event when the field is instrumented.
-    PutField(FieldId),
-    /// Pop a length; allocate an array of the element kind.
-    NewArray(ElemKind),
-    /// Pop index then array; push the element.
-    ALoad,
-    /// Pop value, index, then array; store the element.
-    AStore,
-    /// Pop an array; push its length.
-    ArrayLen,
-    /// Call a static function.
-    CallStatic(FuncId),
-    /// Call an instance method with virtual dispatch on the receiver
-    /// (deepest stack argument).
-    CallVirtual(FuncId),
-    /// Call an instance method without dispatch (constructors).
-    CallDirect(FuncId),
-    /// Return `void`.
-    Ret,
-    /// Pop and return a value.
-    RetVal,
-    /// Pop a value and raise it as a guest exception.
-    Throw,
-    /// Pop a reference; push it back if it matches, else raise a
-    /// class-cast error.
-    CheckCast(CatchKind),
-    /// Pop a value; push whether it matches.
-    InstanceOfOp(CatchKind),
-    /// Read one value from the host-supplied input (input-read event).
-    ReadInput,
-    /// Pop a value and append it to the run output (output-write event).
-    Print,
-    /// Pop `n_params` arguments and start a new thread running the static
-    /// function; push the new thread's integer handle. Never fused; ends
-    /// the current scheduler slice so the new thread registers promptly.
-    Spawn(FuncId),
-    /// Pop an integer thread handle; block until that thread finishes and
-    /// push its return value.
-    JoinThread,
-    /// Pop a reference; acquire its reentrant lock, blocking while another
-    /// thread holds it.
-    Lock,
-    /// Pop a reference; release one level of its lock. Raises
-    /// [`crate::error::RuntimeError::UnlockWithoutLock`] when the current
-    /// thread is not the owner.
-    Unlock,
-    /// Instrumentation: control enters the loop from outside.
-    ProfLoopEntry(LoopId),
-    /// Instrumentation: a loop back edge is traversed (one algorithmic
-    /// step).
-    ProfLoopBack(LoopId),
-    /// Instrumentation: control leaves the loop.
-    ProfLoopExit(LoopId),
-    /// Fused `LoadLocal a; LoadLocal b`.
-    FusedLoadLoad(u16, u16),
-    /// Fused `LoadLocal slot; ConstInt k`.
-    FusedLoadConst(u16, i64),
-    /// Fused `LoadLocal slot; GetField field`.
-    FusedLoadGetField(u16, FieldId),
-    /// Fused `Cmp<kind>; JumpIfTrue/JumpIfFalse target`. The `bool` is
-    /// the branch sense: `true` jumps when the comparison holds
-    /// (`JumpIfTrue`), `false` when it does not (`JumpIfFalse`).
-    CmpJump(CmpKind, bool, usize),
-    /// Fused `LoadLocal slot; GetField field; ArrayLen` — the ubiquitous
-    /// `obj.array.length` with the receiver coming straight from a local.
-    /// Only emitted for untracked fields (a tracked field's read event
-    /// would otherwise reorder against the constituents' instruction
-    /// events).
-    FusedLoadGetFieldLen(u16, FieldId),
-    /// Fused `ProfLoopBack loop; Jump target` — an inline back edge whose
-    /// latch is not `x = x ± k` (`x = x.next`, say), or a back-edge
-    /// trampoline. Emits the back-edge event, then jumps; the loop id
-    /// survives fusion, keeping indexflow ordinals intact.
-    FusedLoopBackJump(LoopId, usize),
-    /// Fused `LoadLocal slot; AStore` — the slot holds the value, the
-    /// index and array are on the stack (`arr[i] = local`).
-    FusedLoadAStore(u16),
-    /// Fused `LoadLocal a; LoadLocal b; GetField field; ArrayLen` — the
-    /// `this.array.length` read with another operand (typically the index
-    /// being range-checked) loaded first. Only fused for untracked fields
-    /// on a single source line, like [`Instr::FusedLoadGetFieldLen`].
-    FusedLoadLoadGetFieldLen(u16, u16, FieldId),
-    /// Fused `LoadLocal a; LoadLocal b; Cmp*; JumpIf*` — a loop-header
-    /// comparison of two locals. Target narrowed to `u32`.
-    FusedLoadLoadCmpJump(u16, u16, CmpKind, bool, u32),
-    /// Fused `LoadLocal obj; LoadLocal value; PutField field` — the
-    /// common `obj.field = local` store. The write event comes from the
-    /// final `PutField`, so no tracking gate is needed.
-    FusedLoadLoadPutField(u16, u16, FieldId),
-    /// Fused `LoadLocal obj; LoadLocal obj2; GetField f; ConstInt k; Add;
-    /// PutField f` — the field increment `obj.f = obj2.f + k`. Only fused
-    /// for untracked fields on a single source line (the mid-window
-    /// `GetField` must neither emit nor misattribute).
-    FusedFieldAdd(u16, u16, FieldId, i32),
-    /// Fused `LoadLocal slot; CallDirect f` — the final argument comes
-    /// from a local.
-    FusedLoadCallDirect(u16, FuncId),
-    /// Fused `LoadLocal slot; CallVirtual f` — the final argument comes
-    /// from a local.
-    FusedLoadCallVirtual(u16, FuncId),
-    /// Fused `New class; Dup` — allocate and duplicate for the ctor call.
-    /// The allocation event falls *between* the two instruction events,
-    /// so the interpreter emits this window's events inline.
-    FusedNewDup(ClassId),
-    /// Fused `LoadLocal obj; GetField field; LoadLocal idx; ALoad` — the
-    /// array-element read `obj.field[idx]`. Only fused for untracked
-    /// fields on a single source line (the mid-window `GetField` must
-    /// neither emit nor misattribute); the final `ALoad` still emits its
-    /// array-read event.
-    FusedLoadGetFieldALoad(u16, FieldId, u16),
-    /// Fused `LoadLocal arr; LoadLocal idx; ConstInt k; Add|Sub; ALoad` —
-    /// the offset read `arr[idx ± k]`. The `bool` selects `Sub`; the
-    /// constant is narrowed to `i32`. Only the final `ALoad` can fault
-    /// at a line or emit an event.
-    FusedLoadLoadOffALoad(u16, u16, bool, i32),
-    /// Fused `LoadLocal slot; ConstInt k; Add|Sub; StoreLocal slot;
-    /// ProfLoopBack loop; Jump target` — a loop latch `x = x ± k` with
-    /// its inline back edge and the backward jump to the loop header.
-    /// The `bool` selects `Sub`. The constant and target are narrowed to
-    /// keep the instruction word small; the peephole pass only emits this
-    /// when both fit. The back-edge event falls between the store and the
-    /// jump.
-    FusedIncLoopBack(u16, bool, i32, LoopId, u32),
-    /// Fused `LoadLocal slot; Cmp*; JumpIf*` — a test of the value on the
-    /// stack against a local (`a[j - 1] > key`). Target narrowed to
-    /// `u32`.
-    FusedLoadCmpJump(u16, CmpKind, bool, u32),
-    /// Fused `ConstNull; Cmp*; JumpIf*` — a null test of the value on
-    /// the stack (`x != null`). Target narrowed to `u32`.
-    FusedNullCmpJump(CmpKind, bool, u32),
+instruction_set! {
+    base {
+        /// Push an integer constant.
+        ConstInt(i64) = "const_int";
+        /// Push a boolean constant.
+        ConstBool(bool) = "const_bool";
+        /// Push `null`.
+        ConstNull = "const_null";
+        /// Push the value of a local slot.
+        LoadLocal(u16) = "load";
+        /// Pop into a local slot.
+        StoreLocal(u16) = "store";
+        /// Duplicate the top of stack.
+        Dup = "dup";
+        /// Discard the top of stack.
+        Pop = "pop";
+        /// Integer addition (wrapping).
+        Add = "add";
+        /// Integer subtraction (wrapping).
+        Sub = "sub";
+        /// Integer multiplication (wrapping).
+        Mul = "mul";
+        /// Integer division; raises a guest-visible error on zero.
+        Div = "div";
+        /// Integer remainder; raises on zero.
+        Rem = "rem";
+        /// Integer negation.
+        Neg = "neg";
+        /// Boolean negation.
+        Not = "not";
+        /// `<` on ints.
+        CmpLt = "cmp_lt", cmp Lt;
+        /// `<=` on ints.
+        CmpLe = "cmp_le", cmp Le;
+        /// `>` on ints.
+        CmpGt = "cmp_gt", cmp Gt;
+        /// `>=` on ints.
+        CmpGe = "cmp_ge", cmp Ge;
+        /// `==` on ints, booleans, or references.
+        CmpEq = "cmp_eq", cmp Eq;
+        /// `!=` on ints, booleans, or references.
+        CmpNe = "cmp_ne", cmp Ne;
+        /// Unconditional jump.
+        Jump(usize) = "jump";
+        /// Pop a boolean; jump when false.
+        JumpIfFalse(usize) = "jump_if_false";
+        /// Pop a boolean; jump when true.
+        JumpIfTrue(usize) = "jump_if_true";
+        /// Allocate an instance of the class with zeroed fields; push the
+        /// reference. Emits an allocation event when the class is
+        /// alloc-instrumented.
+        New(ClassId) = "new";
+        /// Pop an object reference; push the field value. Emits a structure
+        /// read event when the field is instrumented.
+        GetField(FieldId) = "getfield";
+        /// Pop value then object reference; store into the field. Emits a
+        /// structure write event when the field is instrumented.
+        PutField(FieldId) = "putfield";
+        /// Pop a length; allocate an array of the element kind.
+        NewArray(ElemKind) = "newarray";
+        /// Pop index then array; push the element.
+        ALoad = "aload";
+        /// Pop value, index, then array; store the element.
+        AStore = "astore";
+        /// Pop an array; push its length.
+        ArrayLen = "arraylen";
+        /// Call a static function.
+        CallStatic(FuncId) = "call_static";
+        /// Call an instance method with virtual dispatch on the receiver
+        /// (deepest stack argument).
+        CallVirtual(FuncId) = "call_virtual";
+        /// Call an instance method without dispatch (constructors).
+        CallDirect(FuncId) = "call_direct";
+        /// Return `void`.
+        Ret = "ret";
+        /// Pop and return a value.
+        RetVal = "ret_val";
+        /// Pop a value and raise it as a guest exception.
+        Throw = "throw";
+        /// Pop a reference; push it back if it matches, else raise a
+        /// class-cast error.
+        CheckCast(CatchKind) = "checkcast";
+        /// Pop a value; push whether it matches.
+        InstanceOfOp(CatchKind) = "instanceof";
+        /// Read one value from the host-supplied input (input-read event).
+        ReadInput = "read_input";
+        /// Pop a value and append it to the run output (output-write event).
+        Print = "print";
+        /// Pop `n_params` arguments and start a new thread running the static
+        /// function; push the new thread's integer handle. Never fused; ends
+        /// the current scheduler slice so the new thread registers promptly.
+        Spawn(FuncId) = "spawn";
+        /// Pop an integer thread handle; block until that thread finishes and
+        /// push its return value.
+        JoinThread = "join_thread";
+        /// Pop a reference; acquire its reentrant lock, blocking while another
+        /// thread holds it.
+        Lock = "lock";
+        /// Pop a reference; release one level of its lock. Raises
+        /// [`crate::error::RuntimeError::UnlockWithoutLock`] when the current
+        /// thread is not the owner.
+        Unlock = "unlock";
+        /// Instrumentation: control enters the loop from outside.
+        ProfLoopEntry(LoopId) = "prof_loop_entry";
+        /// Instrumentation: a loop back edge is traversed (one algorithmic
+        /// step).
+        ProfLoopBack(LoopId) = "prof_loop_back";
+        /// Instrumentation: control leaves the loop.
+        ProfLoopExit(LoopId) = "prof_loop_exit";
+    }
+    fused {
+        /// Fused `LoadLocal a; LoadLocal b`.
+        FusedLoadLoad(u16, u16) = "load2";
+        /// Fused `LoadLocal slot; ConstInt k`.
+        FusedLoadConst(u16, i64) = "load_const";
+        /// Fused `LoadLocal slot; GetField field`.
+        FusedLoadGetField(u16, FieldId) = "load_getfield";
+        /// Fused `Cmp<kind>; JumpIfTrue/JumpIfFalse target`. The `bool` is
+        /// the branch sense: `true` jumps when the comparison holds
+        /// (`JumpIfTrue`), `false` when it does not (`JumpIfFalse`).
+        CmpJump(CmpKind, bool, usize) = "cmp_jump";
+        /// Fused `LoadLocal slot; GetField field; ArrayLen` — the ubiquitous
+        /// `obj.array.length` with the receiver coming straight from a local.
+        /// Only fused for untracked fields on a single source line (see
+        /// [`crate::fuse`]).
+        FusedLoadGetFieldLen(u16, FieldId) = "load_getfield_len";
+        /// Fused `ProfLoopBack loop; Jump target` — an inline back edge whose
+        /// latch is not `x = x ± k` (`x = x.next`, say), or a back-edge
+        /// trampoline. Emits the back-edge event, then jumps; the loop id
+        /// survives fusion, keeping indexflow ordinals intact.
+        FusedLoopBackJump(LoopId, usize) = "loop_back_jump";
+        /// Fused `LoadLocal slot; AStore` — the slot holds the value, the
+        /// index and array are on the stack (`arr[i] = local`).
+        FusedLoadAStore(u16) = "load_astore";
+        /// Fused `LoadLocal a; LoadLocal b; GetField field; ArrayLen` — the
+        /// `this.array.length` read with another operand (typically the index
+        /// being range-checked) loaded first. Only fused for untracked fields
+        /// on a single source line, like [`Instr::FusedLoadGetFieldLen`].
+        FusedLoadLoadGetFieldLen(u16, u16, FieldId) = "load2_getfield_len";
+        /// Fused `LoadLocal a; LoadLocal b; Cmp*; JumpIf*` — a loop-header
+        /// comparison of two locals. Target narrowed to `u32`.
+        FusedLoadLoadCmpJump(u16, u16, CmpKind, bool, u32) = "load2_cmp_jump";
+        /// Fused `LoadLocal obj; LoadLocal value; PutField field` — the
+        /// common `obj.field = local` store. The write event comes from the
+        /// final `PutField`, so no tracking gate is needed.
+        FusedLoadLoadPutField(u16, u16, FieldId) = "load2_putfield";
+        /// Fused `LoadLocal obj; LoadLocal obj2; GetField f; ConstInt k; Add;
+        /// PutField f` — the field increment `obj.f = obj2.f + k`. Only fused
+        /// for untracked fields on a single source line, like
+        /// [`Instr::FusedLoadGetFieldLen`].
+        FusedFieldAdd(u16, u16, FieldId, i32) = "field_add";
+        /// Fused `LoadLocal slot; CallDirect f` — the final argument comes
+        /// from a local.
+        FusedLoadCallDirect(u16, FuncId) = "load_call_direct";
+        /// Fused `LoadLocal slot; CallVirtual f` — the final argument comes
+        /// from a local.
+        FusedLoadCallVirtual(u16, FuncId) = "load_call_virtual";
+        /// Fused `New class; Dup` — allocate and duplicate for the ctor call.
+        /// The allocation event comes from the `New`, before the `Dup`.
+        FusedNewDup(ClassId) = "new_dup";
+        /// Fused `LoadLocal obj; GetField field; LoadLocal idx; ALoad` — the
+        /// array-element read `obj.field[idx]`. Only fused for untracked
+        /// fields on a single source line, like
+        /// [`Instr::FusedLoadGetFieldLen`]; the final `ALoad` still emits its
+        /// array-read event.
+        FusedLoadGetFieldALoad(u16, FieldId, u16) = "load_getfield_aload";
+        /// Fused `LoadLocal arr; LoadLocal idx; ConstInt k; Add|Sub; ALoad` —
+        /// the offset read `arr[idx ± k]`. The `bool` selects `Sub`; the
+        /// constant is narrowed to `i32`. Only the final `ALoad` can fault
+        /// at a line or emit an event.
+        FusedLoadLoadOffALoad(u16, u16, bool, i32) = "load2_off_aload";
+        /// Fused `LoadLocal slot; ConstInt k; Add|Sub; StoreLocal slot;
+        /// ProfLoopBack loop; Jump target` — a loop latch `x = x ± k` with
+        /// its inline back edge and the backward jump to the loop header.
+        /// The `bool` selects `Sub`. The constant and target are narrowed to
+        /// keep the instruction word small; the peephole pass only emits this
+        /// when both fit. The back-edge event falls between the store and the
+        /// jump.
+        FusedIncLoopBack(u16, bool, i32, LoopId, u32) = "inc_loop_back";
+        /// Fused `LoadLocal slot; Cmp*; JumpIf*` — a test of the value on the
+        /// stack against a local (`a[j - 1] > key`). Target narrowed to
+        /// `u32`.
+        FusedLoadCmpJump(u16, CmpKind, bool, u32) = "load_cmp_jump";
+        /// Fused `ConstNull; Cmp*; JumpIf*` — a null test of the value on
+        /// the stack (`x != null`). Target narrowed to `u32`.
+        FusedNullCmpJump(CmpKind, bool, u32) = "null_cmp_jump";
+    }
 }
 
 // Fusion must not widen the instruction word: every form's operands are
 // narrowed to fit beside the widest base operand (`ConstInt`'s `i64`).
 const _: () = assert!(std::mem::size_of::<Instr>() == 16);
 
-/// The logical opcode of a base instruction, without operands. This is
-/// what [`crate::event::Event::Instruction`] carries and what the
-/// opcode-statistics sink counts: superinstructions expand to the base
-/// opcodes they replace (see [`Instr::expand`]), so the logical opcode
-/// stream is identical with fusion on or off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum Opcode {
-    /// `const_int`.
-    ConstInt,
-    /// `const_bool`.
-    ConstBool,
-    /// `const_null`.
-    ConstNull,
-    /// `load`.
-    LoadLocal,
-    /// `store`.
-    StoreLocal,
-    /// `dup`.
-    Dup,
-    /// `pop`.
-    Pop,
-    /// `add`.
-    Add,
-    /// `sub`.
-    Sub,
-    /// `mul`.
-    Mul,
-    /// `div`.
-    Div,
-    /// `rem`.
-    Rem,
-    /// `neg`.
-    Neg,
-    /// `not`.
-    Not,
-    /// `cmp_lt`.
-    CmpLt,
-    /// `cmp_le`.
-    CmpLe,
-    /// `cmp_gt`.
-    CmpGt,
-    /// `cmp_ge`.
-    CmpGe,
-    /// `cmp_eq`.
-    CmpEq,
-    /// `cmp_ne`.
-    CmpNe,
-    /// `jump`.
-    Jump,
-    /// `jump_if_false`.
-    JumpIfFalse,
-    /// `jump_if_true`.
-    JumpIfTrue,
-    /// `new`.
-    New,
-    /// `getfield`.
-    GetField,
-    /// `putfield`.
-    PutField,
-    /// `newarray`.
-    NewArray,
-    /// `aload`.
-    ALoad,
-    /// `astore`.
-    AStore,
-    /// `arraylen`.
-    ArrayLen,
-    /// `call_static`.
-    CallStatic,
-    /// `call_virtual`.
-    CallVirtual,
-    /// `call_direct`.
-    CallDirect,
-    /// `ret`.
-    Ret,
-    /// `ret_val`.
-    RetVal,
-    /// `throw`.
-    Throw,
-    /// `checkcast`.
-    CheckCast,
-    /// `instanceof`.
-    InstanceOfOp,
-    /// `read_input`.
-    ReadInput,
-    /// `print`.
-    Print,
-    /// `spawn`.
-    Spawn,
-    /// `join_thread`.
-    JoinThread,
-    /// `lock`.
-    Lock,
-    /// `unlock`.
-    Unlock,
-    /// `prof_loop_entry`.
-    ProfLoopEntry,
-    /// `prof_loop_back`.
-    ProfLoopBack,
-    /// `prof_loop_exit`.
-    ProfLoopExit,
-}
-
 impl Opcode {
-    /// Number of opcodes (for dense counter tables).
-    pub const COUNT: usize = 47;
-
-    /// Every opcode, in [`Opcode::index`] order.
-    pub const ALL: &'static [Opcode; Opcode::COUNT] = &[
-        Opcode::ConstInt,
-        Opcode::ConstBool,
-        Opcode::ConstNull,
-        Opcode::LoadLocal,
-        Opcode::StoreLocal,
-        Opcode::Dup,
-        Opcode::Pop,
-        Opcode::Add,
-        Opcode::Sub,
-        Opcode::Mul,
-        Opcode::Div,
-        Opcode::Rem,
-        Opcode::Neg,
-        Opcode::Not,
-        Opcode::CmpLt,
-        Opcode::CmpLe,
-        Opcode::CmpGt,
-        Opcode::CmpGe,
-        Opcode::CmpEq,
-        Opcode::CmpNe,
-        Opcode::Jump,
-        Opcode::JumpIfFalse,
-        Opcode::JumpIfTrue,
-        Opcode::New,
-        Opcode::GetField,
-        Opcode::PutField,
-        Opcode::NewArray,
-        Opcode::ALoad,
-        Opcode::AStore,
-        Opcode::ArrayLen,
-        Opcode::CallStatic,
-        Opcode::CallVirtual,
-        Opcode::CallDirect,
-        Opcode::Ret,
-        Opcode::RetVal,
-        Opcode::Throw,
-        Opcode::CheckCast,
-        Opcode::InstanceOfOp,
-        Opcode::ReadInput,
-        Opcode::Print,
-        Opcode::Spawn,
-        Opcode::JoinThread,
-        Opcode::Lock,
-        Opcode::Unlock,
-        Opcode::ProfLoopEntry,
-        Opcode::ProfLoopBack,
-        Opcode::ProfLoopExit,
-    ];
-
     /// Dense index of this opcode, in `0..Opcode::COUNT`.
     pub fn index(self) -> usize {
         self as usize
-    }
-
-    /// The opcode's stable, lower-snake-case name (matches the
-    /// disassembler's mnemonics).
-    pub fn name(self) -> &'static str {
-        match self {
-            Opcode::ConstInt => "const_int",
-            Opcode::ConstBool => "const_bool",
-            Opcode::ConstNull => "const_null",
-            Opcode::LoadLocal => "load",
-            Opcode::StoreLocal => "store",
-            Opcode::Dup => "dup",
-            Opcode::Pop => "pop",
-            Opcode::Add => "add",
-            Opcode::Sub => "sub",
-            Opcode::Mul => "mul",
-            Opcode::Div => "div",
-            Opcode::Rem => "rem",
-            Opcode::Neg => "neg",
-            Opcode::Not => "not",
-            Opcode::CmpLt => "cmp_lt",
-            Opcode::CmpLe => "cmp_le",
-            Opcode::CmpGt => "cmp_gt",
-            Opcode::CmpGe => "cmp_ge",
-            Opcode::CmpEq => "cmp_eq",
-            Opcode::CmpNe => "cmp_ne",
-            Opcode::Jump => "jump",
-            Opcode::JumpIfFalse => "jump_if_false",
-            Opcode::JumpIfTrue => "jump_if_true",
-            Opcode::New => "new",
-            Opcode::GetField => "getfield",
-            Opcode::PutField => "putfield",
-            Opcode::NewArray => "newarray",
-            Opcode::ALoad => "aload",
-            Opcode::AStore => "astore",
-            Opcode::ArrayLen => "arraylen",
-            Opcode::CallStatic => "call_static",
-            Opcode::CallVirtual => "call_virtual",
-            Opcode::CallDirect => "call_direct",
-            Opcode::Ret => "ret",
-            Opcode::RetVal => "ret_val",
-            Opcode::Throw => "throw",
-            Opcode::CheckCast => "checkcast",
-            Opcode::InstanceOfOp => "instanceof",
-            Opcode::ReadInput => "read_input",
-            Opcode::Print => "print",
-            Opcode::Spawn => "spawn",
-            Opcode::JoinThread => "join_thread",
-            Opcode::Lock => "lock",
-            Opcode::Unlock => "unlock",
-            Opcode::ProfLoopEntry => "prof_loop_entry",
-            Opcode::ProfLoopBack => "prof_loop_back",
-            Opcode::ProfLoopExit => "prof_loop_exit",
-        }
     }
 }
 
@@ -660,92 +530,6 @@ impl Instr {
             }
             base => Expansion::of([base]),
         }
-    }
-
-    /// The superinstruction's name in disassembly; a base instruction's
-    /// is its [`Opcode::name`].
-    pub fn mnemonic(&self) -> &'static str {
-        if let Some(op) = self.opcode() {
-            return op.name();
-        }
-        match self {
-            Instr::FusedLoadLoad(..) => "load2",
-            Instr::FusedLoadConst(..) => "load_const",
-            Instr::FusedLoadGetField(..) => "load_getfield",
-            Instr::CmpJump(..) => "cmp_jump",
-            Instr::FusedLoadGetFieldLen(..) => "load_getfield_len",
-            Instr::FusedLoopBackJump(..) => "loop_back_jump",
-            Instr::FusedLoadAStore(_) => "load_astore",
-            Instr::FusedLoadLoadGetFieldLen(..) => "load2_getfield_len",
-            Instr::FusedLoadLoadCmpJump(..) => "load2_cmp_jump",
-            Instr::FusedLoadLoadPutField(..) => "load2_putfield",
-            Instr::FusedFieldAdd(..) => "field_add",
-            Instr::FusedLoadCallDirect(..) => "load_call_direct",
-            Instr::FusedLoadCallVirtual(..) => "load_call_virtual",
-            Instr::FusedNewDup(_) => "new_dup",
-            Instr::FusedLoadGetFieldALoad(..) => "load_getfield_aload",
-            Instr::FusedLoadLoadOffALoad(..) => "load2_off_aload",
-            Instr::FusedIncLoopBack(..) => "inc_loop_back",
-            Instr::FusedLoadCmpJump(..) => "load_cmp_jump",
-            Instr::FusedNullCmpJump(..) => "null_cmp_jump",
-            _ => unreachable!("every base instruction has an opcode"),
-        }
-    }
-
-    /// The logical opcode of a base instruction, or `None` for a
-    /// superinstruction (each of its constituents has one).
-    pub fn opcode(&self) -> Option<Opcode> {
-        use Opcode as O;
-        Some(match self {
-            Instr::ConstInt(_) => O::ConstInt,
-            Instr::ConstBool(_) => O::ConstBool,
-            Instr::ConstNull => O::ConstNull,
-            Instr::LoadLocal(_) => O::LoadLocal,
-            Instr::StoreLocal(_) => O::StoreLocal,
-            Instr::Dup => O::Dup,
-            Instr::Pop => O::Pop,
-            Instr::Add => O::Add,
-            Instr::Sub => O::Sub,
-            Instr::Mul => O::Mul,
-            Instr::Div => O::Div,
-            Instr::Rem => O::Rem,
-            Instr::Neg => O::Neg,
-            Instr::Not => O::Not,
-            Instr::CmpLt => O::CmpLt,
-            Instr::CmpLe => O::CmpLe,
-            Instr::CmpGt => O::CmpGt,
-            Instr::CmpGe => O::CmpGe,
-            Instr::CmpEq => O::CmpEq,
-            Instr::CmpNe => O::CmpNe,
-            Instr::Jump(_) => O::Jump,
-            Instr::JumpIfFalse(_) => O::JumpIfFalse,
-            Instr::JumpIfTrue(_) => O::JumpIfTrue,
-            Instr::New(_) => O::New,
-            Instr::GetField(_) => O::GetField,
-            Instr::PutField(_) => O::PutField,
-            Instr::NewArray(_) => O::NewArray,
-            Instr::ALoad => O::ALoad,
-            Instr::AStore => O::AStore,
-            Instr::ArrayLen => O::ArrayLen,
-            Instr::CallStatic(_) => O::CallStatic,
-            Instr::CallVirtual(_) => O::CallVirtual,
-            Instr::CallDirect(_) => O::CallDirect,
-            Instr::Ret => O::Ret,
-            Instr::RetVal => O::RetVal,
-            Instr::Throw => O::Throw,
-            Instr::CheckCast(_) => O::CheckCast,
-            Instr::InstanceOfOp(_) => O::InstanceOfOp,
-            Instr::ReadInput => O::ReadInput,
-            Instr::Print => O::Print,
-            Instr::Spawn(_) => O::Spawn,
-            Instr::JoinThread => O::JoinThread,
-            Instr::Lock => O::Lock,
-            Instr::Unlock => O::Unlock,
-            Instr::ProfLoopEntry(_) => O::ProfLoopEntry,
-            Instr::ProfLoopBack(_) => O::ProfLoopBack,
-            Instr::ProfLoopExit(_) => O::ProfLoopExit,
-            _ => return None,
-        })
     }
 
     /// Whether this instruction unconditionally transfers control (ends a

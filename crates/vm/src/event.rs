@@ -197,14 +197,15 @@ pub enum Event {
         /// The contended object or array.
         obj: Value,
     },
-    /// One bytecode instruction was dispatched (a deterministic time proxy
-    /// for traditional profilers). Not stored in traces.
+    /// One logical bytecode instruction starts (a deterministic time proxy
+    /// for traditional profilers), right before its own work and events.
+    /// Not stored in traces.
     Instruction {
         /// The function executing.
         func: FuncId,
-        /// The logical opcode dispatched. Superinstructions report one
-        /// event per constituent opcode (see
-        /// [`crate::bytecode::Instr::expand`]), so this stream is
+        /// The logical opcode. A superinstruction's constituents run one
+        /// at a time for a sink that reads these events, one event each
+        /// (see [`crate::bytecode::Instr::expand`]), so this stream is
         /// identical with peephole fusion on or off.
         op: Opcode,
     },

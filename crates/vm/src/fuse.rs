@@ -21,18 +21,21 @@
 //! dispatch-loop iterations those sequences cost without changing
 //! anything observable:
 //!
-//! * each superinstruction emits one
-//!   [`Event::Instruction`](crate::event::Event::Instruction) per
-//!   constituent ([`Instr::expand`]) and counts every
-//!   constituent toward the instruction total, so event streams, traces,
-//!   and profiles are **byte-identical** with fusion on or off;
+//! * each superinstruction counts, fuels and reports one logical
+//!   instruction per constituent ([`Instr::expand`]): where a sink reads
+//!   [`Event::Instruction`](crate::event::Event::Instruction), or fuel
+//!   runs short, the interpreter runs the constituents one at a time
+//!   through its base arms, so event streams, traces, profiles and fuel
+//!   stops are **byte-identical** with fusion on or off;
 //! * only the *last* constituent of any fused window can emit a
 //!   non-instruction event (field/array read) or raise a line-attributed
 //!   error, and the fused instruction takes the last constituent's source
-//!   line, so error attribution is unchanged. The field+length patterns
-//!   have a mid-window `GetField`: they are only fused when the field is
-//!   untracked (no read event to reorder) and every constituent shares
-//!   one source line (null-dereference attribution unchanged);
+//!   line, so error attribution is unchanged. The field patterns have a
+//!   mid-window `GetField`: they are only fused when the field is
+//!   untracked and every constituent shares one source line
+//!   (null-dereference attribution unchanged). Event order alone would
+//!   now allow tracked fields too; fusing them is a change of dispatch
+//!   counts, left to its own measurement;
 //! * `ProfLoopEntry`/`ProfLoopExit` pseudo-instructions are never fused,
 //!   and the fused back-edge forms (`loop_back_jump`, `inc_loop_back`)
 //!   carry their [`LoopId`](crate::bytecode::LoopId) verbatim and emit
@@ -91,18 +94,6 @@ impl CompiledProgram {
     }
 }
 
-fn cmp_kind(instr: Instr) -> Option<CmpKind> {
-    match instr {
-        Instr::CmpLt => Some(CmpKind::Lt),
-        Instr::CmpLe => Some(CmpKind::Le),
-        Instr::CmpGt => Some(CmpKind::Gt),
-        Instr::CmpGe => Some(CmpKind::Ge),
-        Instr::CmpEq => Some(CmpKind::Eq),
-        Instr::CmpNe => Some(CmpKind::Ne),
-        _ => None,
-    }
-}
-
 /// `Some(true)` for `Sub`, `Some(false)` for `Add`: the flag the `± k`
 /// superinstructions carry.
 fn sub_flag(instr: Instr) -> Option<bool> {
@@ -157,7 +148,7 @@ fn branch_sense(instr: Instr) -> Option<(bool, usize)> {
 /// A comparison followed by a conditional jump whose target fits the
 /// narrowed `u32` operand: the kind, the branch sense and the target.
 fn cmp_branch(cmp: Option<Instr>, branch: Option<Instr>) -> Option<(CmpKind, bool, u32)> {
-    let kind = cmp_kind(cmp?)?;
+    let kind = CmpKind::of(cmp?)?;
     let (jump_if, t) = branch_sense(branch?)?;
     Some((kind, jump_if, u32::try_from(t).ok()?))
 }
@@ -167,9 +158,8 @@ fn cmp_branch(cmp: Option<Instr>, branch: Option<Instr>) -> Option<(CmpKind, boo
 /// length. The caller re-invokes with a smaller `max_len` when a window
 /// is rejected (label in its interior, line guard), so a blocked long
 /// pattern still falls back to a shorter one.
-/// `field_fusible(f)` gates the field+length patterns: a tracked field's
-/// read event must stay ordered after its own instruction event, which a
-/// mid-window `GetField` cannot guarantee.
+/// `field_fusible(f)` gates the patterns with a mid-window `GetField`
+/// to untracked fields.
 fn match_pattern(
     code: &[Instr],
     pc: usize,
@@ -294,7 +284,7 @@ fn match_pattern(
             }
         }
         cmp => {
-            let kind = cmp_kind(cmp)?;
+            let kind = CmpKind::of(cmp)?;
             let (jump_if, t) = branch_sense(at(1)?)?;
             Some((Instr::CmpJump(kind, jump_if, t), 2))
         }

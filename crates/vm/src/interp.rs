@@ -123,9 +123,12 @@ pub struct RunResult {
     /// [`Instr::expand`](crate::bytecode::Instr::expand)), so this
     /// is identical with peephole fusion on or off.
     pub instructions: u64,
-    /// Dispatch-loop iterations. Equal to `instructions` on unfused
-    /// code; lower on fused code — the gap is exactly the dispatch
-    /// overhead the peephole pass ([`crate::fuse`]) removed.
+    /// Code instructions fetched, one per instruction of a function's
+    /// code whatever the sink. Equal to `instructions` on unfused code;
+    /// lower on fused code — the gap is exactly the dispatch overhead
+    /// the peephole pass ([`crate::fuse`]) removed. A superinstruction
+    /// whose constituents run one at a time (under a sink that reads
+    /// instruction events) still counts one.
     pub dispatches: u64,
 }
 
@@ -222,7 +225,11 @@ impl<'p> Interp<'p> {
         self
     }
 
-    /// Limits the run to `fuel` instructions (guards runaway guests).
+    /// Limits the run to `fuel` logical instructions (guards runaway
+    /// guests). The run fails with [`RuntimeError::OutOfFuel`] at the
+    /// logical instruction where the unfused run stops, fused or not: a
+    /// superinstruction with fewer units left than constituents runs
+    /// them one at a time until the fuel is gone.
     pub fn with_fuel(mut self, fuel: u64) -> Self {
         self.fuel = Some(fuel);
         self
@@ -240,13 +247,8 @@ impl<'p> Interp<'p> {
     }
 
     /// Delivers one event to `sink` with the current heap as context.
-    /// Instruction events are dropped for sinks that do not read them
-    /// ([`EventSink::READS_INSTRUCTIONS`]).
     #[inline]
     fn emit<S: EventSink>(&self, sink: &mut S, ev: Event) {
-        if !S::READS_INSTRUCTIONS && matches!(ev, Event::Instruction { .. }) {
-            return;
-        }
         sink.event(
             &ev,
             &EventCx {
@@ -511,8 +513,11 @@ impl<'p> Interp<'p> {
     /// `store_elem`, `array_len`, `new_object`, `virtual_target`,
     /// `compare!`, `call!`). A base arm pops its operands and calls its
     /// helper; a superinstruction's arm calls its constituents' helpers in
-    /// constituent order, so its faults and events fall exactly as the
-    /// unfused sequence's do.
+    /// constituent order, so its faults and non-instruction events fall
+    /// exactly as the unfused sequence's do. Instruction events come from
+    /// one place, the base-step path at the top of the loop: where the
+    /// sink reads them, or where fuel runs short, a superinstruction's
+    /// constituents run one at a time through the base arms.
     fn execute<S: EventSink>(
         &mut self,
         mut cur: Frame,
@@ -529,13 +534,18 @@ impl<'p> Interp<'p> {
         // and counter state partial (the `run` contract says to discard
         // them).
         let mut dispatches: u64 = self.dispatches;
+        // Fuel counts down by logical instructions; the count executed is
+        // `fuel_limit - fuel` (no limit is a limit of `u64::MAX`).
         let fuel_limit = self.fuel.unwrap_or(u64::MAX);
-        let mut instructions = self.instructions;
+        let mut fuel = fuel_limit - self.instructions;
+        // The constituent of the current superinstruction the base-step
+        // path runs next; 0 while not stepping.
+        let mut step = 0;
 
         // Ends the slice with `exit`, flushing the counters to `self`.
         macro_rules! exit_slice {
             ($exit:expr) => {{
-                self.instructions = instructions;
+                self.instructions = fuel_limit - fuel;
                 self.dispatches = dispatches;
                 return Ok(($exit, cur));
             }};
@@ -612,37 +622,50 @@ impl<'p> Interp<'p> {
                 values[cur.base + $slot as usize]
             };
         }
-        // The instruction events of constituents `range` of `instr`. The
-        // sink is asked first, so a sink ignoring instruction events
-        // never has the expansion built (~8% of `live_array_sort`
-        // throughput when it was).
-        macro_rules! instruction_events {
-            ($instr:expr, $range:expr) => {
-                if S::READS_INSTRUCTIONS {
-                    for op in $instr.expand()[$range].iter().filter_map(Instr::opcode) {
-                        self.emit(sink, Event::Instruction { func: cur.func, op });
-                    }
-                }
-            };
-        }
 
         loop {
             let pc = cur.pc;
-            let Some(&instr) = func.code.get(pc) else {
+            let Some(&fetched) = func.code.get(pc) else {
                 return Err(RuntimeError::Internal(format!(
                     "pc {pc} ran past the end of {}",
                     func.name
                 )));
             };
-            instructions += instr.expand().len() as u64;
-            if instructions > fuel_limit {
-                return Err(RuntimeError::OutOfFuel);
-            }
-            dispatches += 1;
-            if S::READS_INSTRUCTIONS && !interleaves(instr) {
-                instruction_events!(instr, ..);
-            }
-            cur.pc = pc + 1;
+            let len = fetched.expand().len() as u64;
+            let instr = if S::READS_INSTRUCTIONS || len > fuel {
+                // The base-step path: one constituent of `fetched` per
+                // pass through the arms below, each counted, fuelled and
+                // reported right before its own work, exactly as the
+                // unfused code runs. The pc stays on `fetched` until its
+                // last constituent, the only one that can branch, call or
+                // end the slice. Short of fuel, this path always ends in
+                // `OutOfFuel` where the unfused run stops.
+                if fuel == 0 {
+                    return Err(RuntimeError::OutOfFuel);
+                }
+                fuel -= 1;
+                let expansion = fetched.expand();
+                let instr = expansion[step];
+                if step == 0 {
+                    dispatches += 1;
+                }
+                step += 1;
+                if step == expansion.len() {
+                    step = 0;
+                    cur.pc = pc + 1;
+                }
+                if S::READS_INSTRUCTIONS {
+                    if let Some(op) = instr.opcode() {
+                        self.emit(sink, Event::Instruction { func: cur.func, op });
+                    }
+                }
+                instr
+            } else {
+                fuel -= len;
+                dispatches += 1;
+                cur.pc = pc + 1;
+                fetched
+            };
 
             match instr {
                 Instr::LoadLocal(slot) => {
@@ -673,12 +696,9 @@ impl<'p> Interp<'p> {
                     // The `x = x ± k` latch, its back-edge event, then
                     // the backward jump. The constant is an int, so
                     // `Add`/`Sub` only checks the loaded local.
-                    instruction_events!(instr, ..3);
                     let v = as_int(local!(slot))?;
-                    instruction_events!(instr, 3..5);
                     local!(slot) = Value::Int(offset_by(v, sub, k));
                     self.emit(sink, Event::LoopBackEdge { l });
-                    instruction_events!(instr, 5..);
                     jump!(t);
                 }
                 Instr::FusedLoadCmpJump(slot, kind, jump_if, t) => {
@@ -695,9 +715,7 @@ impl<'p> Interp<'p> {
                     // `LoadLocal s1; LoadLocal s2; GetField; ArrayLen`:
                     // s1's value stays on the stack under the length.
                     let line = func.lines[pc];
-                    instruction_events!(instr, ..3);
                     let arr = self.get_field(local!(s2), fid, line, sink)?;
-                    instruction_events!(instr, 3..);
                     let len = self.array_len(arr, line)?;
                     let first = local!(s1);
                     values.push(first);
@@ -711,26 +729,19 @@ impl<'p> Interp<'p> {
                 Instr::FusedFieldAdd(s1, s2, fid, k) => {
                     // `s1.f = s2.f + k` with no stack traffic at all.
                     let line = func.lines[pc];
-                    instruction_events!(instr, ..3);
                     let v = self.get_field(local!(s2), fid, line, sink)?;
-                    instruction_events!(instr, 3..5);
                     let sum = Value::Int(offset_by(as_int(v)?, false, k));
-                    instruction_events!(instr, 5..);
                     self.put_field(local!(s1), fid, sum, line, sink)?;
                 }
                 Instr::FusedLoadGetFieldALoad(s1, fid, s2) => {
                     // `obj.field[idx]` with obj and idx from locals.
                     let line = func.lines[pc];
-                    instruction_events!(instr, ..2);
                     let arr = self.get_field(local!(s1), fid, line, sink)?;
-                    instruction_events!(instr, 2..);
                     let v = self.load_elem(arr, as_int(local!(s2))?, line, sink)?;
                     values.push(v);
                 }
                 Instr::FusedNewDup(cid) => {
-                    instruction_events!(instr, ..1);
                     let obj = Value::Obj(self.new_object(cid, sink));
-                    instruction_events!(instr, 1..);
                     values.push(obj);
                     values.push(obj);
                 }
@@ -754,14 +765,7 @@ impl<'p> Interp<'p> {
                 | Instr::CmpGe
                 | Instr::CmpEq
                 | Instr::CmpNe => {
-                    let kind = match instr {
-                        Instr::CmpLt => CmpKind::Lt,
-                        Instr::CmpLe => CmpKind::Le,
-                        Instr::CmpGt => CmpKind::Gt,
-                        Instr::CmpGe => CmpKind::Ge,
-                        Instr::CmpEq => CmpKind::Eq,
-                        _ => CmpKind::Ne,
-                    };
+                    let kind = CmpKind::of(instr).expect("a base comparison");
                     let r = compare!(kind, pop(values, cur.floor)?, pop(values, cur.floor)?);
                     values.push(Value::Bool(r));
                 }
@@ -812,16 +816,12 @@ impl<'p> Interp<'p> {
                 }
                 Instr::FusedLoadGetFieldLen(slot, fid) => {
                     let line = func.lines[pc];
-                    instruction_events!(instr, ..2);
                     let arr = self.get_field(local!(slot), fid, line, sink)?;
-                    instruction_events!(instr, 2..);
                     let len = self.array_len(arr, line)?;
                     values.push(len);
                 }
                 Instr::FusedLoopBackJump(l, t) => {
-                    instruction_events!(instr, ..1);
                     self.emit(sink, Event::LoopBackEdge { l });
-                    instruction_events!(instr, 1..);
                     jump!(t);
                 }
                 Instr::GetField(fid) => {
@@ -1345,30 +1345,6 @@ fn expected_array_err(other: Value) -> RuntimeError {
 #[inline(never)]
 fn non_object_err(op: &str, other: Value) -> RuntimeError {
     RuntimeError::Internal(format!("{op} on non-object {other}"))
-}
-
-/// Whether an event or a fault can fall between `instr`'s constituents.
-/// This is the one place fusion meets the instruction-event stream: the
-/// back-edge event of `loop_back_jump` and `inc_loop_back`, the
-/// allocation event of `new_dup`, and the receiver check of the
-/// mid-window `GetField` in the field-length, field-element and
-/// field-increment forms. Such an arm
-/// emits its constituents' instruction events itself, each before that
-/// constituent's work, so events and faults fall as in unfused
-/// execution; every other instruction has them all emitted before its
-/// arm runs.
-#[inline(always)]
-fn interleaves(instr: Instr) -> bool {
-    matches!(
-        instr,
-        Instr::FusedLoopBackJump(..)
-            | Instr::FusedIncLoopBack(..)
-            | Instr::FusedNewDup(_)
-            | Instr::FusedLoadGetFieldLen(..)
-            | Instr::FusedLoadLoadGetFieldLen(..)
-            | Instr::FusedLoadGetFieldALoad(..)
-            | Instr::FusedFieldAdd(..)
-    )
 }
 
 /// `v + k`, or `v - k` when `sub` is set, wrapping like the `Add` and
