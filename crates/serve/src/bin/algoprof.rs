@@ -63,6 +63,40 @@ use algoprof_serve::api::{OptionTable, CRITERIA, GROUPINGS, SIZINGS, SNAPSHOT_PO
 use algoprof_serve::{client, Server, ServerAddr, ServerConfig};
 use algoprof_vm::json_str;
 
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout: every report, listing and status line the CLI
+/// prints goes through here (see [`stdout_failed`] for a failed write).
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        stdout_failed(e);
+    }
+}
+
+/// Ends the process after a failed write to stdout. A reader that has
+/// gone away (`BrokenPipe`, as under `algoprof ... | head -1` or
+/// `| grep -q`) ends it quietly with exit code 0, as other Unix filters
+/// do; any other error ends it with a one-line diagnostic and exit code 1.
+fn stdout_failed(e: std::io::Error) -> ! {
+    if e.kind() == std::io::ErrorKind::BrokenPipe {
+        std::process::exit(0);
+    }
+    eprintln!("algoprof: cannot write to stdout: {e}");
+    std::process::exit(1);
+}
+
 const USAGE: &str = "usage: algoprof [--criterion some|all|array|type] [--sizing capacity|unique] \
      [--snapshots firstlast|every] [--grouping input|indexflow|method] \
      [--input v1,v2,...] [--csv <needle>] [--html <file.html>] [--check] <program.jay>\n\
@@ -116,7 +150,7 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
         // Asking for help is not an error: print to stdout, exit 0.
-        println!("{USAGE}");
+        outln!("{USAGE}");
         return ExitCode::SUCCESS;
     }
     let result = match args.first().map(String::as_str) {
@@ -288,7 +322,7 @@ impl AnalysisArgs {
         };
         if let Some(html_path) = &self.html {
             write_file(html_path, algoprof::render_html_set(&set).as_bytes())?;
-            println!("wrote {html_path}");
+            outln!("wrote {html_path}");
         } else if let Some(needle) = &self.csv {
             // Resolve the substring needle against any thread, then merge
             // that algorithm's points across all of them. A one-thread
@@ -302,22 +336,22 @@ impl AnalysisArgs {
                     "no algorithm whose root matches {needle:?}"
                 )));
             };
-            println!("size,steps");
+            outln!("size,steps");
             let series = if set.is_threaded() {
                 set.merged_series(p.node_name(algo.root), CostMetric::Steps)
             } else {
                 p.invocation_series(algo.id, CostMetric::Steps)
             };
             for (s, c) in series {
-                println!("{s},{c}");
+                outln!("{s},{c}");
             }
         } else {
-            print!("{}", algoprof::render_set(&set));
+            out!("{}", algoprof::render_set(&set));
         }
         if self.check {
             let checks = algoprof::cross_validate(set.main(), &source()?)
                 .map_err(|e| CliError::Run(e.to_string()))?;
-            print!("{}", algoprof::render_cross_checks(&checks));
+            out!("{}", algoprof::render_cross_checks(&checks));
         }
         Ok(())
     }
@@ -404,7 +438,7 @@ fn record_main(args: &[String]) -> Result<(), CliError> {
     // Fused or not, the recording is the same.
     let trace = algoprof::record_source_with(&source, &Default::default(), &input)?;
     write_file(&out, &trace)?;
-    println!("wrote {out} ({} bytes)", trace.len());
+    outln!("wrote {out} ({} bytes)", trace.len());
     Ok(())
 }
 
@@ -509,8 +543,7 @@ fn events_main(args: &[String]) -> Result<(), CliError> {
     // The same replay as `analyze`: ids resolve to names against the
     // recompiled embedded source.
     algoprof::run(Guest::Trace(&trace), &run_config(), &mut sink)?;
-    sink.finish()
-        .map_err(|e| CliError::Run(format!("cannot write event dump: {e}")))?;
+    sink.finish().unwrap_or_else(|e| stdout_failed(e));
     Ok(())
 }
 
@@ -558,9 +591,9 @@ fn lint_main(args: &[String]) -> Result<(), CliError> {
             }
         };
         if json {
-            print!("{}", algoprof_analysis::render_json(&analysis, path));
+            out!("{}", algoprof_analysis::render_json(&analysis, path));
         } else {
-            print!("{}", algoprof_analysis::render_text(&analysis, path));
+            out!("{}", algoprof_analysis::render_text(&analysis, path));
         }
         if analysis.has_errors || (strict && !analysis.diagnostics.is_empty()) {
             let errors = analysis
@@ -655,15 +688,15 @@ fn costfn_main(args: &[String]) -> Result<(), CliError> {
             ));
         }
         out.push_str("  ]\n}\n");
-        print!("{out}");
+        out!("{out}");
     } else {
-        println!("cost functions ({path}):");
+        outln!("cost functions ({path}):");
         for p in &analysis.predictions {
-            println!("  {}  {}  cost {}", p.name, p.class.big_o(), p.cost);
-            println!("    derivation: {}", p.detail);
+            outln!("  {}  {}  cost {}", p.name, p.class.big_o(), p.cost);
+            outln!("    derivation: {}", p.detail);
             if let Some(fc) = by_name.get(p.name.as_str()) {
                 for (ft, c) in &fc.features {
-                    println!("    {}: {}", ft.name(), c);
+                    outln!("    {}: {}", ft.name(), c);
                 }
             }
         }
@@ -723,9 +756,9 @@ fn opstats_main(args: &[String]) -> Result<(), CliError> {
         total.merge(&stats);
     }
     if json {
-        print!("{}", total.render_json(top));
+        out!("{}", total.render_json(top));
     } else {
-        print!("{}", total.render_text(top));
+        out!("{}", total.render_text(top));
     }
     Ok(())
 }
@@ -760,9 +793,9 @@ fn disasm_main(args: &[String]) -> Result<(), CliError> {
     let program = algoprof::prepare(&source, &algoprof_vm::InstrumentOptions::default(), fused)
         .map_err(|e| CliError::Run(e.to_string()))?;
     if cfg {
-        print!("{}", algoprof_vm::disassemble_cfg(&program));
+        out!("{}", algoprof_vm::disassemble_cfg(&program));
     } else {
-        print!("{}", algoprof_vm::disassemble(&program));
+        out!("{}", algoprof_vm::disassemble(&program));
     }
     Ok(())
 }
@@ -891,7 +924,7 @@ fn sweep_main(args: &[String]) -> Result<(), CliError> {
     if let Some(html_path) = &args.html {
         write_file(html_path, report.render_html().as_bytes())?;
     }
-    print!("{}", report.render_text());
+    out!("{}", report.render_text());
     for out in args.json.iter().chain(args.html.iter()) {
         eprintln!("wrote {out}");
     }
@@ -950,7 +983,7 @@ fn serve_main(args: &[String]) -> Result<(), CliError> {
     }
     if let Some(path) = socket {
         let server = serve_bind_unix(&path, config)?;
-        println!("algoprof serve: listening on {path}");
+        outln!("algoprof serve: listening on {path}");
         let _ = std::io::stdout().flush();
         server.join();
     } else {
@@ -959,7 +992,7 @@ fn serve_main(args: &[String]) -> Result<(), CliError> {
         let server = Server::start(&addr, config)
             .map_err(|e| CliError::Run(format!("cannot bind {addr}: {e}")))?;
         let bound = server.addr().expect("TCP server has an address");
-        println!("algoprof serve: listening on {bound}");
+        outln!("algoprof serve: listening on {bound}");
         let _ = std::io::stdout().flush();
         server.join();
     }
@@ -1062,13 +1095,19 @@ fn submit_main(args: &[String]) -> Result<(), CliError> {
             reject_extra_args(&rest, "cache-stats")?;
             let (stats, programs) =
                 client::all_cache_stats(&server).map_err(|e| CliError::Run(e.to_string()))?;
-            println!(
+            outln!(
                 "cache entries {} hits {} misses {} stores {}",
-                stats.entries, stats.hits, stats.misses, stats.stores
+                stats.entries,
+                stats.hits,
+                stats.misses,
+                stats.stores
             );
-            println!(
+            outln!(
                 "program cache entries {} hits {} misses {} evictions {}",
-                programs.entries, programs.hits, programs.misses, programs.evictions
+                programs.entries,
+                programs.hits,
+                programs.misses,
+                programs.evictions
             );
             Ok(())
         }
@@ -1080,7 +1119,7 @@ fn submit_main(args: &[String]) -> Result<(), CliError> {
             }
             reject_extra_args(&rest, "shutdown")?;
             client::shutdown(&server).map_err(|e| CliError::Run(e.to_string()))?;
-            println!("shutdown requested");
+            outln!("shutdown requested");
             Ok(())
         }
         other => Err(CliError::Usage(format!(
@@ -1109,9 +1148,11 @@ fn submit_and_report(
 ) -> Result<(), CliError> {
     let submitted = client::submit(server, spec).map_err(|e| CliError::Run(e.to_string()))?;
     if !wait {
-        println!(
+        outln!(
             "job {} {} (cache {})",
-            submitted.id, submitted.status, submitted.cache
+            submitted.id,
+            submitted.status,
+            submitted.cache
         );
         return Ok(());
     }
@@ -1133,7 +1174,7 @@ fn submit_and_report(
         write_file(&path, json.as_bytes())?;
         eprintln!("wrote {path}");
     }
-    print!("{}", output.text);
+    out!("{}", output.text);
     Ok(())
 }
 

@@ -3,7 +3,7 @@
 //! and never panic. Shells the real binary via `CARGO_BIN_EXE_algoprof`.
 
 use std::path::Path;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn algoprof(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_algoprof"))
@@ -603,6 +603,36 @@ fn costfn_reports_symbolic_costs_and_features() {
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_closed_stdout_ends_quietly() {
+    // A reader that goes away before the output is written (`| head -1`,
+    // `| grep -q`) ends the CLI with exit 0 and nothing on stderr, not a
+    // "failed printing to stdout" panic.
+    let example = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/sized_insertion_sort_array.jay"
+    );
+    for args in [
+        &["costfn", example][..],
+        &["opstats", example, "--input", "8"],
+        &["disasm", "--fused", example],
+        &["--input", "8", example],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_algoprof"))
+            .args(args)
+            .env("RUST_BACKTRACE", "1")
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawns the algoprof binary");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("waits for algoprof");
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}, stderr: {err}");
+    }
 }
 
 #[test]
