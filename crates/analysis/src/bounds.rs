@@ -200,7 +200,9 @@ impl<'a> Facts<'a> {
                 self.walk_expr(idx);
                 self.walk_expr(value);
             }
-            HStmt::If { cond, then, els } => {
+            HStmt::If {
+                cond, then, els, ..
+            } => {
                 self.walk_expr(cond);
                 self.walk_stmts(then);
                 self.walk_stmts(els);
@@ -385,7 +387,9 @@ pub fn stmt_line(stmt: &HStmt) -> Option<u32> {
         | HStmt::Throw { line, .. }
         | HStmt::Lock { line, .. }
         | HStmt::Unlock { line, .. } => Some(*line),
-        HStmt::If { cond, then, els } => expr_line(cond)
+        HStmt::If {
+            cond, then, els, ..
+        } => expr_line(cond)
             .or_else(|| then.iter().find_map(stmt_line))
             .or_else(|| els.iter().find_map(stmt_line)),
         HStmt::Break | HStmt::Continue => None,
@@ -472,7 +476,9 @@ impl<'a> LoopEffects<'a> {
                 self.expr(idx);
                 self.expr(value);
             }
-            HStmt::If { cond, then, els } => {
+            HStmt::If {
+                cond, then, els, ..
+            } => {
                 self.expr(cond);
                 self.stmts(then, depth);
                 self.stmts(els, depth);
@@ -715,7 +721,9 @@ impl<'a> Collector<'a> {
                 self.expr(idx);
                 self.expr(value);
             }
-            HStmt::If { cond, then, els } => {
+            HStmt::If {
+                cond, then, els, ..
+            } => {
                 self.expr(cond);
                 self.stmts(then);
                 self.stmts(els);

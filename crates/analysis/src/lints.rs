@@ -226,7 +226,9 @@ fn lint_unreachable(func: &HFunction, diags: &mut Vec<Diagnostic>) {
 fn terminates(stmt: &HStmt) -> bool {
     match stmt {
         HStmt::Return { .. } | HStmt::Throw { .. } | HStmt::Break | HStmt::Continue => true,
-        HStmt::If { cond, then, els } => match cond {
+        HStmt::If {
+            cond, then, els, ..
+        } => match cond {
             HExpr::Bool(true) => list_terminates(then),
             HExpr::Bool(false) => list_terminates(els),
             _ => list_terminates(then) && list_terminates(els),
@@ -338,7 +340,9 @@ fn lint_write_only_fields(
                     visit_expr(idx, read);
                     visit_expr(value, read);
                 }
-                HStmt::If { cond, then, els } => {
+                HStmt::If {
+                    cond, then, els, ..
+                } => {
                     visit_expr(cond, read);
                     visit_stmts(then, func, written, read);
                     visit_stmts(els, func, written, read);
@@ -463,7 +467,9 @@ fn lint_const_traps(func: &HFunction, facts: &Facts<'_>, diags: &mut Vec<Diagnos
                     walk_exprs(idx, f, d);
                     walk_exprs(value, f, d);
                 }
-                HStmt::If { cond, then, els } => {
+                HStmt::If {
+                    cond, then, els, ..
+                } => {
                     walk_exprs(cond, f, d);
                     walk(then, f, facts, known_len, func, d);
                     walk(els, f, facts, known_len, func, d);

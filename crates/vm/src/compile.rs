@@ -264,7 +264,13 @@ impl<'a> Codegen<'a> {
                 self.current_line = *line;
                 self.emit(Instr::AStore);
             }
-            HStmt::If { cond, then, els } => {
+            HStmt::If {
+                cond,
+                then,
+                els,
+                line,
+            } => {
+                self.current_line = *line;
                 let to_else = self.branch(cond, false);
                 self.stmts(then);
                 if els.is_empty() {
@@ -590,6 +596,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn an_if_condition_takes_the_if_line() {
+        // `if (f)` has no leaf that sets a line of its own, so without
+        // the statement's line its `load; jump_if_false` would keep
+        // line 5's.
+        let p = compile_ok(
+            "class Main {
+                static int main() {
+                    int n = readInput();
+                    boolean f = n > 3;
+                    int c = 0;
+                    if (f) { c = 1; }
+                    return c;
+                }
+            }",
+        );
+        let main = p.func(p.entry);
+        let at = main
+            .code
+            .iter()
+            .position(|i| matches!(i, Instr::JumpIfFalse(_)))
+            .expect("the if's branch");
+        assert_eq!(main.code[at - 1], Instr::LoadLocal(1));
+        assert_eq!(main.lines[at - 2], 5, "{:?}", main.code[at - 2]);
+        assert_eq!(main.lines[at - 1..=at], [6, 6]);
     }
 
     #[test]

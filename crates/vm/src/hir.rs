@@ -82,6 +82,8 @@ pub enum HStmt {
         then: Vec<HStmt>,
         /// Else branch (possibly empty).
         els: Vec<HStmt>,
+        /// Source line of the `if` keyword.
+        line: u32,
     },
     /// Unified loop: `while` has an empty `update`; `for` carries its update
     /// statements so `continue` can branch to them.

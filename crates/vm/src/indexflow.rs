@@ -140,7 +140,9 @@ impl Walker {
                 self.walk_expr(idx);
                 self.walk_expr(value);
             }
-            HStmt::If { cond, then, els } => {
+            HStmt::If {
+                cond, then, els, ..
+            } => {
                 self.walk_expr(cond);
                 self.walk_stmts(then);
                 self.walk_stmts(els);

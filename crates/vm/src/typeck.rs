@@ -878,7 +878,10 @@ impl<'a> BodyChecker<'a> {
                 }
             }
             Stmt::If {
-                cond, then, els, ..
+                cond,
+                then,
+                els,
+                span,
             } => {
                 let (hc, cty) = self.check_expr(cond)?;
                 self.require(&cty, &Ty::Bool, cond.span())?;
@@ -891,6 +894,7 @@ impl<'a> BodyChecker<'a> {
                     cond: hc,
                     then: hthen,
                     els: hels,
+                    line: span.line,
                 });
             }
             Stmt::While { cond, body, span } => {
