@@ -58,6 +58,20 @@ echo "==> opstats smoke (dynamic opcode statistics, text and JSON)"
 ./target/release/algoprof opstats examples/sized_arraylist.jay --input 16 --json \
     | grep -q '"opcodes"'
 
+echo "==> opstats fusion differential (instruction-reading sinks step through superinstructions)"
+# The array sort's `&&` loop condition runs both exit paths.
+for prog in sized_insertion_sort_array sized_insertion_sort producer_consumer; do
+    for fmt in text json; do
+        flags=(--input 24)
+        [ "$fmt" = json ] && flags+=(--json)
+        ./target/release/algoprof opstats "examples/$prog.jay" "${flags[@]}" \
+            > "$sweep_out/$prog-ops-f.$fmt"
+        ALGOPROF_NO_FUSE=1 ./target/release/algoprof opstats "examples/$prog.jay" "${flags[@]}" \
+            > "$sweep_out/$prog-ops-nf.$fmt"
+        cmp "$sweep_out/$prog-ops-f.$fmt" "$sweep_out/$prog-ops-nf.$fmt"
+    done
+done
+
 echo "==> fusion differential (superinstructions must not change profiles)"
 ALGOPROF_NO_FUSE=1 ./target/release/algoprof sweep examples/sized_arraylist.jay \
     --sizes 8,16,32,64 -j 1 --quiet --json "$sweep_out/nofuse.json" > "$sweep_out/nofuse.txt"
