@@ -24,8 +24,8 @@ use algoprof_programs::{
 use algoprof_suite::genprog::random_program;
 use algoprof_suite::testutil::TestRng;
 use algoprof_vm::{
-    compile, CompiledProgram, Event, EventCx, EventSink, InstrumentOptions, Interp, RunResult,
-    RuntimeError,
+    compile, CompiledProgram, Event, EventCx, EventSink, InstrumentOptions, Interp, NoopSink,
+    RunResult, RuntimeError,
 };
 
 /// The longest whole run, in logical instructions, of a random program
@@ -230,11 +230,7 @@ fn random_programs_stop_where_unfused_runs_stop() {
             .expect("compiles")
             .instrument(&InstrumentOptions::default());
         let length = Interp::new(&program)
-            .run(&mut Prefix::<false> {
-                expected: &[],
-                seen: 0,
-                diverged: None,
-            })
+            .run(&mut NoopSink)
             .expect("random programs terminate")
             .instructions;
         if length <= RANDOM_RUN_CAP {
