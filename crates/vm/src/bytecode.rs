@@ -157,6 +157,11 @@ macro_rules! instruction_set {
             /// Every opcode, in [`Opcode::index`] order.
             pub const ALL: &'static [Opcode; Opcode::COUNT] = &[$(Opcode::$base),+];
 
+            /// Dense index of this opcode, in `0..Opcode::COUNT`.
+            pub fn index(self) -> usize {
+                self as usize
+            }
+
             /// The opcode's stable, lower-snake-case name (matches the
             /// disassembler's mnemonics).
             pub fn name(self) -> &'static str {
@@ -399,13 +404,6 @@ instruction_set! {
 // Fusion must not widen the instruction word: every form's operands are
 // narrowed to fit beside the widest base operand (`ConstInt`'s `i64`).
 const _: () = assert!(std::mem::size_of::<Instr>() == 16);
-
-impl Opcode {
-    /// Dense index of this opcode, in `0..Opcode::COUNT`.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-}
 
 /// The base instructions one [`Instr`] stands for, in execution order and
 /// with their operands: a superinstruction's constituents, or a base
